@@ -59,8 +59,6 @@ from .market import (
     LossBounds,
     MarketParams,
     MarketSession,
-    StepRecord,
-    close_market,
     lambda_star,
     loss_bounds,
     noise_scale_K,

@@ -13,15 +13,16 @@ below a constant independent of the true horizon.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .cost import ScaledCost
 from .errors import InvalidParameterError
-from .market import Ledger, MarketParams, MarketSession, lambda_star, open_market
+from .market import Ledger, MarketParams, lambda_star, open_market
 
 
 def minimal_T(A: float, D: float) -> float:
@@ -223,14 +224,13 @@ def transition(
     next_lam: float,
     d: int,
     eta: float,
-    kind: str = "lmsr",
 ) -> np.ndarray:
     """Opening share vector of the next stage: invert the handed-off prices.
 
     Clamps coordinates below eta before inverting so degenerate prices stay
     representable; the canonical inverse fixes the last coordinate to 0.
     """
-    cost = ScaledCost(d=d, lam=next_lam, kind=kind)
+    cost = ScaledCost(d=d, lam=next_lam)
     return cost.invert_prices(prev_prices, eta)
 
 
@@ -255,28 +255,7 @@ class AdaptiveResult:
     ledger: Ledger  # exact component-wise sum of stage ledgers
 
 
-class _Lookahead:
-    """Iterator wrapper that can test for a next element without losing it."""
-
-    def __init__(self, iterable: Iterable):
-        self._it = iter(iterable)
-        self._pending: list = []
-
-    def has_next(self) -> bool:
-        if not self._pending:
-            try:
-                self._pending.append(next(self._it))
-            except StopIteration:
-                return False
-        return True
-
-    def __iter__(self) -> Iterator:
-        return self
-
-    def __next__(self):
-        if self._pending:
-            return self._pending.pop()
-        return next(self._it)
+_END = object()
 
 
 def run_adaptive(
@@ -284,7 +263,6 @@ def run_adaptive(
     stream: Iterable,
     outcome: int,
     seed: int | np.random.Generator = 0,
-    stage_override: int | None = None,
     eta: float | None = None,
 ) -> AdaptiveResult:
     """Drive the staged market over an arrival stream of strategies.
@@ -298,58 +276,45 @@ def run_adaptive(
     """
     from .traders import drive_session
 
-    if stage_override is not None:
-        schedule = stage_schedule(
-            schedule.B1, schedule.d, schedule.alpha, schedule.gamma,
-            schedule.epsilon, max_stages=len(schedule.stages),
-            t1_override=stage_override,
-        )
     if isinstance(seed, np.random.Generator):
         noise_rng = seed
     else:
         noise_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
-    stream = _Lookahead(stream)
-    histories: dict = {}
-    pending: list[tuple[Stage, MarketSession, np.ndarray]] = []
+    stream = iter(stream)
+    settled: list[StageResult] = []
     init_shares: np.ndarray | None = None
 
     for stage in schedule.stages:
-        if pending and not stream.has_next():
-            break  # nobody left to attend another stage
+        if settled:
+            head = next(stream, _END)
+            if head is _END:
+                break  # nobody left to attend another stage
+            stream = itertools.chain([head], stream)
         params = MarketParams(
             d=schedule.d, epsilon=schedule.epsilon, alpha=stage.alpha,
             gamma=stage.gamma, T=stage.T, fee=schedule.fee, lam=stage.lam,
         )
         session = open_market(params, rng=noise_rng, initial_shares=init_shares)
-        opening_prices = session.published_prices[0].copy()
-        exhausted = drive_session(session, stream, histories)
-        pending.append((stage, session, opening_prices))
-        if exhausted:
-            break
-        next_i = stage.k  # 0-based index of the next stage in the tuple
-        if next_i >= len(schedule.stages):
-            break
-        next_stage = schedule.stages[next_i]
-        margin = eta if eta is not None else next_stage.alpha / (4.0 * schedule.d)
-        init_shares = transition(
-            session.published_prices[-1], next_stage.lam, schedule.d, margin
-        )
-
-    # settle every stage on the realized outcome
-    settled = []
-    for stage, session, opening_prices in pending:
-        norms = [float(np.linalg.norm(b.value)) for b in session.noise.bundles.values()]
+        opening_prices = session.p_hat.copy()
+        exhausted = drive_session(session, stream)
+        final_prices = session.p_hat.copy()
         settled.append(
             StageResult(
                 k=stage.k, arrivals=session.arrivals, completed=session.is_full,
                 ledger=session.close(outcome), opening_prices=opening_prices,
-                final_prices=session.published_prices[-1].copy(),
-                max_price_gap=session.max_price_gap(),
-                max_share_gap=session.max_share_gap(),
-                mean_bundle_l2=float(np.mean(norms)) if norms else 0.0,
+                final_prices=final_prices,
+                max_price_gap=session.max_price_gap,
+                max_share_gap=session.max_share_gap,
+                mean_bundle_l2=session.mean_bundle_l2,
             )
         )
+        if exhausted or stage.k >= len(schedule.stages):
+            break
+        next_stage = schedule.stages[stage.k]  # stage.k is 1-based
+        margin = eta if eta is not None else next_stage.alpha / (4.0 * schedule.d)
+        init_shares = transition(final_prices, next_stage.lam, schedule.d, margin)
+
     return AdaptiveResult(
         stages=tuple(settled),
         ledger=Ledger.combine([r.ledger for r in settled]),

@@ -75,11 +75,8 @@ class ScaledCost:
 
     d: int
     lam: float
-    kind: str = "lmsr"
 
     def __post_init__(self) -> None:
-        if self.kind != "lmsr":
-            raise NotImplementedError(f"unsupported cost kind {self.kind!r}")
         if self.d < 1:
             raise InvalidParameterError("d must be >= 1")
         if not (0.0 < self.lam <= 1.0):
@@ -190,8 +187,6 @@ def ftrl_price(cost: ScaledCost, q: np.ndarray, resolution: int = 33) -> np.ndar
     search over the free coordinates is exponential in d, so this is a
     verification device for small d, not a pricing path.
     """
-    if cost.kind != "lmsr":
-        raise NotImplementedError(f"unsupported cost kind {cost.kind!r}")
     if resolution < 3:
         raise InvalidParameterError("resolution must be >= 3")
     q = np.asarray(q, dtype=float)

@@ -33,7 +33,7 @@ from .noise import (
     s_flip,
     tree_depth,
 )
-from .traders import STRATEGY_KINDS, drive_session, make_strategy
+from .traders import STRATEGY_KINDS, Strategy, drive_session, make_strategy
 
 METRIC_FIELDS = (
     "seed",
@@ -127,9 +127,11 @@ class RunConfig:
         if "lambda" in market:
             lam = market.pop("lambda")
             kwargs["lam"] = None if lam is None else _as_num(lam, "market.lambda")
-        kwargs["noise_off"] = bool(take(market, "noise_off", default=False))
-        kwargs["allow_unsafe_lambda"] = bool(
-            take(market, "allow_unsafe_lambda", default=False)
+        kwargs["noise_off"] = _as_bool(
+            take(market, "noise_off", default=False), "market.noise_off"
+        )
+        kwargs["allow_unsafe_lambda"] = _as_bool(
+            take(market, "allow_unsafe_lambda", default=False), "market.allow_unsafe_lambda"
         )
         if market:
             raise ConfigError(f"unknown market fields: {sorted(market)}")
@@ -139,7 +141,7 @@ class RunConfig:
             raise ConfigError("'traders' must be a non-empty list")
         roster = []
         for i, entry in enumerate(roster_raw):
-            entry = dict(entry)
+            entry = dict(_as_object(entry, f"traders[{i}]"))
             kind = take(entry, "kind", required=True)
             if kind not in STRATEGY_KINDS:
                 raise ConfigError(f"traders[{i}].kind {kind!r} not in {STRATEGY_KINDS}")
@@ -149,6 +151,8 @@ class RunConfig:
             params = take(entry, "params", default={})
             if not isinstance(params, dict):
                 raise ConfigError(f"traders[{i}].params must be an object")
+            if "d" in params:
+                raise ConfigError(f"traders[{i}].params.d is set by market.d")
             if entry:
                 raise ConfigError(f"unknown traders[{i}] fields: {sorted(entry)}")
             roster.append(RosterEntry(kind=kind, count=count, params=params))
@@ -157,7 +161,7 @@ class RunConfig:
         if "outcome" in data:
             kwargs["outcome"] = _as_int(data.pop("outcome"), "outcome")
         if "seeds" in data:
-            seeds = dict(data.pop("seeds"))
+            seeds = dict(_as_object(data.pop("seeds"), "seeds"))
             kwargs["seeds_start"] = _as_int(take(seeds, "start", default=0), "seeds.start")
             kwargs["seeds_count"] = _as_int(take(seeds, "count", required=True), "seeds.count")
             if seeds:
@@ -169,13 +173,16 @@ class RunConfig:
             kwargs["arrival_order"] = order
         if "stream_length" in data:
             raw_len = data.pop("stream_length")
-            kwargs["stream_length"] = (
-                None if raw_len is None else _as_int(raw_len, "stream_length")
-            )
+            if raw_len is not None:
+                kwargs["stream_length"] = _as_int(raw_len, "stream_length")
+                if raw_len < 1:
+                    raise ConfigError("stream_length must be >= 1")
         adaptive = data.pop("adaptive", None)
         if adaptive is not None:
-            adaptive = dict(adaptive)
-            kwargs["adaptive"] = bool(take(adaptive, "enabled", default=True))
+            adaptive = dict(_as_object(adaptive, "adaptive"))
+            kwargs["adaptive"] = _as_bool(
+                take(adaptive, "enabled", default=True), "adaptive.enabled"
+            )
             if "stage_override" in adaptive:
                 so = adaptive.pop("stage_override")
                 kwargs["stage_override"] = None if so is None else _as_int(so, "stage_override")
@@ -190,6 +197,12 @@ class RunConfig:
         if cfg.adaptive and cfg.d < 2:
             raise ConfigError("adaptive runs need d >= 2 (B1 = ln d must be positive)")
         cfg.market_params(validate_only=True)
+        rng = np.random.default_rng(0)  # throwaway: construction draws nothing
+        for i, entry in enumerate(cfg.traders):
+            try:
+                _strategy(entry, cfg.d, rng)
+            except InvalidParameterError as exc:
+                raise ConfigError(f"traders[{i}]: {exc}") from exc
         return cfg
 
     @classmethod
@@ -246,7 +259,25 @@ def _as_int(value, name: str) -> int:
 def _as_num(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
     return float(value)
+
+
+def _as_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false")
+    return value
+
+
+def _as_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object")
+    return value
+
+
+def _strategy(entry: RosterEntry, d: int, rng: np.random.Generator) -> Strategy:
+    return make_strategy(entry.kind, {**entry.params, "d": d}, rng)
 
 
 def _build_stream(config: RunConfig, rngs: list[np.random.Generator]) -> list:
@@ -258,13 +289,9 @@ def _build_stream(config: RunConfig, rngs: list[np.random.Generator]) -> list:
     stage sizes for adaptive runs.
     """
     instances = []
-    idx = 0
     for entry in config.traders:
         for _ in range(entry.count):
-            params = dict(entry.params)
-            params.setdefault("d", config.d)
-            instances.append(make_strategy(entry.kind, params, rngs[idx]))
-            idx += 1
+            instances.append(_strategy(entry, config.d, rngs[len(instances)]))
     length = config.stream_length
     if length is None:
         if config.adaptive:
@@ -307,35 +334,25 @@ def run_trial(config: RunConfig, seed: int) -> TrialMetrics:
             t1_override=config.stage_override,
         )
         result = run_adaptive(sched, stream, config.outcome, seed=noise_rng)
-        gaps = [s.max_price_gap for s in result.stages]
-        share_gaps = [s.max_share_gap for s in result.stages]
-        norms = [s.mean_bundle_l2 for s in result.stages if s.arrivals > 0]
-        ledger = result.ledger
-        arrivals = ledger.arrivals
-        stages_completed = sum(1 for s in result.stages if s.completed)
+        ledger, parts = result.ledger, result.stages
+        stages_completed = sum(1 for s in parts if s.completed)
     else:
-        params = config.market_params()
-        session = open_market(params, rng=noise_rng)
-        drive_session(session, iter(stream), {})
-        ledger = session.close(config.outcome)
-        arrivals = ledger.arrivals
+        session = open_market(config.market_params(), rng=noise_rng)
+        drive_session(session, iter(stream))
+        ledger, parts = session.close(config.outcome), [session]
         stages_completed = 1 if session.is_full else 0
-        gaps = [session.max_price_gap()]
-        share_gaps = [session.max_share_gap()]
-        norms = [
-            float(np.linalg.norm(b.value))
-            for b in session.noise.bundles.values()
-        ]
+    # stage results and a flat session expose the same per-market metrics
+    norms = [p.mean_bundle_l2 for p in parts if p.arrivals > 0]
     return TrialMetrics(
         seed=seed,
-        arrivals=arrivals,
+        arrivals=ledger.arrivals,
         stages_completed=stages_completed,
         designer_loss=ledger.designer_loss,
         mm_loss=ledger.mm_loss,
         ntl=ledger.ntl,
         fees=ledger.fees,
-        max_price_gap=max(gaps),
-        max_share_gap=max(share_gaps),
+        max_price_gap=max(p.max_price_gap for p in parts),
+        max_share_gap=max(p.max_share_gap for p in parts),
         mean_bundle_l2=float(np.mean(norms)) if norms else 0.0,
     )
 

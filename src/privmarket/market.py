@@ -139,21 +139,6 @@ class MarketParams:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """Everything observable about one arrival."""
-
-    t: int
-    dq: np.ndarray
-    fee: float
-    trade_payment: float
-    noise_cash: float  # net paid by noise trader this step (buys - sells)
-    q: np.ndarray  # true state after the trade
-    q_hat: np.ndarray  # published state after noise turnover
-    p: np.ndarray
-    p_hat: np.ndarray
-
-
-@dataclass(frozen=True)
 class Ledger:
     """Cash decomposition of a closed session."""
 
@@ -178,8 +163,31 @@ class Ledger:
         )
 
 
+def check_bundle(dq, d: int) -> np.ndarray:
+    """dq as a float array of shape (d,), finite and of l1 norm at most 1."""
+    dq = np.asarray(dq, dtype=float)
+    if dq.shape != (d,):
+        raise TradeRejectedError(f"bundle must have shape ({d},), got {dq.shape}")
+    size = float(np.sum(np.abs(dq)))
+    if not size <= 1.0 + TRADE_SIZE_TOL:  # also catches nan and inf
+        raise TradeRejectedError(f"bundle l1 norm {size:.6f} exceeds 1")
+    return dq
+
+
+def _published(x: np.ndarray) -> np.ndarray:
+    """Freeze an array handed out as published state."""
+    x.flags.writeable = False
+    return x
+
+
 class MarketSession:
-    """Mutable state of one running market; single-owner, not thread-safe."""
+    """Mutable state of one running market; single-owner, not thread-safe.
+
+    The session keeps only what the ledger and the accuracy metrics need:
+    the true and published states, C(q_hat) cached between steps, the held
+    noise stack, cash totals, and running gaps.  q_hat and p_hat are the
+    latest published state and prices and are read-only.
+    """
 
     def __init__(
         self,
@@ -203,7 +211,9 @@ class MarketSession:
             raise InvalidParameterError("outcome model dimension mismatch")
         self.q_init = q0.copy()
         self.q_true = q0.copy()
-        self.q_hat = q0.copy()
+        self.q_hat = _published(q0.copy())
+        self.p_hat = _published(self.cost.prices(q0))
+        self.c_hat = self.cost.cost(q0)
         self.noise = NoiseLedger(
             d=params.d,
             scale=noise_scale(params.T, params.epsilon),
@@ -211,91 +221,82 @@ class MarketSession:
         )
         self.arrivals = 0
         self.closed = False
-        self.trace: list[StepRecord] = []
-        self.published_states: list[np.ndarray] = [q0.copy()]
-        self.published_prices: list[np.ndarray] = [self.cost.prices(q0)]
         self.trade_payments = 0.0
         self.fee_total = 0.0
         self.noise_buy_total = 0.0
         self.noise_sell_total = 0.0
+        self.max_price_gap = 0.0  # max_t ||p^t - p_hat^t||_1
+        self.max_share_gap = 0.0  # max_t ||q^t - q_hat^t||_1
+        self.bundle_l2_total = 0.0
 
     @property
     def is_full(self) -> bool:
         return self.arrivals >= self.params.T
 
-    def step(self, dq: np.ndarray) -> StepRecord:
+    @property
+    def mean_bundle_l2(self) -> float:
+        """Mean l2 norm of the noise bundles bought so far (one per arrival)."""
+        return self.bundle_l2_total / self.arrivals if self.arrivals else 0.0
+
+    def _sell_top(self, state: np.ndarray, c_state: float, sold_at: int):
+        """Sell the most recent held bundle at state; return (state, C(state), revenue)."""
+        bundle = self.noise.held[-1]
+        state = state - bundle.value
+        c_next = self.cost.cost(state)
+        revenue = c_state - c_next
+        self.noise.mark_sold(bundle.time, sold_at=sold_at, revenue=revenue)
+        self.noise_sell_total += revenue
+        return state, c_next, revenue
+
+    def step(self, dq: np.ndarray) -> None:
         """Process one arrival: fee, trade, then scheduled noise turnover."""
         if self.closed:
             raise MarketClosedError("session is closed")
         if self.is_full:
             raise MarketClosedError(f"session already has {self.params.T} arrivals")
-        dq = np.asarray(dq, dtype=float)
-        if dq.shape != (self.params.d,):
-            raise TradeRejectedError(f"bundle must have shape ({self.params.d},)")
-        size = float(np.sum(np.abs(dq)))
-        if not np.all(np.isfinite(dq)) or size > 1.0 + TRADE_SIZE_TOL:
-            raise TradeRejectedError(f"bundle l1 norm {size:.6f} exceeds 1")
+        dq = check_bundle(dq, self.params.d)
 
-        fee = self.params.fee
-        self.fee_total += fee
-        payment = self.cost.trade_cost(self.q_hat, dq)
-        self.trade_payments += payment
+        self.fee_total += self.params.fee
         state = self.q_hat + dq
+        c_state = self.cost.cost(state)
+        self.trade_payments += c_state - self.c_hat
         self.q_true = self.q_true + dq
 
+        # one cost evaluation per intermediate state, never telescoped: the
+        # noise cash is a small difference of large costs
         event = self.noise.begin_step()
-        noise_cash = 0.0
-        for sell_time in event.sells:
-            bundle = self.noise.bundles[sell_time]
-            revenue = self.cost.cost(state) - self.cost.cost(state - bundle.value)
-            state = state - bundle.value
-            self.noise.mark_sold(sell_time, sold_at=event.buy, revenue=revenue)
-            self.noise_sell_total += revenue
-            noise_cash -= revenue
+        for _ in event.sells:
+            state, c_state, _ = self._sell_top(state, c_state, event.buy)
         bundle = self.noise.new_bundle(self.rng)
-        bundle.buy_cost = self.cost.cost(state + bundle.value) - self.cost.cost(state)
         state = state + bundle.value
+        c_next = self.cost.cost(state)
+        bundle.buy_cost = c_next - c_state
         self.noise_buy_total += bundle.buy_cost
-        noise_cash += bundle.buy_cost
+        self.bundle_l2_total += float(np.linalg.norm(bundle.value))
 
-        self.q_hat = state
+        self.q_hat = _published(state)
+        self.p_hat = _published(self.cost.prices(state))
+        self.c_hat = c_next
         self.arrivals += 1
         self.noise.verify_held()
-        drift = self.q_hat - self.q_true - self.noise.held_sum()
+        drift = state - self.q_true - self.noise.held_sum()
         if float(np.max(np.abs(drift))) > 1e-6:
             raise InvalidStateError("published state lost sync with held noise")
 
-        record = StepRecord(
-            t=self.arrivals,
-            dq=dq.copy(),
-            fee=fee,
-            trade_payment=payment,
-            noise_cash=noise_cash,
-            q=self.q_true.copy(),
-            q_hat=self.q_hat.copy(),
-            p=self.cost.prices(self.q_true),
-            p_hat=self.cost.prices(self.q_hat),
-        )
-        self.trace.append(record)
-        self.published_states.append(self.q_hat.copy())
-        self.published_prices.append(record.p_hat)
-        return record
+        price_gap = float(np.sum(np.abs(self.cost.prices(self.q_true) - self.p_hat)))
+        self.max_price_gap = max(self.max_price_gap, price_gap)
+        self.max_share_gap = max(self.max_share_gap, float(np.sum(np.abs(self.q_true - state))))
 
     def sell_back_noise(self) -> None:
         """Unwind all held bundles, most recent first, checking the batch total."""
-        start_state = self.q_hat.copy()
         held_total = self.noise.held_sum()
-        batch = self.cost.cost(start_state) - self.cost.cost(start_state - held_total)
+        batch = self.c_hat - self.cost.cost(self.q_hat - held_total)
         sold = 0.0
-        state = self.q_hat
-        for sell_time in sorted(self.noise.held, reverse=True):
-            bundle = self.noise.bundles[sell_time]
-            revenue = self.cost.cost(state) - self.cost.cost(state - bundle.value)
-            state = state - bundle.value
-            self.noise.mark_sold(sell_time, sold_at=self.noise.t, revenue=revenue)
-            self.noise_sell_total += revenue
+        state, c_state = self.q_hat, self.c_hat
+        while self.noise.held:
+            state, c_state, revenue = self._sell_top(state, c_state, self.noise.t)
             sold += revenue
-        self.q_hat = state
+        self.q_hat, self.c_hat = _published(state), c_state
         if abs(sold - batch) > CASH_TOL * max(1.0, abs(batch)):
             raise InvalidStateError(
                 f"sequential sell-back {sold!r} disagrees with batch total {batch!r}"
@@ -307,7 +308,7 @@ class MarketSession:
             raise InvalidStateError("session is already closed")
         self.sell_back_noise()
         payoff = self.outcome_model.payoff(outcome)
-        payouts = float(sum(rec.dq @ payoff for rec in self.trace))
+        payouts = float((self.q_true - self.q_init) @ payoff)
         mm_loss = payouts - (self.cost.cost(self.q_true) - self.cost.cost(self.q_init))
         ntl = self.noise_buy_total - self.noise_sell_total
         fees = self.fee_total
@@ -323,18 +324,6 @@ class MarketSession:
         )
         return self.ledger
 
-    def max_price_gap(self) -> float:
-        """max_t ||p^t - p_hat^t||_1 over arrivals so far."""
-        if not self.trace:
-            return 0.0
-        return max(float(np.sum(np.abs(r.p - r.p_hat))) for r in self.trace)
-
-    def max_share_gap(self) -> float:
-        """max_t ||q^t - q_hat^t||_1 over arrivals so far."""
-        if not self.trace:
-            return 0.0
-        return max(float(np.sum(np.abs(r.q - r.q_hat))) for r in self.trace)
-
 
 def open_market(
     params: MarketParams,
@@ -348,8 +337,3 @@ def open_market(
     return MarketSession(
         params, rng, initial_shares=initial_shares, outcome_model=outcome_model
     )
-
-
-def close_market(session: MarketSession, outcome: int) -> Ledger:
-    """Close the session under the realized outcome and return its ledger."""
-    return session.close(outcome)

@@ -160,18 +160,19 @@ class NoiseBundle:
 class NoiseLedger:
     """Bundle bookkeeping for one market session.
 
-    Holds every bundle ever bought, tracks which are still held, and checks
-    after every step that the held set is exactly the one-bits of the step
-    counter.  noise_off swaps the sampled values for zeros (schedule and
-    bookkeeping unchanged) so tests can isolate the trading mechanics.
+    held is the stack of bundles still owned, oldest at the bottom.  The
+    schedule always sells the most recent bundle first, so a sale pops the
+    top, and after every step the stack holds exactly the one-bits of the
+    step counter: at most floor(log2 t) + 1 bundles.  noise_off swaps the
+    sampled values for zeros (schedule and bookkeeping unchanged) so tests
+    can isolate the trading mechanics.
     """
 
     d: int
     scale: float
     noise_off: bool = False
     t: int = 0
-    bundles: dict[int, NoiseBundle] = field(default_factory=dict)
-    held: list[int] = field(default_factory=list)  # ascending purchase order
+    held: list[NoiseBundle] = field(default_factory=list)
 
     def path_times(self) -> list[int]:
         """The stack {t, s(t), s(s(t)), ...} down to (not including) 0."""
@@ -184,8 +185,8 @@ class NoiseLedger:
 
     def held_sum(self) -> np.ndarray:
         total = np.zeros(self.d)
-        for time in self.held:
-            total += self.bundles[time].value
+        for bundle in self.held:
+            total += bundle.value
         return total
 
     def begin_step(self) -> ScheduleEvent:
@@ -194,15 +195,15 @@ class NoiseLedger:
         return events_at(self.t)
 
     def mark_sold(self, time: int, sold_at: int, revenue: float) -> None:
-        bundle = self.bundles.get(time)
-        if bundle is None or bundle.sold_at is not None or time not in self.held:
-            raise InvalidStateError(f"bundle {time} is not held")
+        """Pop the top bundle, which must be the one bought at ``time``."""
+        if not self.held or self.held[-1].time != time:
+            raise InvalidStateError(f"bundle {time} is not on top of the held stack")
+        bundle = self.held.pop()
         bundle.sold_at = sold_at
         bundle.sell_revenue = revenue
-        self.held.remove(time)
 
     def new_bundle(self, rng: np.random.Generator) -> NoiseBundle:
-        if self.t in self.bundles:
+        if self.held and self.held[-1].time == self.t:
             raise InvalidStateError(f"bundle {self.t} already exists")
         value = (
             np.zeros(self.d)
@@ -210,16 +211,14 @@ class NoiseLedger:
             else sample_bundle(self.d, self.scale, rng)
         )
         bundle = NoiseBundle(time=self.t, value=value)
-        self.bundles[self.t] = bundle
-        self.held.append(self.t)
+        self.held.append(bundle)
         return bundle
 
     def verify_held(self) -> None:
         """held must equal the one-bit prefixes of t after every step."""
-        if sorted(self.held) != sorted(self.path_times()):
-            raise InvalidStateError(
-                f"held {sorted(self.held)} != counter bits {sorted(self.path_times())}"
-            )
+        times = [bundle.time for bundle in reversed(self.held)]
+        if times != self.path_times():
+            raise InvalidStateError(f"held {times} != counter bits {self.path_times()}")
 
 
 def noise_path_sum(t: int, bundles: dict[int, np.ndarray]) -> np.ndarray:

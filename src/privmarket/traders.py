@@ -1,9 +1,10 @@
 """Trader strategies and the myopic best-response search.
 
-Strategies see only published data: the step index, their own past trades,
-the published share states and prices, the fee, and the (public) cost
-function.  Nothing about the true state or the noise ever reaches them;
-the context's field set is the enforcement point.
+Strategies see only published data: the step index, the latest published
+share state and prices, the fee, and the (public) cost function.  Nothing
+about the true state or the noise ever reaches them; the context's field
+set is the enforcement point.  Strategies that want memory keep it on
+themselves: each is a stateful object bound to one run.
 
 The arbitrage adversary here is the empirical one the budget experiments
 need: a fixed-belief best-responder that re-trades whenever noise reopens
@@ -14,15 +15,15 @@ strategies.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
 from .cost import ScaledCost
-from .errors import InvalidParameterError, StrategyBugError
-
-TRADE_SIZE_TOL = 1e-9
+from .errors import InvalidParameterError, StrategyBugError, TradeRejectedError
+from .market import check_bundle
 
 STRATEGY_KINDS = ("belief", "arbitrage_hunter", "herd", "random", "abstainer")
 
@@ -31,35 +32,32 @@ STRATEGY_KINDS = ("belief", "arbitrage_hunter", "herd", "random", "abstainer")
 class StrategyContext:
     """Published information available to a strategy at its arrival.
 
-    t is the 1-based index this arrival would get; published_states and
-    published_prices run from the opening state through step t-1.
+    t is the 1-based index this arrival would get; q_hat and p_hat are the
+    share state and prices published after step t-1 (read-only arrays).
     """
 
     t: int
-    own_trades: tuple[np.ndarray, ...]
-    published_states: tuple[np.ndarray, ...]
-    published_prices: tuple[np.ndarray, ...]
+    q_hat: np.ndarray
+    p_hat: np.ndarray
     fee: float
     cost: ScaledCost
 
 
 def expected_profit(ctx: StrategyContext, belief: np.ndarray, dq: np.ndarray) -> float:
     """<dq, belief> minus the trade's cost at the current published state."""
-    q_hat = ctx.published_states[-1]
-    return float(dq @ belief) - ctx.cost.trade_cost(q_hat, dq)
+    return float(dq @ belief) - ctx.cost.trade_cost(ctx.q_hat, dq)
 
 
 def _best_scale(ctx: StrategyContext, belief: np.ndarray, j: int, sign: float) -> float:
     """Optimal fractional size in [0, 1] for the trade sign * s * e_j.
 
-    For the log-sum-exp kind the profit is maximized where the coordinate's
+    For the log-sum-exp cost the profit is maximized where the coordinate's
     price meets the belief, which solves in closed form from the published
     prices; the profit guarantee never relies on this shortcut because the
     caller re-evaluates the profit of whatever size comes back.
     """
-    p_hat = ctx.published_prices[-1]
     b = float(belief[j])
-    ph = float(p_hat[j])
+    ph = float(ctx.p_hat[j])
     if b <= 0.0 or b >= 1.0 or ph <= 0.0 or ph >= 1.0:
         return 1.0
     s = math.log(b * (1.0 - ph) / ((1.0 - b) * ph)) / (ctx.cost.lam * sign)
@@ -144,7 +142,7 @@ class ArbitrageHunter(Strategy):
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
         threshold = self.threshold if self.threshold is not None else ctx.fee
-        gap = float(np.max(np.abs(ctx.published_prices[-1] - self.belief)))
+        gap = float(np.max(np.abs(ctx.p_hat - self.belief)))
         if gap <= threshold:
             return None
         dq, _ = maximize_profit(ctx, self.belief)
@@ -188,12 +186,29 @@ class Abstainer(Strategy):
         return None
 
 
+def _probability_vector(belief, d: int | None) -> np.ndarray:
+    try:
+        belief = np.asarray(belief, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError("belief must be a list of numbers") from exc
+    if belief.ndim != 1 or (d is not None and belief.shape != (d,)):
+        raise InvalidParameterError(f"belief must be a list of {d or 'd'} numbers")
+    if (
+        not np.all(np.isfinite(belief))
+        or np.any(belief < 0.0)
+        or abs(float(np.sum(belief)) - 1.0) > 1e-9
+    ):
+        raise InvalidParameterError("belief must be a probability vector")
+    return belief
+
+
 def make_strategy(kind: str, params: dict | None, rng: np.random.Generator) -> Strategy:
     """Instantiate a strategy by kind name.
 
     belief/arbitrage_hunter accept {"belief": [...]} (default uniform) and
-    the hunter additionally {"threshold": x}; herd accepts {"coordinate": j};
-    "d" rides along in params so defaults know the dimension.
+    the hunter additionally {"threshold": x}; herd accepts {"coordinate": j}
+    with 0 <= j < d; "d" rides along in params so defaults and range checks
+    know the dimension.
     """
     params = dict(params or {})
     d = params.pop("d", None)
@@ -203,15 +218,24 @@ def make_strategy(kind: str, params: dict | None, rng: np.random.Generator) -> S
             if d is None:
                 raise InvalidParameterError(f"{kind} needs a belief or d")
             belief = np.full(d, 1.0 / d)
-        belief = np.asarray(belief, dtype=float)
-        if np.any(belief < 0.0) or abs(float(np.sum(belief)) - 1.0) > 1e-9:
-            raise InvalidParameterError("belief must be a probability vector")
+        belief = _probability_vector(belief, d)
         if kind == "belief":
             strat: Strategy = BeliefTrader(belief)
         else:
-            strat = ArbitrageHunter(belief, params.pop("threshold", None))
+            threshold = params.pop("threshold", None)
+            if threshold is not None and (
+                isinstance(threshold, bool)
+                or not isinstance(threshold, numbers.Real)
+                or not math.isfinite(threshold)
+            ):
+                raise InvalidParameterError("threshold must be a finite number")
+            strat = ArbitrageHunter(belief, threshold)
     elif kind == "herd":
-        strat = Herd(int(params.pop("coordinate", 0)))
+        coordinate = params.pop("coordinate", 0)
+        is_int = isinstance(coordinate, numbers.Integral) and not isinstance(coordinate, bool)
+        if not is_int or coordinate < 0 or (d is not None and coordinate >= d):
+            raise InvalidParameterError(f"herd coordinate must be an integer in [0, {d or 'd'})")
+        strat = Herd(int(coordinate))
     elif kind == "random":
         strat = RandomTrader(rng)
     elif kind == "abstainer":
@@ -224,44 +248,34 @@ def make_strategy(kind: str, params: dict | None, rng: np.random.Generator) -> S
 
 
 def step_strategy(strategy: Strategy, ctx: StrategyContext) -> Optional[np.ndarray]:
-    """Ask a strategy for its decision and validate the bundle size."""
+    """Ask a strategy for its decision and validate the bundle."""
     dq = strategy.decide(ctx)
     if dq is None:
         return None
-    dq = np.asarray(dq, dtype=float)
-    if dq.shape != (ctx.cost.d,):
-        raise StrategyBugError(
-            f"{strategy.kind} returned shape {dq.shape}, wanted ({ctx.cost.d},)"
-        )
-    if not np.all(np.isfinite(dq)) or float(np.sum(np.abs(dq))) > 1.0 + TRADE_SIZE_TOL:
-        raise StrategyBugError(f"{strategy.kind} returned an oversized bundle")
-    return dq
+    try:
+        return check_bundle(dq, ctx.cost.d)
+    except TradeRejectedError as exc:
+        raise StrategyBugError(f"{strategy.kind} returned a bad bundle: {exc}") from exc
 
 
-def drive_session(session, stream: Iterator, histories: dict) -> bool:
+def drive_session(session, stream: Iterator) -> bool:
     """Feed potential arrivals from stream until the session fills.
 
-    Returns True when the stream ran dry first.  histories maps each
-    strategy object to its accumulated own-trade list (shared across stages
-    so a strategy's context always carries its full history).
+    Returns True when the stream ran dry first.
     """
     while not session.is_full:
         try:
             strat = next(stream)
         except StopIteration:
             return True
-        own = histories.setdefault(strat, [])
         ctx = StrategyContext(
             t=session.arrivals + 1,
-            own_trades=tuple(own),
-            published_states=tuple(session.published_states),
-            published_prices=tuple(session.published_prices),
+            q_hat=session.q_hat,
+            p_hat=session.p_hat,
             fee=session.params.fee,
             cost=session.cost,
         )
         dq = step_strategy(strat, ctx)
-        if dq is None:
-            continue
-        session.step(dq)
-        own.append(dq)
+        if dq is not None:
+            session.step(dq)
     return False

@@ -241,10 +241,7 @@ def test_mispricing_profit_property(report):
         cost = ScaledCost(d=d, lam=lam)
         q_hat = rng.normal(0.0, 0.5 / lam, size=d)
         p_hat = cost.prices(q_hat)
-        ctx = StrategyContext(
-            t=1, own_trades=(), published_states=(q_hat,),
-            published_prices=(p_hat,), fee=alpha, cost=cost,
-        )
+        ctx = StrategyContext(t=1, q_hat=q_hat, p_hat=p_hat, fee=alpha, cost=cost)
         delta = 2.0 * alpha * 1.01
         j = int(np.argmax(np.minimum(1.0 - p_hat, p_hat)))
         belief = p_hat.copy()

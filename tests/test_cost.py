@@ -162,7 +162,7 @@ def test_constructor_validation():
         ScaledCost(d=2, lam=0.0)
     with pytest.raises(InvalidParameterError):
         ScaledCost(d=2, lam=1.5)
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(TypeError):  # log-sum-exp is the only cost; no kind option
         ScaledCost(d=2, lam=1.0, kind="quadratic")
 
 

@@ -98,6 +98,81 @@ def test_config_required_and_types():
         RunConfig.from_json("{not json")
 
 
+def test_config_booleans_are_strict():
+    for section, name, value in (
+        ("market", "noise_off", "false"),
+        ("market", "noise_off", 0),
+        ("market", "allow_unsafe_lambda", "true"),
+        ("adaptive", "enabled", 1),
+        ("adaptive", "enabled", "false"),
+    ):
+        raw = json.loads(json.dumps(BASE))
+        raw.setdefault(section, {})[name] = value
+        with pytest.raises(ConfigError, match=f"{section}.{name} must be true or false"):
+            RunConfig.from_dict(raw)
+    raw = json.loads(json.dumps(BASE))
+    raw["market"]["noise_off"] = False
+    raw["adaptive"] = {"enabled": False}
+    cfg = RunConfig.from_dict(raw)
+    assert cfg.noise_off is False and cfg.adaptive is False
+
+
+def test_config_numbers_finite_and_stream_length_positive():
+    for name in ("fee", "epsilon", "alpha", "lambda"):
+        for bad in (math.nan, math.inf, -math.inf):
+            raw = json.loads(json.dumps(BASE))
+            raw["market"][name] = bad
+            with pytest.raises(ConfigError, match=f"market.{name} must be finite"):
+                RunConfig.from_dict(raw)
+    # the JSON text form reaches the same check
+    text = json.dumps(BASE).replace('"alpha": 0.3', '"alpha": 0.3, "fee": NaN')
+    with pytest.raises(ConfigError, match="market.fee must be finite"):
+        RunConfig.from_json(text)
+    for bad in (-5, 0):
+        with pytest.raises(ConfigError, match="stream_length must be >= 1"):
+            _cfg(stream_length=bad)
+    assert _cfg(stream_length=1).stream_length == 1
+
+
+BAD_ENTRIES = {
+    "trader entry not an object": {"traders": ["herd"]},
+    "seeds not an object": {"seeds": [0, 4]},
+    "adaptive not an object": {"adaptive": "on"},
+    "d in trader params": {"traders": [{"kind": "herd", "params": {"d": 5}}]},
+    "herd coordinate past d": {"traders": [{"kind": "herd", "params": {"coordinate": 5}}]},
+    "herd coordinate negative": {
+        "traders": [{"kind": "herd", "params": {"coordinate": -1}}]
+    },
+    "herd coordinate not an integer": {
+        "traders": [{"kind": "herd", "params": {"coordinate": 0.5}}]
+    },
+    "hunter threshold not a number": {
+        "traders": [{"kind": "arbitrage_hunter", "params": {"threshold": "x"}}]
+    },
+    "belief of the wrong length": {
+        "traders": [{"kind": "belief", "params": {"belief": [0.5, 0.25, 0.25]}}]
+    },
+    "belief with nan": {
+        "traders": [{"kind": "arbitrage_hunter", "params": {"belief": [math.nan, 1.0]}}]
+    },
+    "belief not numbers": {"traders": [{"kind": "belief", "params": {"belief": "ab"}}]},
+}
+
+
+@pytest.mark.parametrize("overrides", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+def test_malformed_entries_and_params_are_config_errors(overrides, tmp_path, capsys):
+    raw = json.loads(json.dumps(BASE))
+    raw.update(overrides)
+    with pytest.raises(ConfigError):
+        RunConfig.from_dict(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_lambda_guard():
     raw = json.loads(json.dumps(BASE))
     raw["market"]["lambda"] = 0.5

@@ -12,7 +12,6 @@ from privmarket import (
     MarketClosedError,
     MarketParams,
     TradeRejectedError,
-    close_market,
     lambda_star,
     loss_bounds,
     low_bit,
@@ -120,7 +119,7 @@ def _unsafe_params(**kw):
 def test_single_trade_worked_ledger():
     session = open_market(_unsafe_params(), rng=0)
     session.step(np.array([1.0, 0.0]))
-    ledger = close_market(session, outcome=0)
+    ledger = session.close(outcome=0)
     assert ledger.trade_payments == pytest.approx(0.6201145069582775, abs=1e-12)
     assert ledger.payouts == pytest.approx(1.0)
     assert ledger.mm_loss == pytest.approx(0.3798854930417225, abs=1e-12)
@@ -131,7 +130,7 @@ def test_single_trade_worked_ledger():
     # losing outcome flips the sign of the designer's fortune
     session = open_market(_unsafe_params(), rng=0)
     session.step(np.array([1.0, 0.0]))
-    ledger = close_market(session, outcome=1)
+    ledger = session.close(outcome=1)
     assert ledger.mm_loss == pytest.approx(-0.6201145069582775, abs=1e-12)
 
 
@@ -153,11 +152,11 @@ def test_full_and_closed_errors():
     assert session.is_full
     with pytest.raises(MarketClosedError):
         session.step(np.array([1.0, 0.0]))
-    close_market(session, 0)
+    session.close(0)
     with pytest.raises(MarketClosedError):
         session.step(np.array([1.0, 0.0]))
     with pytest.raises(InvalidStateError):
-        close_market(session, 0)
+        session.close(0)
 
 
 def test_published_state_tracks_noise():
@@ -170,10 +169,10 @@ def test_published_state_tracks_noise():
         session.step(dq)
         gap = session.q_hat - session.q_true - session.noise.held_sum()
         assert float(np.max(np.abs(gap))) < 1e-9
-    assert len(session.published_states) == 33
-    assert len(session.published_prices) == 33
-    assert session.max_share_gap() > 0.0
-    assert session.max_price_gap() > 0.0
+    assert session.arrivals == 32
+    assert session.p_hat == pytest.approx(session.cost.prices(session.q_hat), abs=1e-15)
+    assert session.max_share_gap > 0.0
+    assert session.max_price_gap > 0.0
 
 
 def test_noise_off_publishes_truth():
@@ -181,9 +180,9 @@ def test_noise_off_publishes_truth():
     session = open_market(params, rng=0)
     for _ in range(8):
         session.step(np.array([1.0, 0.0]))
-    assert session.max_share_gap() == 0.0
-    assert session.max_price_gap() == 0.0
-    ledger = close_market(session, 0)
+    assert session.max_share_gap == 0.0
+    assert session.max_price_gap == 0.0
+    ledger = session.close(0)
     assert ledger.ntl == 0.0
 
 
@@ -195,7 +194,7 @@ def test_payment_telescoping_and_sellback():
         dq = np.zeros(3)
         dq[rng.integers(3)] = rng.choice([-1.0, 1.0])
         session.step(dq)
-    ledger = close_market(session, 1)
+    ledger = session.close(1)
     # after full sell-back the published state collapses onto the truth
     assert session.q_hat == pytest.approx(session.q_true, abs=1e-9)
     total_in = ledger.trade_payments + session.noise_buy_total - session.noise_sell_total
@@ -212,7 +211,7 @@ def test_ledger_identities():
             dq = np.zeros(2)
             dq[rng.integers(2)] = rng.choice([-1.0, 1.0])
             session.step(dq)
-        ledger = close_market(session, 0)
+        ledger = session.close(0)
         assert ledger.designer_loss == ledger.mm_loss + ledger.ntl - ledger.fees
         physical = ledger.payouts - ledger.trade_payments - ledger.fees
         assert ledger.designer_loss == pytest.approx(physical, abs=1e-8)
@@ -225,12 +224,16 @@ def test_bundle_loss_pathwise_bound():
     for seed in range(20):
         session = open_market(params, rng=seed)
         rng = np.random.default_rng(200 + seed)
+        bundles = {}
         for _ in range(32):
             dq = np.zeros(2)
             dq[rng.integers(2)] = rng.choice([-1.0, 1.0])
             session.step(dq)
-        close_market(session, 0)
-        for bundle in session.noise.bundles.values():
+            # every bundle is on the held stack right after the step buying it
+            bundles.update((b.time, b) for b in session.noise.held)
+        session.close(0)
+        assert sorted(bundles) == list(range(1, 33))
+        for bundle in bundles.values():
             span = bundle.sold_at - bundle.time
             cap = params.lam * span * float(np.max(np.abs(bundle.value)))
             assert abs(bundle.realized_loss) <= cap * (1 + 1e-9) + 1e-12
@@ -240,7 +243,7 @@ def test_bundle_loss_pathwise_bound():
 
 def test_zero_arrival_close():
     session = open_market(_unsafe_params(), rng=0)
-    ledger = close_market(session, 0)
+    ledger = session.close(0)
     assert ledger == Ledger(
         mm_loss=0.0, ntl=0.0, fees=0.0, designer_loss=0.0,
         payouts=0.0, trade_payments=0.0, arrivals=0,
@@ -250,11 +253,11 @@ def test_zero_arrival_close():
 def test_initial_shares_handoff():
     q0 = np.array([2.0, 0.0])
     session = open_market(_unsafe_params(), initial_shares=q0, rng=0)
-    start = session.published_prices[0]
+    start = session.p_hat
     expect = np.exp(q0) / np.exp(q0).sum()
     assert start == pytest.approx(expect, abs=1e-12)
     session.step(np.array([0.0, 1.0]))
-    ledger = close_market(session, 1)
+    ledger = session.close(1)
     cost = session.cost
     assert ledger.mm_loss == pytest.approx(
         1.0 - (cost.cost(q0 + np.array([0.0, 1.0])) - cost.cost(q0)), abs=1e-12

@@ -178,12 +178,12 @@ def test_ledger_lifecycle():
             led.mark_sold(s, sold_at=t, revenue=0.0)
         led.new_bundle(rng)
         led.verify_held()
-        assert sorted(led.path_times()) == sorted(led.held)
+        assert [b.time for b in reversed(led.held)] == led.path_times()
         got = led.held_sum()
-        expect = noise_path_sum(t, {b: led.bundles[b].value for b in led.held})
+        expect = noise_path_sum(t, {b.time: b.value for b in led.held})
         assert got == pytest.approx(expect, abs=1e-12)
     # t = 16: held is exactly {16}
-    assert led.held == [16]
+    assert [b.time for b in led.held] == [16]
 
 
 def test_ledger_noise_off_is_zero():
@@ -191,7 +191,7 @@ def test_ledger_noise_off_is_zero():
     led = NoiseLedger(d=3, scale=4.0, noise_off=True)
     led.begin_step()
     led.new_bundle(rng)
-    assert np.array_equal(led.bundles[1].value, np.zeros(3))
+    assert np.array_equal(led.held[0].value, np.zeros(3))
     assert np.array_equal(led.held_sum(), np.zeros(3))
 
 

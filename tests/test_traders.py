@@ -31,23 +31,14 @@ from privmarket import (
 def _ctx(q_hat, lam=0.01, fee=0.0, t=1):
     q_hat = np.asarray(q_hat, dtype=float)
     cost = ScaledCost(d=q_hat.shape[0], lam=lam)
-    return StrategyContext(
-        t=t,
-        own_trades=(),
-        published_states=(q_hat,),
-        published_prices=(cost.prices(q_hat),),
-        fee=fee,
-        cost=cost,
-    )
+    return StrategyContext(t=t, q_hat=q_hat, p_hat=cost.prices(q_hat), fee=fee, cost=cost)
 
 
 def test_context_exposes_only_published_data():
     # the context field set is the information boundary; widening it is an
     # API change that needs a deliberate decision, not an accident
     names = {f.name for f in dataclasses.fields(StrategyContext)}
-    assert names == {
-        "t", "own_trades", "published_states", "published_prices", "fee", "cost",
-    }
+    assert names == {"t", "q_hat", "p_hat", "fee", "cost"}
 
 
 def test_expected_profit_worked_value():
@@ -69,7 +60,7 @@ def test_abstains_when_belief_matches_prices():
     ctx = _ctx([0.0, 0.0, 0.0], lam=0.2)
     assert best_response(ctx, np.full(3, 1.0 / 3.0)) is None
     ctx = _ctx([3.0, 1.0], lam=0.1, fee=0.0)
-    belief = ctx.published_prices[-1]
+    belief = ctx.p_hat
     assert best_response(ctx, belief) is None
 
 
@@ -93,7 +84,7 @@ def test_fractional_refinement_lands_on_belief():
     dq, profit = maximize_profit(ctx, belief)
     assert dq[0] == pytest.approx(math.log(1.5), abs=1e-12)
     assert profit > 0.0
-    post = ctx.cost.prices(ctx.published_states[-1] + dq)
+    post = ctx.cost.prices(ctx.q_hat + dq)
     assert post[0] == pytest.approx(0.6, abs=1e-9)
     # refinement must never lose to the full unit trade it refines
     full = expected_profit(ctx, belief, np.array([1.0, 0.0]))
@@ -112,7 +103,7 @@ def test_fee_radius_deters_nearby_beliefs():
         ctx = _ctx(q_hat, lam=lam, fee=alpha)
         w = float(rng.uniform(0.0, alpha))
         u = rng.dirichlet(np.ones(d))
-        belief = (1.0 - w) * ctx.published_prices[-1] + w * u
+        belief = (1.0 - w) * ctx.p_hat + w * u
         assert best_response(ctx, belief) is None
 
 
@@ -126,7 +117,7 @@ def test_mispricing_profit_floor():
         lam = alpha * float(rng.uniform(0.05, 0.95))
         q_hat = rng.normal(0.0, 0.5 / lam, size=d)
         ctx = _ctx(q_hat, lam=lam, fee=alpha)
-        p_hat = ctx.published_prices[-1]
+        p_hat = ctx.p_hat
         delta = 2.0 * alpha * 1.01
         j = int(np.argmax(np.minimum(1.0 - p_hat, p_hat)))
         belief = p_hat.copy()
@@ -222,22 +213,22 @@ def test_drive_session_stream_semantics():
     params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=4, noise_off=True)
     herd = Herd()
     session = open_market(params, rng=0)
-    histories = {}
-    exhausted = drive_session(session, iter([herd] * 10), histories)
+    stream = iter([herd] * 10)
+    exhausted = drive_session(session, stream)
     assert not exhausted and session.is_full
-    assert len(histories[herd]) == 4
+    assert session.arrivals == 4
+    assert len(list(stream)) == 6  # a full market stops consuming the stream
 
     # abstainers burn stream slots without filling the market
     session = open_market(params, rng=0)
     quiet = Abstainer()
-    histories = {}
-    exhausted = drive_session(session, iter([quiet, herd] * 3), histories)
+    exhausted = drive_session(session, iter([quiet, herd] * 3))
     assert exhausted
     assert session.arrivals == 3
-    assert quiet not in histories or histories[quiet] == []
+    assert session.q_true == pytest.approx([3.0, 0.0])  # only the herd traded
 
 
-def test_drive_session_own_history_accumulates():
+def test_drive_session_context_tracks_published_state():
     params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=3, noise_off=True)
     session = open_market(params, rng=0)
 
@@ -248,11 +239,12 @@ def test_drive_session_own_history_accumulates():
             self.seen = []
 
         def decide(self, ctx):
-            self.seen.append((ctx.t, len(ctx.own_trades), len(ctx.published_prices)))
+            assert not ctx.q_hat.flags.writeable and not ctx.p_hat.flags.writeable
+            self.seen.append((ctx.t, float(ctx.q_hat[0])))
             dq = np.zeros(ctx.cost.d)
             dq[0] = 1.0
             return dq
 
     rec = Recorder()
-    drive_session(session, iter([rec] * 3), {})
-    assert rec.seen == [(1, 0, 1), (2, 1, 2), (3, 2, 3)]
+    drive_session(session, iter([rec] * 3))
+    assert rec.seen == [(1, 0.0), (2, 1.0), (3, 2.0)]
