@@ -24,6 +24,10 @@ from .cost import ScaledCost
 from .errors import InvalidParameterError
 from .market import Ledger, MarketParams, lambda_star, open_market
 
+MAX_STAGES = 64
+"""Most stages a schedule may plan.  Stage 64 is 4^63 times stage 1, beyond
+any horizon a run reaches, and every run and report builds the whole plan."""
+
 
 def minimal_T(A: float, D: float) -> float:
     """Smallest horizon 9 A (ln AD)^2 guaranteeing T >= A (ln TD)^2 beyond it.
@@ -96,8 +100,8 @@ def stage_schedule(
         raise InvalidParameterError("B1 and epsilon must be positive")
     if not (0.0 < alpha < 1.0) or not (0.0 < gamma < 1.0):
         raise InvalidParameterError("alpha and gamma must lie in (0, 1)")
-    if max_stages < 1:
-        raise InvalidParameterError("max_stages must be >= 1")
+    if not 1 <= max_stages <= MAX_STAGES:
+        raise InvalidParameterError(f"max_stages must lie in [1, {MAX_STAGES}]")
 
     if t1_override is None:
         A_prime = B1 * 8.0 * math.sqrt(2.0) * d / (alpha * epsilon)

@@ -8,16 +8,18 @@ import os
 import sys
 
 from .adaptive import stage_schedule, verify_stage_inequalities
-from .errors import PrivMarketError
+from .errors import ConfigError, PrivMarketError
 from .harness import (
     RunConfig,
     load_metrics,
     privacy_audit,
     run_trials,
     verify_budget,
+    verify_noise_loss,
     verify_precision,
     verify_share_accuracy,
 )
+from .market import noise_scale_K
 
 
 def _parse_seed_range(text: str) -> range:
@@ -33,20 +35,26 @@ def _parse_seed_range(text: str) -> range:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        config = RunConfig.from_json(fh.read())
-    seeds = args.seeds
-    if seeds is None:
-        seeds = range(config.seeds_start, config.seeds_start + config.seeds_count)
-    metrics = run_trials(config, out_dir=args.out, seeds=seeds, parallel=args.parallel)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    config = RunConfig.from_json(text)
+    metrics = run_trials(config, out_dir=args.out, seeds=args.seeds, parallel=args.parallel)
     print(f"wrote {len(metrics)} trials to {args.out}")
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    rows = load_metrics(args.metrics)
-    with open(os.path.join(args.metrics, "resolved_config.json"), encoding="utf-8") as fh:
-        resolved = json.load(fh)
+    try:
+        rows = load_metrics(args.metrics)
+        with open(os.path.join(args.metrics, "resolved_config.json"), encoding="utf-8") as fh:
+            resolved = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read run directory: {exc}") from exc
+    if resolved["adaptive"]:
+        raise ConfigError("adaptive run: no flat-market bound applies to a staged market")
     reports = []
     if args.check in ("precision", "all"):
         reports.append(verify_precision(rows, resolved["alpha"], resolved["gamma"]))
@@ -59,6 +67,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 resolved["gamma"],
             )
         )
+    if args.check in ("noise_loss", "all"):
+        K = noise_scale_K(resolved["T"], resolved["epsilon"], resolved["d"])
+        reports.append(verify_noise_loss(rows, resolved["lambda"], K))
     for report in reports:
         print(json.dumps(report.to_dict(), sort_keys=True))
     return 0 if all(r.passed for r in reports) else 1
@@ -117,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     p_ver = sub.add_parser("verify", help="check a metrics directory against theory")
     p_ver.add_argument("--metrics", required=True, help="run output directory")
     p_ver.add_argument("--check", required=True,
-                       choices=["precision", "budget", "shares", "all"])
+                       choices=["precision", "budget", "shares", "noise_loss", "all"])
     p_ver.set_defaults(func=cmd_verify)
 
     p_aud = sub.add_parser("audit", help="structural privacy audit")

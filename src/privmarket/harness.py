@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptive import run_adaptive, stage_schedule
+from .adaptive import StageSchedule, run_adaptive, stage_schedule
 from .errors import ConfigError, InsufficientDataError, InvalidParameterError
 from .market import MarketParams, open_market
 from .noise import (
@@ -33,20 +34,12 @@ from .noise import (
     s_flip,
     tree_depth,
 )
-from .traders import STRATEGY_KINDS, Strategy, drive_session, make_strategy
+from .traders import STRATEGY_KINDS, drive_session, make_strategy
 
-METRIC_FIELDS = (
-    "seed",
-    "arrivals",
-    "stages_completed",
-    "designer_loss",
-    "mm_loss",
-    "ntl",
-    "fees",
-    "max_price_gap",
-    "max_share_gap",
-    "mean_bundle_l2",
-)
+MAX_D = 1024
+"""Largest market.d a config may ask for.  A default belief allocates d
+floats and every best-response decision prices 2d trades of d coordinates,
+so d is bounded before anything is built from it."""
 
 
 @dataclass(frozen=True)
@@ -68,6 +61,9 @@ class TrialMetrics:
         return dataclasses.asdict(self)
 
 
+METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(TrialMetrics))
+
+
 @dataclass(frozen=True)
 class RosterEntry:
     kind: str
@@ -77,7 +73,7 @@ class RosterEntry:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated simulation plan.  Unknown JSON fields are rejected."""
+    """Validated simulation plan; SCHEMA lists its JSON fields and defaults."""
 
     d: int
     epsilon: float
@@ -85,122 +81,45 @@ class RunConfig:
     gamma: float
     T: int
     traders: tuple[RosterEntry, ...]
-    fee: float | None = None
-    lam: float | None = None
-    noise_off: bool = False
-    allow_unsafe_lambda: bool = False
-    outcome: int = 0
-    seeds_start: int = 0
-    seeds_count: int = 100
-    arrival_order: str = "round_robin"
-    stream_length: int | None = None
-    adaptive: bool = False
-    stage_override: int | None = None
-    max_stages: int = 3
+    fee: float | None
+    lam: float | None
+    noise_off: bool
+    allow_unsafe_lambda: bool
+    outcome: int
+    seeds_start: int
+    seeds_count: int
+    arrival_order: str
+    stream_length: int | None
+    adaptive: bool
+    stage_override: int | None
+    max_stages: int
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        data = dict(raw)
-        market = data.pop("market", None)
-        if not isinstance(market, dict):
-            raise ConfigError("config needs a 'market' object")
-        market = dict(market)
-
-        def take(src: dict, name: str, required: bool = False, default=None):
-            if name in src:
-                return src.pop(name)
-            if required:
-                raise ConfigError(f"missing required field {name!r}")
-            return default
-
-        kwargs: dict = {}
-        kwargs["d"] = _as_int(take(market, "d", required=True), "market.d")
-        kwargs["epsilon"] = _as_num(take(market, "epsilon", required=True), "market.epsilon")
-        kwargs["alpha"] = _as_num(take(market, "alpha", required=True), "market.alpha")
-        kwargs["gamma"] = _as_num(take(market, "gamma", required=True), "market.gamma")
-        kwargs["T"] = _as_int(take(market, "T", required=True), "market.T")
-        if "fee" in market:
-            fee = market.pop("fee")
-            kwargs["fee"] = None if fee is None else _as_num(fee, "market.fee")
-        if "lambda" in market:
-            lam = market.pop("lambda")
-            kwargs["lam"] = None if lam is None else _as_num(lam, "market.lambda")
-        kwargs["noise_off"] = _as_bool(
-            take(market, "noise_off", default=False), "market.noise_off"
-        )
-        kwargs["allow_unsafe_lambda"] = _as_bool(
-            take(market, "allow_unsafe_lambda", default=False), "market.allow_unsafe_lambda"
-        )
-        if market:
-            raise ConfigError(f"unknown market fields: {sorted(market)}")
-
-        roster_raw = take(data, "traders", required=True)
-        if not isinstance(roster_raw, list) or not roster_raw:
-            raise ConfigError("'traders' must be a non-empty list")
-        roster = []
-        for i, entry in enumerate(roster_raw):
-            entry = dict(_as_object(entry, f"traders[{i}]"))
-            kind = take(entry, "kind", required=True)
-            if kind not in STRATEGY_KINDS:
-                raise ConfigError(f"traders[{i}].kind {kind!r} not in {STRATEGY_KINDS}")
-            count = _as_int(take(entry, "count", default=1), f"traders[{i}].count")
-            if count < 1:
-                raise ConfigError(f"traders[{i}].count must be >= 1")
-            params = take(entry, "params", default={})
-            if not isinstance(params, dict):
-                raise ConfigError(f"traders[{i}].params must be an object")
-            if "d" in params:
-                raise ConfigError(f"traders[{i}].params.d is set by market.d")
-            if entry:
-                raise ConfigError(f"unknown traders[{i}] fields: {sorted(entry)}")
-            roster.append(RosterEntry(kind=kind, count=count, params=params))
-        kwargs["traders"] = tuple(roster)
-
-        if "outcome" in data:
-            kwargs["outcome"] = _as_int(data.pop("outcome"), "outcome")
-        if "seeds" in data:
-            seeds = dict(_as_object(data.pop("seeds"), "seeds"))
-            kwargs["seeds_start"] = _as_int(take(seeds, "start", default=0), "seeds.start")
-            kwargs["seeds_count"] = _as_int(take(seeds, "count", required=True), "seeds.count")
-            if seeds:
-                raise ConfigError(f"unknown seeds fields: {sorted(seeds)}")
-        if "arrival_order" in data:
-            order = data.pop("arrival_order")
-            if order not in ("round_robin", "sequential"):
-                raise ConfigError("arrival_order must be round_robin or sequential")
-            kwargs["arrival_order"] = order
-        if "stream_length" in data:
-            raw_len = data.pop("stream_length")
-            if raw_len is not None:
-                kwargs["stream_length"] = _as_int(raw_len, "stream_length")
-                if raw_len < 1:
-                    raise ConfigError("stream_length must be >= 1")
-        adaptive = data.pop("adaptive", None)
-        if adaptive is not None:
-            adaptive = dict(_as_object(adaptive, "adaptive"))
-            kwargs["adaptive"] = _as_bool(
-                take(adaptive, "enabled", default=True), "adaptive.enabled"
-            )
-            if "stage_override" in adaptive:
-                so = adaptive.pop("stage_override")
-                kwargs["stage_override"] = None if so is None else _as_int(so, "stage_override")
-            if "max_stages" in adaptive:
-                kwargs["max_stages"] = _as_int(adaptive.pop("max_stages"), "max_stages")
-            if adaptive:
-                raise ConfigError(f"unknown adaptive fields: {sorted(adaptive)}")
-        if data:
-            raise ConfigError(f"unknown config fields: {sorted(data)}")
-
-        cfg = cls(**kwargs)
-        if cfg.adaptive and cfg.d < 2:
-            raise ConfigError("adaptive runs need d >= 2 (B1 = ln d must be positive)")
-        cfg.market_params(validate_only=True)
+        cfg = cls(**_parse_section("config", raw))
+        if not (0 <= cfg.outcome < cfg.d):
+            raise ConfigError(f"outcome must lie in [0, {cfg.d})")
+        if cfg.adaptive:
+            if cfg.d < 2:
+                raise ConfigError("adaptive runs need d >= 2 (B1 = ln d must be positive)")
+            flat_only = {
+                "fee": cfg.fee is not None,
+                "lambda": cfg.lam is not None,
+                "noise_off": cfg.noise_off,
+                "allow_unsafe_lambda": cfg.allow_unsafe_lambda,
+            }
+            if any(flat_only.values()):
+                given = [key for key, is_set in flat_only.items() if is_set]
+                raise ConfigError(
+                    "adaptive runs charge fee alpha, set lambda per stage and always add "
+                    f"noise; remove market fields {given}"
+                )
+            cfg.schedule()
+        cfg.market_params()
         rng = np.random.default_rng(0)  # throwaway: construction draws nothing
         for i, entry in enumerate(cfg.traders):
             try:
-                _strategy(entry, cfg.d, rng)
+                make_strategy(entry.kind, entry.params, cfg.d, rng)
             except InvalidParameterError as exc:
                 raise ConfigError(f"traders[{i}]: {exc}") from exc
         return cfg
@@ -209,59 +128,89 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
-    def market_params(self, validate_only: bool = False) -> MarketParams:
-        try:
-            params = MarketParams(
-                d=self.d, epsilon=self.epsilon, alpha=self.alpha, gamma=self.gamma,
-                T=self.T, fee=self.fee, lam=self.lam, noise_off=self.noise_off,
-                allow_unsafe_lambda=self.allow_unsafe_lambda,
-            )
-        except InvalidParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not (0 <= self.outcome < self.d):
-            raise ConfigError(f"outcome must lie in [0, {self.d})")
-        if self.seeds_count < 1:
-            raise ConfigError("seeds.count must be >= 1")
-        return params
+    def market_params(self) -> MarketParams:
+        """The flat market's parameters."""
+        return _checked(
+            "market", MarketParams, d=self.d, epsilon=self.epsilon, alpha=self.alpha,
+            gamma=self.gamma, T=self.T, fee=self.fee, lam=self.lam,
+            noise_off=self.noise_off, allow_unsafe_lambda=self.allow_unsafe_lambda,
+        )
+
+    def schedule(self) -> StageSchedule:
+        """The stage plan of an adaptive run."""
+        return _checked(
+            "adaptive", stage_schedule, math.log(self.d), self.d, self.alpha, self.gamma,
+            self.epsilon, max_stages=self.max_stages, t1_override=self.stage_override,
+        )
 
     def resolved(self) -> dict:
-        """Everything a verifier needs, as written to resolved_config.json."""
-        params = self.market_params()
-        return {
+        """The mechanism that runs (flat market or stage plan), for resolved_config.json."""
+        out = {
             "d": self.d,
             "epsilon": self.epsilon,
             "alpha": self.alpha,
             "gamma": self.gamma,
-            "T": self.T,
-            "fee": params.fee,
-            "lambda": params.lam,
-            "lambda_star": params.lam_star,
-            "B1": params.B1,
-            "noise_off": self.noise_off,
+            "B1": math.log(self.d),
             "outcome": self.outcome,
             "adaptive": self.adaptive,
             "stage_override": self.stage_override,
             "max_stages": self.max_stages,
             "seeds": {"start": self.seeds_start, "count": self.seeds_count},
         }
+        if self.adaptive:
+            sched = self.schedule()
+            out["fee"] = sched.fee
+            out["stages"] = [
+                {"k": s.k, "T": s.T, "alpha": s.alpha, "gamma": s.gamma, "lambda": s.lam}
+                for s in sched.stages
+            ]
+        else:
+            params = self.market_params()
+            out.update({"T": self.T, "fee": params.fee, "lambda": params.lam,
+                        "lambda_star": params.lam_star, "noise_off": self.noise_off})
+        return out
 
 
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer")
-    return value
+def _checked(section: str, build, *args, **kwargs):
+    """Call a validating constructor; its parameter errors become ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except (InvalidParameterError, OverflowError) as exc:
+        # OverflowError: an integer too large for float arithmetic, e.g. T = 10**400
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+REQUIRED = object()  # SCHEMA default of a field that must be present
+
+
+def _int_in(low=-math.inf, high=math.inf):
+    """Parser of an integer in [low, high]."""
+
+    def parse(value, name: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer")
+        if not low <= value <= high:
+            bound = f">= {low}" if value < low else f"<= {high}"
+            raise ConfigError(f"{name} must be {bound}")
+        return value
+
+    return parse
 
 
 def _as_num(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite")
-    return float(value)
+    return value
 
 
 def _as_bool(value, name: str) -> bool:
@@ -273,44 +222,116 @@ def _as_bool(value, name: str) -> bool:
 def _as_object(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be an object")
-    return value
+    return dict(value)  # a copy: neither the caller's object nor a SCHEMA default is shared
 
 
-def _strategy(entry: RosterEntry, d: int, rng: np.random.Generator) -> Strategy:
-    return make_strategy(entry.kind, {**entry.params, "d": d}, rng)
+def _nullable(parse):
+    return lambda value, name: None if value is None else parse(value, name)
 
 
-def _build_stream(config: RunConfig, rngs: list[np.random.Generator]) -> list:
-    """Expand the roster into the sequence of potential arrivals.
+def _one_of(*choices):
+    def parse(value, name: str):
+        if value not in choices:
+            raise ConfigError(f"{name} {value!r} not in {choices}")
+        return value
+
+    return parse
+
+
+def _section(section: str):
+    """Parser of a nested object whose fields join the enclosing ones."""
+    return lambda value, name: _parse_section(section, value)
+
+
+def _roster(value, name: str) -> tuple[RosterEntry, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError("'traders' must be a non-empty list")
+    return tuple(_roster_entry(i, entry) for i, entry in enumerate(value))
+
+
+def _roster_entry(i: int, raw) -> RosterEntry:
+    return RosterEntry(**_parse_section("trader", raw, f"traders[{i}]"))
+
+
+# section -> (JSON key, RunConfig field, parser, default).  A default is a
+# JSON value and goes through the parser like a given one; a field of None
+# marks a nested section, whose parsed fields join its parent's.
+SCHEMA = {
+    "config": (
+        ("market", None, _section("market"), REQUIRED),
+        ("traders", "traders", _roster, REQUIRED),
+        ("outcome", "outcome", _int_in(), 0),
+        ("seeds", None, _section("seeds"), {"count": 100}),
+        ("arrival_order", "arrival_order", _one_of("round_robin", "sequential"),
+         "round_robin"),
+        ("stream_length", "stream_length", _nullable(_int_in(1)), None),
+        ("adaptive", None, _section("adaptive"), {"enabled": False}),
+    ),
+    "market": (
+        ("d", "d", _int_in(1, MAX_D), REQUIRED),
+        ("epsilon", "epsilon", _as_num, REQUIRED),
+        ("alpha", "alpha", _as_num, REQUIRED),
+        ("gamma", "gamma", _as_num, REQUIRED),
+        ("T", "T", _int_in(), REQUIRED),
+        ("fee", "fee", _nullable(_as_num), None),
+        ("lambda", "lam", _nullable(_as_num), None),
+        ("noise_off", "noise_off", _as_bool, False),
+        ("allow_unsafe_lambda", "allow_unsafe_lambda", _as_bool, False),
+    ),
+    "seeds": (
+        ("start", "seeds_start", _int_in(), 0),
+        ("count", "seeds_count", _int_in(1), REQUIRED),
+    ),
+    "adaptive": (
+        ("enabled", "adaptive", _as_bool, True),
+        ("stage_override", "stage_override", _nullable(_int_in()), None),
+        ("max_stages", "max_stages", _int_in(), 3),
+    ),
+    "trader": (
+        ("kind", "kind", _one_of(*STRATEGY_KINDS), REQUIRED),
+        ("count", "count", _int_in(1), 1),
+        ("params", "params", _as_object, {}),
+    ),
+}
+
+
+def _parse_section(section: str, raw, label: str | None = None) -> dict:
+    """Parse one JSON object against SCHEMA[section] into RunConfig fields."""
+    label = label or section
+    raw = _as_object(raw, label)
+    rows = SCHEMA[section]
+    unknown = sorted(set(raw) - {key for key, *_ in rows})
+    if unknown:
+        raise ConfigError(f"unknown {label} fields: {unknown}")
+    prefix = "" if section == "config" else f"{label}."
+    out: dict = {}
+    for key, name, parse, default in rows:
+        if key not in raw and default is REQUIRED:
+            raise ConfigError(f"missing required field {key!r} in {label}")
+        value = parse(raw.get(key, default), prefix + key)
+        if name is None:
+            out.update(value)
+        else:
+            out[name] = value
+    return out
+
+
+def _build_stream(config: RunConfig, rngs: list[np.random.Generator], length: int):
+    """Lazily expand the roster into the sequence of potential arrivals.
 
     round_robin cycles through the instances; sequential exhausts each
-    instance's turn count in roster order.  Stream length defaults to T
-    (one potential arrival per slot) for single markets and to the summed
-    stage sizes for adaptive runs.
+    instance's turn count in roster order.  config.stream_length, when set,
+    replaces the default length (the horizon the run can fill).
     """
-    instances = []
-    for entry in config.traders:
-        for _ in range(entry.count):
-            instances.append(_strategy(entry, config.d, rngs[len(instances)]))
-    length = config.stream_length
-    if length is None:
-        if config.adaptive:
-            base = config.stage_override
-            if base is not None:
-                length = base * config.max_stages
-            else:
-                sched = stage_schedule(
-                    math.log(config.d), config.d, config.alpha, config.gamma,
-                    config.epsilon, max_stages=config.max_stages,
-                )
-                length = sum(s.T for s in sched.stages)
-        else:
-            length = config.T
+    entries = [entry for entry in config.traders for _ in range(entry.count)]
+    instances = [make_strategy(e.kind, e.params, config.d, rng) for e, rng in zip(entries, rngs)]
+    length = config.stream_length or length
     if config.arrival_order == "sequential":
         per = max(1, math.ceil(length / len(instances)))
-        stream = [inst for inst in instances for _ in range(per)]
-        return stream[:length]
-    return [instances[i % len(instances)] for i in range(length)]
+        turns = itertools.chain.from_iterable(itertools.repeat(i, per) for i in instances)
+    else:
+        turns = itertools.cycle(instances)
+    return itertools.islice(turns, length)
 
 
 def _actor_rngs(seed: int, n_strategies: int) -> tuple[np.random.Generator, list]:
@@ -325,20 +346,17 @@ def run_trial(config: RunConfig, seed: int) -> TrialMetrics:
     """One deterministic simulated market (or staged market) run."""
     n_instances = sum(entry.count for entry in config.traders)
     noise_rng, strat_rngs = _actor_rngs(seed, n_instances)
-    stream = _build_stream(config, strat_rngs)
 
     if config.adaptive:
-        sched = stage_schedule(
-            math.log(config.d), config.d, config.alpha, config.gamma,
-            config.epsilon, max_stages=config.max_stages,
-            t1_override=config.stage_override,
-        )
+        sched = config.schedule()
+        stream = _build_stream(config, strat_rngs, sum(s.T for s in sched.stages))
         result = run_adaptive(sched, stream, config.outcome, seed=noise_rng)
         ledger, parts = result.ledger, result.stages
         stages_completed = sum(1 for s in parts if s.completed)
     else:
+        stream = _build_stream(config, strat_rngs, config.T)
         session = open_market(config.market_params(), rng=noise_rng)
-        drive_session(session, iter(stream))
+        drive_session(session, stream)
         ledger, parts = session.close(config.outcome), [session]
         stages_completed = 1 if session.is_full else 0
     # stage results and a flat session expose the same per-market metrics
@@ -447,58 +465,57 @@ class VerifyReport:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "passed": bool(self.passed),
-            "observed": self.observed,
-            "threshold": self.threshold,
-            "n": self.n,
-            "detail": self.detail,
-        }
+        return dataclasses.asdict(self)
 
 
 MIN_TRIALS = 100
 
 
-def verify_precision(rows: list[dict], alpha: float, gamma: float) -> VerifyReport:
-    """Fraction of seeds whose worst price gap exceeds alpha, against gamma.
-
-    Passes when the exceedance is <= gamma + 3 binomial standard errors
-    (SE computed at the nominal rate gamma).
-    """
+def _trial_count(rows: list[dict]) -> int:
     n = len(rows)
     if n < MIN_TRIALS:
         raise InsufficientDataError(f"need >= {MIN_TRIALS} trials, got {n}")
-    exceed = sum(1 for r in rows if r["max_price_gap"] > alpha) / n
+    return n
+
+
+def _exceedance(
+    check: str, rows: list[dict], key: str, bound: float, gamma: float, detail: dict
+) -> VerifyReport:
+    """Fraction of rows whose key exceeds bound, against gamma + 3 binomial SE.
+
+    The SE is computed at the nominal rate gamma.
+    """
+    n = _trial_count(rows)
+    exceed = sum(1 for r in rows if r[key] > bound) / n
     se = math.sqrt(gamma * (1.0 - gamma) / n)
     threshold = gamma + 3.0 * se
-    return VerifyReport(
-        check="precision",
-        passed=exceed <= threshold,
-        observed=exceed,
-        threshold=threshold,
-        n=n,
-        detail={"alpha": alpha, "gamma": gamma, "se": se},
+    return VerifyReport(check, exceed <= threshold, exceed, threshold, n, {**detail, "se": se})
+
+
+def _mean_within(check: str, rows: list[dict], key: str, bound, detail: dict) -> VerifyReport:
+    """Mean of key over the rows against bound + 3 SE of that mean.
+
+    bound is one number, or one bound per row whose mean is used.
+    """
+    n = _trial_count(rows)
+    values = np.array([r[key] for r in rows], dtype=float)
+    mean = float(np.mean(values))
+    se = float(np.std(values, ddof=1) / math.sqrt(n))
+    threshold = float(np.mean(bound)) + 3.0 * se
+    return VerifyReport(check, mean <= threshold, mean, threshold, n, {**detail, "se": se})
+
+
+def verify_precision(rows: list[dict], alpha: float, gamma: float) -> VerifyReport:
+    """Fraction of seeds whose worst price gap exceeds alpha, against gamma."""
+    return _exceedance(
+        "precision", rows, "max_price_gap", alpha, gamma, {"alpha": alpha, "gamma": gamma}
     )
 
 
 def verify_budget(rows: list[dict], B1: float, lam: float) -> VerifyReport:
     """Mean designer loss against the worst-case bound B1 / lam (+ 3 SE)."""
-    n = len(rows)
-    if n < MIN_TRIALS:
-        raise InsufficientDataError(f"need >= {MIN_TRIALS} trials, got {n}")
-    losses = np.array([r["designer_loss"] for r in rows], dtype=float)
-    mean = float(np.mean(losses))
-    se = float(np.std(losses, ddof=1) / math.sqrt(n))
     bound = B1 / lam
-    return VerifyReport(
-        check="budget",
-        passed=mean <= bound + 3.0 * se,
-        observed=mean,
-        threshold=bound + 3.0 * se,
-        n=n,
-        detail={"bound": bound, "se": se},
-    )
+    return _mean_within("budget", rows, "designer_loss", bound, {"bound": bound})
 
 
 def verify_share_accuracy(
@@ -509,22 +526,11 @@ def verify_share_accuracy(
     The bound is (4 sqrt(2) d ceil(log2 T) / epsilon) * ln(2 T d / gamma);
     the exceedance fraction must stay <= gamma + 3 binomial SE.
     """
-    n = len(rows)
-    if n < MIN_TRIALS:
-        raise InsufficientDataError(f"need >= {MIN_TRIALS} trials, got {n}")
     bound = (
         4.0 * math.sqrt(2.0) * d * tree_depth(T) / epsilon
     ) * math.log(2.0 * T * d / gamma)
-    exceed = sum(1 for r in rows if r["max_share_gap"] > bound) / n
-    se = math.sqrt(gamma * (1.0 - gamma) / n)
-    threshold = gamma + 3.0 * se
-    return VerifyReport(
-        check="share_accuracy",
-        passed=exceed <= threshold,
-        observed=exceed,
-        threshold=threshold,
-        n=n,
-        detail={"bound": bound, "gamma": gamma, "se": se},
+    return _exceedance(
+        "share_accuracy", rows, "max_share_gap", bound, gamma, {"bound": bound, "gamma": gamma}
     )
 
 
@@ -533,29 +539,11 @@ def verify_noise_loss(rows: list[dict], lam: float, K: float) -> VerifyReport:
 
     K may be the closed-form bound or an empirical mean bundle norm.
     """
-    n = len(rows)
-    if n < MIN_TRIALS:
-        raise InsufficientDataError(f"need >= {MIN_TRIALS} trials, got {n}")
-    ntl = np.array([r["ntl"] for r in rows], dtype=float)
-    bounds = np.array(
-        [
-            (r["arrivals"] * math.log2(r["arrivals"]) / 2.0) * lam * K
-            if r["arrivals"] > 1
-            else 0.0
-            for r in rows
-        ]
-    )
-    mean = float(np.mean(ntl))
-    se = float(np.std(ntl, ddof=1) / math.sqrt(n))
-    threshold = float(np.mean(bounds)) + 3.0 * se
-    return VerifyReport(
-        check="noise_loss",
-        passed=mean <= threshold,
-        observed=mean,
-        threshold=threshold,
-        n=n,
-        detail={"K": K, "se": se},
-    )
+    bounds = [
+        (r["arrivals"] * math.log2(r["arrivals"]) / 2.0) * lam * K if r["arrivals"] > 1 else 0.0
+        for r in rows
+    ]
+    return _mean_within("noise_loss", rows, "ntl", bounds, {"K": K})
 
 
 @dataclass(frozen=True)

@@ -186,13 +186,13 @@ class Abstainer(Strategy):
         return None
 
 
-def _probability_vector(belief, d: int | None) -> np.ndarray:
+def _probability_vector(belief, d: int) -> np.ndarray:
     try:
         belief = np.asarray(belief, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError("belief must be a list of numbers") from exc
-    if belief.ndim != 1 or (d is not None and belief.shape != (d,)):
-        raise InvalidParameterError(f"belief must be a list of {d or 'd'} numbers")
+    if belief.shape != (d,):
+        raise InvalidParameterError(f"belief must be a list of {d} numbers")
     if (
         not np.all(np.isfinite(belief))
         or np.any(belief < 0.0)
@@ -202,39 +202,34 @@ def _probability_vector(belief, d: int | None) -> np.ndarray:
     return belief
 
 
-def make_strategy(kind: str, params: dict | None, rng: np.random.Generator) -> Strategy:
-    """Instantiate a strategy by kind name.
+def make_strategy(kind: str, params: dict | None, d: int, rng: np.random.Generator) -> Strategy:
+    """Instantiate a strategy by kind name for a market of d outcomes.
 
-    belief/arbitrage_hunter accept {"belief": [...]} (default uniform) and
-    the hunter additionally {"threshold": x}; herd accepts {"coordinate": j}
-    with 0 <= j < d; "d" rides along in params so defaults and range checks
-    know the dimension.
+    belief/arbitrage_hunter accept {"belief": [...]} (null or absent:
+    uniform) and the hunter additionally {"threshold": x}; herd accepts
+    {"coordinate": j} with 0 <= j < d.
     """
     params = dict(params or {})
-    d = params.pop("d", None)
     if kind in ("belief", "arbitrage_hunter"):
         belief = params.pop("belief", None)
-        if belief is None:
-            if d is None:
-                raise InvalidParameterError(f"{kind} needs a belief or d")
-            belief = np.full(d, 1.0 / d)
-        belief = _probability_vector(belief, d)
+        belief = np.full(d, 1.0 / d) if belief is None else _probability_vector(belief, d)
         if kind == "belief":
             strat: Strategy = BeliefTrader(belief)
         else:
             threshold = params.pop("threshold", None)
+            # compared, not converted: an integer beyond float range is finite too
             if threshold is not None and (
                 isinstance(threshold, bool)
                 or not isinstance(threshold, numbers.Real)
-                or not math.isfinite(threshold)
+                or not -math.inf < threshold < math.inf
             ):
                 raise InvalidParameterError("threshold must be a finite number")
             strat = ArbitrageHunter(belief, threshold)
     elif kind == "herd":
         coordinate = params.pop("coordinate", 0)
         is_int = isinstance(coordinate, numbers.Integral) and not isinstance(coordinate, bool)
-        if not is_int or coordinate < 0 or (d is not None and coordinate >= d):
-            raise InvalidParameterError(f"herd coordinate must be an integer in [0, {d or 'd'})")
+        if not is_int or not 0 <= coordinate < d:
+            raise InvalidParameterError(f"herd coordinate must be an integer in [0, {d})")
         strat = Herd(int(coordinate))
     elif kind == "random":
         strat = RandomTrader(rng)

@@ -1,9 +1,14 @@
 """Config validation, deterministic trials, output files, verifiers, audit, CLI."""
 
+import copy
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privmarket import (
     ConfigError,
@@ -22,7 +27,9 @@ from privmarket import (
     verify_precision,
     verify_share_accuracy,
 )
+from privmarket.adaptive import MAX_STAGES, stage_schedule
 from privmarket.cli import main as cli_main
+from privmarket.harness import MAX_D, _build_stream
 
 
 BASE = {
@@ -359,7 +366,7 @@ def test_cli_run_verify_roundtrip(tmp_path, capsys):
     assert cli_main(["verify", "--metrics", str(out), "--check", "all"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     reports = [json.loads(l) for l in lines]
-    assert {r["check"] for r in reports} == {"precision", "budget", "share_accuracy"}
+    assert {r["check"] for r in reports} == {"precision", "budget", "share_accuracy", "noise_loss"}
     assert all(r["passed"] for r in reports)
 
 
@@ -396,3 +403,166 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     code = cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "x")])
     assert code == 2
     assert "missing required field" in capsys.readouterr().err
+
+
+def test_caps_on_d_and_max_stages(capsys):
+    assert _cfg(market=dict(BASE["market"], d=MAX_D)).d == MAX_D
+    with pytest.raises(ConfigError, match=f"market.d must be <= {MAX_D}"):
+        _cfg(market=dict(BASE["market"], d=MAX_D + 1))
+    sched = stage_schedule(math.log(2), 2, 0.2, 0.1, 1.0, max_stages=MAX_STAGES)
+    assert len(sched.stages) == MAX_STAGES
+    with pytest.raises(InvalidParameterError, match="max_stages"):
+        stage_schedule(math.log(2), 2, 0.2, 0.1, 1.0, max_stages=MAX_STAGES + 1)
+    with pytest.raises(ConfigError, match="max_stages"):
+        _cfg(adaptive={"stage_override": 8, "max_stages": MAX_STAGES + 1})
+    assert cli_main(["schedule", "--B1", str(math.log(2)), "--d", "2", "--alpha", "0.1",
+                     "--gamma", "0.1", "--epsilon", "1.0", "--k-max", str(MAX_STAGES + 1)]) == 2
+    assert "max_stages" in capsys.readouterr().err
+
+
+def test_build_stream_is_lazy_and_keeps_the_eager_order():
+    def eager(instances, order, length):  # the list the stream used to be
+        if order == "sequential":
+            per = max(1, math.ceil(length / len(instances)))
+            return [inst for inst in instances for _ in range(per)][:length]
+        return [instances[i % len(instances)] for i in range(length)]
+
+    roster = [{"kind": "random", "count": 2}, {"kind": "herd"}, {"kind": "random", "count": 2}]
+    rngs = [np.random.default_rng(i) for i in range(5)]
+
+    def who(strategy):  # random traders are told apart by the rng they were given
+        return rngs.index(strategy.rng) if strategy.kind == "random" else strategy.kind
+
+    for order, length in itertools.product(("round_robin", "sequential"), (1, 4, 5, 7, 23)):
+        cfg = _cfg(traders=roster, arrival_order=order, stream_length=length)
+        stream = _build_stream(cfg, rngs, cfg.T)
+        assert [who(s) for s in stream] == eager([0, 1, "herd", 3, 4], order, length)
+    # a stream far longer than the market can fill builds nothing up front
+    for order in ("round_robin", "sequential"):
+        assert run_trial(_cfg(arrival_order=order, stream_length=10**10), seed=0).arrivals == 8
+
+
+FLAT_ONLY = {
+    "fee": ("market", "fee", 0.0),
+    "lambda": ("market", "lambda", 0.0001),
+    "noise_off": ("market", "noise_off", True),
+    "allow_unsafe_lambda": ("market", "allow_unsafe_lambda", True),
+}
+
+
+@pytest.mark.parametrize("section,name,value", FLAT_ONLY.values(), ids=FLAT_ONLY.keys())
+def test_adaptive_rejects_flat_market_fields(section, name, value):
+    raw = json.loads(json.dumps(BASE))
+    raw[section][name] = value
+    RunConfig.from_dict(raw)  # a flat market takes it
+    raw["adaptive"] = {"stage_override": 8}
+    with pytest.raises(ConfigError, match=f"remove market fields.*{name}"):
+        RunConfig.from_dict(raw)
+
+
+def test_adaptive_run_records_its_stage_plan_and_verify_refuses(tmp_path, capsys):
+    raw = json.loads(json.dumps(BASE))
+    raw["market"]["noise_off"] = False  # the default value stays allowed
+    raw["adaptive"] = {"stage_override": 8, "max_stages": 2}
+    cfg = RunConfig.from_dict(raw)
+    assert cfg.adaptive  # enabled defaults to true once the object is present
+    resolved = cfg.resolved()
+    sched = cfg.schedule()
+    assert resolved["fee"] == sched.fee == cfg.alpha
+    assert resolved["stages"] == [
+        {"k": s.k, "T": s.T, "alpha": s.alpha, "gamma": s.gamma, "lambda": s.lam}
+        for s in sched.stages
+    ]
+    assert [s["T"] for s in resolved["stages"]] == [8, 8]
+    assert not {"T", "lambda", "lambda_star", "noise_off"} & set(resolved)
+
+    out = tmp_path / "staged"
+    run_trials(cfg, out_dir=str(out))
+    assert json.loads((out / "resolved_config.json").read_text(encoding="utf-8")) == resolved
+    assert cli_main(["verify", "--metrics", str(out), "--check", "all"]) == 2
+    assert "no flat-market bound applies" in capsys.readouterr().err
+
+
+def _missing_config(tmp_path):
+    return ["run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")]
+
+
+def _missing_run_dir(tmp_path):
+    return ["verify", "--metrics", str(tmp_path / "missing"), "--check", "all"]
+
+
+def _no_resolved_config(tmp_path):
+    (tmp_path / "metrics.jsonl").write_text("", encoding="utf-8")
+    return ["verify", "--metrics", str(tmp_path), "--check", "all"]
+
+
+@pytest.mark.parametrize("argv", [_missing_config, _missing_run_dir, _no_resolved_config])
+def test_cli_unreadable_files_exit_2(argv, tmp_path, capsys):
+    assert cli_main(argv(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+VALID = {
+    "market": {"d": 2, "epsilon": 1.0, "alpha": 0.3, "gamma": 0.1, "T": 8, "fee": None,
+               "lambda": None, "noise_off": False, "allow_unsafe_lambda": False},
+    "traders": [
+        {"kind": "herd", "count": 1, "params": {"coordinate": 1}},
+        {"kind": "arbitrage_hunter", "params": {"belief": [0.85, 0.15], "threshold": 0.1}},
+        {"kind": "belief", "params": {"belief": None}},
+    ],
+    "outcome": 0,
+    "seeds": {"start": 0, "count": 5},
+    "arrival_order": "round_robin",
+    "stream_length": None,
+    "adaptive": {"enabled": True, "stage_override": 8, "max_stages": 3},
+}
+KEYS = sorted({key for section in VALID.values() if isinstance(section, dict) for key in section}
+              | set(VALID) | {"kind", "count", "params", "belief", "threshold", "coordinate"})
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    st.sampled_from([-1, 0, 1, 2, 3, 64, 65, MAX_D, MAX_D + 1, 2**53 + 1, 10**400, -10**400,
+                     "round_robin", "sequential", "herd", "random"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.one_of(st.sampled_from(KEYS), st.text(max_size=6)), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    raw = copy.deepcopy(VALID)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(raw))[1:]))
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(("replace", "delete", "add")))
+        if action == "replace":
+            parent[path[-1]] = draw(JSON_VALUES)
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[draw(st.sampled_from(KEYS))] = draw(JSON_VALUES)
+    return raw
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(JSON_VALUES, mutated_configs()))
+def test_from_dict_returns_or_raises_config_error(raw):
+    try:
+        cfg = RunConfig.from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    assert isinstance(cfg.resolved(), dict)

@@ -164,21 +164,19 @@ def test_simple_strategies():
 def test_make_strategy():
     rng = np.random.default_rng(0)
     for kind in STRATEGY_KINDS:
-        strat = make_strategy(kind, {"d": 2}, rng)
+        strat = make_strategy(kind, {}, 2, rng)
         assert strat.kind == kind
-    b = make_strategy("belief", {"d": 4}, rng)
+    b = make_strategy("belief", {}, 4, rng)
     assert b.belief == pytest.approx(np.full(4, 0.25))
-    h = make_strategy("arbitrage_hunter", {"belief": [0.9, 0.1], "threshold": 0.2}, rng)
+    h = make_strategy("arbitrage_hunter", {"belief": [0.9, 0.1], "threshold": 0.2}, 2, rng)
     assert h.threshold == 0.2
-    assert make_strategy("herd", {"coordinate": 1, "d": 2}, rng).coordinate == 1
+    assert make_strategy("herd", {"coordinate": 1}, 2, rng).coordinate == 1
     with pytest.raises(InvalidParameterError):
-        make_strategy("belief", {"belief": [0.9, 0.2]}, rng)  # sums to 1.1
+        make_strategy("belief", {"belief": [0.9, 0.2]}, 2, rng)  # sums to 1.1
     with pytest.raises(InvalidParameterError):
-        make_strategy("belief", {}, rng)  # no belief and no d
+        make_strategy("momentum", {}, 2, rng)
     with pytest.raises(InvalidParameterError):
-        make_strategy("momentum", {"d": 2}, rng)
-    with pytest.raises(InvalidParameterError):
-        make_strategy("herd", {"d": 2, "speed": 3}, rng)  # unknown param
+        make_strategy("herd", {"speed": 3}, 2, rng)  # unknown param
 
 
 def test_step_strategy_validates_bundles():
