@@ -9,8 +9,6 @@ bounds the designer's total loss without knowing the horizon.
 
 from .adaptive import (
     AdaptiveResult,
-    Stage,
-    StageResult,
     StageSchedule,
     budget_bound,
     minimal_T,
@@ -19,13 +17,7 @@ from .adaptive import (
     transition,
     verify_stage_inequalities,
 )
-from .cost import (
-    OutcomeModel,
-    ScaledCost,
-    SensitivityEstimate,
-    ftrl_price,
-    numeric_sensitivity,
-)
+from .cost import ScaledCost
 from .errors import (
     ConfigError,
     InsufficientDataError,
@@ -68,12 +60,9 @@ from .noise import (
     NoiseBundle,
     NoiseLedger,
     ScheduleEvent,
-    bundle_gap_total,
     events_at,
     low_bit,
-    noise_path_sum,
     noise_scale,
-    participation_count,
     participation_table,
     s_flip,
     sample_bundle,

@@ -16,13 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .cost import ScaledCost
 from .errors import InvalidParameterError
-from .market import Ledger, MarketParams, lambda_star, open_market
+from .market import Ledger, MarketParams, MarketSession, open_market
 
 MAX_STAGES = 64
 """Most stages a schedule may plan.  Stage 64 is 4^63 times stage 1, beyond
@@ -42,17 +42,6 @@ def minimal_T(A: float, D: float) -> float:
 
 
 @dataclass(frozen=True)
-class Stage:
-    """Resolved parameters of one stage."""
-
-    k: int  # 1-based stage index
-    T: int
-    alpha: float
-    gamma: float
-    lam: float
-
-
-@dataclass(frozen=True)
 class StageSchedule:
     """Full staged-market design for (B1, d, alpha, gamma, epsilon)."""
 
@@ -62,7 +51,7 @@ class StageSchedule:
     gamma: float
     epsilon: float
     fee: float
-    stages: tuple[Stage, ...]
+    stages: tuple[MarketParams, ...]  # stage k (1-based) is stages[k - 1]
 
     @property
     def A_prime(self) -> float:
@@ -86,13 +75,13 @@ def stage_schedule(
     max_stages: int = 8,
     t1_override: int | None = None,
 ) -> StageSchedule:
-    """Build the stage plan.
+    """Build the stage plan: stage k is the fee market
+    MarketParams(d, epsilon, alpha/2^k, gamma/2^k, T^(k), fee=alpha), whose
+    lam defaults to lambda_star of its own (T, alpha, gamma).
 
-    Without an override, T^(1) = ceil(9 A (ln AD)^2) and T^(k) quadruples;
-    per-stage accuracy targets halve (alpha/2^k, gamma/2^k) while the fee
-    stays fixed at alpha.  t1_override swaps in a flat desk-scale stage size
-    (every stage runs that many arrivals) for simulation; the sensitivity
-    formula still follows each stage's own (T, alpha, gamma).
+    Without an override, T^(1) = ceil(9 A (ln AD)^2) and T^(k) quadruples.
+    t1_override swaps in a flat desk-scale stage size (every stage runs that
+    many arrivals) for simulation.
     """
     if d < 1:
         raise InvalidParameterError("d must be >= 1")
@@ -113,18 +102,16 @@ def stage_schedule(
             raise InvalidParameterError("t1_override must be >= 2")
         T1 = t1_override
 
-    stages = []
-    for k in range(1, max_stages + 1):
-        T_k = T1 if t1_override is not None else T1 * 4 ** (k - 1)
-        a_k = alpha / 2**k
-        g_k = gamma / 2**k
-        stages.append(
-            Stage(k=k, T=T_k, alpha=a_k, gamma=g_k,
-                  lam=lambda_star(T_k, a_k, g_k, epsilon, d))
+    stages = tuple(
+        MarketParams(
+            d=d, epsilon=epsilon, alpha=alpha / 2**k, gamma=gamma / 2**k,
+            T=T1 if t1_override is not None else T1 * 4 ** (k - 1), fee=alpha,
         )
+        for k in range(1, max_stages + 1)
+    )
     return StageSchedule(
         B1=B1, d=d, alpha=alpha, gamma=gamma, epsilon=epsilon,
-        fee=alpha, stages=tuple(stages),
+        fee=alpha, stages=stages,
     )
 
 
@@ -181,25 +168,25 @@ def verify_stage_inequalities(
         raise InvalidParameterError("schedule has no stages")
     checks = []
     first_ratio_k = None
-    for stage in stages:
+    for k, stage in enumerate(stages, start=1):
         lhs = schedule.B1 / stage.lam
         rhs = (schedule.alpha / 16.0) * stage.T
         log_t = math.log2(stage.T)
         denom = (
-            4.0 * 2**stage.k * math.sqrt(schedule.d)
-            * math.log(2.0 * schedule.d * stage.T * 2**stage.k / schedule.gamma)
+            4.0 * 2**k * math.sqrt(schedule.d)
+            * math.log(2.0 * schedule.d * stage.T * 2**k / schedule.gamma)
         )
         bracket = 1.0 - log_t / denom - 1.0 / 16.0
-        if stage.k >= 2:
-            prev = stages[stage.k - 2]
+        if k >= 2:
+            prev = stages[k - 2]
             ratio_ok = 1.0 / stage.lam <= 4.0 / prev.lam * (1.0 + 1e-12)
             if ratio_ok and first_ratio_k is None:
-                first_ratio_k = stage.k
+                first_ratio_k = k
         else:
             ratio_ok = True
         checks.append(
             StageCheck(
-                k=stage.k,
+                k=k,
                 subsidy_covered=lhs <= rhs,
                 subsidy_lhs=lhs,
                 subsidy_rhs=rhs,
@@ -239,23 +226,8 @@ def transition(
 
 
 @dataclass(frozen=True)
-class StageResult:
-    """Outcome of one executed stage."""
-
-    k: int
-    arrivals: int
-    completed: bool
-    ledger: Ledger
-    opening_prices: np.ndarray
-    final_prices: np.ndarray  # published (noisy) prices at stage end
-    max_price_gap: float
-    max_share_gap: float
-    mean_bundle_l2: float
-
-
-@dataclass(frozen=True)
 class AdaptiveResult:
-    stages: tuple[StageResult, ...]
+    stages: tuple[MarketSession, ...]  # the closed session of each market that ran
     ledger: Ledger  # exact component-wise sum of stage ledgers
 
 
@@ -263,20 +235,21 @@ _END = object()
 
 
 def run_adaptive(
-    schedule: StageSchedule,
+    markets: Sequence[MarketParams],
     stream: Iterable,
     outcome: int,
     seed: int | np.random.Generator = 0,
-    eta: float | None = None,
 ) -> AdaptiveResult:
-    """Drive the staged market over an arrival stream of strategies.
+    """Drive a sequence of markets over one arrival stream of strategies.
 
     Each stream element is a strategy consulted for one potential arrival
-    (abstentions consume no market step).  A stage completes at T^(k)
-    arrivals and hands its final noisy prices to the next stage; when the
-    stream ends mid-stage that stage is final.  All stages settle on the
+    (abstentions consume no market step).  A market completes at its T
+    arrivals and hands its final noisy prices to the next one, which opens
+    at their inverse clamped at next.alpha / (4 d); when the stream ends
+    mid-market that market is final.  A flat run is a one-market sequence,
+    a staged run the stages of a StageSchedule.  All markets settle on the
     same realized outcome; the global ledger is the component-wise sum of
-    the per-stage ledgers.
+    the per-market ledgers.
     """
     from .traders import drive_session
 
@@ -286,40 +259,25 @@ def run_adaptive(
         noise_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
     stream = iter(stream)
-    settled: list[StageResult] = []
+    settled: list[MarketSession] = []
     init_shares: np.ndarray | None = None
 
-    for stage in schedule.stages:
+    for i, params in enumerate(markets):
         if settled:
             head = next(stream, _END)
             if head is _END:
-                break  # nobody left to attend another stage
+                break  # nobody left to attend another market
             stream = itertools.chain([head], stream)
-        params = MarketParams(
-            d=schedule.d, epsilon=schedule.epsilon, alpha=stage.alpha,
-            gamma=stage.gamma, T=stage.T, fee=schedule.fee, lam=stage.lam,
-        )
         session = open_market(params, rng=noise_rng, initial_shares=init_shares)
-        opening_prices = session.p_hat.copy()
         exhausted = drive_session(session, stream)
-        final_prices = session.p_hat.copy()
-        settled.append(
-            StageResult(
-                k=stage.k, arrivals=session.arrivals, completed=session.is_full,
-                ledger=session.close(outcome), opening_prices=opening_prices,
-                final_prices=final_prices,
-                max_price_gap=session.max_price_gap,
-                max_share_gap=session.max_share_gap,
-                mean_bundle_l2=session.mean_bundle_l2,
-            )
-        )
-        if exhausted or stage.k >= len(schedule.stages):
+        session.close(outcome)
+        settled.append(session)
+        if exhausted or i + 1 >= len(markets):
             break
-        next_stage = schedule.stages[stage.k]  # stage.k is 1-based
-        margin = eta if eta is not None else next_stage.alpha / (4.0 * schedule.d)
-        init_shares = transition(final_prices, next_stage.lam, schedule.d, margin)
+        nxt = markets[i + 1]
+        init_shares = transition(session.p_hat, nxt.lam, nxt.d, nxt.alpha / (4.0 * nxt.d))
 
     return AdaptiveResult(
         stages=tuple(settled),
-        ledger=Ledger.combine([r.ledger for r in settled]),
+        ledger=Ledger.combine([s.ledger for s in settled]),
     )

@@ -23,12 +23,14 @@ from .market import noise_scale_K
 
 
 def _parse_seed_range(text: str) -> range:
-    """'a..b' is the half-open seed range [a, b)."""
+    """'a..b' is the half-open seed range [a, b) of non-negative seeds."""
     try:
         a, b = text.split("..")
         start, stop = int(a), int(b)
     except ValueError:
         raise argparse.ArgumentTypeError("seed range must look like 0..200")
+    if start < 0:
+        raise argparse.ArgumentTypeError("seeds must be non-negative")
     if stop <= start:
         raise argparse.ArgumentTypeError("seed range must be non-empty")
     return range(start, stop)
@@ -93,7 +95,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     print(f"A' = {sched.A_prime:.6g}  A = {sched.A:.6g}  D = {sched.D:.6g}")
     for stage, check in zip(sched.stages, report.checks):
         print(
-            f"stage {stage.k}: T = {stage.T}  alpha = {stage.alpha:.6g}  "
+            f"stage {check.k}: T = {stage.T}  alpha = {stage.alpha:.6g}  "
             f"gamma = {stage.gamma:.6g}  lambda = {stage.lam:.6g}  "
             f"subsidy {'ok' if check.subsidy_covered else 'FAIL'} "
             f"({check.subsidy_lhs:.4g} <= {check.subsidy_rhs:.4g})  "

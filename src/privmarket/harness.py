@@ -27,6 +27,8 @@ import numpy as np
 
 from .adaptive import StageSchedule, run_adaptive, stage_schedule
 from .errors import ConfigError, InsufficientDataError, InvalidParameterError
+# open_market and drive_session run inside run_adaptive; they stay harness
+# globals because the benchmark tracer patches them where they are looked up.
 from .market import MarketParams, open_market
 from .noise import (
     noise_scale,
@@ -40,6 +42,10 @@ MAX_D = 1024
 """Largest market.d a config may ask for.  A default belief allocates d
 floats and every best-response decision prices 2d trades of d coordinates,
 so d is bounded before anything is built from it."""
+
+MAX_TRADERS = 10_000
+"""Largest total roster count.  Every trial spawns one seed and builds one
+strategy per instance, so the count is bounded before a trial runs."""
 
 
 @dataclass(frozen=True)
@@ -147,6 +153,10 @@ class RunConfig:
             self.epsilon, max_stages=self.max_stages, t1_override=self.stage_override,
         )
 
+    def markets(self) -> tuple[MarketParams, ...]:
+        """The markets a trial runs in order: the stages, or the one flat market."""
+        return self.schedule().stages if self.adaptive else (self.market_params(),)
+
     def resolved(self) -> dict:
         """The mechanism that runs (flat market or stage plan), for resolved_config.json."""
         out = {
@@ -165,8 +175,8 @@ class RunConfig:
             sched = self.schedule()
             out["fee"] = sched.fee
             out["stages"] = [
-                {"k": s.k, "T": s.T, "alpha": s.alpha, "gamma": s.gamma, "lambda": s.lam}
-                for s in sched.stages
+                {"k": k, "T": s.T, "alpha": s.alpha, "gamma": s.gamma, "lambda": s.lam}
+                for k, s in enumerate(sched.stages, start=1)
             ]
         else:
             params = self.market_params()
@@ -246,7 +256,10 @@ def _section(section: str):
 def _roster(value, name: str) -> tuple[RosterEntry, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError("'traders' must be a non-empty list")
-    return tuple(_roster_entry(i, entry) for i, entry in enumerate(value))
+    roster = tuple(_roster_entry(i, entry) for i, entry in enumerate(value))
+    if sum(entry.count for entry in roster) > MAX_TRADERS:
+        raise ConfigError(f"traders: total count must be <= {MAX_TRADERS}")
+    return roster
 
 
 def _roster_entry(i: int, raw) -> RosterEntry:
@@ -279,7 +292,7 @@ SCHEMA = {
         ("allow_unsafe_lambda", "allow_unsafe_lambda", _as_bool, False),
     ),
     "seeds": (
-        ("start", "seeds_start", _int_in(), 0),
+        ("start", "seeds_start", _int_in(0), 0),
         ("count", "seeds_count", _int_in(1), REQUIRED),
     ),
     "adaptive": (
@@ -343,28 +356,18 @@ def _actor_rngs(seed: int, n_strategies: int) -> tuple[np.random.Generator, list
 
 
 def run_trial(config: RunConfig, seed: int) -> TrialMetrics:
-    """One deterministic simulated market (or staged market) run."""
+    """One deterministic simulated run of the config's markets."""
+    markets = config.markets()
     n_instances = sum(entry.count for entry in config.traders)
     noise_rng, strat_rngs = _actor_rngs(seed, n_instances)
-
-    if config.adaptive:
-        sched = config.schedule()
-        stream = _build_stream(config, strat_rngs, sum(s.T for s in sched.stages))
-        result = run_adaptive(sched, stream, config.outcome, seed=noise_rng)
-        ledger, parts = result.ledger, result.stages
-        stages_completed = sum(1 for s in parts if s.completed)
-    else:
-        stream = _build_stream(config, strat_rngs, config.T)
-        session = open_market(config.market_params(), rng=noise_rng)
-        drive_session(session, stream)
-        ledger, parts = session.close(config.outcome), [session]
-        stages_completed = 1 if session.is_full else 0
-    # stage results and a flat session expose the same per-market metrics
+    stream = _build_stream(config, strat_rngs, sum(m.T for m in markets))
+    result = run_adaptive(markets, stream, config.outcome, seed=noise_rng)
+    ledger, parts = result.ledger, result.stages
     norms = [p.mean_bundle_l2 for p in parts if p.arrivals > 0]
     return TrialMetrics(
         seed=seed,
         arrivals=ledger.arrivals,
-        stages_completed=stages_completed,
+        stages_completed=sum(p.is_full for p in parts),
         designer_loss=ledger.designer_loss,
         mm_loss=ledger.mm_loss,
         ntl=ledger.ntl,
@@ -373,10 +376,6 @@ def run_trial(config: RunConfig, seed: int) -> TrialMetrics:
         max_share_gap=max(p.max_share_gap for p in parts),
         mean_bundle_l2=float(np.mean(norms)) if norms else 0.0,
     )
-
-
-def _trial_star(args) -> TrialMetrics:
-    return run_trial(*args)
 
 
 def run_trials(
@@ -394,7 +393,7 @@ def run_trials(
         seeds = range(config.seeds_start, config.seeds_start + config.seeds_count)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            metrics = list(pool.map(_trial_star, [(config, s) for s in seeds]))
+            metrics = list(pool.map(run_trial, itertools.repeat(config), seeds))
     else:
         metrics = [run_trial(config, s) for s in seeds]
     if out_dir is not None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import OutcomeModel, ScaledCost
+from .cost import ScaledCost
 from .errors import (
     InvalidParameterError,
     InvalidStateError,
@@ -194,7 +194,6 @@ class MarketSession:
         params: MarketParams,
         rng: np.random.Generator,
         initial_shares: np.ndarray | None = None,
-        outcome_model: OutcomeModel | None = None,
     ):
         self.params = params
         self.cost = ScaledCost(d=params.d, lam=params.lam)
@@ -206,9 +205,6 @@ class MarketSession:
         )
         if q0.shape != (params.d,):
             raise InvalidParameterError(f"initial shares must have shape ({params.d},)")
-        self.outcome_model = outcome_model or OutcomeModel.complete(params.d)
-        if self.outcome_model.d != params.d:
-            raise InvalidParameterError("outcome model dimension mismatch")
         self.q_init = q0.copy()
         self.q_true = q0.copy()
         self.q_hat = _published(q0.copy())
@@ -303,12 +299,17 @@ class MarketSession:
             )
 
     def close(self, outcome: int) -> Ledger:
-        """Sell back remaining noise, pay every arrival, and return the ledger."""
+        """Sell back remaining noise, pay every arrival, and return the ledger.
+
+        Security j pays 1 exactly when outcome j occurs.  p_hat is left as
+        the last published prices, which a following stage opens at.
+        """
         if self.closed:
             raise InvalidStateError("session is already closed")
+        if not 0 <= outcome < self.params.d:
+            raise InvalidParameterError(f"unknown outcome {outcome!r}")
         self.sell_back_noise()
-        payoff = self.outcome_model.payoff(outcome)
-        payouts = float((self.q_true - self.q_init) @ payoff)
+        payouts = float(self.q_true[outcome] - self.q_init[outcome])
         mm_loss = payouts - (self.cost.cost(self.q_true) - self.cost.cost(self.q_init))
         ntl = self.noise_buy_total - self.noise_sell_total
         fees = self.fee_total
@@ -329,11 +330,8 @@ def open_market(
     params: MarketParams,
     rng: np.random.Generator | int | None = None,
     initial_shares: np.ndarray | None = None,
-    outcome_model: OutcomeModel | None = None,
 ) -> MarketSession:
     """Create a session; nonzero initial_shares support stage handoff."""
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    return MarketSession(
-        params, rng, initial_shares=initial_shares, outcome_model=outcome_model
-    )
+    return MarketSession(params, rng, initial_shares=initial_shares)

@@ -79,27 +79,13 @@ def events_at(t: int) -> ScheduleEvent:
     return ScheduleEvent(buy=t, sells=tuple(sells))
 
 
-def participation_count(t_prime: int, T: int) -> int:
-    """Number of bundles whose trade-partial-sum covers arrival t_prime.
+def participation_table(T: int) -> np.ndarray:
+    """Bundles covering arrival t_prime, for every t_prime in 1..T (index 0 = t'=1).
 
-    Exactly #{t in [t_prime, T] : s(t) < t_prime <= t}.  The worst case is
+    That is #{t in [t_prime, T] : s(t) < t_prime <= t}.  The worst case is
     floor(log2 T) + 1, attained at t_prime = 1 when T is a power of two;
     this exceeds ceil(log2 T) there, which is why the privacy audit reports
-    exact counts rather than asserting the smaller cap.
-    """
-    if not (1 <= t_prime <= T):
-        raise InvalidParameterError("need 1 <= t_prime <= T")
-    count = 0
-    for t in range(t_prime, T + 1):
-        if s_flip(t) < t_prime:
-            count += 1
-    return count
-
-
-def participation_table(T: int) -> np.ndarray:
-    """participation_count(t_prime, T) for every t_prime in 1..T (index 0 = t'=1).
-
-    Each t covers the half-open interval (s(t), t] of t_prime values, so the
+    exact counts rather than asserting the smaller cap.  Each t covers the half-open interval (s(t), t] of t_prime values, so the
     table is a sum of interval indicators, built with a difference array.
     """
     if T < 1:
@@ -109,19 +95,6 @@ def participation_table(T: int) -> np.ndarray:
         diff[s_flip(t) + 1] += 1
         diff[t + 1] -= 1
     return np.cumsum(diff)[1 : T + 1]
-
-
-def bundle_gap_total(T_prime: int, include_final: bool = True) -> int:
-    """Exact sum of low_bit(t) for t = 1..T_prime (optionally excluding t = T').
-
-    For T' a power of two the t < T' portion equals (T'/2) * log2 T', the
-    per-bundle tally behind the noise-loss bound; the final bundle adds T'
-    more but is sold straight back at close with no arrivals in between.
-    """
-    if T_prime < 1:
-        raise InvalidParameterError("T_prime must be >= 1")
-    stop = T_prime if include_final else T_prime - 1
-    return sum(low_bit(t) for t in range(1, stop + 1))
 
 
 def sample_bundle(d: int, scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -219,24 +192,3 @@ class NoiseLedger:
         times = [bundle.time for bundle in reversed(self.held)]
         if times != self.path_times():
             raise InvalidStateError(f"held {times} != counter bits {self.path_times()}")
-
-
-def noise_path_sum(t: int, bundles: dict[int, np.ndarray]) -> np.ndarray:
-    """Sum of bundle values along the path {t, s(t), s(s(t)), ...}.
-
-    Equivalent to the held-bundle sum of a ledger driven to step t; raises
-    if a required bundle is missing.
-    """
-    if t < 0:
-        raise InvalidParameterError("t must be >= 0")
-    total = None
-    u = t
-    while u > 0:
-        if u not in bundles:
-            raise InvalidStateError(f"missing bundle for time {u}")
-        v = np.asarray(bundles[u], dtype=float)
-        total = v.copy() if total is None else total + v
-        u = s_flip(u)
-    if total is None:
-        raise InvalidParameterError("t = 0 has no bundles on its path")
-    return total

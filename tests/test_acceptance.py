@@ -22,13 +22,10 @@ from privmarket import (
     ScaledCost,
     budget_bound,
     events_at,
-    ftrl_price,
     lambda_star,
     low_bit,
     maximize_profit,
     minimal_T,
-    noise_path_sum,
-    participation_count,
     privacy_audit,
     run_adaptive,
     run_trials,
@@ -40,6 +37,8 @@ from privmarket import (
     verify_stage_inequalities,
 )
 from privmarket.traders import StrategyContext, best_response
+
+from oracles import ftrl_price, noise_path_sum, participation_count
 
 MARKET = {"d": 2, "epsilon": 1.0, "alpha": 0.3, "gamma": 0.1, "T": 64}
 SEEDS = 500
@@ -319,7 +318,7 @@ def test_adaptive_accounting(report):
         rnd = RandomTrader(np.random.default_rng(children[1]))
         stream = [herd if i % 2 == 0 else rnd for i in range(48)]
         result = run_adaptive(
-            sch, iter(stream), outcome=0, seed=np.random.default_rng(children[0])
+            sch.stages, iter(stream), outcome=0, seed=np.random.default_rng(children[0])
         )
         ok = ok and [s.arrivals for s in result.stages] == [16, 16, 16]
         resum = Ledger.combine([s.ledger for s in result.stages])
@@ -327,7 +326,7 @@ def test_adaptive_accounting(report):
         spent = sum(stage.alpha for stage in sch.stages)
         ok = ok and spent <= 0.3 + 1e-15
         for prev, nxt in zip(result.stages, result.stages[1:]):
-            gap = float(np.max(np.abs(nxt.opening_prices - prev.final_prices)))
+            gap = float(np.max(np.abs(nxt.cost.prices(nxt.q_init) - prev.p_hat)))
             worst_handoff = max(worst_handoff, gap)
         ok = ok and worst_handoff <= 1e-9
     assert report(

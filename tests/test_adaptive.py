@@ -57,7 +57,6 @@ def test_stage_schedule_worked_example():
     assert sch.stages[0].T == math.ceil(minimal_T(sch.A, sch.D))
     assert [s.T for s in sch.stages] == [19456605 * 4 ** k for k in range(4)]
     for k, stage in enumerate(sch.stages, start=1):
-        assert stage.k == k
         assert stage.alpha == pytest.approx(0.1 / 2 ** k)
         assert stage.gamma == pytest.approx(0.1 / 2 ** k)
         assert stage.lam == lambda_star(stage.T, stage.alpha, stage.gamma, 1.0, 1)
@@ -127,37 +126,36 @@ def _herd_stream(n):
 
 def test_run_adaptive_three_full_stages():
     sch = stage_schedule(math.log(2), 2, 0.2, 0.1, 1.0, max_stages=8, t1_override=16)
-    result = run_adaptive(sch, _herd_stream(48), outcome=0, seed=1)
+    result = run_adaptive(sch.stages, _herd_stream(48), outcome=0, seed=1)
     assert [s.arrivals for s in result.stages] == [16, 16, 16]
-    assert all(s.completed for s in result.stages)
-    assert [s.k for s in result.stages] == [1, 2, 3]
+    assert all(s.is_full for s in result.stages)
     # the global ledger is the exact component-wise sum of the stage ledgers
     again = Ledger.combine([s.ledger for s in result.stages])
     assert result.ledger == again
     # handed-off prices reopen unchanged (no clamping at desk scale)
     for prev, nxt in zip(result.stages, result.stages[1:]):
-        assert nxt.opening_prices == pytest.approx(prev.final_prices, abs=1e-9)
+        assert nxt.cost.prices(nxt.q_init) == pytest.approx(prev.p_hat, abs=1e-9)
     # per-stage accuracy budgets stay inside the global one
-    spent = sum(sch.stages[s.k - 1].alpha for s in result.stages)
+    spent = sum(s.params.alpha for s in result.stages)
     assert spent <= 0.2 + 1e-12
 
 
 def test_run_adaptive_stream_boundaries():
     sch = stage_schedule(math.log(2), 2, 0.2, 0.1, 1.0, max_stages=8, t1_override=16)
     # dries mid-stage: final stage is partial
-    result = run_adaptive(sch, _herd_stream(40), outcome=0, seed=2)
+    result = run_adaptive(sch.stages, _herd_stream(40), outcome=0, seed=2)
     assert [s.arrivals for s in result.stages] == [16, 16, 8]
-    assert [s.completed for s in result.stages] == [True, True, False]
+    assert [s.is_full for s in result.stages] == [True, True, False]
     # dries exactly at a boundary: no empty trailing stage is opened
-    result = run_adaptive(sch, _herd_stream(32), outcome=0, seed=2)
+    result = run_adaptive(sch.stages, _herd_stream(32), outcome=0, seed=2)
     assert [s.arrivals for s in result.stages] == [16, 16]
     # empty stream: one stage, zero arrivals
-    result = run_adaptive(sch, iter([]), outcome=0, seed=2)
+    result = run_adaptive(sch.stages, iter([]), outcome=0, seed=2)
     assert [s.arrivals for s in result.stages] == [0]
     assert result.ledger.arrivals == 0
     # longer than total capacity: capped at max_stages
     sch3 = stage_schedule(math.log(2), 2, 0.2, 0.1, 1.0, max_stages=3, t1_override=16)
-    result = run_adaptive(sch3, _herd_stream(200), outcome=0, seed=2)
+    result = run_adaptive(sch3.stages, _herd_stream(200), outcome=0, seed=2)
     assert [s.arrivals for s in result.stages] == [16, 16, 16]
 
 
@@ -166,7 +164,7 @@ def test_run_adaptive_stage_override_rebuild():
     assert sch.stages[0].T == 9728303
     # a desk-scale override is a schedule rebuilt with t1_override
     sch = stage_schedule(math.log(2), 2, 0.2, 0.1, 1.0, max_stages=8, t1_override=10)
-    result = run_adaptive(sch, _herd_stream(20), outcome=0, seed=3)
+    result = run_adaptive(sch.stages, _herd_stream(20), outcome=0, seed=3)
     assert [s.arrivals for s in result.stages] == [10, 10]
 
 
@@ -178,13 +176,13 @@ def test_run_adaptive_deterministic():
         trader = RandomTrader(rng)
         return iter([trader] * 20)
 
-    a = run_adaptive(sch, stream(), outcome=1, seed=7)
-    b = run_adaptive(sch, stream(), outcome=1, seed=7)
+    a = run_adaptive(sch.stages, stream(), outcome=1, seed=7)
+    b = run_adaptive(sch.stages, stream(), outcome=1, seed=7)
     assert a.ledger == b.ledger
     for sa, sb in zip(a.stages, b.stages):
         assert sa.ledger == sb.ledger
-        assert np.array_equal(sa.final_prices, sb.final_prices)
-    c = run_adaptive(sch, stream(), outcome=1, seed=8)
+        assert np.array_equal(sa.p_hat, sb.p_hat)
+    c = run_adaptive(sch.stages, stream(), outcome=1, seed=8)
     assert c.ledger != a.ledger  # the noise actually moved
 
 

@@ -6,13 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from privmarket import (
-    InvalidParameterError,
-    OutcomeModel,
-    ScaledCost,
-    ftrl_price,
-    numeric_sensitivity,
-)
+from privmarket import InvalidParameterError, ScaledCost
+
+from oracles import ftrl_price, numeric_sensitivity
 
 
 def test_cost_at_origin_is_log_d():
@@ -199,18 +195,6 @@ def test_ftrl_price_matches_prices():
     assert ftrl_price(ScaledCost(d=1, lam=1.0), np.array([2.0])) == pytest.approx([1.0])
     with pytest.raises(InvalidParameterError):
         ftrl_price(ScaledCost(d=2, lam=1.0), np.zeros(2), resolution=2)
-
-
-def test_outcome_model():
-    m = OutcomeModel.complete(3)
-    assert m.d == 3
-    assert m.payoff(1) == pytest.approx([0.0, 1.0, 0.0])
-    with pytest.raises(InvalidParameterError):
-        m.payoff(3)
-    with pytest.raises(InvalidParameterError):
-        OutcomeModel(outcomes=(0,), payoffs=np.array([[1.5]]))  # payoff > 1
-    bounded = OutcomeModel(outcomes=(0, 1), payoffs=np.array([[1.0, 0.3], [0.0, 0.9]]))
-    assert bounded.payoff(1)[1] == pytest.approx(0.9)
 
 
 def test_shape_validation():

@@ -16,8 +16,8 @@ from privmarket import (
     InvalidParameterError,
     RunConfig,
     TrialMetrics,
+    lambda_star,
     load_metrics,
-    participation_count,
     privacy_audit,
     run_trial,
     run_trials,
@@ -29,7 +29,9 @@ from privmarket import (
 )
 from privmarket.adaptive import MAX_STAGES, stage_schedule
 from privmarket.cli import main as cli_main
-from privmarket.harness import MAX_D, _build_stream
+from privmarket.harness import MAX_D, MAX_TRADERS, _build_stream
+
+from oracles import participation_count
 
 
 BASE = {
@@ -141,6 +143,10 @@ def test_config_numbers_finite_and_stream_length_positive():
     assert _cfg(stream_length=1).stream_length == 1
 
 
+# the flat market of this config sits at lambda = 0.9
+STAGE_LAMBDA_MARKET = {"d": 2, "epsilon": 0.9 / lambda_star(2**20, 0.3, 0.1, 1.0, 2),
+                       "alpha": 0.3, "gamma": 0.1, "T": 2**20}
+
 BAD_ENTRIES = {
     "trader entry not an object": {"traders": ["herd"]},
     "seeds not an object": {"seeds": [0, 4]},
@@ -163,6 +169,12 @@ BAD_ENTRIES = {
         "traders": [{"kind": "arbitrage_hunter", "params": {"belief": [math.nan, 1.0]}}]
     },
     "belief not numbers": {"traders": [{"kind": "belief", "params": {"belief": "ab"}}]},
+    "seeds start negative": {"seeds": {"start": -3, "count": 2}},
+    "roster total past the cap": {
+        "traders": [{"kind": "herd", "count": MAX_TRADERS}, {"kind": "random"}]
+    },
+    # stage 1 (T = 2, alpha and gamma halved) needs a lambda far above 1
+    "stage lambda above 1": {"market": STAGE_LAMBDA_MARKET, "adaptive": {"stage_override": 2}},
 }
 
 
@@ -188,6 +200,10 @@ def test_config_lambda_guard():
     raw["market"]["allow_unsafe_lambda"] = True
     cfg = RunConfig.from_dict(raw)
     assert cfg.market_params().lam == 0.5
+    # every stage of a plan is checked at load, not only the flat market
+    assert _cfg(market=STAGE_LAMBDA_MARKET).market_params().lam == pytest.approx(0.9)
+    with pytest.raises(ConfigError, match=r"adaptive: lam must lie in \(0, 1\]"):
+        _cfg(market=STAGE_LAMBDA_MARKET, adaptive={"stage_override": 2})
 
 
 def test_config_adaptive_needs_d2():
@@ -383,6 +399,16 @@ def test_cli_seed_range_and_parallel(tmp_path, capsys):
     assert [r["seed"] for r in rows] == [10, 11, 12, 13]
 
 
+def test_cli_negative_seed_range_exits_2(tmp_path, capsys):
+    config = _write_config(tmp_path, seeds=2)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                  "--seeds=-5..0"])
+    assert exc.value.code == 2
+    assert "seeds must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_audit_and_schedule(capsys):
     assert cli_main(["audit", "--T", "8", "--d", "2", "--epsilon", "1.0",
                      "--pairs", "500"]) == 0
@@ -409,6 +435,11 @@ def test_caps_on_d_and_max_stages(capsys):
     assert _cfg(market=dict(BASE["market"], d=MAX_D)).d == MAX_D
     with pytest.raises(ConfigError, match=f"market.d must be <= {MAX_D}"):
         _cfg(market=dict(BASE["market"], d=MAX_D + 1))
+    # loading builds one strategy per roster entry, never per count; no trial runs
+    roster = [{"kind": "herd", "count": MAX_TRADERS}]
+    assert _cfg(traders=roster).traders[0].count == MAX_TRADERS
+    with pytest.raises(ConfigError, match=f"total count must be <= {MAX_TRADERS}"):
+        _cfg(traders=[{"kind": "herd", "count": 10**9}])
     sched = stage_schedule(math.log(2), 2, 0.2, 0.1, 1.0, max_stages=MAX_STAGES)
     assert len(sched.stages) == MAX_STAGES
     with pytest.raises(InvalidParameterError, match="max_stages"):
@@ -470,8 +501,8 @@ def test_adaptive_run_records_its_stage_plan_and_verify_refuses(tmp_path, capsys
     sched = cfg.schedule()
     assert resolved["fee"] == sched.fee == cfg.alpha
     assert resolved["stages"] == [
-        {"k": s.k, "T": s.T, "alpha": s.alpha, "gamma": s.gamma, "lambda": s.lam}
-        for s in sched.stages
+        {"k": k, "T": s.T, "alpha": s.alpha, "gamma": s.gamma, "lambda": s.lam}
+        for k, s in enumerate(sched.stages, start=1)
     ]
     assert [s["T"] for s in resolved["stages"]] == [8, 8]
     assert not {"T", "lambda", "lambda_star", "noise_off"} & set(resolved)

@@ -159,6 +159,20 @@ def test_full_and_closed_errors():
         session.close(0)
 
 
+def test_close_rejects_unknown_outcome():
+    session = open_market(_unsafe_params(T=4), rng=0)
+    session.step(np.array([1.0, 0.0]))
+    held = [bundle.time for bundle in session.noise.held]
+    for outcome in (2, -1):  # d == 2
+        with pytest.raises(InvalidParameterError):
+            session.close(outcome)
+        # nothing was sold back or settled: the session stays open
+        assert not session.closed
+        assert [bundle.time for bundle in session.noise.held] == held
+    session.step(np.array([0.0, 1.0]))
+    assert session.close(1).arrivals == 2
+
+
 def test_published_state_tracks_noise():
     params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=32)
     session = open_market(params, rng=7)

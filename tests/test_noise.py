@@ -9,17 +9,16 @@ from privmarket import (
     InvalidParameterError,
     InvalidStateError,
     NoiseLedger,
-    bundle_gap_total,
     events_at,
     low_bit,
-    noise_path_sum,
     noise_scale,
-    participation_count,
     participation_table,
     s_flip,
     sample_bundle,
     tree_depth,
 )
+
+from oracles import bundle_gap_total, noise_path_sum, participation_count
 
 
 def test_bit_helpers():

@@ -21,11 +21,12 @@ from privmarket import (
     ScaledCost,
     drive_session,
     events_at,
-    noise_path_sum,
     noise_scale,
     open_market,
     sample_bundle,
 )
+
+from oracles import noise_path_sum
 
 OUTCOME = 1
 
