@@ -19,18 +19,18 @@ from .errors import InvalidParameterError
 PRICE_SUM_TOL = 1e-9
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    # max-shift keeps exp() in range for share vectors up to ~1e6
-    m = float(np.max(x))
-    if not np.isfinite(m):
+def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row max m, exp(x - m) and its row sum, for one row (d,) or a block (n, d).
+
+    The max shift keeps exp() in range for share vectors up to ~1e6.  Every
+    row goes through the same ufuncs as a lone state, so a row's result does
+    not depend on the block it is evaluated in.
+    """
+    m = x.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
         raise InvalidParameterError("share vector contains non-finite entries")
-    return m + float(np.log(np.sum(np.exp(x - m))))
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    m = np.max(x)
     e = np.exp(x - m)
-    return e / np.sum(e)
+    return m, e, e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -53,19 +53,29 @@ class ScaledCost:
 
     def _check_q(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        if q.shape != (self.d,):
-            raise InvalidParameterError(f"share vector must have shape ({self.d},)")
+        if q.ndim not in (1, 2) or q.shape[-1] != self.d or q.size == 0:
+            raise InvalidParameterError(
+                f"share vector must have shape ({self.d},) or (n, {self.d}) with n >= 1"
+            )
         return q
 
-    def cost(self, q: np.ndarray) -> float:
-        """C(q) = (1/lam) * ln sum_j exp(lam * q_j)."""
+    def cost(self, q: np.ndarray) -> float | np.ndarray:
+        """C(q) = (1/lam) * ln sum_j exp(lam * q_j).
+
+        q is one state (d,), giving a float, or a block of states (n, d),
+        giving their n costs.  A state with a non-finite maximum raises, here
+        and in prices.
+        """
         q = self._check_q(q)
-        return _logsumexp(self.lam * q) / self.lam
+        m, _, total = _shifted_exp(self.lam * q)
+        c = (m + np.log(total))[..., 0] / self.lam
+        return float(c) if q.ndim == 1 else c
 
     def prices(self, q: np.ndarray) -> np.ndarray:
-        """Instantaneous prices: softmax(lam * q); positive, sum to 1."""
+        """Instantaneous prices softmax(lam * q), per row of a block; positive, sum to 1."""
         q = self._check_q(q)
-        return _softmax(self.lam * q)
+        _, e, total = _shifted_exp(self.lam * q)
+        return e / total
 
     def trade_cost(self, q: np.ndarray, dq: np.ndarray) -> float:
         """Payment for moving the share state from q to q + dq."""

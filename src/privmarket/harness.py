@@ -43,6 +43,12 @@ MAX_D = 1024
 floats and every best-response decision prices 2d trades of d coordinates,
 so d is bounded before anything is built from it."""
 
+MAX_T = 2**30
+"""Largest horizon a config may ask for, as market.T or adaptive.stage_override.
+A trial steps until its markets fill, so the horizon is bounded before a
+trial runs.  Paper-scale stage 3 at default sizing (d=2) is 60,895,344
+arrivals, well inside the cap."""
+
 MAX_TRADERS = 10_000
 """Largest total roster count.  Every trial spawns one seed and builds one
 strategy per instance, so the count is bounded before a trial runs."""
@@ -285,7 +291,7 @@ SCHEMA = {
         ("epsilon", "epsilon", _as_num, REQUIRED),
         ("alpha", "alpha", _as_num, REQUIRED),
         ("gamma", "gamma", _as_num, REQUIRED),
-        ("T", "T", _int_in(), REQUIRED),
+        ("T", "T", _int_in(2, MAX_T), REQUIRED),
         ("fee", "fee", _nullable(_as_num), None),
         ("lambda", "lam", _nullable(_as_num), None),
         ("noise_off", "noise_off", _as_bool, False),
@@ -297,7 +303,7 @@ SCHEMA = {
     ),
     "adaptive": (
         ("enabled", "adaptive", _as_bool, True),
-        ("stage_override", "stage_override", _nullable(_int_in()), None),
+        ("stage_override", "stage_override", _nullable(_int_in(2, MAX_T)), None),
         ("max_stages", "max_stages", _int_in(), 3),
     ),
     "trader": (
@@ -387,10 +393,14 @@ def run_trials(
     """Run every seed, optionally in parallel, and write metrics artifacts.
 
     Rows land in metrics.jsonl in seed order regardless of scheduling, so
-    output bytes depend only on (config, seeds).
+    output bytes depend only on (config, seeds).  Every seed must be a
+    non-negative integer, as in a config's seeds section; any other is a
+    ConfigError before a trial runs.
     """
     if seeds is None:
         seeds = range(config.seeds_start, config.seeds_start + config.seeds_count)
+    parse_seed = _int_in(0)
+    seeds = [parse_seed(seed, "seed") for seed in seeds]
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             metrics = list(pool.map(run_trial, itertools.repeat(config), seeds))

@@ -168,7 +168,7 @@ def check_bundle(dq, d: int) -> np.ndarray:
     dq = np.asarray(dq, dtype=float)
     if dq.shape != (d,):
         raise TradeRejectedError(f"bundle must have shape ({d},), got {dq.shape}")
-    size = float(np.sum(np.abs(dq)))
+    size = float(np.abs(dq).sum())
     if not size <= 1.0 + TRADE_SIZE_TOL:  # also catches nan and inf
         raise TradeRejectedError(f"bundle l1 norm {size:.6f} exceeds 1")
     return dq
@@ -234,65 +234,91 @@ class MarketSession:
         """Mean l2 norm of the noise bundles bought so far (one per arrival)."""
         return self.bundle_l2_total / self.arrivals if self.arrivals else 0.0
 
-    def _sell_top(self, state: np.ndarray, c_state: float, sold_at: int):
-        """Sell the most recent held bundle at state; return (state, C(state), revenue)."""
-        bundle = self.noise.held[-1]
-        state = state - bundle.value
-        c_next = self.cost.cost(state)
-        revenue = c_state - c_next
-        self.noise.mark_sold(bundle.time, sold_at=sold_at, revenue=revenue)
-        self.noise_sell_total += revenue
-        return state, c_next, revenue
+    def _sell_chain(self, chain: np.ndarray, n_sells: int) -> None:
+        """Fill chain[1 : n_sells + 1]: chain[0] minus the top held bundles, one at a time."""
+        held = self.noise.held
+        for i in range(n_sells):
+            np.subtract(chain[i], held[-1 - i].value, out=chain[i + 1])
+
+    def _book_sells(self, c_start: float, costs: list[float], sold_at: int) -> float:
+        """Book the sale of the top len(costs) held bundles, most recent first.
+
+        Sale k moves the state from cost costs[k - 1] (c_start for the first)
+        to costs[k]; its revenue is the drop.  Returns the total revenue.
+        """
+        sold = 0.0
+        for c_next in costs:
+            revenue = c_start - c_next
+            self.noise.mark_sold(self.noise.held[-1].time, sold_at=sold_at, revenue=revenue)
+            self.noise_sell_total += revenue
+            sold += revenue
+            c_start = c_next
+        return sold
 
     def step(self, dq: np.ndarray) -> None:
-        """Process one arrival: fee, trade, then scheduled noise turnover."""
+        """Process one arrival: fee, trade, then scheduled noise turnover.
+
+        The states the arrival passes through (after the trade, after each
+        scheduled sell, after the fresh buy) are built in order and costed
+        in one block call: one cost per intermediate state, never
+        telescoped, because the noise cash is a small difference of large
+        costs.
+        """
         if self.closed:
             raise MarketClosedError("session is closed")
         if self.is_full:
             raise MarketClosedError(f"session already has {self.params.T} arrivals")
         dq = check_bundle(dq, self.params.d)
 
-        self.fee_total += self.params.fee
-        state = self.q_hat + dq
-        c_state = self.cost.cost(state)
-        self.trade_payments += c_state - self.c_hat
-        self.q_true = self.q_true + dq
-
-        # one cost evaluation per intermediate state, never telescoped: the
-        # noise cash is a small difference of large costs
         event = self.noise.begin_step()
-        for _ in event.sells:
-            state, c_state, _ = self._sell_top(state, c_state, event.buy)
-        bundle = self.noise.new_bundle(self.rng)
-        state = state + bundle.value
-        c_next = self.cost.cost(state)
-        bundle.buy_cost = c_next - c_state
+        z = self.noise.draw(self.rng)
+        n_sells = len(event.sells)
+        # rows: after the trade, after each sell, after the buy, the true state
+        chain = np.empty((n_sells + 3, self.params.d))
+        np.add(self.q_hat, dq, out=chain[0])
+        self._sell_chain(chain, n_sells)
+        state, q_true = chain[n_sells + 1], chain[n_sells + 2]
+        np.add(chain[n_sells], z, out=state)
+        np.add(self.q_true, dq, out=q_true)
+        costs = self.cost.cost(chain[:-1]).tolist()
+        p_hat, p_true = self.cost.prices(chain[-2:])
+
+        self.fee_total += self.params.fee
+        self.trade_payments += costs[0] - self.c_hat
+        self.q_true = q_true
+        self._book_sells(costs[0], costs[1:-1], event.buy)
+        bundle = self.noise.new_bundle(z)
+        bundle.buy_cost = costs[-1] - costs[-2]
         self.noise_buy_total += bundle.buy_cost
-        self.bundle_l2_total += float(np.linalg.norm(bundle.value))
+        self.bundle_l2_total += math.sqrt(z.dot(z))  # np.linalg.norm's own formula
 
         self.q_hat = _published(state)
-        self.p_hat = _published(self.cost.prices(state))
-        self.c_hat = c_next
+        self.p_hat = _published(p_hat)
+        self.c_hat = costs[-1]
         self.arrivals += 1
         self.noise.verify_held()
-        drift = state - self.q_true - self.noise.held_sum()
-        if float(np.max(np.abs(drift))) > 1e-6:
+        drift = state - q_true - self.noise.held_sum()
+        if float(np.abs(drift).max()) > 1e-6:
             raise InvalidStateError("published state lost sync with held noise")
 
-        price_gap = float(np.sum(np.abs(self.cost.prices(self.q_true) - self.p_hat)))
+        price_gap = float(np.abs(p_true - p_hat).sum())
         self.max_price_gap = max(self.max_price_gap, price_gap)
-        self.max_share_gap = max(self.max_share_gap, float(np.sum(np.abs(self.q_true - state))))
+        self.max_share_gap = max(self.max_share_gap, float(np.abs(q_true - state).sum()))
 
     def sell_back_noise(self) -> None:
         """Unwind all held bundles, most recent first, checking the batch total."""
-        held_total = self.noise.held_sum()
-        batch = self.c_hat - self.cost.cost(self.q_hat - held_total)
-        sold = 0.0
-        state, c_state = self.q_hat, self.c_hat
-        while self.noise.held:
-            state, c_state, revenue = self._sell_top(state, c_state, self.noise.t)
-            sold += revenue
-        self.q_hat, self.c_hat = _published(state), c_state
+        n_sells = len(self.noise.held)
+        # rows: q_hat, after each sell, then q_hat minus the held sum in one move
+        chain = np.empty((n_sells + 2, self.params.d))
+        chain[0] = self.q_hat
+        self._sell_chain(chain, n_sells)
+        np.subtract(self.q_hat, self.noise.held_sum(), out=chain[-1])
+        *sell_costs, batch_cost = self.cost.cost(chain[1:]).tolist()
+        batch = self.c_hat - batch_cost
+        sold = self._book_sells(self.c_hat, sell_costs, self.noise.t)
+        self.q_hat = _published(chain[n_sells])
+        if sell_costs:
+            self.c_hat = sell_costs[-1]
         if abs(sold - batch) > CASH_TOL * max(1.0, abs(batch)):
             raise InvalidStateError(
                 f"sequential sell-back {sold!r} disagrees with batch total {batch!r}"
@@ -310,7 +336,8 @@ class MarketSession:
             raise InvalidParameterError(f"unknown outcome {outcome!r}")
         self.sell_back_noise()
         payouts = float(self.q_true[outcome] - self.q_init[outcome])
-        mm_loss = payouts - (self.cost.cost(self.q_true) - self.cost.cost(self.q_init))
+        c_true, c_init = self.cost.cost(np.stack((self.q_true, self.q_init))).tolist()
+        mm_loss = payouts - (c_true - c_init)
         ntl = self.noise_buy_total - self.noise_sell_total
         fees = self.fee_total
         self.closed = True

@@ -108,8 +108,9 @@ def sample_bundle(d: int, scale: float, rng: np.random.Generator) -> np.ndarray:
     if scale <= 0.0:
         raise InvalidParameterError("scale must be positive")
     u = rng.random(d) - 0.5
-    # clip keeps the log finite on the measure-zero edge u == -0.5
-    return -scale * np.sign(u) * np.log(np.clip(1.0 - 2.0 * np.abs(u), 1e-300, 1.0))
+    # 1 - 2|u| lies in [0, 1]; the floor keeps the log finite on the
+    # measure-zero edge u == -0.5
+    return -scale * np.sign(u) * np.log(np.maximum(1.0 - 2.0 * np.abs(u), 1e-300))
 
 
 @dataclass
@@ -175,14 +176,18 @@ class NoiseLedger:
         bundle.sold_at = sold_at
         bundle.sell_revenue = revenue
 
-    def new_bundle(self, rng: np.random.Generator) -> NoiseBundle:
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        """Value of the next bundle: d Laplace draws, or zeros under noise_off.
+
+        rng feeds only bundles, so drawing before the step's sells are booked
+        leaves the draw order unchanged.
+        """
+        return np.zeros(self.d) if self.noise_off else sample_bundle(self.d, self.scale, rng)
+
+    def new_bundle(self, value: np.ndarray) -> NoiseBundle:
+        """Push the bundle of step t, whose value came from draw."""
         if self.held and self.held[-1].time == self.t:
             raise InvalidStateError(f"bundle {self.t} already exists")
-        value = (
-            np.zeros(self.d)
-            if self.noise_off
-            else sample_bundle(self.d, self.scale, rng)
-        )
         bundle = NoiseBundle(time=self.t, value=value)
         self.held.append(bundle)
         return bundle

@@ -69,32 +69,39 @@ def maximize_profit(
 ) -> tuple[np.ndarray, float]:
     """Best trade among signed unit coordinates plus a fractional refinement.
 
-    Evaluates the full trades +/- e_j for every coordinate, picks the most
-    profitable (ties: lowest coordinate index, buy over sell), then line
-    searches the size along that direction.  Returns (bundle, profit).
+    Prices the full trades +/- e_j for every coordinate in one block, picks
+    the most profitable (ties: lowest coordinate index, buy over sell), then
+    line searches the size along that direction.  Each profit is
+    <dq, belief> - (C(q_hat + dq) - C(q_hat)), as in expected_profit.
+    Returns (bundle, profit).
     """
     belief = np.asarray(belief, dtype=float)
     d = ctx.cost.d
     if belief.shape != (d,):
         raise InvalidParameterError(f"belief must have shape ({d},)")
-    best_j, best_sign, best_profit = 0, 1.0, -math.inf
-    for j in range(d):
-        for sign in (1.0, -1.0):
-            dq = np.zeros(d)
-            dq[j] = sign
-            profit = expected_profit(ctx, belief, dq)
-            if profit > best_profit + 1e-15:
-                best_j, best_sign, best_profit = j, sign, profit
-    dq = np.zeros(d)
-    dq[best_j] = best_sign
+    # row 0 is no trade, so the block also prices C(q_hat); row 1 + 2j buys
+    # e_j and row 2 + 2j sells it
+    trades = np.zeros((2 * d + 1, d))
+    j = np.arange(d)
+    trades[1 + 2 * j, j] = 1.0
+    trades[2 + 2 * j, j] = -1.0
+    costs = ctx.cost.cost(ctx.q_hat + trades)
+    c_hat = float(costs[0])
+    profits = (trades[1:] @ belief - (costs[1:] - c_hat)).tolist()
+    best, best_profit = 0, -math.inf
+    for i, profit in enumerate(profits):
+        if profit > best_profit + 1e-15:
+            best, best_profit = i, profit
+    best_j, sell = divmod(best, 2)
+    best_sign = -1.0 if sell else 1.0
     s = _best_scale(ctx, belief, best_j, best_sign)
     if 0.0 < s < 1.0:
         frac = np.zeros(d)
         frac[best_j] = best_sign * s
-        frac_profit = expected_profit(ctx, belief, frac)
+        frac_profit = float(frac @ belief) - (ctx.cost.cost(ctx.q_hat + frac) - c_hat)
         if frac_profit > best_profit:
             return frac, frac_profit
-    return dq, best_profit
+    return trades[1 + best].copy(), best_profit
 
 
 def best_response(ctx: StrategyContext, belief: np.ndarray) -> Optional[np.ndarray]:
@@ -173,7 +180,8 @@ class RandomTrader(Strategy):
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
         dq = np.zeros(ctx.cost.d)
-        dq[int(self.rng.integers(ctx.cost.d))] = float(self.rng.choice([-1.0, 1.0]))
+        # the same draw as rng.choice([-1.0, 1.0]) at a fifth of the call cost
+        dq[int(self.rng.integers(ctx.cost.d))] = (-1.0, 1.0)[int(self.rng.integers(2))]
         return dq
 
 

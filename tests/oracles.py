@@ -2,16 +2,166 @@
 
 Slow reference routes (a grid-search price solve, finite-difference price
 sensitivity, brute-force participation counts, bundle path sums) that no
-simulation path uses.
+simulation path uses, and the per-state engine the batched cost kernel
+replaced: a scalar log-sum-exp and softmax, the sequential best-response
+search and a step that costs one state per call.  The batched kernel uses
+the same arithmetic, so the tests compare against these with ==.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from privmarket import InvalidParameterError, InvalidStateError, ScaledCost, low_bit, s_flip
+from privmarket import (
+    InvalidParameterError,
+    InvalidStateError,
+    Ledger,
+    MarketParams,
+    NoiseLedger,
+    ScaledCost,
+    StrategyContext,
+    low_bit,
+    noise_scale,
+    s_flip,
+)
+from privmarket.traders import _best_scale
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    # max-shift keeps exp() in range for share vectors up to ~1e6
+    m = float(np.max(x))
+    if not np.isfinite(m):
+        raise InvalidParameterError("share vector contains non-finite entries")
+    return m + float(np.log(np.sum(np.exp(x - m))))
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    m = np.max(x)
+    e = np.exp(x - m)
+    return e / np.sum(e)
+
+
+def reference_cost(cost: ScaledCost, q: np.ndarray) -> float:
+    """C(q) of one state by the scalar log-sum-exp."""
+    return _logsumexp(cost.lam * np.asarray(q, dtype=float)) / cost.lam
+
+
+def reference_prices(cost: ScaledCost, q: np.ndarray) -> np.ndarray:
+    """Prices of one state by the scalar softmax."""
+    return _softmax(cost.lam * np.asarray(q, dtype=float))
+
+
+def reference_maximize_profit(
+    ctx: StrategyContext, belief: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """maximize_profit with one scalar cost pair per candidate trade."""
+
+    def profit_of(dq):
+        return float(dq @ belief) - (
+            reference_cost(ctx.cost, ctx.q_hat + dq) - reference_cost(ctx.cost, ctx.q_hat)
+        )
+
+    d = ctx.cost.d
+    best_j, best_sign, best_profit = 0, 1.0, -math.inf
+    for j in range(d):
+        for sign in (1.0, -1.0):
+            dq = np.zeros(d)
+            dq[j] = sign
+            profit = profit_of(dq)
+            if profit > best_profit + 1e-15:
+                best_j, best_sign, best_profit = j, sign, profit
+    dq = np.zeros(d)
+    dq[best_j] = best_sign
+    s = _best_scale(ctx, belief, best_j, best_sign)
+    if 0.0 < s < 1.0:
+        frac = np.zeros(d)
+        frac[best_j] = best_sign * s
+        frac_profit = profit_of(frac)
+        if frac_profit > best_profit:
+            return frac, frac_profit
+    return dq, best_profit
+
+
+class ReferenceSession:
+    """The per-state step engine: one scalar cost call per state.
+
+    It keeps the same cash totals and gaps as MarketSession and draws each
+    buy after booking the sells, so agreement also shows that drawing the
+    bundle first leaves the noise stream unchanged.  It runs no checks; it
+    is a reference for the numbers.
+    """
+
+    def __init__(self, params: MarketParams, rng: np.random.Generator):
+        self.params = params
+        self.cost = ScaledCost(d=params.d, lam=params.lam)
+        self.rng = rng
+        self.q_init = np.zeros(params.d)
+        self.q_true = np.zeros(params.d)
+        self.q_hat = np.zeros(params.d)
+        self.p_hat = reference_prices(self.cost, self.q_hat)
+        self.c_hat = reference_cost(self.cost, self.q_hat)
+        self.noise = NoiseLedger(
+            d=params.d, scale=noise_scale(params.T, params.epsilon), noise_off=params.noise_off
+        )
+        self.arrivals = 0
+        self.trade_payments = self.fee_total = 0.0
+        self.noise_buy_total = self.noise_sell_total = 0.0
+        self.max_price_gap = self.max_share_gap = self.bundle_l2_total = 0.0
+
+    def _sell_top(self, state, c_state, sold_at):
+        bundle = self.noise.held[-1]
+        state = state - bundle.value
+        c_next = reference_cost(self.cost, state)
+        revenue = c_state - c_next
+        self.noise.mark_sold(bundle.time, sold_at=sold_at, revenue=revenue)
+        self.noise_sell_total += revenue
+        return state, c_next
+
+    def step(self, dq: np.ndarray) -> None:
+        self.fee_total += self.params.fee
+        state = self.q_hat + dq
+        c_state = reference_cost(self.cost, state)
+        self.trade_payments += c_state - self.c_hat
+        self.q_true = self.q_true + dq
+        event = self.noise.begin_step()
+        for _ in event.sells:
+            state, c_state = self._sell_top(state, c_state, event.buy)
+        bundle = self.noise.new_bundle(self.noise.draw(self.rng))
+        state = state + bundle.value
+        c_next = reference_cost(self.cost, state)
+        bundle.buy_cost = c_next - c_state
+        self.noise_buy_total += bundle.buy_cost
+        self.bundle_l2_total += float(np.linalg.norm(bundle.value))
+        self.q_hat = state
+        self.p_hat = reference_prices(self.cost, state)
+        self.c_hat = c_next
+        self.arrivals += 1
+        price_gap = float(np.sum(np.abs(reference_prices(self.cost, self.q_true) - self.p_hat)))
+        self.max_price_gap = max(self.max_price_gap, price_gap)
+        self.max_share_gap = max(self.max_share_gap, float(np.sum(np.abs(self.q_true - state))))
+
+    def close(self, outcome: int) -> Ledger:
+        state, c_state = self.q_hat, self.c_hat
+        while self.noise.held:
+            state, c_state = self._sell_top(state, c_state, self.noise.t)
+        self.q_hat, self.c_hat = state, c_state
+        payouts = float(self.q_true[outcome] - self.q_init[outcome])
+        mm_loss = payouts - (
+            reference_cost(self.cost, self.q_true) - reference_cost(self.cost, self.q_init)
+        )
+        ntl = self.noise_buy_total - self.noise_sell_total
+        return Ledger(
+            mm_loss=mm_loss,
+            ntl=ntl,
+            fees=self.fee_total,
+            designer_loss=mm_loss + ntl - self.fee_total,
+            payouts=payouts,
+            trade_payments=self.trade_payments,
+            arrivals=self.arrivals,
+        )
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from privmarket import (
 )
 from privmarket.adaptive import MAX_STAGES, stage_schedule
 from privmarket.cli import main as cli_main
-from privmarket.harness import MAX_D, MAX_TRADERS, _build_stream
+from privmarket.harness import MAX_D, MAX_T, MAX_TRADERS, _build_stream
 
 from oracles import participation_count
 
@@ -175,6 +175,10 @@ BAD_ENTRIES = {
     },
     # stage 1 (T = 2, alpha and gamma halved) needs a lambda far above 1
     "stage lambda above 1": {"market": STAGE_LAMBDA_MARKET, "adaptive": {"stage_override": 2}},
+    # a trial steps until its horizon fills: these would run for ever
+    "market T past the cap": {"market": dict(BASE["market"], T=MAX_T + 1)},
+    "market T of 2**62": {"market": dict(BASE["market"], T=2**62)},
+    "stage_override past the cap": {"adaptive": {"stage_override": MAX_T + 1}},
 }
 
 
@@ -409,6 +413,21 @@ def test_cli_negative_seed_range_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_trials_rejects_bad_seeds_before_any_trial(tmp_path):
+    cfg = _cfg()
+    for seeds, message in (
+        (range(-2, 0), "seed must be >= 0"),
+        ([0, 1, -1], "seed must be >= 0"),
+        ([0, 1.5], "seed must be an integer"),
+        ([True], "seed must be an integer"),
+        (["3"], "seed must be an integer"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            run_trials(cfg, out_dir=str(tmp_path / "out"), seeds=seeds)
+        assert not (tmp_path / "out").exists()
+    assert [m.seed for m in run_trials(cfg, seeds=range(2, 4))] == [2, 3]
+
+
 def test_cli_audit_and_schedule(capsys):
     assert cli_main(["audit", "--T", "8", "--d", "2", "--epsilon", "1.0",
                      "--pairs", "500"]) == 0
@@ -440,6 +459,15 @@ def test_caps_on_d_and_max_stages(capsys):
     assert _cfg(traders=roster).traders[0].count == MAX_TRADERS
     with pytest.raises(ConfigError, match=f"total count must be <= {MAX_TRADERS}"):
         _cfg(traders=[{"kind": "herd", "count": 10**9}])
+    # paper-scale stage 3 (d = 2) fits under the horizon cap
+    assert _cfg(market=dict(BASE["market"], T=MAX_T)).T == MAX_T >= 60_895_344
+    assert _cfg(adaptive={"stage_override": MAX_T}).stage_override == MAX_T
+    with pytest.raises(ConfigError, match=f"market.T must be <= {MAX_T}"):
+        _cfg(market=dict(BASE["market"], T=MAX_T + 1))
+    with pytest.raises(ConfigError, match="market.T must be >= 2"):
+        _cfg(market=dict(BASE["market"], T=1))
+    with pytest.raises(ConfigError, match=f"adaptive.stage_override must be <= {MAX_T}"):
+        _cfg(adaptive={"stage_override": MAX_T + 1})
     sched = stage_schedule(math.log(2), 2, 0.2, 0.1, 1.0, max_stages=MAX_STAGES)
     assert len(sched.stages) == MAX_STAGES
     with pytest.raises(InvalidParameterError, match="max_stages"):

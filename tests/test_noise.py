@@ -175,7 +175,7 @@ def test_ledger_lifecycle():
         assert ev.buy == t
         for s in ev.sells:
             led.mark_sold(s, sold_at=t, revenue=0.0)
-        led.new_bundle(rng)
+        led.new_bundle(led.draw(rng))
         led.verify_held()
         assert [b.time for b in reversed(led.held)] == led.path_times()
         got = led.held_sum()
@@ -189,7 +189,7 @@ def test_ledger_noise_off_is_zero():
     rng = np.random.default_rng(3)
     led = NoiseLedger(d=3, scale=4.0, noise_off=True)
     led.begin_step()
-    led.new_bundle(rng)
+    led.new_bundle(led.draw(rng))
     assert np.array_equal(led.held[0].value, np.zeros(3))
     assert np.array_equal(led.held_sum(), np.zeros(3))
 
@@ -198,11 +198,11 @@ def test_ledger_misuse_errors():
     rng = np.random.default_rng(4)
     led = NoiseLedger(d=1, scale=1.0)
     led.begin_step()
-    led.new_bundle(rng)
+    led.new_bundle(led.draw(rng))
     with pytest.raises(InvalidStateError):
         led.mark_sold(99, sold_at=2, revenue=0.0)  # never bought
     with pytest.raises(InvalidStateError):
-        led.new_bundle(rng)  # double buy in one step
+        led.new_bundle(led.draw(rng))  # double buy in one step
     led.mark_sold(1, sold_at=2, revenue=0.0)
     with pytest.raises(InvalidStateError):
         led.mark_sold(1, sold_at=2, revenue=0.0)  # double sell

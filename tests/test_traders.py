@@ -161,6 +161,21 @@ def test_simple_strategies():
     assert float(np.sum(np.abs(a))) == 1.0
 
 
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_random_trader_keeps_the_choice_stream(d, seed):
+    # RandomTrader must draw its sign as rng.choice([-1.0, 1.0]) does, or
+    # every seeded run with a random trader changes
+    trader = RandomTrader(np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    ctx = _ctx(np.zeros(d))
+    for _ in range(2000):
+        expect = np.zeros(d)
+        expect[int(rng.integers(d))] = float(rng.choice([-1.0, 1.0]))
+        assert np.array_equal(trader.decide(ctx), expect)
+    assert trader.rng.random() == rng.random()
+
+
 def test_make_strategy():
     rng = np.random.default_rng(0)
     for kind in STRATEGY_KINDS:
