@@ -57,11 +57,7 @@ from .market import (
     open_market,
 )
 from .noise import (
-    NoiseBundle,
     NoiseLedger,
-    ScheduleEvent,
-    events_at,
-    low_bit,
     noise_scale,
     participation_table,
     s_flip,
@@ -79,7 +75,6 @@ from .traders import (
     StrategyContext,
     best_response,
     drive_session,
-    expected_profit,
     make_strategy,
     maximize_profit,
     step_strategy,

@@ -44,10 +44,11 @@ floats and every best-response decision prices 2d trades of d coordinates,
 so d is bounded before anything is built from it."""
 
 MAX_T = 2**30
-"""Largest horizon a config may ask for, as market.T or adaptive.stage_override.
-A trial steps until its markets fill, so the horizon is bounded before a
-trial runs.  Paper-scale stage 3 at default sizing (d=2) is 60,895,344
-arrivals, well inside the cap."""
+"""Largest horizon a config may ask for: market.T, adaptive.stage_override,
+and the total arrivals of a stage plan.  A trial steps until its markets
+fill, so the horizon is bounded before a trial runs.  The paper-scale plan
+at default sizing (d=2, three stages) is 79,925,139 arrivals, well inside
+the cap."""
 
 MAX_TRADERS = 10_000
 """Largest total roster count.  Every trial spawns one seed and builds one
@@ -126,7 +127,9 @@ class RunConfig:
                     "adaptive runs charge fee alpha, set lambda per stage and always add "
                     f"noise; remove market fields {given}"
                 )
-            cfg.schedule()
+            horizon = sum(m.T for m in cfg.schedule().stages)
+            if horizon > MAX_T:
+                raise ConfigError(f"adaptive: the stage plan's {horizon} arrivals exceed {MAX_T}")
         cfg.market_params()
         rng = np.random.default_rng(0)  # throwaway: construction draws nothing
         for i, entry in enumerate(cfg.traders):

@@ -238,9 +238,9 @@ class MarketSession:
         """Fill chain[1 : n_sells + 1]: chain[0] minus the top held bundles, one at a time."""
         held = self.noise.held
         for i in range(n_sells):
-            np.subtract(chain[i], held[-1 - i].value, out=chain[i + 1])
+            np.subtract(chain[i], held[-1 - i][1], out=chain[i + 1])
 
-    def _book_sells(self, c_start: float, costs: list[float], sold_at: int) -> float:
+    def _book_sells(self, c_start: float, costs: list[float]) -> float:
         """Book the sale of the top len(costs) held bundles, most recent first.
 
         Sale k moves the state from cost costs[k - 1] (c_start for the first)
@@ -249,18 +249,19 @@ class MarketSession:
         sold = 0.0
         for c_next in costs:
             revenue = c_start - c_next
-            self.noise.mark_sold(self.noise.held[-1].time, sold_at=sold_at, revenue=revenue)
+            self.noise.mark_sold()
             self.noise_sell_total += revenue
             sold += revenue
             c_start = c_next
         return sold
 
     def step(self, dq: np.ndarray) -> None:
-        """Process one arrival: fee, trade, then scheduled noise turnover.
+        """Process one arrival: fee, trade, then the counter's noise turnover.
 
-        The states the arrival passes through (after the trade, after each
-        scheduled sell, after the fresh buy) are built in order and costed
-        in one block call: one cost per intermediate state, never
+        Step t sells the tz(t) most recent held bundles (begin_step's count)
+        and buys a fresh one.  The states the arrival passes through (after
+        the trade, after each sell, after the buy) are built in order and
+        costed in one block call: one cost per intermediate state, never
         telescoped, because the noise cash is a small difference of large
         costs.
         """
@@ -270,9 +271,8 @@ class MarketSession:
             raise MarketClosedError(f"session already has {self.params.T} arrivals")
         dq = check_bundle(dq, self.params.d)
 
-        event = self.noise.begin_step()
+        n_sells = self.noise.begin_step()
         z = self.noise.draw(self.rng)
-        n_sells = len(event.sells)
         # rows: after the trade, after each sell, after the buy, the true state
         chain = np.empty((n_sells + 3, self.params.d))
         np.add(self.q_hat, dq, out=chain[0])
@@ -286,10 +286,9 @@ class MarketSession:
         self.fee_total += self.params.fee
         self.trade_payments += costs[0] - self.c_hat
         self.q_true = q_true
-        self._book_sells(costs[0], costs[1:-1], event.buy)
-        bundle = self.noise.new_bundle(z)
-        bundle.buy_cost = costs[-1] - costs[-2]
-        self.noise_buy_total += bundle.buy_cost
+        self._book_sells(costs[0], costs[1:-1])
+        self.noise.new_bundle(z)
+        self.noise_buy_total += costs[-1] - costs[-2]
         self.bundle_l2_total += math.sqrt(z.dot(z))  # np.linalg.norm's own formula
 
         self.q_hat = _published(state)
@@ -315,7 +314,7 @@ class MarketSession:
         np.subtract(self.q_hat, self.noise.held_sum(), out=chain[-1])
         *sell_costs, batch_cost = self.cost.cost(chain[1:]).tolist()
         batch = self.c_hat - batch_cost
-        sold = self._book_sells(self.c_hat, sell_costs, self.noise.t)
+        sold = self._book_sells(self.c_hat, sell_costs)
         self.q_hat = _published(chain[n_sells])
         if sell_costs:
             self.c_hat = sell_costs[-1]

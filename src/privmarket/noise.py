@@ -8,10 +8,12 @@ its lowest set bit cleared, the published state is
 
 so at most ceil(log2 T) bundles are ever stacked, and each partial sum of
 trades sum_{s(t) < s <= t} dq^s is covered by exactly one bundle.  The
-noise trader realizes this by selling, at step t, the bundles bought at
-times t-1, t-2, t-4, ..., t-2^{j-1} (where t = 2^j * odd) most recent
-first, then buying a fresh bundle z^t.  The bundles still held after step
-t are exactly the one-bit prefixes of t, i.e. the path {t, s(t), ...}.
+noise trader realizes this by selling, at step t, its tz(t) most recent
+bundles, where tz(t) is the number of trailing zero bits of t (they were
+bought at t-1, t-2, t-4, ..., t-2^{tz(t)-1}), then buying a fresh bundle
+z^t.  The bundles still held after step t are exactly the one-bit prefixes
+of t, i.e. the path {t, s(t), ...}, so the ledger is a stack of
+(buy time, value) pairs.
 """
 
 from __future__ import annotations
@@ -21,13 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError
-
-
-def low_bit(t: int) -> int:
-    """Value of the lowest set bit of t (t >= 1): low_bit(12) == 4."""
-    if t < 1:
-        raise InvalidParameterError("t must be >= 1")
-    return t & -t
 
 
 def s_flip(t: int) -> int:
@@ -49,34 +44,6 @@ def noise_scale(T: int, epsilon: float) -> float:
     if epsilon <= 0.0:
         raise InvalidParameterError("epsilon must be positive")
     return 2.0 * tree_depth(T) / epsilon
-
-
-@dataclass(frozen=True)
-class ScheduleEvent:
-    """Noise trades at step t: sell the listed bundle times, then buy z^t.
-
-    sells is ordered most-recent-first, the reverse of purchase order.
-    """
-
-    buy: int
-    sells: tuple[int, ...]
-
-
-def events_at(t: int) -> ScheduleEvent:
-    """Bundle turnover at step t.
-
-    With t = 2^j * m for odd m, the schedule sells the bundles bought at
-    t-1, t-2, t-4, ..., t-2^{j-1} (the trailing-one bits cleared when the
-    counter increments from t-1 to t) and then buys z^t.
-    """
-    if t < 1:
-        raise InvalidParameterError("t must be >= 1")
-    sells = []
-    step = 1
-    while step <= (low_bit(t) >> 1):
-        sells.append(t - step)
-        step <<= 1
-    return ScheduleEvent(buy=t, sells=tuple(sells))
 
 
 def participation_table(T: int) -> np.ndarray:
@@ -114,28 +81,11 @@ def sample_bundle(d: int, scale: float, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass
-class NoiseBundle:
-    """One noise purchase and its lifecycle cash flows."""
-
-    time: int
-    value: np.ndarray
-    buy_cost: float = 0.0
-    sold_at: int | None = None
-    sell_revenue: float | None = None
-
-    @property
-    def realized_loss(self) -> float:
-        if self.sell_revenue is None:
-            raise InvalidStateError(f"bundle {self.time} has not been sold")
-        return self.buy_cost - self.sell_revenue
-
-
-@dataclass
 class NoiseLedger:
-    """Bundle bookkeeping for one market session.
+    """The noise trader's binary counter for one market session.
 
-    held is the stack of bundles still owned, oldest at the bottom.  The
-    schedule always sells the most recent bundle first, so a sale pops the
+    held is the stack of (buy time, value) pairs still owned, oldest at the
+    bottom.  Step t sells the tz(t) most recent bundles, so a sale pops the
     top, and after every step the stack holds exactly the one-bits of the
     step counter: at most floor(log2 t) + 1 bundles.  noise_off swaps the
     sampled values for zeros (schedule and bookkeeping unchanged) so tests
@@ -146,7 +96,7 @@ class NoiseLedger:
     scale: float
     noise_off: bool = False
     t: int = 0
-    held: list[NoiseBundle] = field(default_factory=list)
+    held: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
     def path_times(self) -> list[int]:
         """The stack {t, s(t), s(s(t)), ...} down to (not including) 0."""
@@ -159,22 +109,20 @@ class NoiseLedger:
 
     def held_sum(self) -> np.ndarray:
         total = np.zeros(self.d)
-        for bundle in self.held:
-            total += bundle.value
+        for _, value in self.held:
+            total += value
         return total
 
-    def begin_step(self) -> ScheduleEvent:
-        """Advance the counter and report which bundles turn over."""
+    def begin_step(self) -> int:
+        """Advance the counter to t and return tz(t), the number of bundles step t sells."""
         self.t += 1
-        return events_at(self.t)
+        return (self.t & -self.t).bit_length() - 1
 
-    def mark_sold(self, time: int, sold_at: int, revenue: float) -> None:
-        """Pop the top bundle, which must be the one bought at ``time``."""
-        if not self.held or self.held[-1].time != time:
-            raise InvalidStateError(f"bundle {time} is not on top of the held stack")
-        bundle = self.held.pop()
-        bundle.sold_at = sold_at
-        bundle.sell_revenue = revenue
+    def mark_sold(self) -> None:
+        """Pop the top bundle, the most recent one held."""
+        if not self.held:
+            raise InvalidStateError("no held bundle to sell")
+        self.held.pop()
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
         """Value of the next bundle: d Laplace draws, or zeros under noise_off.
@@ -184,16 +132,14 @@ class NoiseLedger:
         """
         return np.zeros(self.d) if self.noise_off else sample_bundle(self.d, self.scale, rng)
 
-    def new_bundle(self, value: np.ndarray) -> NoiseBundle:
+    def new_bundle(self, value: np.ndarray) -> None:
         """Push the bundle of step t, whose value came from draw."""
-        if self.held and self.held[-1].time == self.t:
+        if self.held and self.held[-1][0] == self.t:
             raise InvalidStateError(f"bundle {self.t} already exists")
-        bundle = NoiseBundle(time=self.t, value=value)
-        self.held.append(bundle)
-        return bundle
+        self.held.append((self.t, value))
 
     def verify_held(self) -> None:
         """held must equal the one-bit prefixes of t after every step."""
-        times = [bundle.time for bundle in reversed(self.held)]
+        times = [time for time, _ in reversed(self.held)]
         if times != self.path_times():
             raise InvalidStateError(f"held {times} != counter bits {self.path_times()}")

@@ -23,7 +23,6 @@ import numpy as np
 
 from .cost import ScaledCost
 from .errors import InvalidParameterError, StrategyBugError, TradeRejectedError
-from .market import check_bundle
 
 STRATEGY_KINDS = ("belief", "arbitrage_hunter", "herd", "random", "abstainer")
 
@@ -41,11 +40,6 @@ class StrategyContext:
     p_hat: np.ndarray
     fee: float
     cost: ScaledCost
-
-
-def expected_profit(ctx: StrategyContext, belief: np.ndarray, dq: np.ndarray) -> float:
-    """<dq, belief> minus the trade's cost at the current published state."""
-    return float(dq @ belief) - ctx.cost.trade_cost(ctx.q_hat, dq)
 
 
 def _best_scale(ctx: StrategyContext, belief: np.ndarray, j: int, sign: float) -> float:
@@ -72,7 +66,8 @@ def maximize_profit(
     Prices the full trades +/- e_j for every coordinate in one block, picks
     the most profitable (ties: lowest coordinate index, buy over sell), then
     line searches the size along that direction.  Each profit is
-    <dq, belief> - (C(q_hat + dq) - C(q_hat)), as in expected_profit.
+    <dq, belief> - (C(q_hat + dq) - C(q_hat)): the belief's expected payout
+    minus the trade's cost at the published state.
     Returns (bundle, profit).
     """
     belief = np.asarray(belief, dtype=float)
@@ -251,20 +246,19 @@ def make_strategy(kind: str, params: dict | None, d: int, rng: np.random.Generat
 
 
 def step_strategy(strategy: Strategy, ctx: StrategyContext) -> Optional[np.ndarray]:
-    """Ask a strategy for its decision and validate the bundle."""
-    dq = strategy.decide(ctx)
-    if dq is None:
-        return None
-    try:
-        return check_bundle(dq, ctx.cost.d)
-    except TradeRejectedError as exc:
-        raise StrategyBugError(f"{strategy.kind} returned a bad bundle: {exc}") from exc
+    """Ask a strategy for its decision: a bundle, or None to abstain.
+
+    This is the strategy-decision boundary the benchmark tracer times.  The
+    bundle is validated once, by the MarketSession.step it goes to.
+    """
+    return strategy.decide(ctx)
 
 
 def drive_session(session, stream: Iterator) -> bool:
     """Feed potential arrivals from stream until the session fills.
 
-    Returns True when the stream ran dry first.
+    A bundle the session rejects is the strategy's fault and raises
+    StrategyBugError.  Returns True when the stream ran dry first.
     """
     while not session.is_full:
         try:
@@ -280,5 +274,8 @@ def drive_session(session, stream: Iterator) -> bool:
         )
         dq = step_strategy(strat, ctx)
         if dq is not None:
-            session.step(dq)
+            try:
+                session.step(dq)
+            except TradeRejectedError as exc:
+                raise StrategyBugError(f"{strat.kind} returned a bad bundle: {exc}") from exc
     return False

@@ -4,8 +4,9 @@ Slow reference routes (a grid-search price solve, finite-difference price
 sensitivity, brute-force participation counts, bundle path sums) that no
 simulation path uses, and the per-state engine the batched cost kernel
 replaced: a scalar log-sum-exp and softmax, the sequential best-response
-search and a step that costs one state per call.  The batched kernel uses
-the same arithmetic, so the tests compare against these with ==.
+search and a step that costs one state per call, with its own per-bundle
+bookkeeping.  The batched kernel uses the same arithmetic, so the tests
+compare against these with ==.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from privmarket import (
     InvalidStateError,
     Ledger,
     MarketParams,
-    NoiseLedger,
     ScaledCost,
     StrategyContext,
-    low_bit,
     noise_scale,
     s_flip,
+    sample_bundle,
 )
 from privmarket.traders import _best_scale
 
@@ -85,68 +85,85 @@ def reference_maximize_profit(
     return dq, best_profit
 
 
+@dataclass
+class ReferenceBundle:
+    """One noise purchase and its cash flows, as ReferenceSession books them."""
+
+    time: int
+    value: np.ndarray
+    buy_cost: float
+    sold_at: int | None = None
+    revenue: float | None = None
+
+
 class ReferenceSession:
     """The per-state step engine: one scalar cost call per state.
 
     It keeps the same cash totals and gaps as MarketSession and draws each
     buy after booking the sells, so agreement also shows that drawing the
-    bundle first leaves the noise stream unchanged.  It runs no checks; it
-    is a reference for the numbers.
+    bundle first leaves the noise stream unchanged.  Its noise bookkeeping is
+    its own: step t sells the bundles bought at t - 1, t - 2, t - 4, ... for
+    each trailing zero bit of t, looked up by time, and every bundle ever
+    bought stays in ``bundles`` with its buy cost, sale time and revenue.
+    It runs no checks; it is a reference for the numbers.
     """
 
     def __init__(self, params: MarketParams, rng: np.random.Generator):
         self.params = params
         self.cost = ScaledCost(d=params.d, lam=params.lam)
         self.rng = rng
+        self.scale = noise_scale(params.T, params.epsilon)
         self.q_init = np.zeros(params.d)
         self.q_true = np.zeros(params.d)
         self.q_hat = np.zeros(params.d)
         self.p_hat = reference_prices(self.cost, self.q_hat)
         self.c_hat = reference_cost(self.cost, self.q_hat)
-        self.noise = NoiseLedger(
-            d=params.d, scale=noise_scale(params.T, params.epsilon), noise_off=params.noise_off
-        )
+        self.bundles: dict[int, ReferenceBundle] = {}  # every bundle bought, by time
+        self.held: dict[int, ReferenceBundle] = {}  # still owned, oldest first
         self.arrivals = 0
         self.trade_payments = self.fee_total = 0.0
         self.noise_buy_total = self.noise_sell_total = 0.0
         self.max_price_gap = self.max_share_gap = self.bundle_l2_total = 0.0
 
-    def _sell_top(self, state, c_state, sold_at):
-        bundle = self.noise.held[-1]
+    def _sell(self, time, state, c_state):
+        bundle = self.held.pop(time)
         state = state - bundle.value
         c_next = reference_cost(self.cost, state)
-        revenue = c_state - c_next
-        self.noise.mark_sold(bundle.time, sold_at=sold_at, revenue=revenue)
-        self.noise_sell_total += revenue
+        bundle.sold_at = self.arrivals
+        bundle.revenue = c_state - c_next
+        self.noise_sell_total += bundle.revenue
         return state, c_next
 
     def step(self, dq: np.ndarray) -> None:
+        t = self.arrivals = self.arrivals + 1
         self.fee_total += self.params.fee
         state = self.q_hat + dq
         c_state = reference_cost(self.cost, state)
         self.trade_payments += c_state - self.c_hat
         self.q_true = self.q_true + dq
-        event = self.noise.begin_step()
-        for _ in event.sells:
-            state, c_state = self._sell_top(state, c_state, event.buy)
-        bundle = self.noise.new_bundle(self.noise.draw(self.rng))
-        state = state + bundle.value
+        gap = 1
+        while not t & gap:  # one sale per trailing zero bit of t
+            state, c_state = self._sell(t - gap, state, c_state)
+            gap <<= 1
+        d = self.params.d
+        value = np.zeros(d) if self.params.noise_off else sample_bundle(d, self.scale, self.rng)
+        state = state + value
         c_next = reference_cost(self.cost, state)
-        bundle.buy_cost = c_next - c_state
+        bundle = ReferenceBundle(time=t, value=value, buy_cost=c_next - c_state)
+        self.bundles[t] = self.held[t] = bundle
         self.noise_buy_total += bundle.buy_cost
-        self.bundle_l2_total += float(np.linalg.norm(bundle.value))
+        self.bundle_l2_total += float(np.linalg.norm(value))
         self.q_hat = state
         self.p_hat = reference_prices(self.cost, state)
         self.c_hat = c_next
-        self.arrivals += 1
         price_gap = float(np.sum(np.abs(reference_prices(self.cost, self.q_true) - self.p_hat)))
         self.max_price_gap = max(self.max_price_gap, price_gap)
         self.max_share_gap = max(self.max_share_gap, float(np.sum(np.abs(self.q_true - state))))
 
     def close(self, outcome: int) -> Ledger:
         state, c_state = self.q_hat, self.c_hat
-        while self.noise.held:
-            state, c_state = self._sell_top(state, c_state, self.noise.t)
+        for time in sorted(self.held, reverse=True):
+            state, c_state = self._sell(time, state, c_state)
         self.q_hat, self.c_hat = state, c_state
         payouts = float(self.q_true[outcome] - self.q_init[outcome])
         mm_loss = payouts - (
@@ -274,6 +291,13 @@ def participation_count(t_prime: int, T: int) -> int:
         if s_flip(t) < t_prime:
             count += 1
     return count
+
+
+def low_bit(t: int) -> int:
+    """Value of the lowest set bit of t (t >= 1): low_bit(12) == 4."""
+    if t < 1:
+        raise InvalidParameterError("t must be >= 1")
+    return t & -t
 
 
 def bundle_gap_total(T_prime: int, include_final: bool = True) -> int:

@@ -20,10 +20,9 @@ from privmarket import (
     RandomTrader,
     RunConfig,
     ScaledCost,
+    NoiseLedger,
     budget_bound,
-    events_at,
     lambda_star,
-    low_bit,
     maximize_profit,
     minimal_T,
     privacy_audit,
@@ -38,7 +37,7 @@ from privmarket import (
 )
 from privmarket.traders import StrategyContext, best_response
 
-from oracles import ftrl_price, noise_path_sum, participation_count
+from oracles import ftrl_price, low_bit, noise_path_sum, participation_count
 
 MARKET = {"d": 2, "epsilon": 1.0, "alpha": 0.3, "gamma": 0.1, "T": 64}
 SEEDS = 500
@@ -94,26 +93,30 @@ def test_price_sensitivity_formula(report):
 
 
 def test_schedule_combinatorics_exhaustive(report):
+    # drives the engine's NoiseLedger: its sell count and held stack are
+    # checked against the bits of t
     start = time.monotonic()
     rng = np.random.default_rng(0)
-    held: set[int] = set()
+    ledger = NoiseLedger(d=1, scale=1.0)
     sold_at: dict[int, int] = {}
     values: dict[int, float] = {}
     running = 0.0
     violations = 0
     horizon = 2 ** 14
     for t in range(1, horizon + 1):
-        ev = events_at(t)
-        for s in ev.sells:
-            if s not in held or s in sold_at or t - s != low_bit(s):
+        n_sells = ledger.begin_step()
+        if ledger.t != t or n_sells != low_bit(t).bit_length() - 1:
+            violations += 1
+        for _ in range(n_sells):
+            s = ledger.held[-1][0]
+            if s in sold_at or t - s != low_bit(s):
                 violations += 1
-            held.discard(s)
+            ledger.mark_sold()
             sold_at[s] = t
             running -= values[s]
-        if ev.buy != t or t in held:
-            violations += 1
-        held.add(t)
         values[t] = float(rng.normal())
+        ledger.new_bundle(np.array([values[t]]))
+        held = {u for u, _ in ledger.held}
         running += values[t]
         # held set == one-bit prefixes of the counter
         expect = set()

@@ -179,6 +179,8 @@ BAD_ENTRIES = {
     "market T past the cap": {"market": dict(BASE["market"], T=MAX_T + 1)},
     "market T of 2**62": {"market": dict(BASE["market"], T=2**62)},
     "stage_override past the cap": {"adaptive": {"stage_override": MAX_T + 1}},
+    # stages of 1.8e14, 7.2e14 and 2.9e15 arrivals
+    "stage plan past the cap": {"market": dict(BASE["market"], alpha=1e-4), "adaptive": {}},
 }
 
 
@@ -459,9 +461,16 @@ def test_caps_on_d_and_max_stages(capsys):
     assert _cfg(traders=roster).traders[0].count == MAX_TRADERS
     with pytest.raises(ConfigError, match=f"total count must be <= {MAX_TRADERS}"):
         _cfg(traders=[{"kind": "herd", "count": 10**9}])
-    # paper-scale stage 3 (d = 2) fits under the horizon cap
+    # paper-scale stage 3 (d = 2) fits under the horizon cap, and so does the
+    # paper-scale three-stage plan
     assert _cfg(market=dict(BASE["market"], T=MAX_T)).T == MAX_T >= 60_895_344
-    assert _cfg(adaptive={"stage_override": MAX_T}).stage_override == MAX_T
+    paper = _cfg(market=dict(BASE["market"], T=64), adaptive={})
+    assert [m.T for m in paper.markets()] == [3_805_959, 15_223_836, 60_895_344]
+    assert sum(m.T for m in paper.markets()) == 79_925_139 <= MAX_T
+    # the cap bounds the plan's total: one stage of MAX_T loads, three do not
+    assert _cfg(adaptive={"stage_override": MAX_T, "max_stages": 1}).stage_override == MAX_T
+    with pytest.raises(ConfigError, match=f"stage plan's {3 * MAX_T} arrivals exceed {MAX_T}"):
+        _cfg(adaptive={"stage_override": MAX_T})
     with pytest.raises(ConfigError, match=f"market.T must be <= {MAX_T}"):
         _cfg(market=dict(BASE["market"], T=MAX_T + 1))
     with pytest.raises(ConfigError, match="market.T must be >= 2"):

@@ -126,9 +126,10 @@ def test_step_equals_the_per_state_reference_over_a_mixed_session():
         traded += 1
         for name in SESSION_FIELDS:
             assert np.array_equal(getattr(session, name), getattr(reference, name)), name
-        assert [b.time for b in session.noise.held] == [b.time for b in reference.noise.held]
-        for ours, theirs in zip(session.noise.held, reference.noise.held):
-            assert np.array_equal(ours.value, theirs.value) and ours.buy_cost == theirs.buy_cost
+        # held (time, value) pairs, oldest first; noise_buy_total is in SESSION_FIELDS
+        assert [time for time, _ in session.noise.held] == list(reference.held)
+        for (_, ours), theirs in zip(session.noise.held, reference.held.values()):
+            assert np.array_equal(ours, theirs.value)
     assert traded == params.T
     assert session.close(outcome=1) == reference.close(outcome=1)
     assert np.array_equal(session.q_hat, reference.q_hat) and session.c_hat == reference.c_hat

@@ -14,10 +14,11 @@ from privmarket import (
     TradeRejectedError,
     lambda_star,
     loss_bounds,
-    low_bit,
     noise_scale_K,
     open_market,
 )
+
+from oracles import ReferenceSession, low_bit
 
 
 def test_lambda_star_worked_values():
@@ -162,13 +163,13 @@ def test_full_and_closed_errors():
 def test_close_rejects_unknown_outcome():
     session = open_market(_unsafe_params(T=4), rng=0)
     session.step(np.array([1.0, 0.0]))
-    held = [bundle.time for bundle in session.noise.held]
+    held = [time for time, _ in session.noise.held]
     for outcome in (2, -1):  # d == 2
         with pytest.raises(InvalidParameterError):
             session.close(outcome)
         # nothing was sold back or settled: the session stays open
         assert not session.closed
-        assert [bundle.time for bundle in session.noise.held] == held
+        assert [time for time, _ in session.noise.held] == held
     session.step(np.array([0.0, 1.0]))
     assert session.close(1).arrivals == 2
 
@@ -233,24 +234,25 @@ def test_ledger_identities():
 
 def test_bundle_loss_pathwise_bound():
     # each bundle's realized loss obeys |loss| <= lam * span * ||z||_inf where
-    # span counts the arrivals between purchase and sale
+    # span counts the arrivals between purchase and sale; the per-bundle cash
+    # comes from the reference engine, whose ledger equals the session's
     params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=32)
     for seed in range(20):
         session = open_market(params, rng=seed)
+        reference = ReferenceSession(params, np.random.default_rng(seed))
         rng = np.random.default_rng(200 + seed)
-        bundles = {}
         for _ in range(32):
             dq = np.zeros(2)
             dq[rng.integers(2)] = rng.choice([-1.0, 1.0])
             session.step(dq)
-            # every bundle is on the held stack right after the step buying it
-            bundles.update((b.time, b) for b in session.noise.held)
-        session.close(0)
+            reference.step(dq)
+        assert session.close(0) == reference.close(0)
+        bundles = reference.bundles
         assert sorted(bundles) == list(range(1, 33))
         for bundle in bundles.values():
             span = bundle.sold_at - bundle.time
             cap = params.lam * span * float(np.max(np.abs(bundle.value)))
-            assert abs(bundle.realized_loss) <= cap * (1 + 1e-9) + 1e-12
+            assert abs(bundle.buy_cost - bundle.revenue) <= cap * (1 + 1e-9) + 1e-12
             if bundle.sold_at != session.noise.t:
                 assert span == low_bit(bundle.time)
 

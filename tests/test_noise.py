@@ -1,4 +1,4 @@
-"""Binary-counter schedule: exhaustive combinatorics plus noise-draw statistics."""
+"""Binary-counter noise ledger: exhaustive combinatorics plus noise-draw statistics."""
 
 import math
 
@@ -9,8 +9,6 @@ from privmarket import (
     InvalidParameterError,
     InvalidStateError,
     NoiseLedger,
-    events_at,
-    low_bit,
     noise_scale,
     participation_table,
     s_flip,
@@ -18,7 +16,29 @@ from privmarket import (
     tree_depth,
 )
 
-from oracles import bundle_gap_total, noise_path_sum, participation_count
+from oracles import bundle_gap_total, low_bit, noise_path_sum, participation_count
+
+
+def _turn_over(led, value):
+    """One counter step: sell begin_step's count from the top, then buy value.
+
+    Returns the buy times of the sold bundles, in the order they were sold.
+    """
+    sold = []
+    for _ in range(led.begin_step()):
+        sold.append(led.held[-1][0])
+        led.mark_sold()
+    led.new_bundle(value)
+    led.verify_held()
+    return sold
+
+
+def _trailing_zeros(t):
+    count = 0
+    while t % 2 == 0:
+        t //= 2
+        count += 1
+    return count
 
 
 def test_bit_helpers():
@@ -42,32 +62,29 @@ def test_tree_depth_and_scale():
         noise_scale(16, 0.0)
 
 
-def test_events_at_worked_examples():
-    ev = events_at(1)
-    assert ev.buy == 1 and ev.sells == ()
-    ev = events_at(4)
-    assert ev.buy == 4 and ev.sells == (3, 2)
-    ev = events_at(8)
-    assert ev.buy == 8 and ev.sells == (7, 6, 4)
-    ev = events_at(12)
-    assert ev.buy == 12 and ev.sells == (11, 10)
-    ev = events_at(5)
-    assert ev.buy == 5 and ev.sells == ()
-    with pytest.raises(InvalidParameterError):
-        events_at(0)
+def test_sell_schedule_worked_examples():
+    led = NoiseLedger(d=1, scale=1.0)
+    sells = {t: _turn_over(led, np.zeros(1)) for t in range(1, 13)}
+    assert sells[1] == []
+    assert sells[4] == [3, 2]
+    assert sells[8] == [7, 6, 4]
+    assert sells[12] == [11, 10]
+    assert sells[5] == []
+    assert [time for time, _ in led.held] == [8, 12]
 
 
 def test_counter_equivalence_exhaustive():
     # held set after step t == set of one-bits of t, for every t up to 2**14
-    held = set()
+    led = NoiseLedger(d=1, scale=1.0)
     sold_at = {}
     for t in range(1, 2 ** 14 + 1):
-        ev = events_at(t)
-        for s in ev.sells:
-            assert s in held
-            held.remove(s)
+        sold = _turn_over(led, np.zeros(1))
+        assert len(sold) == _trailing_zeros(t)
+        for s in sold:
+            assert s not in sold_at
             sold_at[s] = t
-        held.add(ev.buy)
+        held = {time for time, _ in led.held}
+        assert len(held) == len(led.held)
         # rebuild independently: the one-bit prefixes of t
         expect = set()
         rem = t
@@ -84,13 +101,13 @@ def test_counter_equivalence_exhaustive():
 def test_path_sum_equivalence_exhaustive():
     # running ledger value == sum over the s-chain of t, for every t up to 2**14
     rng = np.random.default_rng(0)
+    led = NoiseLedger(d=1, scale=1.0)
     values = {}
     held_total = 0.0
     for t in range(1, 2 ** 14 + 1):
-        ev = events_at(t)
-        for s in ev.sells:
-            held_total -= values[s]
         values[t] = float(rng.normal())
+        for s in _turn_over(led, np.array([values[t]])):
+            held_total -= values[s]
         held_total += values[t]
         assert held_total == pytest.approx(float(noise_path_sum(t, values)), abs=1e-9)
 
@@ -171,18 +188,14 @@ def test_ledger_lifecycle():
     rng = np.random.default_rng(2)
     led = NoiseLedger(d=2, scale=4.0)
     for t in range(1, 17):
-        ev = led.begin_step()
-        assert ev.buy == t
-        for s in ev.sells:
-            led.mark_sold(s, sold_at=t, revenue=0.0)
-        led.new_bundle(led.draw(rng))
-        led.verify_held()
-        assert [b.time for b in reversed(led.held)] == led.path_times()
+        _turn_over(led, led.draw(rng))
+        assert led.t == t
+        assert [time for time, _ in reversed(led.held)] == led.path_times()
         got = led.held_sum()
-        expect = noise_path_sum(t, {b.time: b.value for b in led.held})
+        expect = noise_path_sum(t, dict(led.held))
         assert got == pytest.approx(expect, abs=1e-12)
     # t = 16: held is exactly {16}
-    assert [b.time for b in led.held] == [16]
+    assert [time for time, _ in led.held] == [16]
 
 
 def test_ledger_noise_off_is_zero():
@@ -190,19 +203,21 @@ def test_ledger_noise_off_is_zero():
     led = NoiseLedger(d=3, scale=4.0, noise_off=True)
     led.begin_step()
     led.new_bundle(led.draw(rng))
-    assert np.array_equal(led.held[0].value, np.zeros(3))
+    assert np.array_equal(led.held[0][1], np.zeros(3))
     assert np.array_equal(led.held_sum(), np.zeros(3))
 
 
 def test_ledger_misuse_errors():
     rng = np.random.default_rng(4)
     led = NoiseLedger(d=1, scale=1.0)
+    with pytest.raises(InvalidStateError):
+        led.mark_sold()  # nothing bought yet
     led.begin_step()
     led.new_bundle(led.draw(rng))
     with pytest.raises(InvalidStateError):
-        led.mark_sold(99, sold_at=2, revenue=0.0)  # never bought
-    with pytest.raises(InvalidStateError):
         led.new_bundle(led.draw(rng))  # double buy in one step
-    led.mark_sold(1, sold_at=2, revenue=0.0)
+    led.mark_sold()
     with pytest.raises(InvalidStateError):
-        led.mark_sold(1, sold_at=2, revenue=0.0)  # double sell
+        led.mark_sold()  # double sell: the stack is empty again
+    with pytest.raises(InvalidStateError):
+        led.verify_held()  # step 1 must hold its bundle

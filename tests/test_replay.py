@@ -3,7 +3,8 @@
 The oracle rebuilds a whole session from the seed alone: it redraws every
 noise bundle with sample_bundle from the same generator, rebuilds each
 published state as q^t + noise_path_sum(t), and recomputes every cash flow
-from the events_at schedule with plain per-step cost calls.  It shares no
+from the bits of t with plain per-step cost calls: step t sells the bundles
+bought at t - 1, t - 2, t - 4, ... for each trailing zero bit.  It shares no
 state with MarketSession, so ledger agreement checks the cached costs, the
 held stack and the running metrics of the engine.
 """
@@ -20,7 +21,6 @@ from privmarket import (
     RandomTrader,
     ScaledCost,
     drive_session,
-    events_at,
     noise_scale,
     open_market,
     sample_bundle,
@@ -61,10 +61,12 @@ def _replay(params: MarketParams, trades, seed: int) -> dict:
         payments += cost.cost(q_hat + dq) - cost.cost(q_hat)
         q = q + dq
         state = q_hat + dq
-        event = events_at(t)
-        for s in event.sells:
+        gap = 1
+        while not t & gap:
+            s = t - gap
             sells += cost.cost(state) - cost.cost(state - z[s])
             state = state - z[s]
+            gap <<= 1
         buys += cost.cost(state + z[t]) - cost.cost(state)
         q_hat = q + noise_path_sum(t, z)
         assert state + z[t] == pytest.approx(q_hat, rel=1e-12, abs=1e-9)

@@ -20,12 +20,13 @@ from privmarket import (
     StrategyContext,
     best_response,
     drive_session,
-    expected_profit,
     make_strategy,
     maximize_profit,
     open_market,
     step_strategy,
 )
+
+from oracles import reference_cost
 
 
 def _ctx(q_hat, lam=0.01, fee=0.0, t=1):
@@ -41,10 +42,21 @@ def test_context_exposes_only_published_data():
     assert names == {"t", "q_hat", "p_hat", "fee", "cost"}
 
 
+def _expected_profit(ctx, belief, dq):
+    """<dq, belief> minus the trade's cost at the published state, by the scalar reference."""
+    return float(dq @ belief) - (
+        reference_cost(ctx.cost, ctx.q_hat + dq) - reference_cost(ctx.cost, ctx.q_hat)
+    )
+
+
 def test_expected_profit_worked_value():
     ctx = _ctx([0.0, 0.0], lam=0.01)
-    profit = expected_profit(ctx, np.array([0.8, 0.2]), np.array([1.0, 0.0]))
+    profit = _expected_profit(ctx, np.array([0.8, 0.2]), np.array([1.0, 0.0]))
     assert profit == pytest.approx(0.29875000520830786, abs=1e-12)
+    # the full unit buy is also the package's best trade here, at the same profit
+    dq, best = maximize_profit(ctx, np.array([0.8, 0.2]))
+    assert np.array_equal(dq, [1.0, 0.0])
+    assert best == pytest.approx(0.29875000520830786, abs=1e-12)
 
 
 def test_best_response_worked_example():
@@ -87,7 +99,7 @@ def test_fractional_refinement_lands_on_belief():
     post = ctx.cost.prices(ctx.q_hat + dq)
     assert post[0] == pytest.approx(0.6, abs=1e-9)
     # refinement must never lose to the full unit trade it refines
-    full = expected_profit(ctx, belief, np.array([1.0, 0.0]))
+    full = _expected_profit(ctx, belief, np.array([1.0, 0.0]))
     assert profit >= full
 
 
@@ -195,6 +207,9 @@ def test_make_strategy():
 
 
 def test_step_strategy_validates_bundles():
+    # step_strategy only asks; the session validates each bundle once, and
+    # drive_session blames the strategy for a bundle the session rejects
+    params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=4)
     ctx = _ctx([0.0, 0.0], lam=0.01)
 
     class Oversize(Strategy):
@@ -216,8 +231,10 @@ def test_step_strategy_validates_bundles():
             return np.array([np.inf, 0.0])
 
     for bad in (Oversize(), WrongShape(), NotFinite()):
-        with pytest.raises(StrategyBugError):
-            step_strategy(bad, ctx)
+        session = open_market(params, rng=0)
+        with pytest.raises(StrategyBugError, match=f"{bad.kind} returned a bad bundle"):
+            drive_session(session, iter([bad]))
+        assert session.arrivals == 0 and session.noise.t == 0
     assert step_strategy(Abstainer(), ctx) is None
     assert step_strategy(Herd(), ctx) is not None
 
