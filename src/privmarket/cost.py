@@ -26,11 +26,11 @@ def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     row goes through the same ufuncs as a lone state, so a row's result does
     not depend on the block it is evaluated in.
     """
-    m = x.max(axis=-1, keepdims=True)
-    if not np.isfinite(m).all():
+    m = np.maximum.reduce(x, axis=-1, keepdims=True)
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise InvalidParameterError("share vector contains non-finite entries")
     e = np.exp(x - m)
-    return m, e, e.sum(axis=-1, keepdims=True)
+    return m, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,13 @@ class ScaledCost:
             )
         return q
 
+    def _terms(self, q: np.ndarray):
+        """Checked q's costs, exp(lam * q - m) and its row sums, from one exp pass."""
+        q = self._check_q(q)
+        m, e, total = _shifted_exp(self.lam * q)
+        c = (m + np.log(total))[..., 0] / self.lam
+        return (float(c) if q.ndim == 1 else c), e, total
+
     def cost(self, q: np.ndarray) -> float | np.ndarray:
         """C(q) = (1/lam) * ln sum_j exp(lam * q_j).
 
@@ -66,16 +73,16 @@ class ScaledCost:
         giving their n costs.  A state with a non-finite maximum raises, here
         and in prices.
         """
-        q = self._check_q(q)
-        m, _, total = _shifted_exp(self.lam * q)
-        c = (m + np.log(total))[..., 0] / self.lam
-        return float(c) if q.ndim == 1 else c
+        return self._terms(q)[0]
 
     def prices(self, q: np.ndarray) -> np.ndarray:
         """Instantaneous prices softmax(lam * q), per row of a block; positive, sum to 1."""
-        q = self._check_q(q)
-        _, e, total = _shifted_exp(self.lam * q)
-        return e / total
+        return self.cost_and_prices(q)[1]
+
+    def cost_and_prices(self, q: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+        """cost(q) and prices(q) from one pass, bit for bit the values of the two calls."""
+        c, e, total = self._terms(q)
+        return c, e / total
 
     def trade_cost(self, q: np.ndarray, dq: np.ndarray) -> float:
         """Payment for moving the share state from q to q + dq."""

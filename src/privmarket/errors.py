@@ -14,7 +14,14 @@ class InvalidStateError(PrivMarketError, RuntimeError):
 
 
 class TradeRejectedError(PrivMarketError, ValueError):
-    """A submitted trade bundle violates the per-trade size limit."""
+    """A submitted trade bundle violates the per-trade size limit.
+
+    row is the index of the first bad bundle of the block that was stepped.
+    """
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 class MarketClosedError(PrivMarketError, RuntimeError):

@@ -45,8 +45,9 @@ so d is bounded before anything is built from it."""
 
 MAX_T = 2**30
 """Largest horizon a config may ask for: market.T, adaptive.stage_override,
-and the total arrivals of a stage plan.  A trial steps until its markets
-fill, so the horizon is bounded before a trial runs.  The paper-scale plan
+the total arrivals of a stage plan, and stream_length.  A trial steps until
+its markets fill or its stream ends, so both are bounded before a trial
+runs.  The paper-scale plan
 at default sizing (d=2, three stages) is 79,925,139 arrivals, well inside
 the cap."""
 
@@ -286,7 +287,7 @@ SCHEMA = {
         ("seeds", None, _section("seeds"), {"count": 100}),
         ("arrival_order", "arrival_order", _one_of("round_robin", "sequential"),
          "round_robin"),
-        ("stream_length", "stream_length", _nullable(_int_in(1)), None),
+        ("stream_length", "stream_length", _nullable(_int_in(1, MAX_T)), None),
         ("adaptive", None, _section("adaptive"), {"enabled": False}),
     ),
     "market": (

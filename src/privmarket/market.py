@@ -164,14 +164,36 @@ class Ledger:
 
 
 def check_bundle(dq, d: int) -> np.ndarray:
-    """dq as a float array of shape (d,), finite and of l1 norm at most 1."""
-    dq = np.asarray(dq, dtype=float)
-    if dq.shape != (d,):
-        raise TradeRejectedError(f"bundle must have shape ({d},), got {dq.shape}")
-    size = float(np.abs(dq).sum())
-    if not size <= 1.0 + TRADE_SIZE_TOL:  # also catches nan and inf
-        raise TradeRejectedError(f"bundle l1 norm {size:.6f} exceeds 1")
-    return dq
+    """dq as a float block (k, d): one bundle (d,), or k >= 1 bundles as rows.
+
+    Every bundle must be finite with l1 norm at most 1.  A rejection's row
+    is the index of the first bad bundle.
+    """
+    try:
+        block = np.asarray(dq, dtype=float)
+    except (TypeError, ValueError):  # bundles of different shapes, or not numbers
+        block = None
+    if block is not None and block.shape == (d,):
+        block = block[None]
+    if block is None or block.ndim != 2 or block.shape[1] != d or len(block) == 0:
+        row = _first_misshapen(dq, d)
+        raise TradeRejectedError(f"bundle {row} must have shape ({d},)", row)
+    sizes = np.abs(block).dot(np.ones(d)).tolist()
+    for row, size in enumerate(sizes):
+        if not size <= 1.0 + TRADE_SIZE_TOL:  # also catches nan and inf
+            raise TradeRejectedError(f"bundle {row} l1 norm {size:.6f} exceeds 1", row)
+    return block
+
+
+def _first_misshapen(dq, d: int) -> int:
+    """Index of the first bundle of a list dq whose shape is not (d,); 0 otherwise."""
+    for i, row in enumerate(dq if isinstance(dq, (list, tuple)) else ()):
+        try:
+            if np.shape(row) != (d,):
+                return i
+        except ValueError:  # a ragged row
+            return i
+    return 0
 
 
 def _published(x: np.ndarray) -> np.ndarray:
@@ -234,90 +256,128 @@ class MarketSession:
         """Mean l2 norm of the noise bundles bought so far (one per arrival)."""
         return self.bundle_l2_total / self.arrivals if self.arrivals else 0.0
 
-    def _sell_chain(self, chain: np.ndarray, n_sells: int) -> None:
-        """Fill chain[1 : n_sells + 1]: chain[0] minus the top held bundles, one at a time."""
+    def step(self, dq) -> None:
+        """Book one arrival's bundle (d,), or k arrivals' bundles as a block (k, d), in order.
+
+        Each arrival pays the fee and its trade's cost at the published
+        state; then step t sells the tz(t) most recent held bundles and buys
+        a fresh one.  The states the block passes through (after each trade,
+        each sell and each buy), the true states and the held noise are
+        built as sequential running sums (np.add.accumulate, as cumsum), and
+        one kernel pass costs and prices them: one cost per state, never
+        telescoped, because the noise cash is a small difference of large
+        costs.  The cash totals take the block's amounts one float addition
+        at a time, in arrival order, so a block books bit for bit what its
+        bundles book one at a time.  The checks: held == the counter bits
+        after the block, and published - true == the held noise after every
+        arrival (l1 drift at most 1e-6).  A bad bundle, or a block that
+        would pass T, raises before anything is booked.
+        """
+        if self.closed:
+            raise MarketClosedError("session is closed")
+        block = check_bundle(dq, self.params.d)
+        k = len(block)
+        if self.arrivals + k > self.params.T:
+            raise MarketClosedError(
+                f"session has {self.arrivals} of {self.params.T} arrivals; {k} more do not fit"
+            )
+
+        z = self.noise.draw(self.rng, k)
+        ledger = self.noise
+        held = [value for _, value in ledger.held]
+        m = len(held)
+        # source rows: q_hat, q_true, the trades, the bundles bought, the
+        # held bundles, then minus each bundle sold, in order of sale
+        neg = 2 + 2 * k + m
+        pieces = [self.q_hat, self.q_true, block.ravel(), z.ravel(), *held]
+        n_fixed = len(pieces)
+        # buf rows: q_hat and the published chain (after each trade, sell and
+        # buy); q_true and the true states; the held bundles, then the sells
+        # and buys, whose running sum is the held noise.  buys[i]: the chain
+        # row of arrival i's buy; norms[i]: the l2 norm of its bundle
+        rows, buys, norms = [0], [], []
+        for i in range(k):
+            rows.append(2 + i)
+            for _ in range(ledger.begin_step()):
+                rows.append(neg + len(pieces) - n_fixed)
+                pieces.append(ledger.mark_sold())
+            bought = z[i].copy()  # a held bundle must not keep the whole block alive
+            ledger.new_bundle(bought)
+            norms.append(math.sqrt(bought.dot(bought)))  # np.linalg.norm's own formula
+            rows.append(2 + k + i)
+            buys.append(len(rows) - 1)
+        source = np.concatenate(pieces).reshape(-1, self.params.d)
+        np.negative(source[neg:], out=source[neg:])
+        n, n_true = len(rows), len(rows) + 1 + k  # ends of the chain and true sections
+        noise = [j for j in rows if j >= 2 + k]  # the sells and buys
+        rows.append(1)
+        rows += range(2, 2 + k)
+        rows += range(neg - m, neg)  # the held bundles
+        rows += noise
+        buf = source.take(rows, axis=0)
+        np.add.accumulate(buf[:n], axis=0, out=buf[:n])
+        np.add.accumulate(buf[n:n_true], axis=0, out=buf[n:n_true])
+        np.add.accumulate(buf[n_true:], axis=0, out=buf[n_true:])
+        costs, prices = self.cost.cost_and_prices(buf[:n_true])
+
+        # per arrival: the published state and the held noise after it; the
+        # noise rows skip q_hat and the trades, so buy b of arrival i is
+        # noise row m + b - (i + 2)
+        noise_buys = [n_true + m + b - i - 2 for i, b in enumerate(buys)]
+        picked = buf.take(buys + noise_buys, axis=0)
+        states, held_sums, q_true = picked[:k], picked[k:], buf[n + 1 : n_true]
+        p_hat = prices.take(buys, axis=0)
+        # per arrival, l1 norms row by row as a lone state's: the price gap,
+        # the share gap, and the drift of published - true from the held noise
+        diffs = np.empty((3, k, self.params.d))
+        np.subtract(prices[n + 1 :], p_hat, out=diffs[0])
+        np.subtract(states, q_true, out=diffs[1])
+        np.subtract(diffs[1], held_sums, out=diffs[2])
+        price_gaps, share_gaps, drifts = np.add.reduce(np.abs(diffs, out=diffs), axis=-1).tolist()
+        if max(drifts) > 1e-6:
+            raise InvalidStateError("published state lost sync with held noise")
+        costs = costs.tolist()
+        fee = self.params.fee
+        c_prev, prev = self.c_hat, 0
+        for i, buy in enumerate(buys):  # each amount in booking order, one addition each
+            self.fee_total += fee
+            self.trade_payments += costs[prev + 1] - c_prev
+            for r in range(prev + 2, buy):
+                self.noise_sell_total += costs[r - 1] - costs[r]
+            self.noise_buy_total += costs[buy] - costs[buy - 1]
+            self.bundle_l2_total += norms[i]
+            c_prev, prev = costs[buy], buy
+
+        ledger.verify_held()
+        self.q_true = q_true[-1].copy()  # not a view that keeps buf alive
+        self.q_hat = _published(states[-1])
+        self.p_hat = _published(p_hat[-1])
+        self.c_hat = c_prev
+        self.arrivals += k
+        self.max_price_gap = max(self.max_price_gap, *price_gaps)
+        self.max_share_gap = max(self.max_share_gap, *share_gaps)
+
+    def sell_back_noise(self) -> None:
+        """Unwind all held bundles, most recent first, checking the batch total."""
         held = self.noise.held
+        n_sells = len(held)
+        # rows: q_hat, after each sell, then q_hat minus the held sum in one move
+        chain = np.empty((n_sells + 2, self.params.d))
+        chain[0] = self.q_hat
         for i in range(n_sells):
             np.subtract(chain[i], held[-1 - i][1], out=chain[i + 1])
-
-    def _book_sells(self, c_start: float, costs: list[float]) -> float:
-        """Book the sale of the top len(costs) held bundles, most recent first.
-
-        Sale k moves the state from cost costs[k - 1] (c_start for the first)
-        to costs[k]; its revenue is the drop.  Returns the total revenue.
-        """
-        sold = 0.0
-        for c_next in costs:
+        np.subtract(self.q_hat, self.noise.held_sum(), out=chain[-1])
+        *sell_costs, batch_cost = self.cost.cost(chain[1:]).tolist()
+        batch = self.c_hat - batch_cost
+        sold, c_start = 0.0, self.c_hat
+        for c_next in sell_costs:  # each sale's revenue is the drop in cost
             revenue = c_start - c_next
             self.noise.mark_sold()
             self.noise_sell_total += revenue
             sold += revenue
             c_start = c_next
-        return sold
-
-    def step(self, dq: np.ndarray) -> None:
-        """Process one arrival: fee, trade, then the counter's noise turnover.
-
-        Step t sells the tz(t) most recent held bundles (begin_step's count)
-        and buys a fresh one.  The states the arrival passes through (after
-        the trade, after each sell, after the buy) are built in order and
-        costed in one block call: one cost per intermediate state, never
-        telescoped, because the noise cash is a small difference of large
-        costs.
-        """
-        if self.closed:
-            raise MarketClosedError("session is closed")
-        if self.is_full:
-            raise MarketClosedError(f"session already has {self.params.T} arrivals")
-        dq = check_bundle(dq, self.params.d)
-
-        n_sells = self.noise.begin_step()
-        z = self.noise.draw(self.rng)
-        # rows: after the trade, after each sell, after the buy, the true state
-        chain = np.empty((n_sells + 3, self.params.d))
-        np.add(self.q_hat, dq, out=chain[0])
-        self._sell_chain(chain, n_sells)
-        state, q_true = chain[n_sells + 1], chain[n_sells + 2]
-        np.add(chain[n_sells], z, out=state)
-        np.add(self.q_true, dq, out=q_true)
-        costs = self.cost.cost(chain[:-1]).tolist()
-        p_hat, p_true = self.cost.prices(chain[-2:])
-
-        self.fee_total += self.params.fee
-        self.trade_payments += costs[0] - self.c_hat
-        self.q_true = q_true
-        self._book_sells(costs[0], costs[1:-1])
-        self.noise.new_bundle(z)
-        self.noise_buy_total += costs[-1] - costs[-2]
-        self.bundle_l2_total += math.sqrt(z.dot(z))  # np.linalg.norm's own formula
-
-        self.q_hat = _published(state)
-        self.p_hat = _published(p_hat)
-        self.c_hat = costs[-1]
-        self.arrivals += 1
-        self.noise.verify_held()
-        drift = state - q_true - self.noise.held_sum()
-        if float(np.abs(drift).max()) > 1e-6:
-            raise InvalidStateError("published state lost sync with held noise")
-
-        price_gap = float(np.abs(p_true - p_hat).sum())
-        self.max_price_gap = max(self.max_price_gap, price_gap)
-        self.max_share_gap = max(self.max_share_gap, float(np.abs(q_true - state).sum()))
-
-    def sell_back_noise(self) -> None:
-        """Unwind all held bundles, most recent first, checking the batch total."""
-        n_sells = len(self.noise.held)
-        # rows: q_hat, after each sell, then q_hat minus the held sum in one move
-        chain = np.empty((n_sells + 2, self.params.d))
-        chain[0] = self.q_hat
-        self._sell_chain(chain, n_sells)
-        np.subtract(self.q_hat, self.noise.held_sum(), out=chain[-1])
-        *sell_costs, batch_cost = self.cost.cost(chain[1:]).tolist()
-        batch = self.c_hat - batch_cost
-        sold = self._book_sells(self.c_hat, sell_costs)
         self.q_hat = _published(chain[n_sells])
-        if sell_costs:
-            self.c_hat = sell_costs[-1]
+        self.c_hat = c_start
         if abs(sold - batch) > CASH_TOL * max(1.0, abs(batch)):
             raise InvalidStateError(
                 f"sequential sell-back {sold!r} disagrees with batch total {batch!r}"

@@ -64,17 +64,21 @@ def participation_table(T: int) -> np.ndarray:
     return np.cumsum(diff)[1 : T + 1]
 
 
-def sample_bundle(d: int, scale: float, rng: np.random.Generator) -> np.ndarray:
+def sample_bundle(
+    d: int, scale: float, rng: np.random.Generator, k: int | None = None
+) -> np.ndarray:
     """d i.i.d. Laplace(scale) draws via the inverse CDF on one uniform block.
 
-    Explicit inverse-CDF sampling pins the draw count per bundle to d, which
-    is what makes runs bit-reproducible across numpy versions.
+    With k, k bundles as the rows of a (k, d) block: the same numbers, in
+    the same order, as k calls without it.  Explicit inverse-CDF sampling
+    pins the draw count per bundle to d, which is what makes runs
+    bit-reproducible across numpy versions.
     """
     if d < 1:
         raise InvalidParameterError("d must be >= 1")
     if scale <= 0.0:
         raise InvalidParameterError("scale must be positive")
-    u = rng.random(d) - 0.5
+    u = rng.random(d if k is None else (k, d)) - 0.5
     # 1 - 2|u| lies in [0, 1]; the floor keeps the log finite on the
     # measure-zero edge u == -0.5
     return -scale * np.sign(u) * np.log(np.maximum(1.0 - 2.0 * np.abs(u), 1e-300))
@@ -104,7 +108,7 @@ class NoiseLedger:
         u = self.t
         while u > 0:
             times.append(u)
-            u = s_flip(u)
+            u &= u - 1  # s_flip(u), inline: verify_held runs after every step
         return times
 
     def held_sum(self) -> np.ndarray:
@@ -118,19 +122,22 @@ class NoiseLedger:
         self.t += 1
         return (self.t & -self.t).bit_length() - 1
 
-    def mark_sold(self) -> None:
-        """Pop the top bundle, the most recent one held."""
+    def mark_sold(self) -> np.ndarray:
+        """Pop the top bundle, the most recent one held, and return its value."""
         if not self.held:
             raise InvalidStateError("no held bundle to sell")
-        self.held.pop()
+        return self.held.pop()[1]
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        """Value of the next bundle: d Laplace draws, or zeros under noise_off.
+    def draw(self, rng: np.random.Generator, k: int | None = None) -> np.ndarray:
+        """Value of the next bundle, or with k the next k as a (k, d) block.
 
-        rng feeds only bundles, so drawing before the step's sells are booked
-        leaves the draw order unchanged.
+        The values are Laplace draws, or zeros under noise_off.  rng feeds
+        only bundles, so drawing before the step's sells are booked leaves
+        the draw order unchanged.
         """
-        return np.zeros(self.d) if self.noise_off else sample_bundle(self.d, self.scale, rng)
+        if self.noise_off:
+            return np.zeros(self.d if k is None else (k, self.d))
+        return sample_bundle(self.d, self.scale, rng, k)
 
     def new_bundle(self, value: np.ndarray) -> None:
         """Push the bundle of step t, whose value came from draw."""

@@ -26,6 +26,17 @@ from .errors import InvalidParameterError, StrategyBugError, TradeRejectedError
 
 STRATEGY_KINDS = ("belief", "arbitrage_hunter", "herd", "random", "abstainer")
 
+BLOCK_CAP = 256
+"""Most arrivals drive_session books in one MarketSession.step call."""
+
+BLOCK_FLOATS = 2**14
+"""Most bundle entries (arrivals times d) in one block.  A block's arrays
+take a few hundred bytes per entry, so with BLOCK_CAP this bounds them to a
+few MB at any d: d <= 64 gets 256 arrivals, d = 1024 gets 16."""
+
+RANDOM_CHUNK = 250
+"""(sign, coordinate) pairs a RandomTrader draws from its generator at once."""
+
 
 @dataclass(frozen=True)
 class StrategyContext:
@@ -77,9 +88,9 @@ def maximize_profit(
     # row 0 is no trade, so the block also prices C(q_hat); row 1 + 2j buys
     # e_j and row 2 + 2j sells it
     trades = np.zeros((2 * d + 1, d))
-    j = np.arange(d)
-    trades[1 + 2 * j, j] = 1.0
-    trades[2 + 2 * j, j] = -1.0
+    flat = trades.reshape(-1)  # row 1 + 2j, column j is flat entry d + j (2d + 1)
+    flat[d :: 2 * d + 1] = 1.0
+    flat[2 * d :: 2 * d + 1] = -1.0
     costs = ctx.cost.cost(ctx.q_hat + trades)
     c_hat = float(costs[0])
     profits = (trades[1:] @ belief - (costs[1:] - c_hat)).tolist()
@@ -108,9 +119,16 @@ def best_response(ctx: StrategyContext, belief: np.ndarray) -> Optional[np.ndarr
 
 
 class Strategy:
-    """Single-owner stateful decision rule bound to one run."""
+    """Single-owner stateful decision rule bound to one run.
+
+    reads_state is False for a strategy whose decision ignores ctx.q_hat and
+    ctx.p_hat: drive_session may ask it before the arrivals ahead of it are
+    booked, so those can lag (ctx.t is still its arrival's index).  One that
+    reads them keeps the default, True, and always sees every earlier arrival.
+    """
 
     kind = "abstract"
+    reads_state = True
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
         raise NotImplementedError
@@ -155,6 +173,7 @@ class Herd(Strategy):
     """Always buys one unit of a fixed coordinate."""
 
     kind = "herd"
+    reads_state = False
 
     def __init__(self, coordinate: int = 0):
         self.coordinate = coordinate
@@ -166,17 +185,32 @@ class Herd(Strategy):
 
 
 class RandomTrader(Strategy):
-    """Uniform random signed unit coordinate trades."""
+    """Uniform random signed unit coordinate trades.
+
+    (sign, coordinate) pairs are drawn RANDOM_CHUNK at a time: the same
+    stream as per-decision draws of the sign (as rng.choice([-1.0, 1.0])
+    makes it), then the coordinate.  The last chunk may draw past the end of
+    a trial, which is harmless: each instance's generator belongs to one
+    trial.  An instance serves markets of one d.
+    """
 
     kind = "random"
+    reads_state = False
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
+        self._pairs: list[int] = []
+        self._next = 0
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
-        dq = np.zeros(ctx.cost.d)
-        # the same draw as rng.choice([-1.0, 1.0]) at a fifth of the call cost
-        dq[int(self.rng.integers(ctx.cost.d))] = (-1.0, 1.0)[int(self.rng.integers(2))]
+        d = ctx.cost.d
+        if self._next == len(self._pairs):
+            self._pairs = self.rng.integers(np.tile([2, d], RANDOM_CHUNK)).tolist()
+            self._next = 0
+        sign, j = self._pairs[self._next], self._pairs[self._next + 1]
+        self._next += 2
+        dq = np.zeros(d)
+        dq[j] = (-1.0, 1.0)[sign]
         return dq
 
 
@@ -184,6 +218,7 @@ class Abstainer(Strategy):
     """Never trades."""
 
     kind = "abstainer"
+    reads_state = False
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
         return None
@@ -257,16 +292,31 @@ def step_strategy(strategy: Strategy, ctx: StrategyContext) -> Optional[np.ndarr
 def drive_session(session, stream: Iterator) -> bool:
     """Feed potential arrivals from stream until the session fills.
 
-    A bundle the session rejects is the strategy's fault and raises
-    StrategyBugError.  Returns True when the stream ran dry first.
+    Each run of consecutive bundles from strategies that do not read the
+    published state (reads_state False: herd, random, abstainer) is booked
+    as one block of at most BLOCK_CAP arrivals and BLOCK_FLOATS bundle
+    entries, so such a strategy may be asked before the arrivals ahead of
+    it are booked.  A strategy that reads the state is asked only once every
+    earlier arrival is booked, and its bundle is booked alone.  Never takes
+    more from the stream than the session has room for.  A bundle the
+    session rejects is the strategy's fault and raises StrategyBugError
+    naming that strategy's kind.  Returns True when the stream ran dry
+    first.
     """
-    while not session.is_full:
+    cap = max(1, min(BLOCK_CAP, BLOCK_FLOATS // session.params.d))
+    pending: list = []
+    owners: list[Strategy] = []
+    exhausted = False
+    while session.arrivals + len(pending) < session.params.T:
         try:
             strat = next(stream)
         except StopIteration:
-            return True
+            exhausted = True
+            break
+        if strat.reads_state and pending:
+            _book(session, pending, owners)
         ctx = StrategyContext(
-            t=session.arrivals + 1,
+            t=session.arrivals + len(pending) + 1,
             q_hat=session.q_hat,
             p_hat=session.p_hat,
             fee=session.params.fee,
@@ -274,8 +324,21 @@ def drive_session(session, stream: Iterator) -> bool:
         )
         dq = step_strategy(strat, ctx)
         if dq is not None:
-            try:
-                session.step(dq)
-            except TradeRejectedError as exc:
-                raise StrategyBugError(f"{strat.kind} returned a bad bundle: {exc}") from exc
-    return False
+            pending.append(dq)
+            owners.append(strat)
+            if strat.reads_state or len(pending) == cap:
+                _book(session, pending, owners)
+    if pending:
+        _book(session, pending, owners)
+    return exhausted
+
+
+def _book(session, pending: list, owners: list[Strategy]) -> None:
+    """Step the pending bundles as one block and clear them."""
+    try:
+        session.step(pending)
+    except TradeRejectedError as exc:
+        kind = owners[exc.row].kind
+        raise StrategyBugError(f"{kind} returned a bad bundle: {exc}") from exc
+    pending.clear()
+    owners.clear()

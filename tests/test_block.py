@@ -1,0 +1,222 @@
+"""Block steps: MarketSession.step on a (k, d) block books what k single steps book.
+
+Every comparison is ==: a block builds the same states with the same float
+operations, in the same order, as its bundles stepped one at a time, and as
+the per-state ReferenceSession.
+"""
+
+import numpy as np
+import pytest
+
+from privmarket import (
+    Abstainer,
+    ArbitrageHunter,
+    Herd,
+    MarketClosedError,
+    MarketParams,
+    RandomTrader,
+    Strategy,
+    StrategyBugError,
+    StrategyContext,
+    TradeRejectedError,
+    drive_session,
+    open_market,
+)
+
+from privmarket.market import MarketSession
+from privmarket.traders import BLOCK_CAP, BLOCK_FLOATS
+
+from oracles import ReferenceSession
+
+SESSION_FIELDS = ("q_hat", "p_hat", "c_hat", "q_true", "trade_payments", "fee_total",
+                  "noise_buy_total", "noise_sell_total", "bundle_l2_total",
+                  "max_price_gap", "max_share_gap", "arrivals")
+
+
+def _bundles(rng, d: int, n: int) -> np.ndarray:
+    """Signed unit trades, fractional single-coordinate trades and spread trades."""
+    out = np.zeros((n, d))
+    for row in out:
+        kind = rng.integers(3)
+        j = rng.integers(d)
+        if kind == 0:
+            row[j] = rng.choice([-1.0, 1.0])
+        elif kind == 1:
+            row[j] = rng.uniform(-1.0, 1.0)
+        else:
+            row[:] = rng.dirichlet(np.ones(d)) * rng.choice([-1.0, 1.0], size=d) * rng.uniform()
+    return out
+
+
+def _split(rng, n: int) -> list[int]:
+    """Random block lengths summing to n, ones included."""
+    sizes = []
+    while n:
+        k = int(min(n, rng.choice([1, 1, 2, 3, int(rng.integers(1, 40))])))
+        sizes.append(k)
+        n -= k
+    return sizes
+
+
+def _state(session) -> tuple:
+    held = [(time, value.tolist()) for time, value in session.noise.held]
+    values = [np.asarray(getattr(session, name)).tolist() for name in SESSION_FIELDS]
+    return values, held, session.noise.t, session.closed
+
+
+def _assert_matches_reference(session, reference):
+    for name in SESSION_FIELDS:
+        assert np.array_equal(getattr(session, name), getattr(reference, name)), name
+    assert [time for time, _ in session.noise.held] == list(reference.held)
+    for (_, ours), theirs in zip(session.noise.held, reference.held.values()):
+        assert np.array_equal(ours, theirs.value)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("noise_off", [False, True])
+def test_every_partition_books_the_same_session(d, noise_off):
+    T = 150  # blocks cross 64 and 128
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T, noise_off=noise_off)
+    rng = np.random.default_rng(100 * d + noise_off)
+    bundles = _bundles(rng, d, T)
+    splits = [[1] * T, [T], [64, 64, 22], [63, 2, 62, 23]]
+    splits += [_split(rng, T) for _ in range(4)]
+    outcome = d - 1
+    closed = []
+    for sizes in splits:
+        session = open_market(params, rng=np.random.default_rng(7))
+        reference = ReferenceSession(params, np.random.default_rng(7))
+        start = 0
+        for k in sizes:
+            block = bundles[start : start + k]
+            session.step(block[0] if k == 1 and start % 2 else block)  # (d,) or (1, d)
+            for dq in block:
+                reference.step(dq)
+            start += k
+            _assert_matches_reference(session, reference)
+        assert session.is_full
+        ledger = session.close(outcome)
+        assert ledger == reference.close(outcome)
+        assert np.array_equal(session.q_hat, reference.q_hat) and session.c_hat == reference.c_hat
+        closed.append((_state(session), ledger))
+    assert all(entry == closed[0] for entry in closed)
+
+
+def _bad_blocks(d: int):
+    good = np.eye(d)[0]
+    oversize = np.full(d, 1.0)
+    oversize[0] = 1.5
+    not_finite = good.copy()
+    not_finite[-1] = np.nan
+    return {
+        "l1 norm above 1": np.stack([good, oversize, good]),
+        "nan": np.stack([good, good, not_finite]),
+        "wrong shape": [good, np.ones(d + 1), good],
+    }
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_rejected_block_books_nothing(d):
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=10)
+    session = open_market(params, rng=np.random.default_rng(3))
+    session.step(np.tile(np.eye(d)[0], (5, 1)))
+    before = _state(session)
+    rng_state = session.rng.bit_generator.state
+    for name, block in _bad_blocks(d).items():
+        with pytest.raises(TradeRejectedError) as info:
+            session.step(block)
+        assert info.value.row == (1 if name != "nan" else 2), name
+        assert _state(session) == before and session.rng.bit_generator.state == rng_state
+    # a block that would pass T: 5 booked, 6 more do not fit
+    with pytest.raises(MarketClosedError, match="6 more do not fit"):
+        session.step(np.tile(np.eye(d)[0], (6, 1)))
+    assert _state(session) == before and session.rng.bit_generator.state == rng_state
+    session.step(np.tile(np.eye(d)[0], (5, 1)))
+    assert session.is_full
+
+
+class _Returns(Strategy):
+    """Returns a fixed bundle; reads no published state."""
+
+    reads_state = False
+
+    def __init__(self, kind: str, bundle):
+        self.kind = kind
+        self.bundle = bundle
+
+    def decide(self, ctx):
+        return self.bundle
+
+
+def test_drive_session_blames_the_strategy_of_the_bad_row():
+    params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=20)
+    for name, block in _bad_blocks(2).items():
+        session = open_market(params, rng=0)
+        bad = _Returns("bad_" + name.replace(" ", "_"), block[2 if name == "nan" else 1])
+        stream = iter([Herd(), RandomTrader(np.random.default_rng(0)), Herd(), bad, Herd()])
+        with pytest.raises(StrategyBugError, match=f"^{bad.kind} returned a bad bundle"):
+            drive_session(session, stream)
+        assert session.arrivals == 0 and session.noise.t == 0  # the whole block is refused
+
+
+def test_a_state_reader_sees_the_blind_run_ahead_of_it_booked():
+    params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=64)
+
+    class Hunter(ArbitrageHunter):
+        def __init__(self):
+            super().__init__(np.array([0.85, 0.15]))
+            self.seen = []
+
+        def decide(self, ctx):
+            self.seen.append((ctx.t, ctx.q_hat.copy(), ctx.p_hat.copy()))
+            return super().decide(ctx)
+
+    hunter = Hunter()
+    herd, rnd = Herd(), RandomTrader(np.random.default_rng(9))
+    roster = [herd, rnd, herd, rnd, rnd, hunter]
+    session = open_market(params, rng=np.random.default_rng(4))
+    drive_session(session, iter(roster * 40))
+
+    # the same arrivals stepped one at a time, recording what the hunter must see
+    reference = open_market(params, rng=np.random.default_rng(4))
+    herd, rnd = Herd(), RandomTrader(np.random.default_rng(9))
+    twin = ArbitrageHunter(np.array([0.85, 0.15]))
+    expected = []
+    for strat in [herd, rnd, herd, rnd, rnd, twin] * 40:
+        if reference.is_full:
+            break
+        if strat is twin:
+            expected.append((reference.arrivals + 1, reference.q_hat, reference.p_hat))
+        dq = strat.decide(StrategyContext(t=reference.arrivals + 1, q_hat=reference.q_hat,
+                                          p_hat=reference.p_hat, fee=params.fee,
+                                          cost=reference.cost))
+        if dq is not None:
+            reference.step(dq)
+    assert len(hunter.seen) == len(expected) > 5
+    for (t, q_hat, p_hat), (t_ref, q_ref, p_ref) in zip(hunter.seen, expected):
+        assert t == t_ref and np.array_equal(q_hat, q_ref) and np.array_equal(p_hat, p_ref)
+    assert session.close(0) == reference.close(0)
+
+
+class _BlockLog(MarketSession):
+    """A session that records the length of every block it books."""
+
+    def __init__(self, params):
+        super().__init__(params, np.random.default_rng(0))
+        self.blocks = []
+
+    def step(self, dq):
+        self.blocks.append(len(np.atleast_2d(dq)))
+        super().step(dq)
+
+
+@pytest.mark.parametrize("d", [2, 1024])
+def test_blocks_respect_both_caps_and_never_overfill(d):
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=600)
+    session = _BlockLog(params)
+    stream = iter([Herd(), Abstainer(), RandomTrader(np.random.default_rng(1))] * 1000)
+    assert not drive_session(session, stream)
+    cap = min(BLOCK_CAP, BLOCK_FLOATS // d)
+    full, rest = divmod(600, cap)
+    assert session.blocks == [cap] * full + ([rest] if rest else [])
+    assert len(list(stream)) == 3000 - 900  # 600 arrivals took 900 slots, abstentions included

@@ -181,6 +181,9 @@ BAD_ENTRIES = {
     "stage_override past the cap": {"adaptive": {"stage_override": MAX_T + 1}},
     # stages of 1.8e14, 7.2e14 and 2.9e15 arrivals
     "stage plan past the cap": {"market": dict(BASE["market"], alpha=1e-4), "adaptive": {}},
+    # an abstainer-only roster never fills a market, so its stream would
+    # run for ever
+    "stream_length past the cap": {"traders": [{"kind": "abstainer"}], "stream_length": 10**18},
 }
 
 
@@ -473,6 +476,9 @@ def test_caps_on_d_and_max_stages(capsys):
         _cfg(adaptive={"stage_override": MAX_T})
     with pytest.raises(ConfigError, match=f"market.T must be <= {MAX_T}"):
         _cfg(market=dict(BASE["market"], T=MAX_T + 1))
+    assert _cfg(stream_length=MAX_T).stream_length == MAX_T
+    with pytest.raises(ConfigError, match=f"stream_length must be <= {MAX_T}"):
+        _cfg(stream_length=MAX_T + 1)
     with pytest.raises(ConfigError, match="market.T must be >= 2"):
         _cfg(market=dict(BASE["market"], T=1))
     with pytest.raises(ConfigError, match=f"adaptive.stage_override must be <= {MAX_T}"):
@@ -507,7 +513,7 @@ def test_build_stream_is_lazy_and_keeps_the_eager_order():
         assert [who(s) for s in stream] == eager([0, 1, "herd", 3, 4], order, length)
     # a stream far longer than the market can fill builds nothing up front
     for order in ("round_robin", "sequential"):
-        assert run_trial(_cfg(arrival_order=order, stream_length=10**10), seed=0).arrivals == 8
+        assert run_trial(_cfg(arrival_order=order, stream_length=MAX_T), seed=0).arrivals == 8
 
 
 FLAT_ONLY = {
