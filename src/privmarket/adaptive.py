@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cost import ScaledCost
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_design, check_positive
 from .market import Ledger, MarketParams, MarketSession, open_market
 
 MAX_STAGES = 64
@@ -41,6 +41,21 @@ def minimal_T(A: float, D: float) -> float:
     return 9.0 * A * math.log(A * D) ** 2
 
 
+def stage_constants(
+    B1: float, d: int, alpha: float, gamma: float, epsilon: float
+) -> tuple[float, float, float]:
+    """The stage-sizing constants (A', A, D) of a design, after its range check:
+
+    A' = B1 * 8 sqrt(2) d / (alpha epsilon), A = 16 A' / alpha, D = 4 d / gamma.
+    A product alpha * epsilon that underflows to 0, or a constant beyond float
+    range, is an InvalidParameterError.
+    """
+    check_design(d, alpha, gamma, epsilon, B1)
+    A_prime = B1 * 8.0 * math.sqrt(2.0) * d / check_positive("alpha * epsilon", alpha * epsilon)
+    A = 16.0 * check_positive("A'", A_prime) / alpha
+    return A_prime, check_positive("A", A), check_positive("D", 4.0 * d / gamma)
+
+
 @dataclass(frozen=True)
 class StageSchedule:
     """Full staged-market design for (B1, d, alpha, gamma, epsilon)."""
@@ -51,19 +66,10 @@ class StageSchedule:
     gamma: float
     epsilon: float
     fee: float
+    A_prime: float  # the stage_constants of the design
+    A: float
+    D: float
     stages: tuple[MarketParams, ...]  # stage k (1-based) is stages[k - 1]
-
-    @property
-    def A_prime(self) -> float:
-        return self.B1 * 8.0 * math.sqrt(2.0) * self.d / (self.alpha * self.epsilon)
-
-    @property
-    def A(self) -> float:
-        return 16.0 * self.A_prime / self.alpha
-
-    @property
-    def D(self) -> float:
-        return 4.0 * self.d / self.gamma
 
 
 def stage_schedule(
@@ -79,24 +85,22 @@ def stage_schedule(
     MarketParams(d, epsilon, alpha/2^k, gamma/2^k, T^(k), fee=alpha), whose
     lam defaults to lambda_star of its own (T, alpha, gamma).
 
-    Without an override, T^(1) = ceil(9 A (ln AD)^2) and T^(k) quadruples.
-    t1_override swaps in a flat desk-scale stage size (every stage runs that
-    many arrivals) for simulation.
+    Without an override, T^(1) = ceil(9 A (ln AD)^2) and T^(k) quadruples;
+    a plan whose last stage size is past float range raises.  t1_override
+    swaps in a flat desk-scale stage size (every stage runs that many
+    arrivals) for simulation.
     """
-    if d < 1:
-        raise InvalidParameterError("d must be >= 1")
-    if B1 <= 0.0 or epsilon <= 0.0:
-        raise InvalidParameterError("B1 and epsilon must be positive")
-    if not (0.0 < alpha < 1.0) or not (0.0 < gamma < 1.0):
-        raise InvalidParameterError("alpha and gamma must lie in (0, 1)")
+    A_prime, A, D = stage_constants(B1, d, alpha, gamma, epsilon)
     if not 1 <= max_stages <= MAX_STAGES:
         raise InvalidParameterError(f"max_stages must lie in [1, {MAX_STAGES}]")
 
     if t1_override is None:
-        A_prime = B1 * 8.0 * math.sqrt(2.0) * d / (alpha * epsilon)
-        A = 16.0 * A_prime / alpha
-        D = 4.0 * d / gamma
-        T1 = math.ceil(minimal_T(A, D))
+        T1 = minimal_T(A, D)
+        if not T1 * 4.0 ** (max_stages - 1) < math.inf:
+            raise InvalidParameterError(
+                f"a plan of {max_stages} stages from T^(1) = {T1:.3g} is past float range"
+            )
+        T1 = math.ceil(T1)
     else:
         if t1_override < 2:
             raise InvalidParameterError("t1_override must be >= 2")
@@ -111,7 +115,7 @@ def stage_schedule(
     )
     return StageSchedule(
         B1=B1, d=d, alpha=alpha, gamma=gamma, epsilon=epsilon,
-        fee=alpha, stages=stages,
+        fee=alpha, A_prime=A_prime, A=A, D=D, stages=stages,
     )
 
 
@@ -119,18 +123,12 @@ def budget_bound(B1: float, d: int, alpha: float, gamma: float, epsilon: float) 
     """Closed-form designer budget for the staged market:
 
     B1 * (72 sqrt(2) d / (alpha epsilon))
-       * (ln(4608 B1 sqrt(2) d^2 / (gamma alpha^2 epsilon)))^2
+       * (ln(4608 B1 sqrt(2) d^2 / (gamma alpha^2 epsilon)))^2,
+
+    which is 9 A' (ln 9 A D)^2 in the stage constants.
     """
-    if d < 1:
-        raise InvalidParameterError("d must be >= 1")
-    if B1 <= 0.0 or epsilon <= 0.0:
-        raise InvalidParameterError("B1 and epsilon must be positive")
-    if not (0.0 < alpha < 1.0) or not (0.0 < gamma < 1.0):
-        raise InvalidParameterError("alpha and gamma must lie in (0, 1)")
-    log_term = math.log(
-        4608.0 * B1 * math.sqrt(2.0) * d**2 / (gamma * alpha**2 * epsilon)
-    )
-    return B1 * (72.0 * math.sqrt(2.0) * d / (alpha * epsilon)) * log_term**2
+    A_prime, A, D = stage_constants(B1, d, alpha, gamma, epsilon)
+    return 9.0 * A_prime * math.log(9.0 * A * D) ** 2
 
 
 @dataclass(frozen=True)
@@ -177,24 +175,13 @@ def verify_stage_inequalities(
             * math.log(2.0 * schedule.d * stage.T * 2**k / schedule.gamma)
         )
         bracket = 1.0 - log_t / denom - 1.0 / 16.0
-        if k >= 2:
-            prev = stages[k - 2]
-            ratio_ok = 1.0 / stage.lam <= 4.0 / prev.lam * (1.0 + 1e-12)
-            if ratio_ok and first_ratio_k is None:
-                first_ratio_k = k
-        else:
-            ratio_ok = True
-        checks.append(
-            StageCheck(
-                k=k,
-                subsidy_covered=lhs <= rhs,
-                subsidy_lhs=lhs,
-                subsidy_rhs=rhs,
-                profit_bracket=bracket,
-                profit_ok=bracket >= 0.5,
-                lam_ratio_ok=ratio_ok,
-            )
-        )
+        ratio_ok = k == 1 or 1.0 / stage.lam <= 4.0 / stages[k - 2].lam * (1.0 + 1e-12)
+        if k >= 2 and ratio_ok and first_ratio_k is None:
+            first_ratio_k = k
+        checks.append(StageCheck(
+            k=k, subsidy_covered=lhs <= rhs, subsidy_lhs=lhs, subsidy_rhs=rhs,
+            profit_bracket=bracket, profit_ok=bracket >= 0.5, lam_ratio_ok=ratio_ok,
+        ))
     t1 = stages[0].T
     stage1_log_value = math.log2(t1) / (8.0 * math.log(4.0 * t1))
     stage1_log_ok = stage1_log_value <= 0.25

@@ -10,6 +10,7 @@ import sys
 from .adaptive import stage_schedule, verify_stage_inequalities
 from .errors import ConfigError, PrivMarketError
 from .harness import (
+    MAX_SEEDS,
     RunConfig,
     load_metrics,
     privacy_audit,
@@ -33,6 +34,8 @@ def _parse_seed_range(text: str) -> range:
         raise argparse.ArgumentTypeError("seeds must be non-negative")
     if stop <= start:
         raise argparse.ArgumentTypeError("seed range must be non-empty")
+    if stop - start > MAX_SEEDS:
+        raise argparse.ArgumentTypeError(f"seed range must hold at most {MAX_SEEDS} seeds")
     return range(start, stop)
 
 
@@ -48,6 +51,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+# verify --check name -> the flat-market check, judged on (rows, resolved_config.json)
+CHECKS = {
+    "precision": lambda rows, r: verify_precision(rows, r["alpha"], r["gamma"]),
+    "budget": lambda rows, r: verify_budget(rows, r["B1"], r["lambda"]),
+    "shares": lambda rows, r: verify_share_accuracy(rows, r["d"], r["T"], r["epsilon"], r["gamma"]),
+    "noise_loss": lambda rows, r: verify_noise_loss(
+        rows, r["lambda"], noise_scale_K(r["T"], r["epsilon"], r["d"])),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         rows = load_metrics(args.metrics)
@@ -57,21 +70,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot read run directory: {exc}") from exc
     if resolved["adaptive"]:
         raise ConfigError("adaptive run: no flat-market bound applies to a staged market")
-    reports = []
-    if args.check in ("precision", "all"):
-        reports.append(verify_precision(rows, resolved["alpha"], resolved["gamma"]))
-    if args.check in ("budget", "all"):
-        reports.append(verify_budget(rows, resolved["B1"], resolved["lambda"]))
-    if args.check in ("shares", "all"):
-        reports.append(
-            verify_share_accuracy(
-                rows, resolved["d"], resolved["T"], resolved["epsilon"],
-                resolved["gamma"],
-            )
-        )
-    if args.check in ("noise_loss", "all"):
-        K = noise_scale_K(resolved["T"], resolved["epsilon"], resolved["d"])
-        reports.append(verify_noise_loss(rows, resolved["lambda"], K))
+    names = CHECKS if args.check == "all" else [args.check]
+    reports = [CHECKS[name](rows, resolved) for name in names]
     for report in reports:
         print(json.dumps(report.to_dict(), sort_keys=True))
     return 0 if all(r.passed for r in reports) else 1
@@ -129,8 +129,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_ver = sub.add_parser("verify", help="check a metrics directory against theory")
     p_ver.add_argument("--metrics", required=True, help="run output directory")
-    p_ver.add_argument("--check", required=True,
-                       choices=["precision", "budget", "shares", "noise_loss", "all"])
+    p_ver.add_argument("--check", required=True, choices=[*CHECKS, "all"])
     p_ver.set_defaults(func=cmd_verify)
 
     p_aud = sub.add_parser("audit", help="structural privacy audit")

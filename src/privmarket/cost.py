@@ -46,11 +46,6 @@ class ScaledCost:
         if not (0.0 < self.lam <= 1.0):
             raise InvalidParameterError("lam must lie in (0, 1]")
 
-    @property
-    def base_loss(self) -> float:
-        """Worst-case loss of the unscaled cost: ln d."""
-        return float(np.log(self.d))
-
     def _check_q(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if q.ndim not in (1, 2) or q.shape[-1] != self.d or q.size == 0:
@@ -92,7 +87,7 @@ class ScaledCost:
 
     def worst_case_loss(self) -> float:
         """Subsidy bound (ln d) / lam for a market opened at uniform prices."""
-        return self.base_loss / self.lam
+        return float(np.log(self.d)) / self.lam
 
     def invert_prices(self, p: np.ndarray, eta: float) -> np.ndarray:
         """Share vector whose prices equal p after clamping, last coordinate 0.

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the parameter range checks shared across the package."""
+
+import math
 
 
 class PrivMarketError(Exception):
@@ -38,3 +40,23 @@ class StrategyBugError(PrivMarketError, RuntimeError):
 
 class ConfigError(PrivMarketError, ValueError):
     """A run configuration failed validation."""
+
+
+def check_positive(name: str, value: float, zero_ok: bool = False) -> float:
+    """value if it is finite and > 0 (>= 0 with zero_ok); NaN fails both comparisons."""
+    if not (0.0 <= value < math.inf if zero_ok else 0.0 < value < math.inf):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise InvalidParameterError(f"{name} must be finite and {sign}")
+    return value
+
+
+def check_design(d: int, alpha: float, gamma: float, epsilon: float, B1: float | None = None):
+    """The ranges the mechanism's formulas assume: d >= 1, alpha and gamma in
+    (0, 1), epsilon finite and positive, and for a stage plan B1 too."""
+    if d < 1:
+        raise InvalidParameterError("d must be >= 1")
+    if not (0.0 < alpha < 1.0 and 0.0 < gamma < 1.0):
+        raise InvalidParameterError("alpha and gamma must lie in (0, 1)")
+    check_positive("epsilon", epsilon)
+    if B1 is not None:
+        check_positive("B1", B1)

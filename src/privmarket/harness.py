@@ -26,16 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptive import StageSchedule, run_adaptive, stage_schedule
-from .errors import ConfigError, InsufficientDataError, InvalidParameterError
+from .errors import ConfigError, InsufficientDataError, InvalidParameterError, check_positive
 # open_market and drive_session run inside run_adaptive; they stay harness
 # globals because the benchmark tracer patches them where they are looked up.
-from .market import MarketParams, open_market
-from .noise import (
-    noise_scale,
-    participation_table,
-    s_flip,
-    tree_depth,
-)
+from .market import MarketParams, loss_bounds, open_market
+from .noise import noise_scale, participation_table, s_flip, tree_depth
 from .traders import STRATEGY_KINDS, drive_session, make_strategy
 
 MAX_D = 1024
@@ -54,6 +49,15 @@ the cap."""
 MAX_TRADERS = 10_000
 """Largest total roster count.  Every trial spawns one seed and builds one
 strategy per instance, so the count is bounded before a trial runs."""
+
+MAX_SEEDS = 100_000
+"""Most seeds one run may ask for (seeds.count, run --seeds, run_trials).  A
+run holds one TrialMetrics row per seed until it writes them, about 0.7 kB a
+seed with the summary's dicts, so the count is bounded before a trial runs."""
+
+AUDIT_ENTRIES = 4_000_000
+"""Trade entries (pairs x T x d) in one chunk of the privacy audit.  A chunk
+holds at least one pair's (T, d) arrays, so T * d is bounded by it."""
 
 
 @dataclass(frozen=True)
@@ -199,8 +203,7 @@ def _checked(section: str, build, *args, **kwargs):
     """Call a validating constructor; its parameter errors become ConfigError."""
     try:
         return build(*args, **kwargs)
-    except (InvalidParameterError, OverflowError) as exc:
-        # OverflowError: an integer too large for float arithmetic, e.g. T = 10**400
+    except InvalidParameterError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
@@ -266,14 +269,13 @@ def _section(section: str):
 def _roster(value, name: str) -> tuple[RosterEntry, ...]:
     if not isinstance(value, list) or not value:
         raise ConfigError("'traders' must be a non-empty list")
-    roster = tuple(_roster_entry(i, entry) for i, entry in enumerate(value))
+    roster = tuple(
+        RosterEntry(**_parse_section("trader", raw, f"traders[{i}]"))
+        for i, raw in enumerate(value)
+    )
     if sum(entry.count for entry in roster) > MAX_TRADERS:
         raise ConfigError(f"traders: total count must be <= {MAX_TRADERS}")
     return roster
-
-
-def _roster_entry(i: int, raw) -> RosterEntry:
-    return RosterEntry(**_parse_section("trader", raw, f"traders[{i}]"))
 
 
 # section -> (JSON key, RunConfig field, parser, default).  A default is a
@@ -303,7 +305,7 @@ SCHEMA = {
     ),
     "seeds": (
         ("start", "seeds_start", _int_in(0), 0),
-        ("count", "seeds_count", _int_in(1), REQUIRED),
+        ("count", "seeds_count", _int_in(1, MAX_SEEDS), REQUIRED),
     ),
     "adaptive": (
         ("enabled", "adaptive", _as_bool, True),
@@ -397,22 +399,33 @@ def run_trials(
     """Run every seed, optionally in parallel, and write metrics artifacts.
 
     Rows land in metrics.jsonl in seed order regardless of scheduling, so
-    output bytes depend only on (config, seeds).  Every seed must be a
-    non-negative integer, as in a config's seeds section; any other is a
-    ConfigError before a trial runs.
+    output bytes depend only on (config, seeds).  seeds is a range or a
+    list of at most MAX_SEEDS non-negative integers, as in a config's seeds
+    section; any other is a ConfigError before a trial runs.  parallel >= 1
+    asks for worker processes; at most one per seed and per usable CPU start.
     """
     if seeds is None:
         seeds = range(config.seeds_start, config.seeds_start + config.seeds_count)
+    if len(seeds) > MAX_SEEDS:
+        raise ConfigError(f"{len(seeds)} seeds exceed the cap of {MAX_SEEDS}")
     parse_seed = _int_in(0)
     seeds = [parse_seed(seed, "seed") for seed in seeds]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(_int_in(1)(parallel, "parallel"), len(seeds), _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             metrics = list(pool.map(run_trial, itertools.repeat(config), seeds))
     else:
         metrics = [run_trial(config, s) for s in seeds]
     if out_dir is not None:
         write_outputs(out_dir, config, metrics)
     return metrics
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def write_outputs(out_dir: str, config: RunConfig, metrics: list[TrialMetrics]) -> None:
@@ -440,16 +453,8 @@ def summarize_csv(metrics: list[TrialMetrics]) -> str:
             continue
         values = np.array([r[name] for r in rows], dtype=float)
         se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        writer.writerow(
-            [
-                name,
-                n,
-                repr(float(np.mean(values))),
-                repr(se),
-                repr(float(np.min(values))),
-                repr(float(np.max(values))),
-            ]
-        )
+        stats = (np.mean(values), se, np.min(values), np.max(values))
+        writer.writerow([name, n, *(repr(float(x)) for x in stats)])
     return buf.getvalue()
 
 
@@ -457,13 +462,8 @@ def load_metrics(path: str) -> list[dict]:
     """Read metrics rows back from a run directory or a .jsonl file."""
     if os.path.isdir(path):
         path = os.path.join(path, "metrics.jsonl")
-    rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+        return [json.loads(line) for line in fh if line.strip()]
 
 
 @dataclass(frozen=True)
@@ -548,14 +548,12 @@ def verify_share_accuracy(
 
 
 def verify_noise_loss(rows: list[dict], lam: float, K: float) -> VerifyReport:
-    """Mean noise-trader loss against (T' log2 T' / 2) lam K per seed (+ 3 SE).
+    """Mean noise-trader loss against loss_bounds' ntl_bound per seed (+ 3 SE),
+    (T' log2 T' / 2) lam K at the seed's T' arrivals.
 
     K may be the closed-form bound or an empirical mean bundle norm.
     """
-    bounds = [
-        (r["arrivals"] * math.log2(r["arrivals"]) / 2.0) * lam * K if r["arrivals"] > 1 else 0.0
-        for r in rows
-    ]
+    bounds = [loss_bounds(lam, r["arrivals"], K, fee=0.0, B1=0.0).ntl_bound for r in rows]
     return _mean_within("noise_loss", rows, "ntl", bounds, {"K": K})
 
 
@@ -593,14 +591,17 @@ def privacy_audit(
     (ii) exact participation counts per arrival, with the implied
     worst-case epsilon multiplier count * (epsilon / ceil(log2 T)) reported
     rather than capped; (iii) the configured Laplace scale matches
-    2 ceil(log2 T) / epsilon.
+    2 ceil(log2 T) / epsilon.  It samples n_pairs >= 1 pairs, and T * d
+    may not exceed AUDIT_ENTRIES.
     """
     if not (1 <= T <= 2**14):
         raise InvalidParameterError("T must lie in [1, 2^14]")
-    if d < 1:
-        raise InvalidParameterError("d must be >= 1")
-    if epsilon <= 0.0:
-        raise InvalidParameterError("epsilon must be positive")
+    if not 1 <= d <= AUDIT_ENTRIES // T:
+        raise InvalidParameterError(
+            f"d must lie in [1, {AUDIT_ENTRIES // T}]: T * d <= {AUDIT_ENTRIES}")
+    if n_pairs < 1:
+        raise InvalidParameterError("n_pairs must be >= 1")
+    check_positive("epsilon", epsilon)
     rng = np.random.default_rng(seed)
 
     # random trade rows with l1 norm <= 1: random direction, random scale
@@ -613,7 +614,7 @@ def privacy_audit(
     ts = np.arange(1, T + 1)
     ss = np.array([s_flip(t) for t in ts])
     worst = 0.0
-    chunk = max(1, min(n_pairs, 4_000_000 // (T * d)))
+    chunk = min(n_pairs, AUDIT_ENTRIES // (T * d))
     done = 0
     while done < n_pairs:
         n = min(chunk, n_pairs - done)

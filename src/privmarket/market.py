@@ -18,6 +18,7 @@ jointly telescope to C(true final state) - C(initial state).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,8 @@ from .errors import (
     InvalidStateError,
     MarketClosedError,
     TradeRejectedError,
+    check_design,
+    check_positive,
 )
 from .noise import NoiseLedger, noise_scale, tree_depth
 
@@ -43,12 +46,7 @@ def lambda_star(T: int, alpha: float, gamma: float, epsilon: float, d: int) -> f
     """
     if T < 2:
         raise InvalidParameterError("T must be >= 2")
-    if d < 1:
-        raise InvalidParameterError("d must be >= 1")
-    if not (0.0 < alpha < 1.0) or not (0.0 < gamma < 1.0):
-        raise InvalidParameterError("alpha and gamma must lie in (0, 1)")
-    if epsilon <= 0.0:
-        raise InvalidParameterError("epsilon must be positive")
+    check_design(d, alpha, gamma, epsilon)
     depth = tree_depth(T)
     return (alpha * epsilon) / (
         4.0 * math.sqrt(2.0) * d * depth * math.log(2.0 * T * d / gamma)
@@ -59,9 +57,7 @@ def noise_scale_K(T: int, epsilon: float, d: int) -> float:
     """Bound 2 * sqrt(2d) * ceil(log2 T) / epsilon on the mean bundle l2 norm."""
     if T < 1 or d < 1:
         raise InvalidParameterError("T and d must be >= 1")
-    if epsilon <= 0.0:
-        raise InvalidParameterError("epsilon must be positive")
-    return 2.0 * math.sqrt(2.0 * d) * tree_depth(T) / epsilon
+    return 2.0 * math.sqrt(2.0 * d) * tree_depth(T) / check_positive("epsilon", epsilon)
 
 
 @dataclass(frozen=True)
@@ -77,15 +73,16 @@ class LossBounds:
 def loss_bounds(
     lam: float, T_prime: int, K: float, fee: float, B1: float
 ) -> LossBounds:
-    """Noise-trader and designer worst-case loss bounds for a finished run.
+    """Noise-trader and designer worst-case loss bounds for a run of T' arrivals.
 
     The fee is sufficient to retire the noise-loss term when
     lam <= fee / (K * log2 T'), the "it suffices to pick" condition.
     """
-    if T_prime < 1:
-        raise InvalidParameterError("T_prime must be >= 1")
-    if lam <= 0.0 or K < 0.0 or fee < 0.0 or B1 < 0.0:
-        raise InvalidParameterError("lam must be positive; K, fee, B1 nonnegative")
+    if T_prime < 0:
+        raise InvalidParameterError("T_prime must be >= 0")
+    check_positive("lam", lam)
+    for name, value in (("K", K), ("fee", fee), ("B1", B1)):
+        check_positive(name, value, zero_ok=True)
     log_t = math.log2(T_prime) if T_prime > 1 else 0.0
     ntl_bound = (T_prime * log_t / 2.0) * lam * K
     wc_bound = B1 / lam + T_prime * (K * log_t * lam - fee)
@@ -121,8 +118,7 @@ class MarketParams:
         self.lam_star = lambda_star(self.T, self.alpha, self.gamma, self.epsilon, self.d)
         if self.fee is None:
             self.fee = self.alpha
-        if self.fee < 0.0:
-            raise InvalidParameterError("fee must be nonnegative")
+        check_positive("fee", self.fee, zero_ok=True)
         if self.lam is None:
             self.lam = self.lam_star
         if not (0.0 < self.lam <= 1.0):
@@ -152,15 +148,9 @@ class Ledger:
 
     @classmethod
     def combine(cls, parts: list["Ledger"]) -> "Ledger":
-        return cls(
-            mm_loss=sum(p.mm_loss for p in parts),
-            ntl=sum(p.ntl for p in parts),
-            fees=sum(p.fees for p in parts),
-            designer_loss=sum(p.designer_loss for p in parts),
-            payouts=sum(p.payouts for p in parts),
-            trade_payments=sum(p.trade_payments for p in parts),
-            arrivals=sum(p.arrivals for p in parts),
-        )
+        """Field-by-field sum of the parts."""
+        names = [f.name for f in dataclasses.fields(cls)]
+        return cls(**{name: sum(getattr(p, name) for p in parts) for name in names})
 
 
 def check_bundle(dq, d: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidStateError
+from .errors import InvalidParameterError, InvalidStateError, check_positive
 
 
 def s_flip(t: int) -> int:
@@ -40,10 +40,8 @@ def tree_depth(T: int) -> int:
 
 
 def noise_scale(T: int, epsilon: float) -> float:
-    """Per-coordinate Laplace scale 2 * ceil(log2 T) / epsilon."""
-    if epsilon <= 0.0:
-        raise InvalidParameterError("epsilon must be positive")
-    return 2.0 * tree_depth(T) / epsilon
+    """Per-coordinate Laplace scale 2 * ceil(log2 T) / epsilon; a scale past float range raises."""
+    return check_positive("noise scale", 2.0 * tree_depth(T) / check_positive("epsilon", epsilon))
 
 
 def participation_table(T: int) -> np.ndarray:
@@ -76,8 +74,7 @@ def sample_bundle(
     """
     if d < 1:
         raise InvalidParameterError("d must be >= 1")
-    if scale <= 0.0:
-        raise InvalidParameterError("scale must be positive")
+    check_positive("scale", scale)
     u = rng.random(d if k is None else (k, d)) - 0.5
     # 1 - 2|u| lies in [0, 1]; the floor keeps the log finite on the
     # measure-zero edge u == -0.5

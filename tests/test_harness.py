@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -27,9 +28,18 @@ from privmarket import (
     verify_precision,
     verify_share_accuracy,
 )
+from privmarket import harness
 from privmarket.adaptive import MAX_STAGES, stage_schedule
+from privmarket.cli import _parse_seed_range
 from privmarket.cli import main as cli_main
-from privmarket.harness import MAX_D, MAX_T, MAX_TRADERS, _build_stream
+from privmarket.harness import (
+    AUDIT_ENTRIES,
+    MAX_D,
+    MAX_SEEDS,
+    MAX_T,
+    MAX_TRADERS,
+    _build_stream,
+)
 
 from oracles import participation_count
 
@@ -170,6 +180,7 @@ BAD_ENTRIES = {
     },
     "belief not numbers": {"traders": [{"kind": "belief", "params": {"belief": "ab"}}]},
     "seeds start negative": {"seeds": {"start": -3, "count": 2}},
+    "seeds count past the cap": {"seeds": {"count": MAX_SEEDS + 1}},
     "roster total past the cap": {
         "traders": [{"kind": "herd", "count": MAX_TRADERS}, {"kind": "random"}]
     },
@@ -372,6 +383,26 @@ def test_privacy_audit_validation():
     assert tiny.noise_scale == pytest.approx(1.0)
 
 
+def test_privacy_audit_rejects_vacuous_and_unbounded_inputs(monkeypatch, capsys):
+    # no pair sampled would pass the sensitivity check vacuously
+    for pairs in (0, -5):
+        with pytest.raises(InvalidParameterError, match="n_pairs must be >= 1"):
+            privacy_audit(T=8, d=2, epsilon=1.0, n_pairs=pairs)
+        assert cli_main(["audit", "--T", "8", "--d", "2", "--epsilon", "1",
+                         "--pairs", str(pairs)]) == 2
+        assert capsys.readouterr().err.startswith("error: n_pairs")
+    assert privacy_audit(T=8, d=2, epsilon=1.0, n_pairs=1).passed
+    # a chunk holds at least one pair's (T, d) arrays, so T * d is capped;
+    # a small cap keeps what a missing check would allocate small
+    assert AUDIT_ENTRIES == 4_000_000
+    monkeypatch.setattr(harness, "AUDIT_ENTRIES", 64)
+    assert privacy_audit(T=8, d=8, epsilon=1.0, n_pairs=3).passed
+    with pytest.raises(InvalidParameterError, match=r"d must lie in \[1, 8\]: T \* d <= 64"):
+        privacy_audit(T=8, d=9, epsilon=1.0, n_pairs=3)
+    assert cli_main(["audit", "--T", "8", "--d", "9", "--epsilon", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: d must lie in [1, 8]")
+
+
 def _write_config(tmp_path, seeds=100):
     cfg = json.loads(json.dumps(BASE))
     cfg["seeds"] = {"count": seeds}
@@ -393,6 +424,68 @@ def test_cli_run_verify_roundtrip(tmp_path, capsys):
     reports = [json.loads(l) for l in lines]
     assert {r["check"] for r in reports} == {"precision", "budget", "share_accuracy", "noise_loss"}
     assert all(r["passed"] for r in reports)
+
+
+def test_parallel_starts_at_most_one_worker_per_seed_and_cpu(monkeypatch, tmp_path, capsys):
+    started = []
+
+    class RecordingPool:  # ProcessPoolExecutor's stand-in: records, maps in process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    cfg = _cfg()
+    serial = tmp_path / "serial"
+    run_trials(cfg, out_dir=str(serial), seeds=range(5))
+    assert started == []
+    for parallel, seeds, workers in ((100_000, range(5), 3), (2, range(5), 2),
+                                     (100_000, range(2), 2), (100_000, range(1), None)):
+        out = tmp_path / f"p{parallel}-{len(seeds)}"
+        started.clear()
+        metrics = run_trials(cfg, out_dir=str(out), seeds=seeds, parallel=parallel)
+        assert started == ([] if workers is None else [workers])
+        assert [m.seed for m in metrics] == list(seeds)
+    assert (serial / "metrics.jsonl").read_bytes() == (
+        tmp_path / "p2-5" / "metrics.jsonl").read_bytes()
+    config = _write_config(tmp_path, seeds=4)
+    started.clear()
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "cli"),
+                     "--parallel", "100000"]) == 0
+    assert started == [3]
+    for bad in (0, -2, True, 1.5):
+        with pytest.raises(ConfigError, match="parallel must be"):
+            run_trials(cfg, out_dir=str(tmp_path / "bad"), seeds=range(2), parallel=bad)
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "bad"),
+                     "--parallel", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: parallel must be >= 1")
+    assert not (tmp_path / "bad").exists()
+    monkeypatch.undo()
+    assert 1 <= harness._usable_cpus() <= (os.cpu_count() or 1)
+
+
+def test_seed_count_is_capped_before_any_seed_list_is_built(tmp_path, capsys):
+    assert _cfg(seeds={"count": MAX_SEEDS}).seeds_count == MAX_SEEDS
+    assert len(_parse_seed_range(f"5..{MAX_SEEDS + 5}")) == MAX_SEEDS
+    config = _write_config(tmp_path, seeds=2)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                  "--seeds", "0..1000000000000"])
+    assert exc.value.code == 2
+    assert f"at most {MAX_SEEDS} seeds" in capsys.readouterr().err
+    for seeds in (range(MAX_SEEDS + 1), range(10**12)):
+        with pytest.raises(ConfigError, match=f"exceed the cap of {MAX_SEEDS}"):
+            run_trials(_cfg(), out_dir=str(tmp_path / "out"), seeds=seeds)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_range_and_parallel(tmp_path, capsys):

@@ -299,3 +299,26 @@ def test_open_market_seeding():
     c = open_market(params, rng=np.random.default_rng(42))
     c.step(np.array([1.0, 0.0]))
     assert np.array_equal(a.q_hat, c.q_hat)
+
+
+def _noisy_session(steps: int):
+    params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=16)
+    session = open_market(params, rng=7)
+    for _ in range(steps):
+        session.step(np.array([0.5, -0.25]))
+    return session
+
+
+def test_step_detects_published_state_out_of_sync_with_held_noise():
+    session = _noisy_session(3)  # held: the bundles bought at t = 2 and t = 3
+    session.noise.held[0][1][0] += 1.0  # corrupt a held bundle in place
+    with pytest.raises(InvalidStateError, match="lost sync with held noise"):
+        session.step(np.array([0.0, 0.5]))
+
+
+def test_close_detects_sell_back_disagreeing_with_batch_total():
+    session = _noisy_session(3)
+    held_sum = session.noise.held_sum
+    session.noise.held_sum = lambda: held_sum() + np.array([1.0, 0.0])
+    with pytest.raises(InvalidStateError, match="disagrees with batch total"):
+        session.close(0)
