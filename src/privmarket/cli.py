@@ -11,6 +11,7 @@ from .adaptive import stage_schedule, verify_stage_inequalities
 from .errors import ConfigError, PrivMarketError
 from .harness import (
     MAX_SEEDS,
+    METRIC_FIELDS,
     RunConfig,
     load_metrics,
     privacy_audit,
@@ -61,15 +62,37 @@ CHECKS = {
 }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+# resolved_config.json fields a flat run's checks read
+RESOLVED_FIELDS = ("alpha", "gamma", "B1", "lambda", "d", "T", "epsilon")
+
+
+def _read_run_dir(path: str) -> tuple[list[dict], dict]:
+    """Metrics rows and resolved config of a flat run's directory; anything else is a ConfigError."""
     try:
-        rows = load_metrics(args.metrics)
-        with open(os.path.join(args.metrics, "resolved_config.json"), encoding="utf-8") as fh:
+        rows = load_metrics(path)
+        with open(os.path.join(path, "resolved_config.json"), encoding="utf-8") as fh:
             resolved = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read run directory: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"malformed run directory: {exc}") from exc
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict) or not all(
+            isinstance(row.get(name), (int, float)) and not isinstance(row[name], bool)
+            for name in METRIC_FIELDS
+        ):
+            raise ConfigError(f"metrics row {i} is not an object with a number per metric field")
+    if not isinstance(resolved, dict) or "adaptive" not in resolved:
+        raise ConfigError("resolved_config.json must be an object with an adaptive field")
     if resolved["adaptive"]:
         raise ConfigError("adaptive run: no flat-market bound applies to a staged market")
+    if not set(RESOLVED_FIELDS) <= resolved.keys():
+        raise ConfigError(f"resolved_config.json must hold {', '.join(RESOLVED_FIELDS)}")
+    return rows, resolved
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    rows, resolved = _read_run_dir(args.metrics)
     names = CHECKS if args.check == "all" else [args.check]
     reports = [CHECKS[name](rows, resolved) for name in names]
     for report in reports:

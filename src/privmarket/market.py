@@ -19,7 +19,9 @@ jointly telescope to C(true final state) - C(initial state).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +35,12 @@ from .errors import (
     check_design,
     check_positive,
 )
-from .noise import NoiseLedger, noise_scale, tree_depth
+from .noise import LAPLACE_MAX, NoiseLedger, noise_scale, tree_depth
 
 TRADE_SIZE_TOL = 1e-9
 CASH_TOL = 1e-9
+PLAN_CACHE = 64
+"""Block plans kept; a herd+random run at T = 16384 uses about ten."""
 
 
 def lambda_star(T: int, alpha: float, gamma: float, epsilon: float, d: int) -> float:
@@ -123,6 +127,11 @@ class MarketParams:
             self.lam = self.lam_star
         if not (0.0 < self.lam <= 1.0):
             raise InvalidParameterError("lam must lie in (0, 1]")
+        if self.lam < sys.float_info.min:
+            raise InvalidParameterError(f"lam {self.lam:.3e} is below the smallest normal float")
+        worst = LAPLACE_MAX * noise_scale(self.T, self.epsilon)  # a bundle entry's largest size
+        if not math.isfinite(worst * worst * self.d):
+            raise InvalidParameterError("noise bundles' squared l2 norms would pass float range")
         if self.lam > self.lam_star and not self.allow_unsafe_lambda:
             raise InvalidParameterError(
                 f"lam {self.lam:.3e} exceeds lambda_star {self.lam_star:.3e}; "
@@ -192,6 +201,87 @@ def _published(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def l2_norms(z: np.ndarray) -> np.ndarray:
+    """math.sqrt(row.dot(row)) of each row of z (k, d), bit for bit.
+
+    A stacked (1, d) @ (d, 1) matmul is a dot per row; np.linalg.norm and
+    sums of squares round differently at d >= 2.
+    """
+    k, d = z.shape
+    return np.sqrt(np.matmul(z.reshape(k, 1, d), z.reshape(k, d, 1)).ravel())
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _block_plan(k: int, low: int, top: int) -> tuple:
+    """Row plan of a block of k arrivals after t0.
+
+    It depends only on the trailing-zero counts tz(t0 + i), which follow
+    from low = t0 mod 2^m (m = k.bit_length()) and top, the tz of the one
+    block time that 2^m divides (-1 if none).  Source rows: q_hat, q_true
+    plus the held noise, q_true, the k trades, the k bundles bought, a zero
+    row, then (from neg) minus the bundles bought and minus levels
+    0 .. sold - 1.  Arrival i trades, sells levels 0 .. tz - 1 (level l
+    holds the bundle of block row i - 2^l when 2^l <= i, else one bought
+    before the block) and buys.  Returned, with neg and sold:
+    rows (3, n): the chain from q_hat, its shadow from q_true plus the held
+    noise, and the true states (the trades, zeros elsewhere); costed: the
+    chain, then the true state after each arrival; buys: the chain's buy
+    rows; picks (k, 3): state, shadow and true state after each arrival;
+    cash (2, 5, w): each total's amounts as minuend and subtrahend indices
+    into the costs, the bundle norms and the head (the five totals, c_hat,
+    the fee, 0.0); levels: the source rows of levels 0 .. max tz after the
+    block; flips: the held-mask bits the block turns over.
+    """
+    buy, zero = 3 + k, 3 + 2 * k
+    neg = zero + 1
+    chain, true, trades, sells, buys = [0], [2], [], [], []
+    held: dict[int, int | None] = {}  # level -> block row holding it
+    sold = 0  # bits of the levels sold from before the block
+    for i in range(k):
+        u = low + i + 1
+        tz = top if u == 1 << k.bit_length() else (u & -u).bit_length() - 1
+        trades.append(len(chain))
+        chain.append(3 + i)
+        true.append(3 + i)
+        for level in range(tz):
+            if 1 << level <= i:
+                chain.append(neg + i - (1 << level))
+            else:
+                chain.append(neg + k + level)
+                sold |= 1 << level
+            held[level] = None
+            sells.append(len(chain) - 1)
+        held[tz] = i
+        buys.append(len(chain))
+        chain.append(buy + i)
+        true += [zero] * (len(chain) - len(true))
+    n = len(chain)
+    levels = [zero if held[level] is None else buy + held[level] for level in range(len(held))]
+    kept = sum(1 << level for level, row in held.items() if row is not None)
+    h = n + 2 * k
+    c_hat, fee, nil = h + 5, h + 6, h + 7
+    amounts = [
+        (trades, [c_hat] + buys[:-1]),  # each trade starts from the last buy
+        ([r - 1 for r in sells], sells),
+        (buys, [b - 1 for b in buys]),
+        ([fee] * k, [nil] * k),
+        (range(n + k, h), [nil] * k),
+    ]
+    cash = np.full((2, 5, 1 + max(k, len(sells))), nil, dtype=np.intp)
+    for j, (plus, minus) in enumerate(amounts):
+        cash[0, j, 0] = h + j
+        cash[0, j, 1 : 1 + len(plus)] = plus
+        cash[1, j, 1 : 1 + len(minus)] = minus
+    buys = np.array(buys, dtype=np.intp)
+    plan = (neg, sold.bit_length(), np.array([chain, [1] + chain[1:], true], dtype=np.intp),
+            np.concatenate((np.arange(n), 2 * n + buys)), buys,
+            buys[:, None] + np.array([0, n, 2 * n]), cash, np.array(levels, dtype=np.intp),
+            sold ^ kept)
+    for part in plan[2:-1]:  # shared by every block with these tz values
+        part.flags.writeable = False
+    return plan
+
+
 class MarketSession:
     """Mutable state of one running market; single-owner, not thread-safe.
 
@@ -225,6 +315,7 @@ class MarketSession:
         self.noise = NoiseLedger(
             d=params.d,
             scale=noise_scale(params.T, params.epsilon),
+            T=params.T,
             noise_off=params.noise_off,
         )
         self.arrivals = 0
@@ -251,98 +342,73 @@ class MarketSession:
 
         Each arrival pays the fee and its trade's cost at the published
         state; then step t sells the tz(t) most recent held bundles and buys
-        a fresh one.  The states the block passes through (after each trade,
-        each sell and each buy), the true states and the held noise are
-        built as sequential running sums (np.add.accumulate, as cumsum), and
-        one kernel pass costs and prices them: one cost per state, never
-        telescoped, because the noise cash is a small difference of large
-        costs.  The cash totals take the block's amounts one float addition
-        at a time, in arrival order, so a block books bit for bit what its
-        bundles book one at a time.  The checks: held == the counter bits
-        after the block, and published - true == the held noise after every
-        arrival (l1 drift at most 1e-6).  A bad bundle, or a block that
-        would pass T, raises before anything is booked.
+        a fresh one.  The cached _block_plan says where every state of the
+        block comes from, so once it is cached no Python work is done per
+        arrival: one gather and one sequential running sum build the states
+        after each trade, sell and buy, their shadow from q_true plus the
+        held noise, and the true states, and one kernel pass costs and
+        prices them (one cost per state, never telescoped: the noise cash is
+        a small difference of large costs).  Each cash total adds its amounts one at a time in
+        arrival order (np.add.accumulate), so a block books bit for bit what
+        its bundles book one at a time.  Checks: held == the counter bits
+        after the block, and published == shadow, i.e. published - true ==
+        held noise, after every arrival (l1 drift at most 1e-6).  A bad
+        bundle, or a block that would pass T, raises before anything is
+        booked.
         """
         if self.closed:
             raise MarketClosedError("session is closed")
-        block = check_bundle(dq, self.params.d)
-        k = len(block)
-        if self.arrivals + k > self.params.T:
+        d = self.params.d
+        block = check_bundle(dq, d)
+        k, t0 = len(block), self.arrivals
+        if t0 + k > self.params.T:
             raise MarketClosedError(
-                f"session has {self.arrivals} of {self.params.T} arrivals; {k} more do not fit"
+                f"session has {t0} of {self.params.T} arrivals; {k} more do not fit"
             )
 
-        z = self.noise.draw(self.rng, k)
         ledger = self.noise
-        held = [value for _, value in ledger.held]
-        m = len(held)
-        # source rows: q_hat, q_true, the trades, the bundles bought, the
-        # held bundles, then minus each bundle sold, in order of sale
-        neg = 2 + 2 * k + m
-        pieces = [self.q_hat, self.q_true, block.ravel(), z.ravel(), *held]
-        n_fixed = len(pieces)
-        # buf rows: q_hat and the published chain (after each trade, sell and
-        # buy); q_true and the true states; the held bundles, then the sells
-        # and buys, whose running sum is the held noise.  buys[i]: the chain
-        # row of arrival i's buy; norms[i]: the l2 norm of its bundle
-        rows, buys, norms = [0], [], []
-        for i in range(k):
-            rows.append(2 + i)
-            for _ in range(ledger.begin_step()):
-                rows.append(neg + len(pieces) - n_fixed)
-                pieces.append(ledger.mark_sold())
-            bought = z[i].copy()  # a held bundle must not keep the whole block alive
-            ledger.new_bundle(bought)
-            norms.append(math.sqrt(bought.dot(bought)))  # np.linalg.norm's own formula
-            rows.append(2 + k + i)
-            buys.append(len(rows) - 1)
-        source = np.concatenate(pieces).reshape(-1, self.params.d)
-        np.negative(source[neg:], out=source[neg:])
-        n, n_true = len(rows), len(rows) + 1 + k  # ends of the chain and true sections
-        noise = [j for j in rows if j >= 2 + k]  # the sells and buys
-        rows.append(1)
-        rows += range(2, 2 + k)
-        rows += range(neg - m, neg)  # the held bundles
-        rows += noise
+        m = k.bit_length()
+        top = (t0 + k) >> m << m  # the one time in the block that 2^m divides, if any
+        neg, sold, rows, costed, buys, picks, cash, levels, flips = _block_plan(
+            k, t0 & ((1 << m) - 1), (top & -top).bit_length() - 1 if top > t0 else -1)
+        z = ledger.draw(self.rng, k)
+        source = np.concatenate((
+            self.q_hat, self.q_true + ledger.held_sum(), self.q_true, block.ravel(), z.ravel(),
+            np.zeros(d), z.ravel(), ledger.levels[:sold].ravel(),
+        )).reshape(-1, d)
+        tail = source[neg:]
+        np.negative(tail, out=tail)
         buf = source.take(rows, axis=0)
-        np.add.accumulate(buf[:n], axis=0, out=buf[:n])
-        np.add.accumulate(buf[n:n_true], axis=0, out=buf[n:n_true])
-        np.add.accumulate(buf[n_true:], axis=0, out=buf[n_true:])
-        costs, prices = self.cost.cost_and_prices(buf[:n_true])
+        np.add.accumulate(buf, axis=1, out=buf)
+        flat = buf.reshape(-1, d)
+        costs, prices = self.cost.cost_and_prices(flat.take(costed, axis=0))
 
-        # per arrival: the published state and the held noise after it; the
-        # noise rows skip q_hat and the trades, so buy b of arrival i is
-        # noise row m + b - (i + 2)
-        noise_buys = [n_true + m + b - i - 2 for i, b in enumerate(buys)]
-        picked = buf.take(buys + noise_buys, axis=0)
-        states, held_sums, q_true = picked[:k], picked[k:], buf[n + 1 : n_true]
+        # per arrival, l1 norms row by row as a lone state's: the drift of
+        # the published state from its shadow, the share gap, the price gap
+        picked = flat.take(picks, axis=0)
         p_hat = prices.take(buys, axis=0)
-        # per arrival, l1 norms row by row as a lone state's: the price gap,
-        # the share gap, and the drift of published - true from the held noise
-        diffs = np.empty((3, k, self.params.d))
-        np.subtract(prices[n + 1 :], p_hat, out=diffs[0])
-        np.subtract(states, q_true, out=diffs[1])
-        np.subtract(diffs[1], held_sums, out=diffs[2])
-        price_gaps, share_gaps, drifts = np.add.reduce(np.abs(diffs, out=diffs), axis=-1).tolist()
-        if max(drifts) > 1e-6:
+        diffs = np.empty((k, 3, d))
+        np.subtract(picked[:, :1], picked[:, 1:], out=diffs[:, :2])
+        np.subtract(prices[-k:], p_hat, out=diffs[:, 2])
+        drifts, share_gaps, price_gaps = np.add.reduce(np.abs(diffs, out=diffs), axis=-1).T.tolist()
+        if not max(drifts) <= 1e-6:
             raise InvalidStateError("published state lost sync with held noise")
-        costs = costs.tolist()
-        fee = self.params.fee
-        c_prev, prev = self.c_hat, 0
-        for i, buy in enumerate(buys):  # each amount in booking order, one addition each
-            self.fee_total += fee
-            self.trade_payments += costs[prev + 1] - c_prev
-            for r in range(prev + 2, buy):
-                self.noise_sell_total += costs[r - 1] - costs[r]
-            self.noise_buy_total += costs[buy] - costs[buy - 1]
-            self.bundle_l2_total += norms[i]
-            c_prev, prev = costs[buy], buy
 
+        # each total's amounts, after the total itself, as differences of
+        # costs, bundle l2 norms and the head's entries
+        head = (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
+                self.fee_total, self.bundle_l2_total, self.c_hat, self.params.fee, 0.0)
+        terms = np.concatenate((costs, l2_norms(z), head)).take(cash)
+        (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
+         self.fee_total, self.bundle_l2_total) = np.add.accumulate(
+            np.subtract(terms[0], terms[1]), axis=1)[:, -1].tolist()
+
+        ledger.advance(k, source.take(levels, axis=0), flips)
         ledger.verify_held()
-        self.q_true = q_true[-1].copy()  # not a view that keeps buf alive
-        self.q_hat = _published(states[-1])
+        self.q_true = picked[-1, 2].copy()  # not a view that keeps picked alive
+        self.q_hat = _published(picked[-1, 0])
         self.p_hat = _published(p_hat[-1])
-        self.c_hat = c_prev
+        self.c_hat = float(costs[buys[-1]])
         self.arrivals += k
         self.max_price_gap = max(self.max_price_gap, *price_gaps)
         self.max_share_gap = max(self.max_share_gap, *share_gaps)

@@ -12,17 +12,22 @@ noise trader realizes this by selling, at step t, its tz(t) most recent
 bundles, where tz(t) is the number of trailing zero bits of t (they were
 bought at t-1, t-2, t-4, ..., t-2^{tz(t)-1}), then buying a fresh bundle
 z^t.  The bundles still held after step t are exactly the one-bit prefixes
-of t, i.e. the path {t, s(t), ...}, so the ledger is a stack of
-(buy time, value) pairs.
+of t, i.e. the path {t, s(t), ...}: one bundle per one-bit, so NoiseLedger
+keeps them in an array indexed by the bit, tz of the buy time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidStateError, check_positive
+
+
+UNIFORM_FLOOR = 1e-300
+LAPLACE_MAX = -math.log(UNIFORM_FLOOR)
+"""Largest size of a sample_bundle entry at scale 1 (about 690.8)."""
 
 
 def s_flip(t: int) -> int:
@@ -78,26 +83,36 @@ def sample_bundle(
     u = rng.random(d if k is None else (k, d)) - 0.5
     # 1 - 2|u| lies in [0, 1]; the floor keeps the log finite on the
     # measure-zero edge u == -0.5
-    return -scale * np.sign(u) * np.log(np.maximum(1.0 - 2.0 * np.abs(u), 1e-300))
+    return -scale * np.sign(u) * np.log(np.maximum(1.0 - 2.0 * np.abs(u), UNIFORM_FLOOR))
 
 
-@dataclass
 class NoiseLedger:
     """The noise trader's binary counter for one market session.
 
-    held is the stack of (buy time, value) pairs still owned, oldest at the
-    bottom.  Step t sells the tz(t) most recent bundles, so a sale pops the
-    top, and after every step the stack holds exactly the one-bits of the
-    step counter: at most floor(log2 t) + 1 bundles.  noise_off swaps the
+    The bundle bought at time u sits at level tz(u) of the (L, d) array
+    levels, L = tree_depth(T) + 1.  Step t sells levels 0 .. tz(t) - 1, the
+    most recent bundle first, and buys at level tz(t), so after every step
+    the held levels are exactly the one-bits of t: mask keeps them and is
+    checked against t, and a level not held is zero.  noise_off swaps the
     sampled values for zeros (schedule and bookkeeping unchanged) so tests
     can isolate the trading mechanics.
     """
 
-    d: int
-    scale: float
-    noise_off: bool = False
-    t: int = 0
-    held: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    def __init__(self, d: int, scale: float, T: int, noise_off: bool = False):
+        self.d, self.scale, self.noise_off = d, scale, noise_off
+        self.t = self.mask = 0
+        self.levels = np.zeros((tree_depth(T) + 1, d))
+        self._ones = np.ones(len(self.levels))
+
+    @property
+    def held(self) -> list[tuple[int, np.ndarray]]:
+        """(buy time, value) of each held bundle, oldest first; values are views of levels.
+
+        The bundle at level l was bought at the latest u <= t with tz(u) == l.
+        """
+        t = self.t
+        return [(t - ((t - (1 << l)) & ((2 << l) - 1)), self.levels[l])
+                for l in reversed(range(len(self.levels))) if self.mask >> l & 1]
 
     def path_times(self) -> list[int]:
         """The stack {t, s(t), s(s(t)), ...} down to (not including) 0."""
@@ -105,14 +120,12 @@ class NoiseLedger:
         u = self.t
         while u > 0:
             times.append(u)
-            u &= u - 1  # s_flip(u), inline: verify_held runs after every step
+            u &= u - 1
         return times
 
     def held_sum(self) -> np.ndarray:
-        total = np.zeros(self.d)
-        for _, value in self.held:
-            total += value
-        return total
+        """Sum of the held bundles: of all levels, since a level not held is zero."""
+        return self._ones.dot(self.levels)
 
     def begin_step(self) -> int:
         """Advance the counter to t and return tz(t), the number of bundles step t sells."""
@@ -120,10 +133,14 @@ class NoiseLedger:
         return (self.t & -self.t).bit_length() - 1
 
     def mark_sold(self) -> np.ndarray:
-        """Pop the top bundle, the most recent one held, and return its value."""
-        if not self.held:
+        """Sell the lowest held level, the most recent bundle, and return its value."""
+        if not self.mask:
             raise InvalidStateError("no held bundle to sell")
-        return self.held.pop()[1]
+        level = (self.mask & -self.mask).bit_length() - 1
+        self.mask &= self.mask - 1
+        value = self.levels[level].copy()
+        self.levels[level] = 0.0
+        return value
 
     def draw(self, rng: np.random.Generator, k: int | None = None) -> np.ndarray:
         """Value of the next bundle, or with k the next k as a (k, d) block.
@@ -137,13 +154,22 @@ class NoiseLedger:
         return sample_bundle(self.d, self.scale, rng, k)
 
     def new_bundle(self, value: np.ndarray) -> None:
-        """Push the bundle of step t, whose value came from draw."""
-        if self.held and self.held[-1][0] == self.t:
+        """Buy the bundle of step t, whose value came from draw, at level tz(t)."""
+        level = (self.t & -self.t).bit_length() - 1
+        if self.mask >> level & 1:
             raise InvalidStateError(f"bundle {self.t} already exists")
-        self.held.append((self.t, value))
+        self.levels[level] = value
+        self.mask |= 1 << level
+
+    def advance(self, k: int, low: np.ndarray, flips: int) -> None:
+        """Book k steps at once: levels below len(low) become low, and mask flips the
+        bits of the levels sold from before the steps and of those bought and still held."""
+        self.levels[: len(low)] = low
+        self.mask ^= flips
+        self.t += k
 
     def verify_held(self) -> None:
-        """held must equal the one-bit prefixes of t after every step."""
-        times = [time for time, _ in reversed(self.held)]
-        if times != self.path_times():
+        """The held levels must be the one-bits of t after every step."""
+        if self.mask != self.t:
+            times = [time for time, _ in reversed(self.held)]
             raise InvalidStateError(f"held {times} != counter bits {self.path_times()}")

@@ -14,8 +14,11 @@ strategies.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -85,12 +88,8 @@ def maximize_profit(
     d = ctx.cost.d
     if belief.shape != (d,):
         raise InvalidParameterError(f"belief must have shape ({d},)")
-    # row 0 is no trade, so the block also prices C(q_hat); row 1 + 2j buys
-    # e_j and row 2 + 2j sells it
-    trades = np.zeros((2 * d + 1, d))
-    flat = trades.reshape(-1)  # row 1 + 2j, column j is flat entry d + j (2d + 1)
-    flat[d :: 2 * d + 1] = 1.0
-    flat[2 * d :: 2 * d + 1] = -1.0
+    # row 0 is no trade, so the block also prices C(q_hat)
+    trades = _unit_trades(d)
     costs = ctx.cost.cost(ctx.q_hat + trades)
     c_hat = float(costs[0])
     profits = (trades[1:] @ belief - (costs[1:] - c_hat)).tolist()
@@ -110,6 +109,17 @@ def maximize_profit(
     return trades[1 + best].copy(), best_profit
 
 
+@functools.lru_cache(maxsize=1)
+def _unit_trades(d: int) -> np.ndarray:
+    """Read-only (2d + 1, d) block: no trade, then +e_j (row 1 + 2j) and -e_j (row 2 + 2j)."""
+    trades = np.zeros((2 * d + 1, d))
+    flat = trades.reshape(-1)  # row 1 + 2j, column j is flat entry d + j (2d + 1)
+    flat[d :: 2 * d + 1] = 1.0
+    flat[2 * d :: 2 * d + 1] = -1.0
+    trades.flags.writeable = False
+    return trades
+
+
 def best_response(ctx: StrategyContext, belief: np.ndarray) -> Optional[np.ndarray]:
     """The profit-maximizing trade if it beats the fee, else None (abstain)."""
     dq, profit = maximize_profit(ctx, belief)
@@ -121,10 +131,12 @@ def best_response(ctx: StrategyContext, belief: np.ndarray) -> Optional[np.ndarr
 class Strategy:
     """Single-owner stateful decision rule bound to one run.
 
-    reads_state is False for a strategy whose decision ignores ctx.q_hat and
-    ctx.p_hat: drive_session may ask it before the arrivals ahead of it are
-    booked, so those can lag (ctx.t is still its arrival's index).  One that
-    reads them keeps the default, True, and always sees every earlier arrival.
+    reads_state is False for a strategy whose decisions ignore ctx.t,
+    ctx.q_hat and ctx.p_hat.  drive_session asks it once per run of
+    consecutive blind slots for all of its slots there (decide_run), with
+    the context before the run: ctx.t is the run's first arrival index.
+    One that reads them keeps the default, True, and is asked through
+    decide once every earlier arrival is booked.
     """
 
     kind = "abstract"
@@ -132,6 +144,11 @@ class Strategy:
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
         raise NotImplementedError
+
+    def decide_run(self, ctx: StrategyContext, n: int):
+        """Decisions for n slots of a blind run: an (n, d) array when all trade,
+        else a list of n bundles or None (by default decide per slot)."""
+        return [self.decide(ctx) for _ in range(n)]
 
 
 class BeliefTrader(Strategy):
@@ -179,8 +196,11 @@ class Herd(Strategy):
         self.coordinate = coordinate
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
-        dq = np.zeros(ctx.cost.d)
-        dq[self.coordinate] = 1.0
+        return self.decide_run(ctx, 1)[0]
+
+    def decide_run(self, ctx: StrategyContext, n: int) -> np.ndarray:
+        dq = np.zeros((n, ctx.cost.d))
+        dq[:, self.coordinate] = 1.0
         return dq
 
 
@@ -189,7 +209,8 @@ class RandomTrader(Strategy):
 
     (sign, coordinate) pairs are drawn RANDOM_CHUNK at a time: the same
     stream as per-decision draws of the sign (as rng.choice([-1.0, 1.0])
-    makes it), then the coordinate.  The last chunk may draw past the end of
+    makes it), then the coordinate, and turned into bundles at most
+    BLOCK_FLOATS entries at a time.  The last chunk may draw past the end of
     a trial, which is harmless: each instance's generator belongs to one
     trial.  An instance serves markets of one d.
     """
@@ -199,18 +220,23 @@ class RandomTrader(Strategy):
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self._pairs: list[int] = []
-        self._next = 0
+        self._pairs = np.zeros((0, 2), dtype=np.intp)  # drawn, not yet bundles
+        self._bundles = np.zeros((0, 0))  # not yet used
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
+        return self.decide_run(ctx, 1)[0]
+
+    def decide_run(self, ctx: StrategyContext, n: int) -> np.ndarray:
         d = ctx.cost.d
-        if self._next == len(self._pairs):
-            self._pairs = self.rng.integers(np.tile([2, d], RANDOM_CHUNK)).tolist()
-            self._next = 0
-        sign, j = self._pairs[self._next], self._pairs[self._next + 1]
-        self._next += 2
-        dq = np.zeros(d)
-        dq[j] = (-1.0, 1.0)[sign]
+        while len(self._bundles) < n:
+            if not len(self._pairs):
+                self._pairs = self.rng.integers(np.tile([2, d], RANDOM_CHUNK)).reshape(-1, 2)
+            rows = max(1, BLOCK_FLOATS // d)  # bundles made at once, as for a block
+            (signs, cols), self._pairs = self._pairs[:rows].T, self._pairs[rows:]
+            fresh = np.zeros((len(cols), d))
+            fresh[np.arange(len(cols)), cols] = 2 * signs - 1  # sign 0 sells, 1 buys
+            self._bundles = np.concatenate((self._bundles.reshape(-1, d), fresh))
+        dq, self._bundles = self._bundles[:n], self._bundles[n:]
         return dq
 
 
@@ -222,6 +248,9 @@ class Abstainer(Strategy):
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
         return None
+
+    def decide_run(self, ctx: StrategyContext, n: int) -> list:
+        return [None] * n
 
 
 def _probability_vector(belief, d: int) -> np.ndarray:
@@ -280,65 +309,116 @@ def make_strategy(kind: str, params: dict | None, d: int, rng: np.random.Generat
     return strat
 
 
-def step_strategy(strategy: Strategy, ctx: StrategyContext) -> Optional[np.ndarray]:
-    """Ask a strategy for its decision: a bundle, or None to abstain.
+def step_strategy(strategy: Strategy, ctx: StrategyContext, n: int | None = None):
+    """Ask a strategy for its decision, a bundle or None to abstain, or with n
+    for its n slots of a blind run (decide_run).
 
     This is the strategy-decision boundary the benchmark tracer times.  The
-    bundle is validated once, by the MarketSession.step it goes to.
+    bundles are validated once, by the MarketSession.step they go to.
     """
-    return strategy.decide(ctx)
+    return strategy.decide(ctx) if n is None else strategy.decide_run(ctx, n)
 
 
 def drive_session(session, stream: Iterator) -> bool:
     """Feed potential arrivals from stream until the session fills.
 
-    Each run of consecutive bundles from strategies that do not read the
-    published state (reads_state False: herd, random, abstainer) is booked
-    as one block of at most BLOCK_CAP arrivals and BLOCK_FLOATS bundle
-    entries, so such a strategy may be asked before the arrivals ahead of
-    it are booked.  A strategy that reads the state is asked only once every
-    earlier arrival is booked, and its bundle is booked alone.  Never takes
-    more from the stream than the session has room for.  A bundle the
-    session rejects is the strategy's fault and raises StrategyBugError
-    naming that strategy's kind.  Returns True when the stream ran dry
-    first.
+    Slots are taken at most as many at a time as the session and the
+    pending block have room for, so the stream is never taken past the
+    arrival that fills the session.  In each run of consecutive slots of
+    strategies that do not read the published state (reads_state False:
+    herd, random, abstainer), each is asked once for all of its slots
+    (step_strategy with n), in the order of their first slots, and the
+    bundles join the pending block in slot order.  The block is booked
+    with one MarketSession.step when it holds BLOCK_CAP arrivals or
+    BLOCK_FLOATS bundle entries, before a strategy that reads the state is
+    asked, and at the end; such a strategy's bundle is booked alone.  A
+    bundle the session rejects, or one of the wrong shape, raises
+    StrategyBugError naming its strategy's kind.  Returns True when the
+    stream ran dry first.
     """
-    cap = max(1, min(BLOCK_CAP, BLOCK_FLOATS // session.params.d))
-    pending: list = []
+    d, T = session.params.d, session.params.T
+    cap = max(1, min(BLOCK_CAP, BLOCK_FLOATS // d))
+    pending = np.empty((cap, d))
     owners: list[Strategy] = []
+    ctx = None
     exhausted = False
-    while session.arrivals + len(pending) < session.params.T:
-        try:
-            strat = next(stream)
-        except StopIteration:
+    while session.arrivals + len(owners) < T:
+        want = min(T - session.arrivals, cap) - len(owners)
+        slots = list(itertools.islice(stream, want))
+        for reads, run in itertools.groupby(slots, operator.attrgetter("reads_state")):
+            if not reads:
+                ctx = _context(session, len(owners), ctx)
+                _ask_run(list(run), ctx, pending, owners)
+                continue
+            for reader in run:
+                if owners:
+                    _book(session, pending[: len(owners)], owners)
+                ctx = _context(session, 0, ctx)
+                dq = step_strategy(reader, ctx)
+                if dq is not None:
+                    _book(session, dq, [reader])
+        if len(owners) == cap:
+            _book(session, pending, owners)
+        if len(slots) < want:
             exhausted = True
             break
-        if strat.reads_state and pending:
-            _book(session, pending, owners)
-        ctx = StrategyContext(
-            t=session.arrivals + len(pending) + 1,
-            q_hat=session.q_hat,
-            p_hat=session.p_hat,
-            fee=session.params.fee,
-            cost=session.cost,
-        )
-        dq = step_strategy(strat, ctx)
-        if dq is not None:
-            pending.append(dq)
-            owners.append(strat)
-            if strat.reads_state or len(pending) == cap:
-                _book(session, pending, owners)
-    if pending:
-        _book(session, pending, owners)
+    if owners:
+        _book(session, pending[: len(owners)], owners)
     return exhausted
 
 
-def _book(session, pending: list, owners: list[Strategy]) -> None:
-    """Step the pending bundles as one block and clear them."""
+def _context(session, ahead: int, last: StrategyContext | None) -> StrategyContext:
+    """The context of the arrival after the session's and ahead pending ones;
+    last when it is that context (nothing was booked since)."""
+    if last is not None and last.q_hat is session.q_hat and last.t == session.arrivals + ahead + 1:
+        return last
+    return StrategyContext(
+        t=session.arrivals + ahead + 1,
+        q_hat=session.q_hat,
+        p_hat=session.p_hat,
+        fee=session.params.fee,
+        cost=session.cost,
+    )
+
+
+def _ask_run(run: list, ctx: StrategyContext, pending: np.ndarray, owners: list) -> None:
+    """Ask each blind strategy of run for its slots; append the bundles to pending."""
+    d, start, n = pending.shape[1], len(owners), len(run)
+    rows = pending[start : start + n]
+    slots: dict[int, list[int]] = {}
+    for i, strat in enumerate(run):
+        slots.setdefault(id(strat), []).append(i)
+    skipped: list[int] = []
+    for index in slots.values():
+        strat, m = run[index[0]], len(index)
+        decisions = step_strategy(strat, ctx, m)
+        try:
+            if isinstance(decisions, np.ndarray) and decisions.shape == (m, d):
+                rows[index[0] if m == 1 else index] = decisions
+            elif len(decisions) == m:
+                for i, dq in zip(index, decisions):
+                    if dq is None:
+                        skipped.append(i)
+                    elif np.shape(dq) == (d,):
+                        rows[i] = dq
+                    else:
+                        raise ValueError(f"bundle must have shape ({d},)")
+            else:
+                raise ValueError(f"{m} decisions expected")
+        except (TypeError, ValueError) as exc:
+            raise StrategyBugError(f"{strat.kind} returned a bad bundle: {exc}") from exc
+    if skipped:
+        kept = sorted(set(range(n)).difference(skipped))
+        rows[: len(kept)] = rows[kept]
+        run = [run[i] for i in kept]
+    owners.extend(run)
+
+
+def _book(session, block, owners: list) -> None:
+    """Step block, whose rows (or one bundle) owners returned, and clear owners."""
     try:
-        session.step(pending)
+        session.step(block)
     except TradeRejectedError as exc:
         kind = owners[exc.row].kind
         raise StrategyBugError(f"{kind} returned a bad bundle: {exc}") from exc
-    pending.clear()
     owners.clear()

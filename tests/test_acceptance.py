@@ -97,7 +97,7 @@ def test_schedule_combinatorics_exhaustive(report):
     # checked against the bits of t
     start = time.monotonic()
     rng = np.random.default_rng(0)
-    ledger = NoiseLedger(d=1, scale=1.0)
+    ledger = NoiseLedger(d=1, scale=1.0, T=2 ** 14)
     sold_at: dict[int, int] = {}
     values: dict[int, float] = {}
     running = 0.0

@@ -195,6 +195,10 @@ BAD_ENTRIES = {
     # an abstainer-only roster never fills a market, so its stream would
     # run for ever
     "stream_length past the cap": {"traders": [{"kind": "abstainer"}], "stream_length": 10**18},
+    # lambda 6.4e-309 is subnormal, and bundles of scale 4e306 overflow their l2 norms
+    "lambda below the smallest normal float": {
+        "market": {"d": 2, "epsilon": 1e-306, "alpha": 0.5, "gamma": 0.5, "T": 4}
+    },
 }
 
 
@@ -667,6 +671,42 @@ def _no_resolved_config(tmp_path):
 def test_cli_unreadable_files_exit_2(argv, tmp_path, capsys):
     assert cli_main(argv(tmp_path)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _row(damage):
+    """Replace the last metrics row by damage(row)."""
+    return lambda rows, resolved: (rows[:-1] + [damage(rows[-1])], resolved)
+
+
+MALFORMED_RUN_DIRS = {
+    "truncated row": _row(lambda row: '{"seed": 0'),
+    "row not an object": _row(lambda row: "[1, 2]"),
+    "row missing a metric field": _row(
+        lambda row: json.dumps({k: v for k, v in json.loads(row).items() if k != "ntl"})),
+    "metric not a number": _row(lambda row: row.replace('"ntl": ', '"ntl": "x", "_": ')),
+    "resolved config without adaptive": lambda rows, resolved: (
+        rows, json.dumps({k: v for k, v in json.loads(resolved).items() if k != "adaptive"})),
+    "resolved config not an object": lambda rows, resolved: (rows, "[]"),
+    "flat resolved config without T": lambda rows, resolved: (
+        rows, json.dumps({k: v for k, v in json.loads(resolved).items() if k != "T"})),
+}
+
+
+@pytest.mark.parametrize("damage", MALFORMED_RUN_DIRS.values(), ids=MALFORMED_RUN_DIRS.keys())
+def test_cli_verify_on_a_malformed_run_dir_exits_2(damage, tmp_path, capsys):
+    run_trials(_cfg(seeds={"count": 2}), out_dir=str(tmp_path))
+    metrics, config = tmp_path / "metrics.jsonl", tmp_path / "resolved_config.json"
+    rows = metrics.read_text(encoding="utf-8").splitlines() * 50  # enough rows to judge
+    metrics.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["verify", "--metrics", str(tmp_path), "--check", "all"]
+    assert cli_main(argv) in (0, 1)  # intact, the directory reaches the checks
+    rows, resolved = damage(rows, config.read_text(encoding="utf-8"))
+    metrics.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config.write_text(resolved, encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 VALID = {

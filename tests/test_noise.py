@@ -63,7 +63,7 @@ def test_tree_depth_and_scale():
 
 
 def test_sell_schedule_worked_examples():
-    led = NoiseLedger(d=1, scale=1.0)
+    led = NoiseLedger(d=1, scale=1.0, T=12)
     sells = {t: _turn_over(led, np.zeros(1)) for t in range(1, 13)}
     assert sells[1] == []
     assert sells[4] == [3, 2]
@@ -75,7 +75,7 @@ def test_sell_schedule_worked_examples():
 
 def test_counter_equivalence_exhaustive():
     # held set after step t == set of one-bits of t, for every t up to 2**14
-    led = NoiseLedger(d=1, scale=1.0)
+    led = NoiseLedger(d=1, scale=1.0, T=2 ** 14)
     sold_at = {}
     for t in range(1, 2 ** 14 + 1):
         sold = _turn_over(led, np.zeros(1))
@@ -101,7 +101,7 @@ def test_counter_equivalence_exhaustive():
 def test_path_sum_equivalence_exhaustive():
     # running ledger value == sum over the s-chain of t, for every t up to 2**14
     rng = np.random.default_rng(0)
-    led = NoiseLedger(d=1, scale=1.0)
+    led = NoiseLedger(d=1, scale=1.0, T=2 ** 14)
     values = {}
     held_total = 0.0
     for t in range(1, 2 ** 14 + 1):
@@ -186,7 +186,7 @@ def test_sample_bundle_deterministic():
 
 def test_ledger_lifecycle():
     rng = np.random.default_rng(2)
-    led = NoiseLedger(d=2, scale=4.0)
+    led = NoiseLedger(d=2, scale=4.0, T=16)
     for t in range(1, 17):
         _turn_over(led, led.draw(rng))
         assert led.t == t
@@ -200,7 +200,7 @@ def test_ledger_lifecycle():
 
 def test_ledger_noise_off_is_zero():
     rng = np.random.default_rng(3)
-    led = NoiseLedger(d=3, scale=4.0, noise_off=True)
+    led = NoiseLedger(d=3, scale=4.0, T=4, noise_off=True)
     led.begin_step()
     led.new_bundle(led.draw(rng))
     assert np.array_equal(led.held[0][1], np.zeros(3))
@@ -209,7 +209,7 @@ def test_ledger_noise_off_is_zero():
 
 def test_ledger_misuse_errors():
     rng = np.random.default_rng(4)
-    led = NoiseLedger(d=1, scale=1.0)
+    led = NoiseLedger(d=1, scale=1.0, T=4)
     with pytest.raises(InvalidStateError):
         led.mark_sold()  # nothing bought yet
     led.begin_step()

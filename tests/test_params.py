@@ -136,3 +136,21 @@ def test_adaptive_run_with_underflowing_alpha_epsilon_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: adaptive: alpha * epsilon must be finite and positive\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("epsilon, match", [
+    (1e-306, "below the smallest normal float"),  # lambda 6.4e-309
+    (1e-152, "squared l2 norms would pass float range"),  # lambda 6.4e-155, scale 4e152
+])
+def test_designs_that_leave_float_range_are_rejected(epsilon, match, tmp_path, capsys):
+    with pytest.raises(InvalidParameterError, match=match):
+        MarketParams(d=2, epsilon=epsilon, alpha=0.5, gamma=0.5, T=4)
+    MarketParams(d=2, epsilon=1e-150, alpha=0.5, gamma=0.5, T=4)  # lambda 6.4e-153 loads
+    config = tmp_path / "flat.json"
+    config.write_text(
+        f'{{"market": {{"d": 2, "epsilon": {epsilon!r}, "alpha": 0.5, "gamma": 0.5, "T": 4}},'
+        ' "traders": [{"kind": "herd"}]}', encoding="utf-8")
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
