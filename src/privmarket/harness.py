@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptive import StageSchedule, run_adaptive, stage_schedule
+from .adaptive import MAX_STAGES, StageSchedule, run_adaptive, stage_schedule
 from .errors import ConfigError, InsufficientDataError, InvalidParameterError, check_positive
 # open_market and drive_session run inside run_adaptive; they stay harness
 # globals because the benchmark tracer patches them where they are looked up.
@@ -58,6 +58,10 @@ seed with the summary's dicts, so the count is bounded before a trial runs."""
 AUDIT_ENTRIES = 4_000_000
 """Trade entries (pairs x T x d) in one chunk of the privacy audit.  A chunk
 holds at least one pair's (T, d) arrays, so T * d is bounded by it."""
+
+AUDIT_PAIRS = 10**6
+"""Most pairs one privacy audit may sample: about 4 minutes at T = 1024, d = 2,
+where a chunk of 1,953 pairs takes about 0.47 s on a 2-core machine."""
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,7 @@ SCHEMA = {
     "adaptive": (
         ("enabled", "adaptive", _as_bool, True),
         ("stage_override", "stage_override", _nullable(_int_in(2, MAX_T)), None),
-        ("max_stages", "max_stages", _int_in(), 3),
+        ("max_stages", "max_stages", _int_in(1, MAX_STAGES), 3),
     ),
     "trader": (
         ("kind", "kind", _one_of(*STRATEGY_KINDS), REQUIRED),
@@ -400,7 +404,7 @@ def run_trials(
 
     Rows land in metrics.jsonl in seed order regardless of scheduling, so
     output bytes depend only on (config, seeds).  seeds is a range or a
-    list of at most MAX_SEEDS non-negative integers, as in a config's seeds
+    list of 1 to MAX_SEEDS non-negative integers, as in a config's seeds
     section; any other is a ConfigError before a trial runs.  parallel >= 1
     asks for worker processes; at most one per seed and per usable CPU start.
     """
@@ -408,6 +412,8 @@ def run_trials(
         seeds = range(config.seeds_start, config.seeds_start + config.seeds_count)
     if len(seeds) > MAX_SEEDS:
         raise ConfigError(f"{len(seeds)} seeds exceed the cap of {MAX_SEEDS}")
+    if len(seeds) == 0:
+        raise ConfigError("a run needs at least one seed")
     parse_seed = _int_in(0)
     seeds = [parse_seed(seed, "seed") for seed in seeds]
     workers = min(_int_in(1)(parallel, "parallel"), len(seeds), _usable_cpus())
@@ -591,16 +597,16 @@ def privacy_audit(
     (ii) exact participation counts per arrival, with the implied
     worst-case epsilon multiplier count * (epsilon / ceil(log2 T)) reported
     rather than capped; (iii) the configured Laplace scale matches
-    2 ceil(log2 T) / epsilon.  It samples n_pairs >= 1 pairs, and T * d
-    may not exceed AUDIT_ENTRIES.
+    2 ceil(log2 T) / epsilon.  It samples n_pairs pairs, 1 <= n_pairs <=
+    AUDIT_PAIRS, and T * d may not exceed AUDIT_ENTRIES.
     """
     if not (1 <= T <= 2**14):
         raise InvalidParameterError("T must lie in [1, 2^14]")
     if not 1 <= d <= AUDIT_ENTRIES // T:
         raise InvalidParameterError(
             f"d must lie in [1, {AUDIT_ENTRIES // T}]: T * d <= {AUDIT_ENTRIES}")
-    if n_pairs < 1:
-        raise InvalidParameterError("n_pairs must be >= 1")
+    if not 1 <= n_pairs <= AUDIT_PAIRS:
+        raise InvalidParameterError(f"n_pairs must lie in [1, {AUDIT_PAIRS}]")
     check_positive("epsilon", epsilon)
     rng = np.random.default_rng(seed)
 

@@ -310,8 +310,8 @@ class MarketSession:
         self.q_init = q0.copy()
         self.q_true = q0.copy()
         self.q_hat = _published(q0.copy())
-        self.p_hat = _published(self.cost.prices(q0))
-        self.c_hat = self.cost.cost(q0)
+        self.c_hat, p0 = self.cost.cost_and_prices(q0)
+        self.p_hat = _published(p0)
         self.noise = NoiseLedger(
             d=params.d,
             scale=noise_scale(params.T, params.epsilon),
@@ -413,45 +413,43 @@ class MarketSession:
         self.max_price_gap = max(self.max_price_gap, *price_gaps)
         self.max_share_gap = max(self.max_share_gap, *share_gaps)
 
-    def sell_back_noise(self) -> None:
-        """Unwind all held bundles, most recent first, checking the batch total."""
-        held = self.noise.held
-        n_sells = len(held)
-        # rows: q_hat, after each sell, then q_hat minus the held sum in one move
-        chain = np.empty((n_sells + 2, self.params.d))
-        chain[0] = self.q_hat
-        for i in range(n_sells):
-            np.subtract(chain[i], held[-1 - i][1], out=chain[i + 1])
-        np.subtract(self.q_hat, self.noise.held_sum(), out=chain[-1])
-        *sell_costs, batch_cost = self.cost.cost(chain[1:]).tolist()
-        batch = self.c_hat - batch_cost
-        sold, c_start = 0.0, self.c_hat
-        for c_next in sell_costs:  # each sale's revenue is the drop in cost
-            revenue = c_start - c_next
-            self.noise.mark_sold()
-            self.noise_sell_total += revenue
-            sold += revenue
-            c_start = c_next
-        self.q_hat = _published(chain[n_sells])
-        self.c_hat = c_start
-        if abs(sold - batch) > CASH_TOL * max(1.0, abs(batch)):
-            raise InvalidStateError(
-                f"sequential sell-back {sold!r} disagrees with batch total {batch!r}"
-            )
-
     def close(self, outcome: int) -> Ledger:
         """Sell back remaining noise, pay every arrival, and return the ledger.
 
-        Security j pays 1 exactly when outcome j occurs.  p_hat is left as
-        the last published prices, which a following stage opens at.
+        The held levels are sold lowest (most recent) first, in one running
+        sum and one kernel pass; the batch check runs before anything is
+        booked.  Security j pays 1 exactly when outcome j occurs.  p_hat is
+        left as the last published prices, which a following stage opens at.
         """
         if self.closed:
             raise InvalidStateError("session is already closed")
         if not 0 <= outcome < self.params.d:
             raise InvalidParameterError(f"unknown outcome {outcome!r}")
-        self.sell_back_noise()
+        ledger = self.noise
+        held = [level for level in range(len(ledger.levels)) if ledger.mask >> level & 1]
+        n = len(held)
+        # rows: q_hat, after each sale, the batch state, q_true, q_init
+        rows = np.concatenate(([self.q_hat], -ledger.levels[held],
+                               [self.q_hat - ledger.held_sum(), self.q_true, self.q_init]))
+        np.add.accumulate(rows[: n + 1], axis=0, out=rows[: n + 1])
+        costs = np.concatenate(([self.c_hat], self.cost.cost(rows[1:])))
+        # revenues after the running total and after 0.0, for the batch check
+        revenues = np.empty((2, n + 1))
+        revenues[:, 0] = self.noise_sell_total, 0.0
+        np.subtract(costs[:n], costs[1 : n + 1], out=revenues[:, 1:])
+        sell_total, sold = np.add.accumulate(revenues, axis=1)[:, -1].tolist()
+        c_sold, c_batch, c_true, c_init = costs[n:].tolist()
+        batch = self.c_hat - c_batch
+        if abs(sold - batch) > CASH_TOL * max(1.0, abs(batch)):
+            raise InvalidStateError(
+                f"sequential sell-back {sold!r} disagrees with batch total {batch!r}"
+            )
+
+        ledger.advance(0, np.zeros_like(ledger.levels), ledger.mask)
+        self.noise_sell_total = sell_total
+        self.q_hat = _published(rows[n])
+        self.c_hat = c_sold
         payouts = float(self.q_true[outcome] - self.q_init[outcome])
-        c_true, c_init = self.cost.cost(np.stack((self.q_true, self.q_init))).tolist()
         mm_loss = payouts - (c_true - c_init)
         ntl = self.noise_buy_total - self.noise_sell_total
         fees = self.fee_total

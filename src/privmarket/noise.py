@@ -95,7 +95,10 @@ class NoiseLedger:
     the held levels are exactly the one-bits of t: mask keeps them and is
     checked against t, and a level not held is zero.  noise_off swaps the
     sampled values for zeros (schedule and bookkeeping unchanged) so tests
-    can isolate the trading mechanics.
+    can isolate the trading mechanics.  A session books the counter only
+    through advance (a block of steps, or the sell-back at close) and reads
+    levels, mask and held_sum; begin_step, mark_sold, new_bundle and held
+    are the per-arrival reference for tests.
     """
 
     def __init__(self, d: int, scale: float, T: int, noise_off: bool = False):
@@ -113,15 +116,6 @@ class NoiseLedger:
         t = self.t
         return [(t - ((t - (1 << l)) & ((2 << l) - 1)), self.levels[l])
                 for l in reversed(range(len(self.levels))) if self.mask >> l & 1]
-
-    def path_times(self) -> list[int]:
-        """The stack {t, s(t), s(s(t)), ...} down to (not including) 0."""
-        times = []
-        u = self.t
-        while u > 0:
-            times.append(u)
-            u &= u - 1
-        return times
 
     def held_sum(self) -> np.ndarray:
         """Sum of the held bundles: of all levels, since a level not held is zero."""
@@ -171,5 +165,4 @@ class NoiseLedger:
     def verify_held(self) -> None:
         """The held levels must be the one-bits of t after every step."""
         if self.mask != self.t:
-            times = [time for time, _ in reversed(self.held)]
-            raise InvalidStateError(f"held {times} != counter bits {self.path_times()}")
+            raise InvalidStateError(f"held levels {self.mask:b} != counter bits {self.t:b}")

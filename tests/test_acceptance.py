@@ -93,8 +93,10 @@ def test_price_sensitivity_formula(report):
 
 
 def test_schedule_combinatorics_exhaustive(report):
-    # drives the engine's NoiseLedger: its sell count and held stack are
-    # checked against the bits of t
+    # drives NoiseLedger's per-arrival reference methods (begin_step,
+    # mark_sold, new_bundle), which no production path calls: its sell count
+    # and held stack are checked against the bits of t.  The production path,
+    # block plans booked through advance, is swept to 2^14 in test_block.py
     start = time.monotonic()
     rng = np.random.default_rng(0)
     ledger = NoiseLedger(d=1, scale=1.0, T=2 ** 14)

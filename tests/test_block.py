@@ -5,6 +5,8 @@ operations, in the same order, as its bundles stepped one at a time, and as
 the per-state ReferenceSession.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,32 @@ def test_every_partition_books_the_same_session(d, noise_off):
         assert np.array_equal(session.q_hat, reference.q_hat) and session.c_hat == reference.c_hat
         closed.append((_state(session), ledger))
     assert all(entry == closed[0] for entry in closed)
+
+
+def test_blocks_of_up_to_256_arrivals_book_the_counter_to_2_to_the_14():
+    # the production counter path (block plans and NoiseLedger.advance) at
+    # every level up to 14; a close at T - 1 sells back fourteen bundles,
+    # one at T sells one
+    T = 2**14
+    params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
+    rng = np.random.default_rng(14)
+    bundles = _bundles(rng, 2, T)
+    session = open_market(params, rng=np.random.default_rng(7))
+    reference = ReferenceSession(params, np.random.default_rng(7))
+    start = 0
+    for end in (T - 1, T):
+        while start < end:
+            k = int(min(end - start, rng.integers(1, 257)))
+            session.step(bundles[start : start + k])
+            for dq in bundles[start : start + k]:
+                reference.step(dq)
+            start += k
+            _assert_matches_reference(session, reference)
+        assert session.noise.mask == end
+        twin, twin_reference = copy.deepcopy((session, reference))
+        assert twin.close(0) == twin_reference.close(0)
+        assert np.array_equal(twin.q_hat, twin_reference.q_hat)
+        assert twin.c_hat == twin_reference.c_hat
 
 
 def _bad_blocks(d: int):

@@ -34,6 +34,7 @@ from privmarket.cli import _parse_seed_range
 from privmarket.cli import main as cli_main
 from privmarket.harness import (
     AUDIT_ENTRIES,
+    AUDIT_PAIRS,
     MAX_D,
     MAX_SEEDS,
     MAX_T,
@@ -161,6 +162,11 @@ BAD_ENTRIES = {
     "trader entry not an object": {"traders": ["herd"]},
     "seeds not an object": {"seeds": [0, 4]},
     "adaptive not an object": {"adaptive": "on"},
+    # a flat config still writes max_stages into resolved_config.json
+    "max_stages negative in a flat config": {"adaptive": {"enabled": False, "max_stages": -5}},
+    "max_stages of 10**30 in a flat config": {
+        "adaptive": {"enabled": False, "max_stages": 10**30}
+    },
     "d in trader params": {"traders": [{"kind": "herd", "params": {"d": 5}}]},
     "herd coordinate past d": {"traders": [{"kind": "herd", "params": {"coordinate": 5}}]},
     "herd coordinate negative": {
@@ -390,12 +396,21 @@ def test_privacy_audit_validation():
 def test_privacy_audit_rejects_vacuous_and_unbounded_inputs(monkeypatch, capsys):
     # no pair sampled would pass the sensitivity check vacuously
     for pairs in (0, -5):
-        with pytest.raises(InvalidParameterError, match="n_pairs must be >= 1"):
+        with pytest.raises(InvalidParameterError, match=r"n_pairs must lie in \[1, 1000000\]"):
             privacy_audit(T=8, d=2, epsilon=1.0, n_pairs=pairs)
         assert cli_main(["audit", "--T", "8", "--d", "2", "--epsilon", "1",
                          "--pairs", str(pairs)]) == 2
         assert capsys.readouterr().err.startswith("error: n_pairs")
     assert privacy_audit(T=8, d=2, epsilon=1.0, n_pairs=1).passed
+    # the audit's time grows with the pair count, so it is capped; a small
+    # cap keeps what a missing check would run short
+    assert AUDIT_PAIRS == 10**6
+    monkeypatch.setattr(harness, "AUDIT_PAIRS", 5)
+    assert privacy_audit(T=8, d=2, epsilon=1.0, n_pairs=5).passed
+    with pytest.raises(InvalidParameterError, match=r"n_pairs must lie in \[1, 5\]"):
+        privacy_audit(T=8, d=2, epsilon=1.0, n_pairs=6)
+    assert cli_main(["audit", "--T", "8", "--d", "2", "--epsilon", "1", "--pairs", "6"]) == 2
+    assert capsys.readouterr().err.startswith("error: n_pairs must lie in [1, 5]")
     # a chunk holds at least one pair's (T, d) arrays, so T * d is capped;
     # a small cap keeps what a missing check would allocate small
     assert AUDIT_ENTRIES == 4_000_000
@@ -518,6 +533,7 @@ def test_cli_negative_seed_range_exits_2(tmp_path, capsys):
 def test_run_trials_rejects_bad_seeds_before_any_trial(tmp_path):
     cfg = _cfg()
     for seeds, message in (
+        (range(0), "at least one seed"),
         (range(-2, 0), "seed must be >= 0"),
         ([0, 1, -1], "seed must be >= 0"),
         ([0, 1.5], "seed must be an integer"),

@@ -18,6 +18,8 @@ from privmarket import (
     open_market,
 )
 
+from privmarket import cost as cost_module
+
 from oracles import ReferenceSession, low_bit
 
 
@@ -316,9 +318,39 @@ def test_step_detects_published_state_out_of_sync_with_held_noise():
         session.step(np.array([0.0, 0.5]))
 
 
+def _booked(session) -> tuple:
+    """Everything close books: cash totals, published state, held levels, counter."""
+    names = ("trade_payments", "fee_total", "noise_buy_total", "noise_sell_total",
+             "bundle_l2_total", "q_hat", "c_hat", "closed")
+    noise = session.noise
+    return ([np.asarray(getattr(session, name)).tolist() for name in names],
+            noise.levels.tolist(), noise.mask, noise.t)
+
+
 def test_close_detects_sell_back_disagreeing_with_batch_total():
     session = _noisy_session(3)
+    before = _booked(session)
     held_sum = session.noise.held_sum
     session.noise.held_sum = lambda: held_sum() + np.array([1.0, 0.0])
     with pytest.raises(InvalidStateError, match="disagrees with batch total"):
         session.close(0)
+    assert _booked(session) == before  # the check runs before anything is booked
+    del session.noise.held_sum
+    assert session.close(0) == _noisy_session(3).close(0)
+
+
+def test_open_and_close_each_make_one_kernel_pass(monkeypatch):
+    shapes = []  # the block each ScaledCost kernel pass evaluates
+
+    def shifted_exp(x):
+        shapes.append(x.shape)
+        return kernel(x)
+
+    kernel = cost_module._shifted_exp
+    monkeypatch.setattr(cost_module, "_shifted_exp", shifted_exp)
+    session = _noisy_session(0)
+    assert shapes == [(2,)]  # C(q0) and p_hat
+    session.step(np.tile([0.5, -0.25], (7, 1)))  # held: the bundles bought at t = 4, 6, 7
+    shapes.clear()
+    session.close(0)
+    assert shapes == [(6, 2)]  # three sales, the batch state, q_true and q_init

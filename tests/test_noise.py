@@ -190,7 +190,11 @@ def test_ledger_lifecycle():
     for t in range(1, 17):
         _turn_over(led, led.draw(rng))
         assert led.t == t
-        assert [time for time, _ in reversed(led.held)] == led.path_times()
+        path, u = [], t  # the stack {t, s(t), s(s(t)), ...} down to 0
+        while u:
+            path.append(u)
+            u = s_flip(u)
+        assert [time for time, _ in reversed(led.held)] == path
         got = led.held_sum()
         expect = noise_path_sum(t, dict(led.held))
         assert got == pytest.approx(expect, abs=1e-12)
