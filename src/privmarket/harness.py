@@ -30,7 +30,7 @@ from .errors import ConfigError, InsufficientDataError, InvalidParameterError, c
 # open_market and drive_session run inside run_adaptive; they stay harness
 # globals because the benchmark tracer patches them where they are looked up.
 from .market import MarketParams, loss_bounds, open_market
-from .noise import noise_scale, participation_table, s_flip, tree_depth
+from .noise import noise_scale, participation_table, tree_depth
 from .traders import STRATEGY_KINDS, drive_session, make_strategy
 
 MAX_D = 1024
@@ -59,9 +59,10 @@ AUDIT_ENTRIES = 4_000_000
 """Trade entries (pairs x T x d) in one chunk of the privacy audit.  A chunk
 holds at least one pair's (T, d) arrays, so T * d is bounded by it."""
 
-AUDIT_PAIRS = 10**6
-"""Most pairs one privacy audit may sample: about 4 minutes at T = 1024, d = 2,
-where a chunk of 1,953 pairs takes about 0.47 s on a 2-core machine."""
+AUDIT_SAMPLED = 2**31
+"""Most trade entries (pairs x T x d) one privacy audit may sample, so its
+time is bounded at every shape: 1,048,576 pairs at T = 1024, d = 2 (about 4
+minutes on a 2-core machine), 537 at T = 16384, d = 244 (about 2 minutes)."""
 
 
 @dataclass(frozen=True)
@@ -410,8 +411,9 @@ def run_trials(
     """
     if seeds is None:
         seeds = range(config.seeds_start, config.seeds_start + config.seeds_count)
+    seeds = seeds[: MAX_SEEDS + 1]  # len() of a range past sys.maxsize overflows
     if len(seeds) > MAX_SEEDS:
-        raise ConfigError(f"{len(seeds)} seeds exceed the cap of {MAX_SEEDS}")
+        raise ConfigError(f"the seeds exceed the cap of {MAX_SEEDS}")
     if len(seeds) == 0:
         raise ConfigError("a run needs at least one seed")
     parse_seed = _int_in(0)
@@ -597,16 +599,18 @@ def privacy_audit(
     (ii) exact participation counts per arrival, with the implied
     worst-case epsilon multiplier count * (epsilon / ceil(log2 T)) reported
     rather than capped; (iii) the configured Laplace scale matches
-    2 ceil(log2 T) / epsilon.  It samples n_pairs pairs, 1 <= n_pairs <=
-    AUDIT_PAIRS, and T * d may not exceed AUDIT_ENTRIES.
+    2 ceil(log2 T) / epsilon.  T * d may not exceed AUDIT_ENTRIES, and it
+    samples n_pairs >= 1 pairs, with n_pairs * T * d <= AUDIT_SAMPLED.
     """
     if not (1 <= T <= 2**14):
         raise InvalidParameterError("T must lie in [1, 2^14]")
     if not 1 <= d <= AUDIT_ENTRIES // T:
         raise InvalidParameterError(
             f"d must lie in [1, {AUDIT_ENTRIES // T}]: T * d <= {AUDIT_ENTRIES}")
-    if not 1 <= n_pairs <= AUDIT_PAIRS:
-        raise InvalidParameterError(f"n_pairs must lie in [1, {AUDIT_PAIRS}]")
+    if not 1 <= n_pairs <= AUDIT_SAMPLED // (T * d):
+        raise InvalidParameterError(
+            f"n_pairs must lie in [1, {AUDIT_SAMPLED // (T * d)}]: "
+            f"n_pairs * T * d <= {AUDIT_SAMPLED}")
     check_positive("epsilon", epsilon)
     rng = np.random.default_rng(seed)
 
@@ -618,7 +622,7 @@ def privacy_audit(
         return raw / np.maximum(norms, 1e-12) * scale
 
     ts = np.arange(1, T + 1)
-    ss = np.array([s_flip(t) for t in ts])
+    ss = ts & (ts - 1)
     worst = 0.0
     chunk = min(n_pairs, AUDIT_ENTRIES // (T * d))
     done = 0

@@ -305,8 +305,8 @@ class MarketSession:
             if initial_shares is None
             else np.asarray(initial_shares, dtype=float).copy()
         )
-        if q0.shape != (params.d,):
-            raise InvalidParameterError(f"initial shares must have shape ({params.d},)")
+        if q0.shape != (params.d,) or not np.all(np.isfinite(q0)):
+            raise InvalidParameterError(f"initial shares must be {params.d} finite numbers")
         self.q_init = q0.copy()
         self.q_true = q0.copy()
         self.q_hat = _published(q0.copy())

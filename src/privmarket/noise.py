@@ -60,11 +60,9 @@ def participation_table(T: int) -> np.ndarray:
     """
     if T < 1:
         raise InvalidParameterError("T must be >= 1")
-    diff = np.zeros(T + 2, dtype=np.int64)
-    for t in range(1, T + 1):
-        diff[s_flip(t) + 1] += 1
-        diff[t + 1] -= 1
-    return np.cumsum(diff)[1 : T + 1]
+    ts = np.arange(1, T + 1, dtype=np.int64)
+    diff = np.bincount(ts & (ts - 1), minlength=T + 1) - np.bincount(ts, minlength=T + 1)
+    return np.cumsum(diff[:T], dtype=np.int64)
 
 
 def sample_bundle(

@@ -143,7 +143,9 @@ class Strategy:
     reads_state = True
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
-        raise NotImplementedError
+        """A bundle, or None to abstain (by default decide_run's one slot).  Each
+        default is written in terms of the other, so a subclass writes one."""
+        return self.decide_run(ctx, 1)[0]
 
     def decide_run(self, ctx: StrategyContext, n: int):
         """Decisions for n slots of a blind run: an (n, d) array when all trade,
@@ -195,9 +197,6 @@ class Herd(Strategy):
     def __init__(self, coordinate: int = 0):
         self.coordinate = coordinate
 
-    def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
-        return self.decide_run(ctx, 1)[0]
-
     def decide_run(self, ctx: StrategyContext, n: int) -> np.ndarray:
         dq = np.zeros((n, ctx.cost.d))
         dq[:, self.coordinate] = 1.0
@@ -209,9 +208,8 @@ class RandomTrader(Strategy):
 
     (sign, coordinate) pairs are drawn RANDOM_CHUNK at a time: the same
     stream as per-decision draws of the sign (as rng.choice([-1.0, 1.0])
-    makes it), then the coordinate, and turned into bundles at most
-    BLOCK_FLOATS entries at a time.  The last chunk may draw past the end of
-    a trial, which is harmless: each instance's generator belongs to one
+    makes it), then the coordinate.  The last chunk may draw past the end
+    of a trial, which is harmless: each instance's generator belongs to one
     trial.  An instance serves markets of one d.
     """
 
@@ -220,23 +218,16 @@ class RandomTrader(Strategy):
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self._pairs = np.zeros((0, 2), dtype=np.intp)  # drawn, not yet bundles
-        self._bundles = np.zeros((0, 0))  # not yet used
-
-    def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
-        return self.decide_run(ctx, 1)[0]
+        self._pairs = np.zeros((0, 2), dtype=np.intp)  # drawn, not yet used
 
     def decide_run(self, ctx: StrategyContext, n: int) -> np.ndarray:
         d = ctx.cost.d
-        while len(self._bundles) < n:
-            if not len(self._pairs):
-                self._pairs = self.rng.integers(np.tile([2, d], RANDOM_CHUNK)).reshape(-1, 2)
-            rows = max(1, BLOCK_FLOATS // d)  # bundles made at once, as for a block
-            (signs, cols), self._pairs = self._pairs[:rows].T, self._pairs[rows:]
-            fresh = np.zeros((len(cols), d))
-            fresh[np.arange(len(cols)), cols] = 2 * signs - 1  # sign 0 sells, 1 buys
-            self._bundles = np.concatenate((self._bundles.reshape(-1, d), fresh))
-        dq, self._bundles = self._bundles[:n], self._bundles[n:]
+        while len(self._pairs) < n:
+            fresh = self.rng.integers(np.tile([2, d], RANDOM_CHUNK)).reshape(-1, 2)
+            self._pairs = np.concatenate((self._pairs, fresh))
+        pairs, self._pairs = self._pairs[:n], self._pairs[n:]
+        dq = np.zeros((n, d))
+        dq[np.arange(n), pairs[:, 1]] = 2.0 * pairs[:, 0] - 1.0  # sign 0 sells, 1 buys
         return dq
 
 
@@ -245,9 +236,6 @@ class Abstainer(Strategy):
 
     kind = "abstainer"
     reads_state = False
-
-    def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
-        return None
 
     def decide_run(self, ctx: StrategyContext, n: int) -> list:
         return [None] * n

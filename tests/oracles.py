@@ -1,12 +1,12 @@
 """Independent oracles the tests check the package against.
 
 Slow reference routes (a grid-search price solve, finite-difference price
-sensitivity, brute-force participation counts, bundle path sums) that no
-simulation path uses, and the per-state engine the batched cost kernel
-replaced: a scalar log-sum-exp and softmax, the sequential best-response
-search and a step that costs one state per call, with its own per-bundle
-bookkeeping.  The batched kernel uses the same arithmetic, so the tests
-compare against these with ==.
+sensitivity, brute-force participation counts and the per-t loop that
+tabulated them, bundle path sums) that no simulation path uses, and the
+per-state engine the batched cost kernel replaced: a scalar log-sum-exp
+and softmax, the sequential best-response search and a step that costs one
+state per call, with its own per-bundle bookkeeping.  The batched kernel
+uses the same arithmetic, so the tests compare against these with ==.
 """
 
 from __future__ import annotations
@@ -291,6 +291,16 @@ def participation_count(t_prime: int, T: int) -> int:
         if s_flip(t) < t_prime:
             count += 1
     return count
+
+
+def reference_participation_table(T: int) -> np.ndarray:
+    """participation_count for every t_prime in 1..T (index 0 = t'=1), from a
+    difference array filled one t at a time: t covers (s(t), t]."""
+    diff = np.zeros(T + 2, dtype=np.int64)
+    for t in range(1, T + 1):
+        diff[s_flip(t) + 1] += 1
+        diff[t + 1] -= 1
+    return np.cumsum(diff)[1 : T + 1]
 
 
 def low_bit(t: int) -> int:

@@ -34,7 +34,7 @@ from privmarket.cli import _parse_seed_range
 from privmarket.cli import main as cli_main
 from privmarket.harness import (
     AUDIT_ENTRIES,
-    AUDIT_PAIRS,
+    AUDIT_SAMPLED,
     MAX_D,
     MAX_SEEDS,
     MAX_T,
@@ -396,21 +396,28 @@ def test_privacy_audit_validation():
 def test_privacy_audit_rejects_vacuous_and_unbounded_inputs(monkeypatch, capsys):
     # no pair sampled would pass the sensitivity check vacuously
     for pairs in (0, -5):
-        with pytest.raises(InvalidParameterError, match=r"n_pairs must lie in \[1, 1000000\]"):
+        with pytest.raises(InvalidParameterError, match=r"n_pairs must lie in \[1, 134217728\]"):
             privacy_audit(T=8, d=2, epsilon=1.0, n_pairs=pairs)
         assert cli_main(["audit", "--T", "8", "--d", "2", "--epsilon", "1",
                          "--pairs", str(pairs)]) == 2
         assert capsys.readouterr().err.startswith("error: n_pairs")
     assert privacy_audit(T=8, d=2, epsilon=1.0, n_pairs=1).passed
-    # the audit's time grows with the pair count, so it is capped; a small
-    # cap keeps what a missing check would run short
-    assert AUDIT_PAIRS == 10**6
-    monkeypatch.setattr(harness, "AUDIT_PAIRS", 5)
-    assert privacy_audit(T=8, d=2, epsilon=1.0, n_pairs=5).passed
-    with pytest.raises(InvalidParameterError, match=r"n_pairs must lie in \[1, 5\]"):
-        privacy_audit(T=8, d=2, epsilon=1.0, n_pairs=6)
-    assert cli_main(["audit", "--T", "8", "--d", "2", "--epsilon", "1", "--pairs", "6"]) == 2
-    assert capsys.readouterr().err.startswith("error: n_pairs must lie in [1, 5]")
+    # the audit's time grows with the entries it samples, pairs x T x d, so
+    # they are capped at every shape; the cap is checked before anything is
+    # sampled, and a small cap keeps what a missing check would run short
+    assert AUDIT_SAMPLED == 2**31
+    assert AUDIT_SAMPLED // (1024 * 2) >= 10**6
+    with pytest.raises(InvalidParameterError, match=r"n_pairs must lie in \[1, 537\]"):
+        privacy_audit(T=16384, d=244, epsilon=1.0, n_pairs=538)
+    monkeypatch.setattr(harness, "AUDIT_SAMPLED", 192)
+    assert privacy_audit(T=8, d=2, epsilon=1.0, n_pairs=12).passed
+    with pytest.raises(InvalidParameterError,
+                       match=r"n_pairs must lie in \[1, 12\]: n_pairs \* T \* d <= 192"):
+        privacy_audit(T=8, d=2, epsilon=1.0, n_pairs=13)
+    with pytest.raises(InvalidParameterError, match=r"n_pairs must lie in \[1, 4\]"):
+        privacy_audit(T=8, d=6, epsilon=1.0, n_pairs=5)
+    assert cli_main(["audit", "--T", "8", "--d", "2", "--epsilon", "1", "--pairs", "13"]) == 2
+    assert capsys.readouterr().err.startswith("error: n_pairs must lie in [1, 12]")
     # a chunk holds at least one pair's (T, d) arrays, so T * d is capped;
     # a small cap keeps what a missing check would allocate small
     assert AUDIT_ENTRIES == 4_000_000
@@ -501,7 +508,7 @@ def test_seed_count_is_capped_before_any_seed_list_is_built(tmp_path, capsys):
                   "--seeds", "0..1000000000000"])
     assert exc.value.code == 2
     assert f"at most {MAX_SEEDS} seeds" in capsys.readouterr().err
-    for seeds in (range(MAX_SEEDS + 1), range(10**12)):
+    for seeds in (range(MAX_SEEDS + 1), range(10**12), range(10**20)):
         with pytest.raises(ConfigError, match=f"exceed the cap of {MAX_SEEDS}"):
             run_trials(_cfg(), out_dir=str(tmp_path / "out"), seeds=seeds)
     assert not (tmp_path / "out").exists()

@@ -282,6 +282,11 @@ def test_initial_shares_handoff():
     )
     with pytest.raises(InvalidParameterError):
         open_market(_unsafe_params(), initial_shares=np.zeros(3), rng=0)
+    # -inf once opened with p_hat == [0, 1] and failed the held-noise check
+    # at the first step
+    for bad in (-math.inf, math.inf, math.nan):
+        with pytest.raises(InvalidParameterError, match="initial shares must be 2 finite numbers"):
+            open_market(_unsafe_params(), initial_shares=[bad, 0.0], rng=0)
 
 
 def test_ledger_combine():

@@ -16,7 +16,13 @@ from privmarket import (
     tree_depth,
 )
 
-from oracles import bundle_gap_total, low_bit, noise_path_sum, participation_count
+from oracles import (
+    bundle_gap_total,
+    low_bit,
+    noise_path_sum,
+    participation_count,
+    reference_participation_table,
+)
 
 
 def _turn_over(led, value):
@@ -133,6 +139,18 @@ def test_participation_table_matches_scalar():
         table = participation_table(T)
         assert table.shape == (T,)
         assert list(table) == [participation_count(tp, T) for tp in range(1, T + 1)]
+
+
+def test_participation_table_matches_the_per_t_loop():
+    # the int64 counts of the array build equal the loop's, dense up to 512,
+    # then power-of-two neighborhoods up to 2**14
+    horizons = list(range(1, 513))
+    for m in range(9, 15):
+        horizons += [2 ** m - 1, 2 ** m, 2 ** m + 1]
+    for T in horizons:
+        table = participation_table(T)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, reference_participation_table(T))
 
 
 def test_participation_bound_many_T():

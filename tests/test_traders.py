@@ -26,6 +26,8 @@ from privmarket import (
     step_strategy,
 )
 
+from privmarket.traders import RANDOM_CHUNK
+
 from oracles import reference_cost
 
 
@@ -173,7 +175,7 @@ def test_simple_strategies():
     assert float(np.sum(np.abs(a))) == 1.0
 
 
-@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("d", [2, 8, 1024])
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
 def test_random_trader_keeps_the_choice_stream(d, seed):
     # RandomTrader must draw its sign as rng.choice([-1.0, 1.0]) does, or
@@ -181,11 +183,43 @@ def test_random_trader_keeps_the_choice_stream(d, seed):
     trader = RandomTrader(np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     ctx = _ctx(np.zeros(d))
-    for _ in range(2000):
-        expect = np.zeros(d)
-        expect[int(rng.integers(d))] = float(rng.choice([-1.0, 1.0]))
+    stream = np.zeros((2000, d))
+    for row in stream:
+        row[int(rng.integers(d))] = float(rng.choice([-1.0, 1.0]))
+    for expect in stream:
         assert np.array_equal(trader.decide(ctx), expect)
+    state = trader.rng.bit_generator.state
     assert trader.rng.random() == rng.random()
+    # runs of mixed sizes that cross the RANDOM_CHUNK draws take the same
+    # pairs in the same order and leave the generator where decide left it
+    sizes = (1, 7, 128, 250, 251, 3, 256, 249, 500, 355)
+    assert sum(sizes) == len(stream) and len(stream) % RANDOM_CHUNK == 0
+    runs = RandomTrader(np.random.default_rng(seed))
+    start = 0
+    for n in sizes:
+        block = runs.decide_run(ctx, n)
+        assert block.shape == (n, d) and (block == stream[start : start + n]).all()
+        start += n
+    assert runs.rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_decide_asked_n_times_answers_what_decide_run_does(kind):
+    # each built-in strategy writes one of decide and decide_run, and the
+    # base class derives the other from it
+    d, n = 3, 300
+    params = {"belief": [0.6, 0.3, 0.1]} if kind in ("belief", "arbitrage_hunter") else {}
+    one = make_strategy(kind, params, d, np.random.default_rng(5))
+    twin = make_strategy(kind, params, d, np.random.default_rng(5))
+    assert ("decide_run" if one.reads_state else "decide") not in vars(type(one))
+    ctx = _ctx([0.5, -0.25, 0.0], lam=0.01, fee=0.001)
+    singles = [one.decide(ctx) for _ in range(n)]
+    run = twin.decide_run(ctx, n)
+    assert len(run) == n
+    for single, slot in zip(singles, run):
+        assert (single is None and slot is None) or np.array_equal(single, slot)
+    if kind == "random":
+        assert one.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
 def test_make_strategy():
