@@ -159,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     p_aud.add_argument("--T", type=int, required=True)
     p_aud.add_argument("--d", type=int, required=True)
     p_aud.add_argument("--epsilon", type=float, required=True)
-    p_aud.add_argument("--pairs", type=int, default=10_000,
+    p_aud.add_argument("--pairs", type=int, default=None,
                        help="neighboring trade-sequence pairs to sample")
     p_aud.add_argument("--full", action="store_true",
                        help="always include the full participation table")

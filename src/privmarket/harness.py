@@ -57,12 +57,12 @@ seed with the summary's dicts, so the count is bounded before a trial runs."""
 
 AUDIT_ENTRIES = 4_000_000
 """Trade entries (pairs x T x d) in one chunk of the privacy audit.  A chunk
-holds at least one pair's (T, d) arrays, so T * d is bounded by it."""
+draws at least one pair's (T, d) arrays, so T * d is bounded by it."""
 
 AUDIT_SAMPLED = 2**31
 """Most trade entries (pairs x T x d) one privacy audit may sample, so its
-time is bounded at every shape: 1,048,576 pairs at T = 1024, d = 2 (about 4
-minutes on a 2-core machine), 537 at T = 16384, d = 244 (about 2 minutes)."""
+time is bounded at every shape: 1,048,576 pairs at T = 1024, d = 2 took
+105 s on a 2-core machine, 537 at T = 16384, d = 244 took 95 s."""
 
 
 @dataclass(frozen=True)
@@ -590,7 +590,7 @@ class AuditReport:
 
 
 def privacy_audit(
-    T: int, d: int, epsilon: float, n_pairs: int = 10_000, seed: int = 0
+    T: int, d: int, epsilon: float, n_pairs: int | None = None, seed: int = 0
 ) -> AuditReport:
     """Check the structural facts behind the privacy guarantee.
 
@@ -600,44 +600,35 @@ def privacy_audit(
     worst-case epsilon multiplier count * (epsilon / ceil(log2 T)) reported
     rather than capped; (iii) the configured Laplace scale matches
     2 ceil(log2 T) / epsilon.  T * d may not exceed AUDIT_ENTRIES, and it
-    samples n_pairs >= 1 pairs, with n_pairs * T * d <= AUDIT_SAMPLED.
+    samples n_pairs >= 1 pairs, with n_pairs * T * d <= AUDIT_SAMPLED (by
+    default 10,000, or the most that cap allows).
     """
     if not (1 <= T <= 2**14):
         raise InvalidParameterError("T must lie in [1, 2^14]")
     if not 1 <= d <= AUDIT_ENTRIES // T:
         raise InvalidParameterError(
             f"d must lie in [1, {AUDIT_ENTRIES // T}]: T * d <= {AUDIT_ENTRIES}")
+    if n_pairs is None:
+        n_pairs = min(10_000, AUDIT_SAMPLED // (T * d))
     if not 1 <= n_pairs <= AUDIT_SAMPLED // (T * d):
         raise InvalidParameterError(
             f"n_pairs must lie in [1, {AUDIT_SAMPLED // (T * d)}]: "
             f"n_pairs * T * d <= {AUDIT_SAMPLED}")
     check_positive("epsilon", epsilon)
     rng = np.random.default_rng(seed)
-
-    # random trade rows with l1 norm <= 1: random direction, random scale
-    def trade_batch(n: int) -> np.ndarray:
-        raw = rng.normal(size=(n, T, d))
-        norms = np.sum(np.abs(raw), axis=2, keepdims=True)
-        scale = rng.random((n, T, 1))
-        return raw / np.maximum(norms, 1e-12) * scale
-
-    ts = np.arange(1, T + 1)
-    ss = ts & (ts - 1)
+    # random trade rows with l1 norm <= 1 (random direction and scale); a
+    # pair's sequences differ at its slot only, so each partial sum covering
+    # the slot moves by that row's difference and the others by exactly 0
     worst = 0.0
     chunk = min(n_pairs, AUDIT_ENTRIES // (T * d))
     done = 0
     while done < n_pairs:
         n = min(chunk, n_pairs - done)
-        seqs = trade_batch(n)
-        alts = trade_batch(n)
-        idx = rng.integers(T, size=n)
-        neighbors = seqs.copy()
-        neighbors[np.arange(n), idx, :] = alts[np.arange(n), idx, :]
-        # block sum over (s(t), t] = prefix[t] - prefix[s(t)]; diff the two runs
-        diff = np.cumsum(neighbors - seqs, axis=1)
-        prefix = np.concatenate([np.zeros((n, 1, d)), diff], axis=1)
-        changes = np.sum(np.abs(prefix[:, ts, :] - prefix[:, ss, :]), axis=2)
-        worst = max(worst, float(np.max(changes)))
+        draws = [(rng.normal(size=(n, T, d)), rng.random((n, T, 1))) for _ in range(2)]
+        at = np.arange(n), rng.integers(T, size=n)
+        seq, alt = (raw[at] / np.maximum(np.sum(np.abs(raw[at]), axis=1, keepdims=True), 1e-12)
+                    * scale[at] for raw, scale in draws)
+        worst = max(worst, float(np.max(np.sum(np.abs(alt - seq), axis=1))))
         done += n
     sensitivity_ok = worst <= 2.0 + 1e-9
 

@@ -344,7 +344,7 @@ def drive_session(session, stream: Iterator) -> bool:
                 ctx = _context(session, 0, ctx)
                 dq = step_strategy(reader, ctx)
                 if dq is not None:
-                    _book(session, dq, [reader])
+                    _book(session, _bundle(reader, dq, d), [reader])
         if len(owners) == cap:
             _book(session, pending, owners)
         if len(slots) < want:
@@ -387,10 +387,8 @@ def _ask_run(run: list, ctx: StrategyContext, pending: np.ndarray, owners: list)
                 for i, dq in zip(index, decisions):
                     if dq is None:
                         skipped.append(i)
-                    elif np.shape(dq) == (d,):
-                        rows[i] = dq
                     else:
-                        raise ValueError(f"bundle must have shape ({d},)")
+                        rows[i] = _bundle(strat, dq, d)
             else:
                 raise ValueError(f"{m} decisions expected")
         except (TypeError, ValueError) as exc:
@@ -400,6 +398,16 @@ def _ask_run(run: list, ctx: StrategyContext, pending: np.ndarray, owners: list)
         rows[: len(kept)] = rows[kept]
         run = [run[i] for i in kept]
     owners.extend(run)
+
+
+def _bundle(strat: Strategy, dq, d: int):
+    """dq if it is one bundle, of shape (d,); else StrategyBugError naming strat's kind."""
+    try:
+        if np.shape(dq) == (d,):
+            return dq
+    except ValueError:  # a ragged nesting has no shape
+        pass
+    raise StrategyBugError(f"{strat.kind} returned a bad bundle: not one bundle of shape ({d},)")
 
 
 def _book(session, block, owners: list) -> None:

@@ -2,11 +2,12 @@
 
 Slow reference routes (a grid-search price solve, finite-difference price
 sensitivity, brute-force participation counts and the per-t loop that
-tabulated them, bundle path sums) that no simulation path uses, and the
-per-state engine the batched cost kernel replaced: a scalar log-sum-exp
-and softmax, the sequential best-response search and a step that costs one
-state per call, with its own per-bundle bookkeeping.  The batched kernel
-uses the same arithmetic, so the tests compare against these with ==.
+tabulated them, the audit's replay of every partial sum, bundle path sums)
+that no simulation path uses, and the per-state engine the batched cost
+kernel replaced: a scalar log-sum-exp and softmax, the sequential
+best-response search and a step that costs one state per call, with its
+own per-bundle bookkeeping.  The batched kernel uses the same arithmetic,
+so the tests compare against these with ==.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from privmarket import (
     s_flip,
     sample_bundle,
 )
+from privmarket import harness
 from privmarket.traders import _best_scale
 
 
@@ -301,6 +303,42 @@ def reference_participation_table(T: int) -> np.ndarray:
         diff[s_flip(t) + 1] += 1
         diff[t + 1] -= 1
     return np.cumsum(diff)[1 : T + 1]
+
+
+def reference_sensitivity(T: int, d: int, n_pairs: int, seed: int) -> float:
+    """privacy_audit's sensitivity_max from every partial sum of both runs.
+
+    Draws what privacy_audit draws, chunk by chunk (harness.AUDIT_ENTRIES
+    read per call), normalises every row, replaces each pair's slot row and
+    compares all T partial sums over (s(t), t] of the two sequences.
+    """
+    rng = np.random.default_rng(seed)
+
+    def trade_batch(n: int) -> np.ndarray:
+        raw = rng.normal(size=(n, T, d))
+        norms = np.sum(np.abs(raw), axis=2, keepdims=True)
+        scale = rng.random((n, T, 1))
+        return raw / np.maximum(norms, 1e-12) * scale
+
+    ts = np.arange(1, T + 1)
+    ss = ts & (ts - 1)
+    worst = 0.0
+    chunk = min(n_pairs, harness.AUDIT_ENTRIES // (T * d))
+    done = 0
+    while done < n_pairs:
+        n = min(chunk, n_pairs - done)
+        seqs = trade_batch(n)
+        alts = trade_batch(n)
+        idx = rng.integers(T, size=n)
+        neighbors = seqs.copy()
+        neighbors[np.arange(n), idx, :] = alts[np.arange(n), idx, :]
+        # block sum over (s(t), t] = prefix[t] - prefix[s(t)]; diff the two runs
+        diff = np.cumsum(neighbors - seqs, axis=1)
+        prefix = np.concatenate([np.zeros((n, 1, d)), diff], axis=1)
+        changes = np.sum(np.abs(prefix[:, ts, :] - prefix[:, ss, :]), axis=2)
+        worst = max(worst, float(np.max(changes)))
+        done += n
+    return worst
 
 
 def low_bit(t: int) -> int:

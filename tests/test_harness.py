@@ -42,7 +42,7 @@ from privmarket.harness import (
     _build_stream,
 )
 
-from oracles import participation_count
+from oracles import participation_count, reference_sensitivity
 
 
 BASE = {
@@ -379,6 +379,25 @@ def test_privacy_audit_worked_example():
     assert d["participation_counts"] == list(report.participation_counts)
 
 
+def test_privacy_audit_sensitivity_matches_the_all_partial_sums_reference():
+    # the audit normalises only each pair's slot row; the reference replays
+    # all T partial sums of both sequences from the same draws
+    for T, d, seed, pairs in itertools.product(
+        (1, 2, 3, 7, 8, 64, 1000, 1024), (1, 2, 3, 17), (0, 1), (1, 7, 64)
+    ):
+        got = privacy_audit(T, d, 1.0, n_pairs=pairs, seed=seed).sensitivity_max
+        assert got == reference_sensitivity(T, d, pairs, seed), (T, d, seed, pairs)
+
+
+def test_privacy_audit_sensitivity_matches_the_reference_across_chunks(monkeypatch):
+    # a chunk holds AUDIT_ENTRIES // (T * d) pairs; a small cap makes many
+    monkeypatch.setattr(harness, "AUDIT_ENTRIES", 64)
+    for T, d, seed, pairs in itertools.product((1, 3, 7, 8, 64), (1, 2, 3), (0, 1), (7, 64)):
+        if T * d <= 64:
+            got = privacy_audit(T, d, 1.0, n_pairs=pairs, seed=seed).sensitivity_max
+            assert got == reference_sensitivity(T, d, pairs, seed), (T, d, seed, pairs)
+
+
 def test_privacy_audit_validation():
     with pytest.raises(InvalidParameterError):
         privacy_audit(T=0, d=1, epsilon=1.0)
@@ -418,6 +437,11 @@ def test_privacy_audit_rejects_vacuous_and_unbounded_inputs(monkeypatch, capsys)
         privacy_audit(T=8, d=6, epsilon=1.0, n_pairs=5)
     assert cli_main(["audit", "--T", "8", "--d", "2", "--epsilon", "1", "--pairs", "13"]) == 2
     assert capsys.readouterr().err.startswith("error: n_pairs must lie in [1, 12]")
+    # with no --pairs the audit samples as many pairs as the cap allows
+    assert cli_main(["audit", "--T", "8", "--d", "6", "--epsilon", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == privacy_audit(8, 6, 1.0, n_pairs=4).to_dict()
+    assert cli_main(["audit", "--T", "8", "--d", "6", "--epsilon", "1", "--pairs", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: n_pairs must lie in [1, 4]")
     # a chunk holds at least one pair's (T, d) arrays, so T * d is capped;
     # a small cap keeps what a missing check would allocate small
     assert AUDIT_ENTRIES == 4_000_000

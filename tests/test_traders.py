@@ -242,7 +242,8 @@ def test_make_strategy():
 
 def test_step_strategy_validates_bundles():
     # step_strategy only asks; the session validates each bundle once, and
-    # drive_session blames the strategy for a bundle the session rejects
+    # drive_session blames the strategy for a bundle the session rejects and
+    # for an answer that is not one bundle, before anything is booked
     params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=4)
     ctx = _ctx([0.0, 0.0], lam=0.01)
 
@@ -264,10 +265,19 @@ def test_step_strategy_validates_bundles():
         def decide(self, ctx):
             return np.array([np.inf, 0.0])
 
-    for bad in (Oversize(), WrongShape(), NotFinite()):
+    class Answers(Strategy):  # a state reader answering with something other than one bundle
+        def __init__(self, kind, answer):
+            self.kind, self.answer = kind, answer
+
+        def decide(self, ctx):
+            return self.answer
+
+    blocks = (Answers("block", np.eye(2)), Answers("oversize_row", np.array([[1.0, 0.0], [3.0, 1.0]])),
+              Answers("long_list", [[0.1, 0.0]] * 9), Answers("ragged", [[0.1, 0.0], [0.1]]))
+    for bad in (Oversize(), WrongShape(), NotFinite(), *blocks):
         session = open_market(params, rng=0)
         with pytest.raises(StrategyBugError, match=f"{bad.kind} returned a bad bundle"):
-            drive_session(session, iter([bad]))
+            drive_session(session, iter([bad] * 3))
         assert session.arrivals == 0 and session.noise.t == 0
     assert step_strategy(Abstainer(), ctx) is None
     assert step_strategy(Herd(), ctx) is not None
