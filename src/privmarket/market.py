@@ -342,8 +342,9 @@ class MarketSession:
 
         Each arrival pays the fee and its trade's cost at the published
         state; then step t sells the tz(t) most recent held bundles and buys
-        a fresh one.  The cached _block_plan says where every state of the
-        block comes from, so once it is cached no Python work is done per
+        a fresh one, taken from the bundles the noise ledger drew ahead
+        (NoiseLedger.take).  The cached _block_plan says where every state of
+        the block comes from, so once it is cached no Python work is done per
         arrival: one gather and one sequential running sum build the states
         after each trade, sell and buy, their shadow from q_true plus the
         held noise, and the true states, and one kernel pass costs and
@@ -371,7 +372,7 @@ class MarketSession:
         top = (t0 + k) >> m << m  # the one time in the block that 2^m divides, if any
         neg, sold, rows, costed, buys, picks, cash, levels, flips = _block_plan(
             k, t0 & ((1 << m) - 1), (top & -top).bit_length() - 1 if top > t0 else -1)
-        z = ledger.draw(self.rng, k)
+        z = ledger.take(self.rng, k)
         source = np.concatenate((
             self.q_hat, self.q_true + ledger.held_sum(), self.q_true, block.ravel(), z.ravel(),
             np.zeros(d), z.ravel(), ledger.levels[:sold].ravel(),
@@ -471,7 +472,14 @@ def open_market(
     rng: np.random.Generator | int | None = None,
     initial_shares: np.ndarray | None = None,
 ) -> MarketSession:
-    """Create a session; nonzero initial_shares support stage handoff."""
+    """Create a session; nonzero initial_shares support stage handoff.
+
+    The session draws its noise bundles from rng ahead of its arrivals, in
+    chunks of at most BLOCK_FLOATS entries and never past T.  A session
+    filled to T has drawn exactly T * d uniforms, so sessions that share rng
+    in turn (the stages of run_adaptive) draw what per-arrival draws would
+    give them; one that is not filled may have drawn past its last arrival.
+    """
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     return MarketSession(params, rng, initial_shares=initial_shares)

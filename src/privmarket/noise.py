@@ -25,6 +25,12 @@ import numpy as np
 from .errors import InvalidParameterError, InvalidStateError, check_positive
 
 
+BLOCK_FLOATS = 2**14
+"""Most bundle entries (arrivals times d) that drive_session books in one
+block, and that a session draws ahead of its arrivals.  A block's arrays
+take a few hundred bytes per entry, so with traders.BLOCK_CAP this bounds
+them to a few MB at any d: d <= 64 gets 256 arrivals, d = 1024 gets 16."""
+
 UNIFORM_FLOOR = 1e-300
 LAPLACE_MAX = -math.log(UNIFORM_FLOOR)
 """Largest size of a sample_bundle entry at scale 1 (about 690.8)."""
@@ -93,17 +99,24 @@ class NoiseLedger:
     the held levels are exactly the one-bits of t: mask keeps them and is
     checked against t, and a level not held is zero.  noise_off swaps the
     sampled values for zeros (schedule and bookkeeping unchanged) so tests
-    can isolate the trading mechanics.  A session books the counter only
-    through advance (a block of steps, or the sell-back at close) and reads
-    levels, mask and held_sum; begin_step, mark_sold, new_bundle and held
-    are the per-arrival reference for tests.
+    can isolate the trading mechanics.  A session takes its bundles through
+    take, books the counter only through advance (a block of steps, or the
+    sell-back at close) and reads levels, mask and held_sum; draw,
+    begin_step, mark_sold, new_bundle and held are the per-arrival
+    reference for tests.
+
+    take draws ahead: a buffer of at most max(k, BLOCK_FLOATS // d) bundles,
+    refilled by one draw, never past the horizon T.  So a ledger taken to T
+    has drawn exactly T * d uniforms, and one taken less far may have drawn
+    bundles it never uses.
     """
 
     def __init__(self, d: int, scale: float, T: int, noise_off: bool = False):
-        self.d, self.scale, self.noise_off = d, scale, noise_off
+        self.d, self.scale, self.T, self.noise_off = d, scale, T, noise_off
         self.t = self.mask = 0
         self.levels = np.zeros((tree_depth(T) + 1, d))
         self._ones = np.ones(len(self.levels))
+        self._z = np.zeros((0, d))  # drawn, not yet taken
 
     @property
     def held(self) -> list[tuple[int, np.ndarray]]:
@@ -144,6 +157,19 @@ class NoiseLedger:
         if self.noise_off:
             return np.zeros(self.d if k is None else (k, self.d))
         return sample_bundle(self.d, self.scale, rng, k)
+
+    def take(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """The next k bundles as a (k, d) block: the values k more draws would
+        give.  Taking past T raises.  The bundles of steps 1..t are taken
+        already, so advance(k, ...) must follow."""
+        buffered = len(self._z)
+        if buffered < k:
+            n = min(max(k, BLOCK_FLOATS // self.d), self.T - self.t) - buffered
+            if buffered + n < k:
+                raise InvalidStateError(f"{k} more bundles pass the horizon {self.T}")
+            self._z = np.concatenate((self._z, self.draw(rng, n)))
+        z, self._z = self._z[:k], self._z[k:]
+        return z
 
     def new_bundle(self, value: np.ndarray) -> None:
         """Buy the bundle of step t, whose value came from draw, at level tz(t)."""

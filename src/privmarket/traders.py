@@ -26,16 +26,12 @@ import numpy as np
 
 from .cost import ScaledCost
 from .errors import InvalidParameterError, StrategyBugError, TradeRejectedError
+from .noise import BLOCK_FLOATS
 
 STRATEGY_KINDS = ("belief", "arbitrage_hunter", "herd", "random", "abstainer")
 
 BLOCK_CAP = 256
 """Most arrivals drive_session books in one MarketSession.step call."""
-
-BLOCK_FLOATS = 2**14
-"""Most bundle entries (arrivals times d) in one block.  A block's arrays
-take a few hundred bytes per entry, so with BLOCK_CAP this bounds them to a
-few MB at any d: d <= 64 gets 256 arrivals, d = 1024 gets 16."""
 
 RANDOM_CHUNK = 250
 """(sign, coordinate) pairs a RandomTrader draws from its generator at once."""
@@ -54,6 +50,16 @@ class StrategyContext:
     p_hat: np.ndarray
     fee: float
     cost: ScaledCost
+
+    @functools.cached_property
+    def unit_trade_costs(self) -> np.ndarray:
+        """C(q_hat + each row of _unit_trades(d)), row 0 being C(q_hat); read-only.
+
+        Priced once per context: drive_session hands every state reader the
+        same context until something is booked."""
+        costs = self.cost.cost(self.q_hat + _unit_trades(self.cost.d))
+        costs.flags.writeable = False
+        return costs
 
 
 def _best_scale(ctx: StrategyContext, belief: np.ndarray, j: int, sign: float) -> float:
@@ -88,9 +94,8 @@ def maximize_profit(
     d = ctx.cost.d
     if belief.shape != (d,):
         raise InvalidParameterError(f"belief must have shape ({d},)")
-    # row 0 is no trade, so the block also prices C(q_hat)
     trades = _unit_trades(d)
-    costs = ctx.cost.cost(ctx.q_hat + trades)
+    costs = ctx.unit_trade_costs
     c_hat = float(costs[0])
     profits = (trades[1:] @ belief - (costs[1:] - c_hat)).tolist()
     best, best_profit = 0, -math.inf
@@ -218,16 +223,17 @@ class RandomTrader(Strategy):
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self._pairs = np.zeros((0, 2), dtype=np.intp)  # drawn, not yet used
+        self._pairs = np.zeros((2, 0), dtype=np.intp)  # drawn, not yet used: signs over coordinates
 
     def decide_run(self, ctx: StrategyContext, n: int) -> np.ndarray:
         d = ctx.cost.d
-        while len(self._pairs) < n:
-            fresh = self.rng.integers(np.tile([2, d], RANDOM_CHUNK)).reshape(-1, 2)
-            self._pairs = np.concatenate((self._pairs, fresh))
-        pairs, self._pairs = self._pairs[:n], self._pairs[n:]
+        while self._pairs.shape[1] < n:
+            fresh = self.rng.integers(np.tile([2, d], RANDOM_CHUNK)).reshape(-1, 2).T
+            fresh[0] = 2 * fresh[0] - 1  # sign 0 sells, 1 buys
+            self._pairs = np.concatenate((self._pairs, fresh), axis=1)
+        (signs, coords), self._pairs = self._pairs[:, :n], self._pairs[:, n:]
         dq = np.zeros((n, d))
-        dq[np.arange(n), pairs[:, 1]] = 2.0 * pairs[:, 0] - 1.0  # sign 0 sells, 1 buys
+        dq[np.arange(n), coords] = signs
         return dq
 
 

@@ -248,3 +248,33 @@ def test_blocks_respect_both_caps_and_never_overfill(d):
     full, rest = divmod(600, cap)
     assert session.blocks == [cap] * full + ([rest] if rest else [])
     assert len(list(stream)) == 3000 - 900  # 600 arrivals took 900 slots, abstentions included
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 64, 1024])
+def test_a_filled_session_draws_exactly_its_horizon(d):
+    # bundles are drawn ahead in chunks, never past T: a filled session
+    # leaves its generator where T * d uniforms leave it, so sessions that
+    # share one in turn (run_adaptive's stages) draw what per-arrival draws do
+    for T in (2, 3, 64, 300, 1000):
+        params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
+        session = open_market(params, rng=np.random.default_rng(T))
+        stream = iter([Herd(), RandomTrader(np.random.default_rng(1))] * T)
+        assert not drive_session(session, stream) and session.is_full
+        twin = np.random.default_rng(T)
+        twin.random((T, d))
+        assert session.rng.bit_generator.state == twin.bit_generator.state, T
+
+
+@pytest.mark.parametrize("d, T, k", [(2, 10_000, 5), (8, 300, 299), (64, 1000, 300),
+                                     (1024, 40, 17)])
+def test_a_session_closed_short_of_its_horizon_draws_at_most_its_horizon(d, T, k):
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
+    session = open_market(params, rng=np.random.default_rng(k))
+    session.step(np.tile(np.eye(d)[0], (k, 1)))
+    session.close(0)
+    twin = np.random.default_rng(k)
+    states = []
+    for _ in range(T + 1):  # after 0 .. T bundles of d uniforms
+        states.append(twin.bit_generator.state)
+        twin.random(d)
+    assert k <= states.index(session.rng.bit_generator.state) <= T

@@ -154,17 +154,31 @@ def test_participation_table_matches_the_per_t_loop():
 
 
 def test_participation_bound_many_T():
-    # the worst trader appears in at most floor(log2 T) + 1 published states;
-    # dense up to 512, then power-of-two neighborhoods up to 2**12
-    horizons = list(range(1, 513))
-    for m in (10, 11, 12):
-        horizons += [2 ** m - 1, 2 ** m, 2 ** m + 1]
-    for T in horizons:
+    # the worst trader appears in exactly floor(log2 T) + 1 = T.bit_length()
+    # published states, for every T up to 2**12 + 1 and at 2**13 and 2**14;
+    # the noise depth ceil(log2 T) is one less exactly at T = 2**k, k >= 1
+    for T in [*range(1, 2 ** 12 + 2), 2 ** 13, 2 ** 14]:
         table = participation_table(T)
         cap = int(math.floor(math.log2(T))) + 1
-        assert table.max() <= cap
+        assert table.max() == cap == T.bit_length()
         if T & (T - 1) == 0:
             assert table[0] == cap  # arrival 1 sits on every left spine node
+        assert tree_depth(T) == cap - (T > 1 and T & (T - 1) == 0)
+
+
+def test_take_draws_ahead_what_draw_gives_and_stops_at_the_horizon():
+    d, T = 3, 20
+    led = NoiseLedger(d=d, scale=4.0, T=T)
+    rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+    for k in (1, 5, 7, 2):
+        z = led.take(rng, k)
+        led.t += k  # as the advance after a session's take does
+        assert np.array_equal(z, [led.draw(twin) for _ in range(k)])
+    assert rng.bit_generator.state != twin.bit_generator.state  # drawn ahead
+    with pytest.raises(InvalidStateError, match="horizon"):
+        led.take(rng, 6)  # 15 taken, 5 left
+    assert np.array_equal(led.take(rng, 5), [led.draw(twin) for _ in range(5)])
+    assert rng.bit_generator.state == twin.bit_generator.state  # T * d uniforms
 
 
 def test_bundle_gap_total():
