@@ -256,10 +256,10 @@ def run_adaptive(
                 break  # nobody left to attend another market
             stream = itertools.chain([head], stream)
         session = open_market(params, rng=noise_rng, initial_shares=init_shares)
-        exhausted = drive_session(session, stream)
+        drive_session(session, stream)
         session.close(outcome)
         settled.append(session)
-        if exhausted or i + 1 >= len(markets):
+        if not session.is_full or i + 1 >= len(markets):
             break
         nxt = markets[i + 1]
         init_shares = transition(session.p_hat, nxt.lam, nxt.d, nxt.alpha / (4.0 * nxt.d))

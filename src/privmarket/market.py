@@ -217,32 +217,31 @@ def _block_plan(k: int, low: int, top: int) -> tuple:
 
     It depends only on the trailing-zero counts tz(t0 + i), which follow
     from low = t0 mod 2^m (m = k.bit_length()) and top, the tz of the one
-    block time that 2^m divides (-1 if none).  Source rows: q_hat, q_true
-    plus the held noise, q_true, the k trades, the k bundles bought, a zero
-    row, then (from neg) minus the bundles bought and minus levels
-    0 .. sold - 1.  Arrival i trades, sells levels 0 .. tz - 1 (level l
-    holds the bundle of block row i - 2^l when 2^l <= i, else one bought
-    before the block) and buys.  Returned, with neg and sold:
-    rows (3, n): the chain from q_hat, its shadow from q_true plus the held
-    noise, and the true states (the trades, zeros elsewhere); costed: the
-    chain, then the true state after each arrival; buys: the chain's buy
-    rows; picks (k, 3): state, shadow and true state after each arrival;
-    cash (2, 5, w): each total's amounts as minuend and subtrahend indices
-    into the costs, the bundle norms and the head (the five totals, c_hat,
-    the fee, 0.0); levels: the source rows of levels 0 .. max tz after the
-    block; flips: the held-mask bits the block turns over.
+    block time that 2^m divides (-1 if none).  Source rows: q_hat, q_true,
+    the k trades, the k bundles bought, a zero row, then (from neg) minus
+    the bundles bought and minus levels 0 .. sold - 1.  Arrival i trades,
+    sells levels 0 .. tz - 1 (level l holds the bundle of block row i - 2^l
+    when 2^l <= i, else one bought before the block) and buys.  Returned,
+    with neg and sold: rows (2, n): the chain from q_hat and the true
+    states (the trades, zeros elsewhere); costed: the chain, then the true
+    state after each arrival; buys: the chain's buy rows; picks (k, 2):
+    state and true state after each arrival; cash (2, 5, w): each total's
+    amounts as minuend and subtrahend indices into the costs, the bundle
+    norms and the head (the five totals, c_hat, the fee, 0.0); levels: the
+    source rows of levels 0 .. max tz after the block; flips: the held-mask
+    bits the block turns over.
     """
-    buy, zero = 3 + k, 3 + 2 * k
+    buy, zero = 2 + k, 2 + 2 * k
     neg = zero + 1
-    chain, true, trades, sells, buys = [0], [2], [], [], []
+    chain, true, trades, sells, buys = [0], [1], [], [], []
     held: dict[int, int | None] = {}  # level -> block row holding it
     sold = 0  # bits of the levels sold from before the block
     for i in range(k):
         u = low + i + 1
         tz = top if u == 1 << k.bit_length() else (u & -u).bit_length() - 1
         trades.append(len(chain))
-        chain.append(3 + i)
-        true.append(3 + i)
+        chain.append(2 + i)
+        true.append(2 + i)
         for level in range(tz):
             if 1 << level <= i:
                 chain.append(neg + i - (1 << level))
@@ -273,10 +272,9 @@ def _block_plan(k: int, low: int, top: int) -> tuple:
         cash[0, j, 1 : 1 + len(plus)] = plus
         cash[1, j, 1 : 1 + len(minus)] = minus
     buys = np.array(buys, dtype=np.intp)
-    plan = (neg, sold.bit_length(), np.array([chain, [1] + chain[1:], true], dtype=np.intp),
-            np.concatenate((np.arange(n), 2 * n + buys)), buys,
-            buys[:, None] + np.array([0, n, 2 * n]), cash, np.array(levels, dtype=np.intp),
-            sold ^ kept)
+    plan = (neg, sold.bit_length(), np.array([chain, true], dtype=np.intp),
+            np.concatenate((np.arange(n), n + buys)), buys, buys[:, None] + np.array([0, n]),
+            cash, np.array(levels, dtype=np.intp), sold ^ kept)
     for part in plan[2:-1]:  # shared by every block with these tz values
         part.flags.writeable = False
     return plan
@@ -346,16 +344,16 @@ class MarketSession:
         (NoiseLedger.take).  The cached _block_plan says where every state of
         the block comes from, so once it is cached no Python work is done per
         arrival: one gather and one sequential running sum build the states
-        after each trade, sell and buy, their shadow from q_true plus the
-        held noise, and the true states, and one kernel pass costs and
-        prices them (one cost per state, never telescoped: the noise cash is
-        a small difference of large costs).  Each cash total adds its amounts one at a time in
-        arrival order (np.add.accumulate), so a block books bit for bit what
-        its bundles book one at a time.  Checks: held == the counter bits
-        after the block, and published == shadow, i.e. published - true ==
-        held noise, after every arrival (l1 drift at most 1e-6).  A bad
-        bundle, or a block that would pass T, raises before anything is
-        booked.
+        after each trade, sell and buy and the true states, and one kernel
+        pass costs and prices them (one cost per state, never telescoped:
+        the noise cash is a small difference of large costs).  Each cash
+        total adds its amounts one at a time in arrival order
+        (np.add.accumulate), so a block books bit for bit what its bundles
+        book one at a time.  Checks, on the state the block leaves, after the
+        counter is advanced and before anything else is booked: held == the
+        counter bits, and published - true == the held noise sum (l1 drift
+        at most 1e-6).  A bad bundle, or a block that would pass T, raises
+        before anything is booked.
         """
         if self.closed:
             raise MarketClosedError("session is closed")
@@ -374,7 +372,7 @@ class MarketSession:
             k, t0 & ((1 << m) - 1), (top & -top).bit_length() - 1 if top > t0 else -1)
         z = ledger.take(self.rng, k)
         source = np.concatenate((
-            self.q_hat, self.q_true + ledger.held_sum(), self.q_true, block.ravel(), z.ravel(),
+            self.q_hat, self.q_true, block.ravel(), z.ravel(),
             np.zeros(d), z.ravel(), ledger.levels[:sold].ravel(),
         )).reshape(-1, d)
         tail = source[neg:]
@@ -383,44 +381,44 @@ class MarketSession:
         np.add.accumulate(buf, axis=1, out=buf)
         flat = buf.reshape(-1, d)
         costs, prices = self.cost.cost_and_prices(flat.take(costed, axis=0))
-
-        # per arrival, l1 norms row by row as a lone state's: the drift of
-        # the published state from its shadow, the share gap, the price gap
         picked = flat.take(picks, axis=0)
         p_hat = prices.take(buys, axis=0)
-        diffs = np.empty((k, 3, d))
-        np.subtract(picked[:, :1], picked[:, 1:], out=diffs[:, :2])
-        np.subtract(prices[-k:], p_hat, out=diffs[:, 2])
-        drifts, share_gaps, price_gaps = np.add.reduce(np.abs(diffs, out=diffs), axis=-1).T.tolist()
-        if not max(drifts) <= 1e-6:
-            raise InvalidStateError("published state lost sync with held noise")
 
         # each total's amounts, after the total itself, as differences of
         # costs, bundle l2 norms and the head's entries
         head = (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
                 self.fee_total, self.bundle_l2_total, self.c_hat, self.params.fee, 0.0)
         terms = np.concatenate((costs, l2_norms(z), head)).take(cash)
-        (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
-         self.fee_total, self.bundle_l2_total) = np.add.accumulate(
-            np.subtract(terms[0], terms[1]), axis=1)[:, -1].tolist()
+        totals = np.add.accumulate(np.subtract(terms[0], terms[1]), axis=1)[:, -1].tolist()
 
         ledger.advance(k, source.take(levels, axis=0), flips)
         ledger.verify_held()
-        self.q_true = picked[-1, 2].copy()  # not a view that keeps picked alive
+        # l1 norms row by row as a lone state's: each arrival's share and price
+        # gaps, then the drift of published - true after the block from the held noise
+        gaps = np.empty((2 * k + 1, d))
+        np.subtract(picked[:, 0], picked[:, 1], out=gaps[:k])
+        np.subtract(prices[-k:], p_hat, out=gaps[k:-1])
+        np.subtract(gaps[k - 1], ledger.held_sum(), out=gaps[-1])
+        gaps = np.add.reduce(np.abs(gaps, out=gaps), axis=-1).tolist()
+        if not gaps.pop() <= 1e-6:
+            raise InvalidStateError("published state lost sync with held noise")
+        (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
+         self.fee_total, self.bundle_l2_total) = totals
+        self.q_true = picked[-1, 1].copy()  # not a view that keeps picked alive
         self.q_hat = _published(picked[-1, 0])
         self.p_hat = _published(p_hat[-1])
         self.c_hat = float(costs[buys[-1]])
         self.arrivals += k
-        self.max_price_gap = max(self.max_price_gap, *price_gaps)
-        self.max_share_gap = max(self.max_share_gap, *share_gaps)
+        self.max_share_gap = max(self.max_share_gap, *gaps[:k])
+        self.max_price_gap = max(self.max_price_gap, *gaps[k:])
 
     def close(self, outcome: int) -> Ledger:
         """Sell back remaining noise, pay every arrival, and return the ledger.
 
         The held levels are sold lowest (most recent) first, in one running
-        sum and one kernel pass; the batch check runs before anything is
-        booked.  Security j pays 1 exactly when outcome j occurs.  p_hat is
-        left as the last published prices, which a following stage opens at.
+        sum and one kernel pass; the batch check and then step's held-noise
+        check run before anything is booked.  Security j pays 1 exactly on
+        outcome j.  p_hat is left as the last published prices (a next stage opens at them).
         """
         if self.closed:
             raise InvalidStateError("session is already closed")
@@ -445,6 +443,8 @@ class MarketSession:
             raise InvalidStateError(
                 f"sequential sell-back {sold!r} disagrees with batch total {batch!r}"
             )
+        if not np.add.reduce(np.abs(rows[n + 1] - rows[n + 2])) <= 1e-6:  # q_hat - held vs q_true
+            raise InvalidStateError("published state lost sync with held noise")
 
         ledger.advance(0, np.zeros_like(ledger.levels), ledger.mask)
         self.noise_sell_total = sell_total

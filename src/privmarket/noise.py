@@ -58,11 +58,13 @@ def noise_scale(T: int, epsilon: float) -> float:
 def participation_table(T: int) -> np.ndarray:
     """Bundles covering arrival t_prime, for every t_prime in 1..T (index 0 = t'=1).
 
-    That is #{t in [t_prime, T] : s(t) < t_prime <= t}.  The worst case is
-    floor(log2 T) + 1, attained at t_prime = 1 when T is a power of two;
-    this exceeds ceil(log2 T) there, which is why the privacy audit reports
-    exact counts rather than asserting the smaller cap.  Each t covers the half-open interval (s(t), t] of t_prime values, so the
-    table is a sum of interval indicators, built with a difference array.
+    That is #{t in [t_prime, T] : s(t) < t_prime <= t}.  The worst case,
+    floor(log2 T) + 1 = T.bit_length(), is attained at t_prime = 1 at every
+    T, since every power of two up to T covers it; it exceeds ceil(log2 T)
+    exactly when T is a power of two, which is why the privacy audit reports
+    exact counts rather than asserting the smaller cap.  Each t covers the
+    half-open interval (s(t), t] of t_prime values, so the table is a sum of
+    interval indicators, built with a difference array.
     """
     if T < 1:
         raise InvalidParameterError("T must be >= 1")
@@ -187,6 +189,6 @@ class NoiseLedger:
         self.t += k
 
     def verify_held(self) -> None:
-        """The held levels must be the one-bits of t after every step."""
+        """The held levels must be the one-bits of t: after each step, or block of steps."""
         if self.mask != self.t:
             raise InvalidStateError(f"held levels {self.mask:b} != counter bits {self.t:b}")

@@ -313,7 +313,7 @@ def step_strategy(strategy: Strategy, ctx: StrategyContext, n: int | None = None
     return strategy.decide(ctx) if n is None else strategy.decide_run(ctx, n)
 
 
-def drive_session(session, stream: Iterator) -> bool:
+def drive_session(session, stream: Iterator) -> None:
     """Feed potential arrivals from stream until the session fills.
 
     Slots are taken at most as many at a time as the session and the
@@ -327,15 +327,14 @@ def drive_session(session, stream: Iterator) -> bool:
     BLOCK_FLOATS bundle entries, before a strategy that reads the state is
     asked, and at the end; such a strategy's bundle is booked alone.  A
     bundle the session rejects, or one of the wrong shape, raises
-    StrategyBugError naming its strategy's kind.  Returns True when the
-    stream ran dry first.
+    StrategyBugError naming its strategy's kind.  A stream that runs dry
+    first leaves the session short of T (not is_full).
     """
     d, T = session.params.d, session.params.T
     cap = max(1, min(BLOCK_CAP, BLOCK_FLOATS // d))
     pending = np.empty((cap, d))
     owners: list[Strategy] = []
     ctx = None
-    exhausted = False
     while session.arrivals + len(owners) < T:
         want = min(T - session.arrivals, cap) - len(owners)
         slots = list(itertools.islice(stream, want))
@@ -354,11 +353,9 @@ def drive_session(session, stream: Iterator) -> bool:
         if len(owners) == cap:
             _book(session, pending, owners)
         if len(slots) < want:
-            exhausted = True
             break
     if owners:
         _book(session, pending[: len(owners)], owners)
-    return exhausted
 
 
 def _context(session, ahead: int, last: StrategyContext | None) -> StrategyContext:

@@ -6,8 +6,9 @@ tabulated them, the audit's replay of every partial sum, bundle path sums)
 that no simulation path uses, and the per-state engine the batched cost
 kernel replaced: a scalar log-sum-exp and softmax, the sequential
 best-response search and a step that costs one state per call, with its
-own per-bundle bookkeeping.  The batched kernel uses the same arithmetic,
-so the tests compare against these with ==.
+own per-bundle bookkeeping, and a whole trial run one slot at a time on
+it.  The batched kernel uses the same arithmetic, so the tests compare
+against these with ==.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from privmarket import (
     sample_bundle,
 )
 from privmarket import harness
-from privmarket.traders import _best_scale
+from privmarket.harness import RunConfig, TrialMetrics
+from privmarket.traders import _best_scale, make_strategy
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -110,14 +112,16 @@ class ReferenceSession:
     It runs no checks; it is a reference for the numbers.
     """
 
-    def __init__(self, params: MarketParams, rng: np.random.Generator):
+    def __init__(self, params: MarketParams, rng: np.random.Generator,
+                 initial_shares: np.ndarray | None = None):
         self.params = params
         self.cost = ScaledCost(d=params.d, lam=params.lam)
         self.rng = rng
         self.scale = noise_scale(params.T, params.epsilon)
-        self.q_init = np.zeros(params.d)
-        self.q_true = np.zeros(params.d)
-        self.q_hat = np.zeros(params.d)
+        q0 = np.zeros(params.d) if initial_shares is None else np.array(initial_shares, dtype=float)
+        self.q_init = q0.copy()
+        self.q_true = q0.copy()
+        self.q_hat = q0.copy()
         self.p_hat = reference_prices(self.cost, self.q_hat)
         self.c_hat = reference_cost(self.cost, self.q_hat)
         self.bundles: dict[int, ReferenceBundle] = {}  # every bundle bought, by time
@@ -181,6 +185,66 @@ class ReferenceSession:
             trade_payments=self.trade_payments,
             arrivals=self.arrivals,
         )
+
+
+def reference_trial(config: RunConfig, seed: int) -> TrialMetrics:
+    """run_trial written out again: each slot decided alone and booked on a
+    ReferenceSession per market.
+
+    Seeds: SeedSequence(seed) spawns one child per roster instance plus
+    one; child 0 draws the noise of every market in turn and child 1 + i
+    drives instance i.  The stream has stream_length slots, or the markets'
+    total T: round_robin cycles the instances, sequential gives each
+    ceil(length / instances) turns in roster order.  Each slot's strategy
+    decides on the state published before it.  A full market hands its last
+    prices to the next, which opens at their inverse clamped at
+    alpha / (4 d); the market the stream leaves short is the last, and no
+    market opens once the stream is empty.
+    """
+    markets = config.markets()
+    roster = [entry for entry in config.traders for _ in range(entry.count)]
+    children = np.random.SeedSequence(seed).spawn(1 + len(roster))
+    noise_rng = np.random.default_rng(children[0])
+    instances = [make_strategy(entry.kind, entry.params, config.d, np.random.default_rng(child))
+                 for entry, child in zip(roster, children[1:])]
+    length = config.stream_length or sum(params.T for params in markets)
+    if config.arrival_order == "sequential":
+        turns = math.ceil(length / len(instances))
+        stream = [strat for strat in instances for _ in range(turns)][:length]
+    else:
+        stream = [instances[i % len(instances)] for i in range(length)]
+
+    sessions: list[ReferenceSession] = []
+    shares, slot = None, 0
+    for params, nxt in zip(markets, markets[1:] + (None,)):
+        session = ReferenceSession(params, noise_rng, initial_shares=shares)
+        sessions.append(session)
+        while session.arrivals < params.T and slot < length:
+            ctx = StrategyContext(t=session.arrivals + 1, q_hat=session.q_hat,
+                                  p_hat=session.p_hat, fee=params.fee, cost=session.cost)
+            dq = stream[slot].decide(ctx)
+            slot += 1
+            if dq is not None:
+                session.step(np.asarray(dq, dtype=float))
+        if session.arrivals < params.T or slot == length or nxt is None:
+            break
+        eta = nxt.alpha / (4.0 * nxt.d)
+        clamped = np.maximum(session.p_hat, eta)
+        logp = np.log(clamped / np.sum(clamped))
+        shares = (logp - logp[-1]) / nxt.lam
+
+    ledgers = [session.close(config.outcome) for session in sessions]
+    total = {name: sum(getattr(ledger, name) for ledger in ledgers)
+             for name in ("arrivals", "designer_loss", "mm_loss", "ntl", "fees")}
+    norms = [s.bundle_l2_total / s.arrivals for s in sessions if s.arrivals]
+    return TrialMetrics(
+        seed=seed,
+        stages_completed=sum(s.arrivals == s.params.T for s in sessions),
+        max_price_gap=max(s.max_price_gap for s in sessions),
+        max_share_gap=max(s.max_share_gap for s in sessions),
+        mean_bundle_l2=float(np.mean(norms)) if norms else 0.0,
+        **total,
+    )
 
 
 @dataclass(frozen=True)
@@ -281,10 +345,10 @@ def ftrl_price(cost: ScaledCost, q: np.ndarray, resolution: int = 33) -> np.ndar
 def participation_count(t_prime: int, T: int) -> int:
     """Number of bundles whose trade-partial-sum covers arrival t_prime.
 
-    Exactly #{t in [t_prime, T] : s(t) < t_prime <= t}.  The worst case is
-    floor(log2 T) + 1, attained at t_prime = 1 when T is a power of two;
-    this exceeds ceil(log2 T) there, which is why the privacy audit reports
-    exact counts rather than asserting the smaller cap.
+    Exactly #{t in [t_prime, T] : s(t) < t_prime <= t}.  The worst case,
+    floor(log2 T) + 1 = T.bit_length(), is attained at t_prime = 1 at every
+    T (every power of two up to T covers it); it exceeds ceil(log2 T)
+    exactly when T is a power of two.
     """
     if not (1 <= t_prime <= T):
         raise InvalidParameterError("need 1 <= t_prime <= T")

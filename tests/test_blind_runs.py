@@ -73,7 +73,8 @@ def _roster(kinds, d, seed):
 
 
 def _one_slot_at_a_time(reference, stream):
-    """Ask each slot's strategy through decide and book its bundle alone."""
+    """Ask each slot's strategy through decide and book its bundle alone; True
+    when the stream ran dry first."""
     while reference.arrivals < reference.params.T:
         strat = next(stream, None)
         if strat is None:
@@ -112,7 +113,8 @@ def _assert_drive_session_matches_one_slot_at_a_time(d, T, kinds, length, seed):
     stream = iter(_roster(kinds, d, seed) * length)
     twin = iter(_roster(kinds, d, seed) * length)
 
-    assert drive_session(session, stream) == _one_slot_at_a_time(reference, twin)
+    drive_session(session, stream)
+    assert session.is_full != _one_slot_at_a_time(reference, twin)
     for name in SESSION_FIELDS:
         assert np.array_equal(getattr(session, name), getattr(reference, name)), name
     assert [time for time, _ in session.noise.held] == list(reference.held)

@@ -591,6 +591,17 @@ def test_cli_audit_and_schedule(capsys):
     assert "all inequalities: ok" in text
 
 
+def test_cli_audit_omits_long_participation_tables_unless_full(capsys):
+    def counts(T, *flags):
+        assert cli_main(["audit", "--T", str(T), "--d", "2", "--epsilon", "1",
+                         "--pairs", "10", *flags]) == 0
+        return json.loads(capsys.readouterr().out)["participation_counts"]
+
+    assert counts(128) == "omitted (use --full)"
+    assert counts(128, "--full") == [participation_count(t, 128) for t in range(1, 129)]
+    assert counts(64) == counts(64, "--full") == [participation_count(t, 64) for t in range(1, 65)]
+
+
 def test_cli_bad_config_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"market": {"d": 2}}), encoding="utf-8")

@@ -344,6 +344,35 @@ def test_close_detects_sell_back_disagreeing_with_batch_total():
     assert session.close(0) == _noisy_session(3).close(0)
 
 
+@pytest.mark.parametrize("steps, k", [(3, 5), (0, 16)])  # mid-session; one block to T = 16
+def test_step_detects_the_levels_it_books_out_of_sync_with_published_state(steps, k):
+    session = _noisy_session(steps)
+    advance = session.noise.advance
+
+    def advance_one_level_off(*args):
+        advance(*args)
+        noise = session.noise
+        noise.levels[(noise.mask & -noise.mask).bit_length() - 1, 0] += 1e-3  # the last buy
+
+    session.noise.advance = advance_one_level_off
+    before = _booked(session)[0], session.q_true.tolist(), session.p_hat.tolist()
+    with pytest.raises(InvalidStateError, match="lost sync with held noise"):
+        session.step(np.tile([0.5, -0.25], (k, 1)))
+    # the check runs before the session books the block
+    assert (_booked(session)[0], session.q_true.tolist(), session.p_hat.tolist()) == before
+    assert session.arrivals == steps
+
+
+@pytest.mark.parametrize("steps", [5, 16])
+def test_close_detects_held_levels_out_of_sync_with_published_state(steps):
+    session = _noisy_session(steps)
+    session.noise.held[0][1][1] -= 1e-3  # corrupt the oldest held bundle after the last step
+    before = _booked(session)
+    with pytest.raises(InvalidStateError, match="lost sync with held noise"):
+        session.close(0)
+    assert _booked(session) == before  # the check runs before anything is booked
+
+
 def test_open_and_close_each_make_one_kernel_pass(monkeypatch):
     shapes = []  # the block each ScaledCost kernel pass evaluates
 

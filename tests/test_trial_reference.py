@@ -1,0 +1,73 @@
+"""Whole trials against oracles.reference_trial, by == on every row field.
+
+The reference writes the trial out again: the seed layout, the arrival
+stream, one decide per slot on a ReferenceSession per market, the stage
+handoff and the row reductions.  The configs cover flat and staged runs,
+both arrival orders, every strategy kind, streams that run dry mid-stage or
+end at a stage boundary, a handoff whose clamp binds, noise_off and a zero
+fee.
+"""
+
+import pytest
+
+from privmarket import RunConfig, run_trial
+
+from oracles import reference_trial
+
+MARKET = {"d": 2, "epsilon": 1.0, "alpha": 0.3, "gamma": 0.1, "T": 64}
+BLIND = [{"kind": "herd"}, {"kind": "random", "count": 2}]
+
+
+def _every_kind(d: int) -> list:
+    """One of each kind; the readers' beliefs are far enough from uniform to trade."""
+    return [{"kind": "herd"}, {"kind": "random"}, {"kind": "abstainer"},
+            {"kind": "belief", "params": {"belief": [0.9] + [0.1 / (d - 1)] * (d - 1)}},
+            {"kind": "arbitrage_hunter", "params": {"belief": [0.1 / (d - 1)] * (d - 1) + [0.9]}}]
+
+
+def _market(**fields) -> dict:
+    return {"market": {**MARKET, **fields}}
+
+
+def _staged(override: int, **extra) -> dict:
+    return {"adaptive": {"stage_override": override, "max_stages": 3}, **extra}
+
+
+CONFIGS = {
+    "flat, every kind": {"traders": _every_kind(2)},
+    "flat d3, sequential, dry mid-market": {
+        **_market(d=3, T=32), "traders": _every_kind(3), "arrival_order": "sequential",
+        "stream_length": 22},
+    "flat, sequential past T": {
+        "traders": _every_kind(2)[::-1], "arrival_order": "sequential", "stream_length": 100},
+    "flat, noise_off, fee 0": {
+        **_market(T=16, noise_off=True, fee=0.0), "traders": [*BLIND, _every_kind(2)[4]],
+        "outcome": 1},
+    "flat d3, fee 0": {**_market(d=3, T=40, fee=0.0), "traders": _every_kind(3)[2:],
+                       "outcome": 2},
+    "staged, three full stages": {"traders": [*BLIND, _every_kind(2)[4]], **_staged(16)},
+    "staged d3, sequential, dry in stage 2": {
+        **_market(d=3), "traders": _every_kind(3), "arrival_order": "sequential",
+        **_staged(32, stream_length=60)},
+    "staged, stream ends at a stage boundary": {"traders": BLIND, **_staged(16, stream_length=32)},
+    "staged, an abstainer after the boundary opens an empty stage": {
+        "traders": [{"kind": "herd"}, {"kind": "abstainer"}], **_staged(16, stream_length=32)},
+    "staged d3, belief and random": {
+        **_market(d=3), "traders": [_every_kind(3)[3], {"kind": "random"}], "outcome": 2,
+        **_staged(20)},
+    "staged, sequential hunter then herd": {
+        "traders": [_every_kind(2)[4], {"kind": "herd"}], "arrival_order": "sequential",
+        **_staged(24, stream_length=80)},
+    # lambda near 1: the herd drives the other price below alpha / (4 d) by each handoff
+    "staged, epsilon 1000, the handoff clamp binds": {
+        **_market(epsilon=1000.0), "traders": [{"kind": "herd"}], **_staged(16)},
+    "staged d3, every kind, dry in stage 3": {
+        **_market(d=3), "traders": _every_kind(3), **_staged(16, stream_length=50)},
+}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_run_trial_matches_the_whole_trial_reference(name):
+    config = RunConfig.from_dict({"market": MARKET, "seeds": {"count": 1}, **CONFIGS[name]})
+    for seed in (0, 7):
+        assert run_trial(config, seed) == reference_trial(config, seed), seed
