@@ -29,7 +29,7 @@ from .adaptive import MAX_STAGES, StageSchedule, run_adaptive, stage_schedule
 from .errors import ConfigError, InsufficientDataError, InvalidParameterError, check_positive
 # open_market and drive_session run inside run_adaptive; they stay harness
 # globals because the benchmark tracer patches them where they are looked up.
-from .market import MarketParams, loss_bounds, open_market
+from .market import MarketParams, loss_bounds, open_market, share_gap_scale
 from .noise import noise_scale, participation_table, tree_depth
 from .traders import STRATEGY_KINDS, drive_session, make_strategy
 
@@ -544,12 +544,10 @@ def verify_share_accuracy(
 ) -> VerifyReport:
     """Share-vector accuracy: ||q - q_hat||_1 within the concentration bound.
 
-    The bound is (4 sqrt(2) d ceil(log2 T) / epsilon) * ln(2 T d / gamma);
-    the exceedance fraction must stay <= gamma + 3 binomial SE.
+    The bound is share_gap_scale(T, d, gamma) / epsilon; the exceedance
+    fraction must stay <= gamma + 3 binomial SE.
     """
-    bound = (
-        4.0 * math.sqrt(2.0) * d * tree_depth(T) / epsilon
-    ) * math.log(2.0 * T * d / gamma)
+    bound = share_gap_scale(T, d, gamma) / epsilon
     return _exceedance(
         "share_accuracy", rows, "max_share_gap", bound, gamma, {"bound": bound, "gamma": gamma}
     )

@@ -39,6 +39,7 @@ from .noise import LAPLACE_MAX, NoiseLedger, noise_scale, tree_depth
 
 TRADE_SIZE_TOL = 1e-9
 CASH_TOL = 1e-9
+HELD_TOL = 1e-6  # largest l1 drift of published - true from the held noise sum
 PLAN_CACHE = 64
 """Block plans kept; a herd+random run at T = 16384 uses about ten."""
 
@@ -51,10 +52,12 @@ def lambda_star(T: int, alpha: float, gamma: float, epsilon: float, d: int) -> f
     if T < 2:
         raise InvalidParameterError("T must be >= 2")
     check_design(d, alpha, gamma, epsilon)
-    depth = tree_depth(T)
-    return (alpha * epsilon) / (
-        4.0 * math.sqrt(2.0) * d * depth * math.log(2.0 * T * d / gamma)
-    )
+    return (alpha * epsilon) / share_gap_scale(T, d, gamma)
+
+
+def share_gap_scale(T: int, d: int, gamma: float) -> float:
+    """4 sqrt(2) d ceil(log2 T) ln(2 T d / gamma): epsilon times the share-gap bound."""
+    return 4.0 * math.sqrt(2.0) * d * tree_depth(T) * math.log(2.0 * T * d / gamma)
 
 
 def noise_scale_K(T: int, epsilon: float, d: int) -> float:
@@ -222,18 +225,17 @@ def _block_plan(k: int, low: int, top: int) -> tuple:
     the bundles bought and minus levels 0 .. sold - 1.  Arrival i trades,
     sells levels 0 .. tz - 1 (level l holds the bundle of block row i - 2^l
     when 2^l <= i, else one bought before the block) and buys.  Returned,
-    with neg and sold: rows (2, n): the chain from q_hat and the true
-    states (the trades, zeros elsewhere); costed: the chain, then the true
-    state after each arrival; buys: the chain's buy rows; picks (k, 2):
-    state and true state after each arrival; cash (2, 5, w): each total's
-    amounts as minuend and subtrahend indices into the costs, the bundle
-    norms and the head (the five totals, c_hat, the fee, 0.0); levels: the
-    source rows of levels 0 .. max tz after the block; flips: the held-mask
-    bits the block turns over.
+    with neg and sold: chain (n,): the source rows whose running sum from
+    q_hat is the state after each trade, sell and buy; buys: the chain's
+    buy rows; cash (2, 5, w): each total's amounts as minuend and
+    subtrahend indices into the costs (the n chain states, q_true and the
+    k true states), the bundle norms and the head (the five totals, c_hat,
+    the fee, 0.0); levels: the source rows of levels 0 .. max tz after the
+    block; flips: the held-mask bits the block turns over.
     """
     buy, zero = 2 + k, 2 + 2 * k
     neg = zero + 1
-    chain, true, trades, sells, buys = [0], [1], [], [], []
+    chain, trades, sells, buys = [0], [], [], []
     held: dict[int, int | None] = {}  # level -> block row holding it
     sold = 0  # bits of the levels sold from before the block
     for i in range(k):
@@ -241,7 +243,6 @@ def _block_plan(k: int, low: int, top: int) -> tuple:
         tz = top if u == 1 << k.bit_length() else (u & -u).bit_length() - 1
         trades.append(len(chain))
         chain.append(2 + i)
-        true.append(2 + i)
         for level in range(tz):
             if 1 << level <= i:
                 chain.append(neg + i - (1 << level))
@@ -253,27 +254,24 @@ def _block_plan(k: int, low: int, top: int) -> tuple:
         held[tz] = i
         buys.append(len(chain))
         chain.append(buy + i)
-        true += [zero] * (len(chain) - len(true))
     n = len(chain)
     levels = [zero if held[level] is None else buy + held[level] for level in range(len(held))]
     kept = sum(1 << level for level, row in held.items() if row is not None)
-    h = n + 2 * k
+    h = n + 2 * k + 1
     c_hat, fee, nil = h + 5, h + 6, h + 7
     amounts = [
         (trades, [c_hat] + buys[:-1]),  # each trade starts from the last buy
         ([r - 1 for r in sells], sells),
         (buys, [b - 1 for b in buys]),
         ([fee] * k, [nil] * k),
-        (range(n + k, h), [nil] * k),
+        (range(n + k + 1, h), [nil] * k),
     ]
     cash = np.full((2, 5, 1 + max(k, len(sells))), nil, dtype=np.intp)
     for j, (plus, minus) in enumerate(amounts):
         cash[0, j, 0] = h + j
         cash[0, j, 1 : 1 + len(plus)] = plus
         cash[1, j, 1 : 1 + len(minus)] = minus
-    buys = np.array(buys, dtype=np.intp)
-    plan = (neg, sold.bit_length(), np.array([chain, true], dtype=np.intp),
-            np.concatenate((np.arange(n), n + buys)), buys, buys[:, None] + np.array([0, n]),
+    plan = (neg, sold.bit_length(), np.array(chain, dtype=np.intp), np.array(buys, dtype=np.intp),
             cash, np.array(levels, dtype=np.intp), sold ^ kept)
     for part in plan[2:-1]:  # shared by every block with these tz values
         part.flags.writeable = False
@@ -344,16 +342,16 @@ class MarketSession:
         (NoiseLedger.take).  The cached _block_plan says where every state of
         the block comes from, so once it is cached no Python work is done per
         arrival: one gather and one sequential running sum build the states
-        after each trade, sell and buy and the true states, and one kernel
-        pass costs and prices them (one cost per state, never telescoped:
-        the noise cash is a small difference of large costs).  Each cash
-        total adds its amounts one at a time in arrival order
-        (np.add.accumulate), so a block books bit for bit what its bundles
-        book one at a time.  Checks, on the state the block leaves, after the
-        counter is advanced and before anything else is booked: held == the
-        counter bits, and published - true == the held noise sum (l1 drift
-        at most 1e-6).  A bad bundle, or a block that would pass T, raises
-        before anything is booked.
+        after each trade, sell and buy, one of q_true and the trades the true
+        states, and one kernel pass costs and prices them (one cost per state,
+        never telescoped: the noise cash is a small difference of large
+        costs).  Each cash total adds its amounts one at a time in arrival
+        order (np.add.accumulate), so a block books bit for bit what its
+        bundles book one at a time.  Checks, on the state the block leaves,
+        after the counter is advanced and before anything else is booked:
+        held == the counter bits, and published - true == the held noise sum
+        (l1 drift at most HELD_TOL).  A bad bundle, or a block that would pass
+        T, raises before anything is booked.
         """
         if self.closed:
             raise MarketClosedError("session is closed")
@@ -368,7 +366,7 @@ class MarketSession:
         ledger = self.noise
         m = k.bit_length()
         top = (t0 + k) >> m << m  # the one time in the block that 2^m divides, if any
-        neg, sold, rows, costed, buys, picks, cash, levels, flips = _block_plan(
+        neg, sold, chain, buys, cash, levels, flips = _block_plan(
             k, t0 & ((1 << m) - 1), (top & -top).bit_length() - 1 if top > t0 else -1)
         z = ledger.take(self.rng, k)
         source = np.concatenate((
@@ -377,11 +375,14 @@ class MarketSession:
         )).reshape(-1, d)
         tail = source[neg:]
         np.negative(tail, out=tail)
-        buf = source.take(rows, axis=0)
-        np.add.accumulate(buf, axis=1, out=buf)
-        flat = buf.reshape(-1, d)
-        costs, prices = self.cost.cost_and_prices(flat.take(costed, axis=0))
-        picked = flat.take(picks, axis=0)
+        # the chain from q_hat, then q_true and the true state after each arrival
+        n = len(chain)
+        states = np.empty((n + k + 1, d))
+        source.take(chain, axis=0, out=states[:n])
+        np.add.accumulate(states[:n], axis=0, out=states[:n])
+        np.add.accumulate(source[1 : 2 + k], axis=0, out=states[n:])
+        costs, prices = self.cost.cost_and_prices(states)
+        after = states.take(buys, axis=0)
         p_hat = prices.take(buys, axis=0)
 
         # each total's amounts, after the total itself, as differences of
@@ -396,16 +397,16 @@ class MarketSession:
         # l1 norms row by row as a lone state's: each arrival's share and price
         # gaps, then the drift of published - true after the block from the held noise
         gaps = np.empty((2 * k + 1, d))
-        np.subtract(picked[:, 0], picked[:, 1], out=gaps[:k])
+        np.subtract(after, states[n + 1 :], out=gaps[:k])
         np.subtract(prices[-k:], p_hat, out=gaps[k:-1])
         np.subtract(gaps[k - 1], ledger.held_sum(), out=gaps[-1])
         gaps = np.add.reduce(np.abs(gaps, out=gaps), axis=-1).tolist()
-        if not gaps.pop() <= 1e-6:
+        if not gaps.pop() <= HELD_TOL:
             raise InvalidStateError("published state lost sync with held noise")
         (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
          self.fee_total, self.bundle_l2_total) = totals
-        self.q_true = picked[-1, 1].copy()  # not a view that keeps picked alive
-        self.q_hat = _published(picked[-1, 0])
+        self.q_true = states[-1].copy()  # not a view that keeps states alive
+        self.q_hat = _published(after[-1])
         self.p_hat = _published(p_hat[-1])
         self.c_hat = float(costs[buys[-1]])
         self.arrivals += k
@@ -443,7 +444,7 @@ class MarketSession:
             raise InvalidStateError(
                 f"sequential sell-back {sold!r} disagrees with batch total {batch!r}"
             )
-        if not np.add.reduce(np.abs(rows[n + 1] - rows[n + 2])) <= 1e-6:  # q_hat - held vs q_true
+        if not np.add.reduce(np.abs(rows[n + 1] - rows[n + 2])) <= HELD_TOL:  # batch vs q_true
             raise InvalidStateError("published state lost sync with held noise")
 
         ledger.advance(0, np.zeros_like(ledger.levels), ledger.mask)

@@ -187,6 +187,21 @@ class ReferenceSession:
         )
 
 
+SESSION_FIELDS = ("q_hat", "p_hat", "c_hat", "q_true", "trade_payments", "fee_total",
+                  "noise_buy_total", "noise_sell_total", "bundle_l2_total",
+                  "max_price_gap", "max_share_gap", "arrivals")
+"""The MarketSession state a ReferenceSession keeps too."""
+
+
+def assert_same_session(session, reference: ReferenceSession) -> None:
+    """session's SESSION_FIELDS and held (time, value) pairs, oldest first, == reference's."""
+    for name in SESSION_FIELDS:
+        assert np.array_equal(getattr(session, name), getattr(reference, name)), name
+    assert [time for time, _ in session.noise.held] == list(reference.held)
+    for (_, ours), theirs in zip(session.noise.held, reference.held.values()):
+        assert np.array_equal(ours, theirs.value)
+
+
 def reference_trial(config: RunConfig, seed: int) -> TrialMetrics:
     """run_trial written out again: each slot decided alone and booked on a
     ReferenceSession per market.

@@ -28,11 +28,7 @@ from privmarket import (
 )
 from privmarket.market import l2_norms
 
-from oracles import ReferenceSession
-
-SESSION_FIELDS = ("q_hat", "p_hat", "c_hat", "q_true", "trade_payments", "fee_total",
-                  "noise_buy_total", "noise_sell_total", "bundle_l2_total",
-                  "max_price_gap", "max_share_gap", "arrivals")
+from oracles import ReferenceSession, assert_same_session
 
 
 class Fractional(Strategy):
@@ -115,11 +111,7 @@ def _assert_drive_session_matches_one_slot_at_a_time(d, T, kinds, length, seed):
 
     drive_session(session, stream)
     assert session.is_full != _one_slot_at_a_time(reference, twin)
-    for name in SESSION_FIELDS:
-        assert np.array_equal(getattr(session, name), getattr(reference, name)), name
-    assert [time for time, _ in session.noise.held] == list(reference.held)
-    for (_, ours), theirs in zip(session.noise.held, reference.held.values()):
-        assert np.array_equal(ours, theirs.value)
+    assert_same_session(session, reference)
     assert len(list(stream)) == len(list(twin))
     outcome = seed % d
     assert session.close(outcome) == reference.close(outcome)
@@ -148,9 +140,5 @@ def test_wide_blocks_book_what_one_bundle_at_a_time_books(d):
             for dq in bundles[start : start + k]:
                 reference.step(dq)
             start += k
-            for name in SESSION_FIELDS:
-                assert np.array_equal(getattr(session, name), getattr(reference, name)), name
-            assert [time for time, _ in session.noise.held] == list(reference.held)
-            for (_, ours), theirs in zip(session.noise.held, reference.held.values()):
-                assert np.array_equal(ours, theirs.value)
+            assert_same_session(session, reference)
         assert session.close(d - 1) == reference.close(d - 1)

@@ -28,11 +28,7 @@ from privmarket import (
 from privmarket.market import MarketSession
 from privmarket.traders import BLOCK_CAP, BLOCK_FLOATS
 
-from oracles import ReferenceSession
-
-SESSION_FIELDS = ("q_hat", "p_hat", "c_hat", "q_true", "trade_payments", "fee_total",
-                  "noise_buy_total", "noise_sell_total", "bundle_l2_total",
-                  "max_price_gap", "max_share_gap", "arrivals")
+from oracles import SESSION_FIELDS, ReferenceSession, assert_same_session
 
 
 def _bundles(rng, d: int, n: int) -> np.ndarray:
@@ -66,14 +62,6 @@ def _state(session) -> tuple:
     return values, held, session.noise.t, session.closed
 
 
-def _assert_matches_reference(session, reference):
-    for name in SESSION_FIELDS:
-        assert np.array_equal(getattr(session, name), getattr(reference, name)), name
-    assert [time for time, _ in session.noise.held] == list(reference.held)
-    for (_, ours), theirs in zip(session.noise.held, reference.held.values()):
-        assert np.array_equal(ours, theirs.value)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 @pytest.mark.parametrize("noise_off", [False, True])
 def test_every_partition_books_the_same_session(d, noise_off):
@@ -95,7 +83,7 @@ def test_every_partition_books_the_same_session(d, noise_off):
             for dq in block:
                 reference.step(dq)
             start += k
-            _assert_matches_reference(session, reference)
+            assert_same_session(session, reference)
         assert session.is_full
         ledger = session.close(outcome)
         assert ledger == reference.close(outcome)
@@ -122,7 +110,7 @@ def test_blocks_of_up_to_256_arrivals_book_the_counter_to_2_to_the_14():
             for dq in bundles[start : start + k]:
                 reference.step(dq)
             start += k
-            _assert_matches_reference(session, reference)
+            assert_same_session(session, reference)
         assert session.noise.mask == end
         twin, twin_reference = copy.deepcopy((session, reference))
         assert twin.close(0) == twin_reference.close(0)

@@ -23,6 +23,7 @@ from privmarket import (
 
 from oracles import (
     ReferenceSession,
+    assert_same_session,
     reference_cost,
     reference_maximize_profit,
     reference_prices,
@@ -101,11 +102,6 @@ def test_maximize_profit_exact_tie_at_uniform_prices(d):
     assert np.flatnonzero(dq).tolist() == [0]  # the lowest coordinate wins a tie
 
 
-SESSION_FIELDS = ("q_hat", "p_hat", "c_hat", "q_true", "trade_payments", "fee_total",
-                  "noise_buy_total", "noise_sell_total", "bundle_l2_total",
-                  "max_price_gap", "max_share_gap", "arrivals")
-
-
 def test_step_equals_the_per_state_reference_over_a_mixed_session():
     params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=64)
     session = open_market(params, rng=np.random.default_rng(5))
@@ -124,12 +120,7 @@ def test_step_equals_the_per_state_reference_over_a_mixed_session():
         session.step(dq)
         reference.step(dq)
         traded += 1
-        for name in SESSION_FIELDS:
-            assert np.array_equal(getattr(session, name), getattr(reference, name)), name
-        # held (time, value) pairs, oldest first; noise_buy_total is in SESSION_FIELDS
-        assert [time for time, _ in session.noise.held] == list(reference.held)
-        for (_, ours), theirs in zip(session.noise.held, reference.held.values()):
-            assert np.array_equal(ours, theirs.value)
+        assert_same_session(session, reference)
     assert traded == params.T
     assert session.close(outcome=1) == reference.close(outcome=1)
     assert np.array_equal(session.q_hat, reference.q_hat) and session.c_hat == reference.c_hat

@@ -5,17 +5,21 @@ stream, one decide per slot on a ReferenceSession per market, the stage
 handoff and the row reductions.  The configs cover flat and staged runs,
 both arrival orders, every strategy kind, streams that run dry mid-stage or
 end at a stage boundary, a handoff whose clamp binds, noise_off and a zero
-fee.
+fee.  A hypothesis fuzz draws further configs and compares one drawn seed
+each.
 """
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from privmarket import RunConfig, run_trial
+from privmarket import ConfigError, RunConfig, run_trial
 
 from oracles import reference_trial
 
 MARKET = {"d": 2, "epsilon": 1.0, "alpha": 0.3, "gamma": 0.1, "T": 64}
 BLIND = [{"kind": "herd"}, {"kind": "random", "count": 2}]
+KINDS = ["herd", "random", "abstainer", "belief", "arbitrage_hunter"]
 
 
 def _every_kind(d: int) -> list:
@@ -71,3 +75,51 @@ def test_run_trial_matches_the_whole_trial_reference(name):
     config = RunConfig.from_dict({"market": MARKET, "seeds": {"count": 1}, **CONFIGS[name]})
     for seed in (0, 7):
         assert run_trial(config, seed) == reference_trial(config, seed), seed
+
+
+def _belief(draw, d: int) -> list:
+    weights = draw(st.lists(st.integers(0, 9), min_size=d, max_size=d).filter(any))
+    return [w / sum(weights) for w in weights]
+
+
+@st.composite
+def _configs(draw) -> dict:
+    """A RunConfig dict: flat or (at d >= 2) staged, a roster of every kind,
+    either order, no, a short or a long stream, and epsilon 1 or 1000."""
+    d = draw(st.sampled_from([1, 2, 3, 8]))
+    market = {**MARKET, "d": d, "epsilon": draw(st.sampled_from([1.0, 1000.0]))}
+    config = {"market": market, "seeds": {"count": 1}, "outcome": draw(st.integers(0, d - 1)),
+              "arrival_order": draw(st.sampled_from(["round_robin", "sequential"]))}
+    if d >= 2 and draw(st.booleans()):
+        override, stages = draw(st.integers(2, 32)), draw(st.integers(1, 3))
+        config["adaptive"] = {"stage_override": override, "max_stages": stages}
+        plan = override * stages  # the override sizes every stage
+    else:
+        market["T"] = plan = draw(st.integers(2, 64))
+        market["noise_off"] = draw(st.booleans())
+        if draw(st.booleans()):
+            market["fee"] = 0.0
+    roster = []
+    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5)):
+        params = {}
+        if kind == "herd":
+            params["coordinate"] = draw(st.integers(0, d - 1))
+        elif kind in ("belief", "arbitrage_hunter"):
+            params["belief"] = _belief(draw, d)
+            if kind == "arbitrage_hunter" and draw(st.booleans()):
+                params["threshold"] = draw(st.floats(-0.1, 0.5))
+        roster.append({"kind": kind, "count": draw(st.integers(1, 3)), "params": params})
+    config["traders"] = roster
+    config["stream_length"] = draw(st.one_of(
+        st.none(), st.integers(1, 20), st.integers(1, 4 * plan)))
+    return config
+
+
+@settings(deadline=None, database=None)
+@given(config=_configs(), seed=st.integers(0, 2**16))
+def test_run_trial_matches_the_whole_trial_reference_on_drawn_configs(config, seed):
+    try:
+        config = RunConfig.from_dict(config)
+    except ConfigError:  # epsilon 1000 at a small d * T puts lambda_star above 1
+        assume(False)
+    assert run_trial(config, seed) == reference_trial(config, seed)
