@@ -153,15 +153,13 @@ class StageInequalityReport:
     all_ok: bool
 
 
-def verify_stage_inequalities(
-    schedule: StageSchedule, k_max: int | None = None
-) -> StageInequalityReport:
+def verify_stage_inequalities(schedule: StageSchedule) -> StageInequalityReport:
     """Check the stage inequalities the budget proof leans on, per stage.
 
     Reported, not asserted: a degenerate desk-scale override is expected to
     fail the subsidy-coverage check and the report says so.
     """
-    stages = schedule.stages if k_max is None else schedule.stages[:k_max]
+    stages = schedule.stages
     if not stages:
         raise InvalidParameterError("schedule has no stages")
     checks = []

@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .adaptive import stage_schedule, verify_stage_inequalities
 from .errors import ConfigError, PrivMarketError
 from .harness import (
-    MAX_SEEDS,
-    METRIC_FIELDS,
     RunConfig,
-    load_metrics,
     privacy_audit,
+    read_run_dir,
     run_trials,
     verify_budget,
     verify_noise_loss,
@@ -25,19 +22,12 @@ from .market import noise_scale_K
 
 
 def _parse_seed_range(text: str) -> range:
-    """'a..b' is the half-open seed range [a, b) of non-negative seeds."""
+    """'a..b' is the half-open seed range [a, b); run_trials checks its seeds."""
     try:
         a, b = text.split("..")
-        start, stop = int(a), int(b)
+        return range(int(a), int(b))
     except ValueError:
         raise argparse.ArgumentTypeError("seed range must look like 0..200")
-    if start < 0:
-        raise argparse.ArgumentTypeError("seeds must be non-negative")
-    if stop <= start:
-        raise argparse.ArgumentTypeError("seed range must be non-empty")
-    if stop - start > MAX_SEEDS:
-        raise argparse.ArgumentTypeError(f"seed range must hold at most {MAX_SEEDS} seeds")
-    return range(start, stop)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -52,49 +42,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-# verify --check name -> the flat-market check, judged on (rows, resolved_config.json)
+# verify --check name -> the flat-market check, judged on (rows, the run's MarketParams)
 CHECKS = {
-    "precision": lambda rows, r: verify_precision(rows, r["alpha"], r["gamma"]),
-    "budget": lambda rows, r: verify_budget(rows, r["B1"], r["lambda"]),
-    "shares": lambda rows, r: verify_share_accuracy(rows, r["d"], r["T"], r["epsilon"], r["gamma"]),
-    "noise_loss": lambda rows, r: verify_noise_loss(
-        rows, r["lambda"], noise_scale_K(r["T"], r["epsilon"], r["d"])),
+    "precision": lambda rows, m: verify_precision(rows, m.alpha, m.gamma),
+    "budget": lambda rows, m: verify_budget(rows, m.B1, m.lam),
+    "shares": lambda rows, m: verify_share_accuracy(rows, m.d, m.T, m.epsilon, m.gamma),
+    "noise_loss": lambda rows, m: verify_noise_loss(
+        rows, m.lam, noise_scale_K(m.T, m.epsilon, m.d)),
 }
 
 
-# resolved_config.json fields a flat run's checks read
-RESOLVED_FIELDS = ("alpha", "gamma", "B1", "lambda", "d", "T", "epsilon")
-
-
-def _read_run_dir(path: str) -> tuple[list[dict], dict]:
-    """Metrics rows and resolved config of a flat run's directory; anything else is a ConfigError."""
-    try:
-        rows = load_metrics(path)
-        with open(os.path.join(path, "resolved_config.json"), encoding="utf-8") as fh:
-            resolved = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read run directory: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise ConfigError(f"malformed run directory: {exc}") from exc
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict) or not all(
-            isinstance(row.get(name), (int, float)) and not isinstance(row[name], bool)
-            for name in METRIC_FIELDS
-        ):
-            raise ConfigError(f"metrics row {i} is not an object with a number per metric field")
-    if not isinstance(resolved, dict) or "adaptive" not in resolved:
-        raise ConfigError("resolved_config.json must be an object with an adaptive field")
-    if resolved["adaptive"]:
-        raise ConfigError("adaptive run: no flat-market bound applies to a staged market")
-    if not set(RESOLVED_FIELDS) <= resolved.keys():
-        raise ConfigError(f"resolved_config.json must hold {', '.join(RESOLVED_FIELDS)}")
-    return rows, resolved
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    rows, resolved = _read_run_dir(args.metrics)
+    rows, market = read_run_dir(args.metrics)
     names = CHECKS if args.check == "all" else [args.check]
-    reports = [CHECKS[name](rows, resolved) for name in names]
+    reports = [CHECKS[name](rows, market) for name in names]
     for report in reports:
         print(json.dumps(report.to_dict(), sort_keys=True))
     return 0 if all(r.passed for r in reports) else 1

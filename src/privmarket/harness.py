@@ -419,6 +419,11 @@ def run_trials(
     parse_seed = _int_in(0)
     seeds = [parse_seed(seed, "seed") for seed in seeds]
     workers = min(_int_in(1)(parallel, "parallel"), len(seeds), _usable_cpus())
+    if out_dir is not None:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write run directory: {exc}") from exc
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             metrics = list(pool.map(run_trial, itertools.repeat(config), seeds))
@@ -472,6 +477,31 @@ def load_metrics(path: str) -> list[dict]:
         path = os.path.join(path, "metrics.jsonl")
     with open(path, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+def read_run_dir(path: str) -> tuple[list[dict], MarketParams]:
+    """Metrics rows and flat market of a run directory, read through the config's
+    parsers: every metric a finite number, the market fields of
+    resolved_config.json a valid MarketParams (lam may pass lambda_star).
+    Anything else, and a staged run, is a ConfigError."""
+    try:
+        rows = load_metrics(path)
+        with open(os.path.join(path, "resolved_config.json"), encoding="utf-8") as fh:
+            resolved = _as_object(json.load(fh), "resolved_config.json")
+    except OSError as exc:
+        raise ConfigError(f"cannot read run directory: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"malformed run directory: {exc}") from exc
+    for i, row in enumerate(rows):
+        row = _as_object(row, f"metrics row {i}")
+        for name in METRIC_FIELDS:
+            _as_num(row.get(name), f"metrics row {i}: {name}")
+    if _as_bool(resolved.get("adaptive"), "resolved_config.json.adaptive"):
+        raise ConfigError("adaptive run: no flat-market bound applies to a staged market")
+    market = {key: resolved[key] for key, *_ in SCHEMA["market"] if key in resolved}
+    fields = _parse_section("market", market, "resolved_config.json")
+    fields["allow_unsafe_lambda"] = True
+    return rows, _checked("resolved_config.json", MarketParams, **fields)
 
 
 @dataclass(frozen=True)

@@ -102,10 +102,10 @@ class NoiseLedger:
     checked against t, and a level not held is zero.  noise_off swaps the
     sampled values for zeros (schedule and bookkeeping unchanged) so tests
     can isolate the trading mechanics.  A session takes its bundles through
-    take, books the counter only through advance (a block of steps, or the
-    sell-back at close) and reads levels, mask and held_sum; draw,
-    begin_step, mark_sold, new_bundle and held are the per-arrival
-    reference for tests.
+    take, which draws ahead through draw, books the counter only through
+    advance (a block of steps, or the sell-back at close) and reads levels,
+    mask and held_sum; begin_step, mark_sold, new_bundle and held are the
+    per-arrival reference for tests.
 
     take draws ahead: a buffer of at most max(k, BLOCK_FLOATS // d) bundles,
     refilled by one draw, never past the horizon T.  So a ledger taken to T

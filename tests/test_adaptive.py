@@ -1,5 +1,6 @@
 """Stage doubling: schedule closed forms, inequality report, staged runs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -102,10 +103,10 @@ def test_stage_inequality_report():
     assert not rep.checks[0].subsidy_covered
     assert not rep.all_ok
 
-    rep = verify_stage_inequalities(sch, k_max=2)
+    rep = verify_stage_inequalities(stage_schedule(math.log(2), 1, 0.1, 0.1, 1.0, max_stages=2))
     assert len(rep.checks) == 2
     with pytest.raises(InvalidParameterError):
-        verify_stage_inequalities(sch, k_max=0)
+        verify_stage_inequalities(dataclasses.replace(sch, stages=()))
 
 
 def test_transition_worked_and_clamped():

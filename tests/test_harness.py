@@ -527,11 +527,9 @@ def test_seed_count_is_capped_before_any_seed_list_is_built(tmp_path, capsys):
     assert _cfg(seeds={"count": MAX_SEEDS}).seeds_count == MAX_SEEDS
     assert len(_parse_seed_range(f"5..{MAX_SEEDS + 5}")) == MAX_SEEDS
     config = _write_config(tmp_path, seeds=2)
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
-                  "--seeds", "0..1000000000000"])
-    assert exc.value.code == 2
-    assert f"at most {MAX_SEEDS} seeds" in capsys.readouterr().err
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--seeds", "0..1000000000000"]) == 2
+    assert f"the seeds exceed the cap of {MAX_SEEDS}" in capsys.readouterr().err
     for seeds in (range(MAX_SEEDS + 1), range(10**12), range(10**20)):
         with pytest.raises(ConfigError, match=f"exceed the cap of {MAX_SEEDS}"):
             run_trials(_cfg(), out_dir=str(tmp_path / "out"), seeds=seeds)
@@ -553,12 +551,23 @@ def test_cli_seed_range_and_parallel(tmp_path, capsys):
 
 def test_cli_negative_seed_range_exits_2(tmp_path, capsys):
     config = _write_config(tmp_path, seeds=2)
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
-                  "--seeds=-5..0"])
-    assert exc.value.code == 2
-    assert "seeds must be non-negative" in capsys.readouterr().err
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--seeds=-5..0"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_out_at_a_file_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
+    def trial(config, seed):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", trial)
+    config = _write_config(tmp_path, seeds=2)
+    out = tmp_path / "metrics.jsonl"
+    out.write_text("", encoding="utf-8")
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write run directory") and len(err.splitlines()) == 1
 
 
 def test_run_trials_rejects_bad_seeds_before_any_trial(tmp_path):
@@ -736,6 +745,17 @@ def _row(damage):
     return lambda rows, resolved: (rows[:-1] + [damage(rows[-1])], resolved)
 
 
+def _metric(name, value):
+    """Set metric name to value in every row."""
+    return lambda rows, resolved: (
+        [json.dumps({**json.loads(row), name: value}) for row in rows], resolved)
+
+
+def _resolved(key, value):
+    """Set resolved_config.json's key to value."""
+    return lambda rows, resolved: (rows, json.dumps({**json.loads(resolved), key: value}))
+
+
 MALFORMED_RUN_DIRS = {
     "truncated row": _row(lambda row: '{"seed": 0'),
     "row not an object": _row(lambda row: "[1, 2]"),
@@ -747,6 +767,14 @@ MALFORMED_RUN_DIRS = {
     "resolved config not an object": lambda rows, resolved: (rows, "[]"),
     "flat resolved config without T": lambda rows, resolved: (
         rows, json.dumps({k: v for k, v in json.loads(resolved).items() if k != "T"})),
+    "NaN price gap": _metric("max_price_gap", math.nan),
+    "infinite designer loss": _metric("designer_loss", math.inf),
+    "alpha a string": _resolved("alpha", "0.3"),
+    "lambda zero": _resolved("lambda", 0),
+    "gamma zero": _resolved("gamma", 0),
+    "T not an integer": _resolved("T", 2.5),
+    "d a boolean": _resolved("d", True),
+    "adaptive not a boolean": _resolved("adaptive", 0),
 }
 
 
@@ -765,6 +793,21 @@ def test_cli_verify_on_a_malformed_run_dir_exits_2(damage, tmp_path, capsys):
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("market", [
+    {}, {"fee": 0}, {"noise_off": True}, {"lambda": 0.05, "allow_unsafe_lambda": True},
+], ids=["default", "fee 0", "noise off", "lambda above lambda*"])
+def test_read_run_dir_returns_the_run_market(market, tmp_path):
+    raw = json.loads(json.dumps(BASE))
+    raw["market"].update(market)
+    cfg = RunConfig.from_dict(raw)
+    metrics = run_trials(cfg, out_dir=str(tmp_path), seeds=range(2))
+    rows, got = harness.read_run_dir(str(tmp_path))
+    assert rows == [m.to_dict() for m in metrics]
+    want = cfg.market_params()
+    for name in ("d", "epsilon", "alpha", "gamma", "T", "fee", "lam", "noise_off", "B1"):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 VALID = {
