@@ -65,7 +65,6 @@ class StageSchedule:
     alpha: float
     gamma: float
     epsilon: float
-    fee: float
     A_prime: float  # the stage_constants of the design
     A: float
     D: float
@@ -115,7 +114,7 @@ def stage_schedule(
     )
     return StageSchedule(
         B1=B1, d=d, alpha=alpha, gamma=gamma, epsilon=epsilon,
-        fee=alpha, A_prime=A_prime, A=A, D=D, stages=stages,
+        A_prime=A_prime, A=A, D=D, stages=stages,
     )
 
 

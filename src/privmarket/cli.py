@@ -30,6 +30,13 @@ def _parse_seed_range(text: str) -> range:
         raise argparse.ArgumentTypeError("seed range must look like 0..200")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError, so it prints one error: line and exits 2."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -96,7 +103,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="privmarket",
         description="Bounded-budget differentially private prediction market simulator.",
     )
@@ -135,8 +142,8 @@ def main(argv: list[str] | None = None) -> int:
     p_sch.add_argument("--k-max", type=int, default=8)
     p_sch.set_defaults(func=cmd_schedule)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except PrivMarketError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,13 @@ from .errors import InvalidParameterError
 PRICE_SUM_TOL = 1e-9
 
 
+def check_probabilities(p: np.ndarray, name: str) -> np.ndarray:
+    """p if its entries are nonnegative and sum to 1 within PRICE_SUM_TOL; NaN fails."""
+    if not (np.all(p >= 0.0) and abs(float(np.sum(p)) - 1.0) <= PRICE_SUM_TOL):
+        raise InvalidParameterError(f"{name} must be nonnegative and sum to 1")
+    return p
+
+
 def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row max m, exp(x - m) and its row sum, for one row (d,) or a block (n, d).
 
@@ -100,9 +107,7 @@ class ScaledCost:
         p = np.asarray(p, dtype=float)
         if p.shape != (self.d,):
             raise InvalidParameterError(f"price vector must have shape ({self.d},)")
-        if np.any(p < 0.0) or abs(float(np.sum(p)) - 1.0) > PRICE_SUM_TOL:
-            raise InvalidParameterError("prices must be nonnegative and sum to 1")
-        clamped = np.maximum(p, eta)
+        clamped = np.maximum(check_probabilities(p, "prices"), eta)
         clamped = clamped / np.sum(clamped)
         logp = np.log(clamped)
         return (logp - logp[-1]) / self.lam

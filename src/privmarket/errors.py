@@ -1,4 +1,4 @@
-"""Exception types and the parameter range checks shared across the package."""
+"""Exception types, the config parsers and the parameter range checks shared across the package."""
 
 import math
 
@@ -40,6 +40,32 @@ class StrategyBugError(PrivMarketError, RuntimeError):
 
 class ConfigError(PrivMarketError, ValueError):
     """A run configuration failed validation."""
+
+
+def _int_in(low=-math.inf, high=math.inf):
+    """Parser of an integer in [low, high]."""
+
+    def parse(value, name: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer")
+        if not low <= value <= high:
+            bound = f">= {low}" if value < low else f"<= {high}"
+            raise ConfigError(f"{name} must be {bound}")
+        return value
+
+    return parse
+
+
+def _as_num(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    return value
 
 
 def check_positive(name: str, value: float, zero_ok: bool = False) -> float:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .adaptive import MAX_STAGES, StageSchedule, run_adaptive, stage_schedule
 from .errors import ConfigError, InsufficientDataError, InvalidParameterError, check_positive
+from .errors import _as_num, _int_in
 # open_market and drive_session run inside run_adaptive; they stay harness
 # globals because the benchmark tracer patches them where they are looked up.
 from .market import MarketParams, loss_bounds, open_market, share_gap_scale
@@ -137,15 +138,14 @@ class RunConfig:
                     "adaptive runs charge fee alpha, set lambda per stage and always add "
                     f"noise; remove market fields {given}"
                 )
-            horizon = sum(m.T for m in cfg.schedule().stages)
-            if horizon > MAX_T:
-                raise ConfigError(f"adaptive: the stage plan's {horizon} arrivals exceed {MAX_T}")
-        cfg.market_params()
+        horizon = sum(m.T for m in cfg.markets())  # a flat T is capped by the schema
+        if horizon > MAX_T:
+            raise ConfigError(f"adaptive: the stage plan's {horizon} arrivals exceed {MAX_T}")
         rng = np.random.default_rng(0)  # throwaway: construction draws nothing
         for i, entry in enumerate(cfg.traders):
             try:
                 make_strategy(entry.kind, entry.params, cfg.d, rng)
-            except InvalidParameterError as exc:
+            except (ConfigError, InvalidParameterError) as exc:
                 raise ConfigError(f"traders[{i}]: {exc}") from exc
         return cfg
 
@@ -190,15 +190,15 @@ class RunConfig:
             "max_stages": self.max_stages,
             "seeds": {"start": self.seeds_start, "count": self.seeds_count},
         }
+        markets = self.markets()
         if self.adaptive:
-            sched = self.schedule()
-            out["fee"] = sched.fee
+            out["fee"] = self.alpha
             out["stages"] = [
                 {"k": k, "T": s.T, "alpha": s.alpha, "gamma": s.gamma, "lambda": s.lam}
-                for k, s in enumerate(sched.stages, start=1)
+                for k, s in enumerate(markets, start=1)
             ]
         else:
-            params = self.market_params()
+            (params,) = markets
             out.update({"T": self.T, "fee": params.fee, "lambda": params.lam,
                         "lambda_star": params.lam_star, "noise_off": self.noise_off})
         return out
@@ -213,32 +213,6 @@ def _checked(section: str, build, *args, **kwargs):
 
 
 REQUIRED = object()  # SCHEMA default of a field that must be present
-
-
-def _int_in(low=-math.inf, high=math.inf):
-    """Parser of an integer in [low, high]."""
-
-    def parse(value, name: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an integer")
-        if not low <= value <= high:
-            bound = f">= {low}" if value < low else f"<= {high}"
-            raise ConfigError(f"{name} must be {bound}")
-        return value
-
-    return parse
-
-
-def _as_num(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite")
-    return value
 
 
 def _as_bool(value, name: str) -> bool:

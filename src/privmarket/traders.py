@@ -17,15 +17,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .cost import ScaledCost
-from .errors import InvalidParameterError, StrategyBugError, TradeRejectedError
+from .cost import ScaledCost, check_probabilities
+from .errors import ConfigError, InvalidParameterError, StrategyBugError, TradeRejectedError
+from .errors import _as_num, _int_in
 from .noise import BLOCK_FLOATS
 
 STRATEGY_KINDS = ("belief", "arbitrage_hunter", "herd", "random", "abstainer")
@@ -247,51 +247,36 @@ class Abstainer(Strategy):
         return [None] * n
 
 
-def _probability_vector(belief, d: int) -> np.ndarray:
-    try:
-        belief = np.asarray(belief, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidParameterError("belief must be a list of numbers") from exc
-    if belief.shape != (d,):
-        raise InvalidParameterError(f"belief must be a list of {d} numbers")
-    if (
-        not np.all(np.isfinite(belief))
-        or np.any(belief < 0.0)
-        or abs(float(np.sum(belief)) - 1.0) > 1e-9
-    ):
-        raise InvalidParameterError("belief must be a probability vector")
-    return belief
-
-
 def make_strategy(kind: str, params: dict | None, d: int, rng: np.random.Generator) -> Strategy:
     """Instantiate a strategy by kind name for a market of d outcomes.
 
-    belief/arbitrage_hunter accept {"belief": [...]} (null or absent:
-    uniform) and the hunter additionally {"threshold": x}; herd accepts
-    {"coordinate": j} with 0 <= j < d.
+    belief/arbitrage_hunter accept {"belief": [...]}, a list of d numbers
+    that sum to 1 (null or absent: uniform), and the hunter additionally
+    {"threshold": x}; herd accepts {"coordinate": j} with 0 <= j < d.  The
+    params go through the config schema's parsers (a number is a finite int
+    or float, never a string or a bool), so a malformed one is a
+    ConfigError; a belief off the simplex, an unknown kind and an unknown
+    param are InvalidParameterErrors.
     """
     params = dict(params or {})
     if kind in ("belief", "arbitrage_hunter"):
         belief = params.pop("belief", None)
-        belief = np.full(d, 1.0 / d) if belief is None else _probability_vector(belief, d)
+        if belief is None:
+            belief = np.full(d, 1.0 / d)
+        elif not isinstance(belief, list) or len(belief) != d:
+            raise ConfigError(f"belief must be a list of {d} numbers")
+        else:
+            belief = np.array([_as_num(x, f"belief[{j}]") for j, x in enumerate(belief)])
+            check_probabilities(belief, "belief")
         if kind == "belief":
             strat: Strategy = BeliefTrader(belief)
         else:
             threshold = params.pop("threshold", None)
-            # compared, not converted: an integer beyond float range is finite too
-            if threshold is not None and (
-                isinstance(threshold, bool)
-                or not isinstance(threshold, numbers.Real)
-                or not -math.inf < threshold < math.inf
-            ):
-                raise InvalidParameterError("threshold must be a finite number")
+            if threshold is not None:
+                threshold = _as_num(threshold, "threshold")
             strat = ArbitrageHunter(belief, threshold)
     elif kind == "herd":
-        coordinate = params.pop("coordinate", 0)
-        is_int = isinstance(coordinate, numbers.Integral) and not isinstance(coordinate, bool)
-        if not is_int or not 0 <= coordinate < d:
-            raise InvalidParameterError(f"herd coordinate must be an integer in [0, {d})")
-        strat = Herd(int(coordinate))
+        strat = Herd(_int_in(0, d - 1)(params.pop("coordinate", 0), "coordinate"))
     elif kind == "random":
         strat = RandomTrader(rng)
     elif kind == "abstainer":

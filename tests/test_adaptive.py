@@ -53,7 +53,7 @@ def test_stage_schedule_worked_example():
     assert sch.A_prime == pytest.approx(78.42065147748377, rel=1e-12)
     assert sch.A == pytest.approx(12547.304236397404, rel=1e-12)
     assert sch.D == pytest.approx(40.0)
-    assert sch.fee == 0.1
+    assert all(s.fee == 0.1 for s in sch.stages)
     assert sch.stages[0].T == 19456605
     assert sch.stages[0].T == math.ceil(minimal_T(sch.A, sch.D))
     assert [s.T for s in sch.stages] == [19456605 * 4 ** k for k in range(4)]

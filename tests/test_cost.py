@@ -149,6 +149,9 @@ def test_invert_prices_errors():
         c.invert_prices(np.array([0.6, 0.6]), eta=0.01)  # sums to 1.2
     with pytest.raises(InvalidParameterError):
         c.invert_prices(np.array([1.1, -0.1]), eta=0.01)
+    for p in ([math.nan, math.nan], [math.nan, 1.0]):
+        with pytest.raises(InvalidParameterError):
+            c.invert_prices(np.array(p), eta=0.1)
 
 
 def test_constructor_validation():

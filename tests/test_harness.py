@@ -185,6 +185,15 @@ BAD_ENTRIES = {
         "traders": [{"kind": "arbitrage_hunter", "params": {"belief": [math.nan, 1.0]}}]
     },
     "belief not numbers": {"traders": [{"kind": "belief", "params": {"belief": "ab"}}]},
+    # trader params parse as market fields do: no strings, no booleans
+    "belief of strings": {"traders": [{"kind": "belief", "params": {"belief": ["0.5", "0.5"]}}]},
+    "belief of booleans": {"traders": [{"kind": "belief", "params": {"belief": [True, False]}}]},
+    "belief with a string entry": {
+        "traders": [{"kind": "belief", "params": {"belief": ["1e0", 0]}}]
+    },
+    "hunter threshold past float range": {
+        "traders": [{"kind": "arbitrage_hunter", "params": {"threshold": 10**400}}]
+    },
     "seeds start negative": {"seeds": {"start": -3, "count": 2}},
     "seeds count past the cap": {"seeds": {"count": MAX_SEEDS + 1}},
     "roster total past the cap": {
@@ -218,8 +227,37 @@ def test_malformed_entries_and_params_are_config_errors(overrides, tmp_path, cap
     path.write_text(json.dumps(raw), encoding="utf-8")
     code = cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_trader_param_errors_name_the_entry():
+    for params, message in (
+        ({"belief": ["0.5", "0.5"]}, r"traders\[0\]: belief\[0\] must be a number"),
+        ({"threshold": 10**400}, r"traders\[0\]: threshold must be finite"),
+        ({"coordinate": 2}, r"traders\[0\]: coordinate must be <= 1"),
+    ):
+        kind = "herd" if "coordinate" in params else "arbitrage_hunter"
+        with pytest.raises(ConfigError, match=message):
+            _cfg(traders=[{"kind": kind, "params": params}])
+
+
+def test_staged_config_is_checked_as_its_stage_plan():
+    # the flat market at T = 2 would need lambda above 1, but a staged run
+    # runs only its two stages of 16 arrivals
+    raw = {"market": {"d": 2, "epsilon": 500, "alpha": 0.3, "gamma": 0.1, "T": 2},
+           "traders": [{"kind": "herd"}], "adaptive": {"stage_override": 16, "max_stages": 2}}
+    with pytest.raises(ConfigError, match=r"market: lam must lie in \(0, 1\]"):
+        RunConfig.from_dict({**raw, "adaptive": {"enabled": False}})
+    cfg = RunConfig.from_dict(raw)
+    assert cfg.markets() == cfg.schedule().stages
+    assert [m.T for m in cfg.markets()] == [16, 16]
+    assert [m.lam for m in cfg.markets()] == pytest.approx([0.2316, 0.1056], abs=1e-4)
+    m = run_trial(cfg, 0)
+    assert (m.arrivals, m.stages_completed) == (32, 2)
+    resolved = cfg.resolved()
+    assert "stages" in resolved and "T" not in resolved
 
 
 def test_config_lambda_guard():
@@ -557,6 +595,27 @@ def test_cli_negative_seed_range_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "c.json", "--out", "o", "--seeds", "x"],
+    ["audit", "--T", "x", "--d", "2", "--epsilon", "1"],
+    ["run", "--out", "o"],
+    ["verify", "--metrics", "o", "--check", "foo"],
+    ["foo"],
+    [],
+], ids=["seed range", "audit T", "no config", "unknown check", "unknown command", "no command"])
+def test_cli_usage_errors_are_one_error_line(argv, capsys):
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--seeds" in capsys.readouterr().out
+
+
 def test_cli_run_out_at_a_file_exits_2_before_any_trial(tmp_path, capsys, monkeypatch):
     def trial(config, seed):
         raise AssertionError("a trial ran")
@@ -706,7 +765,8 @@ def test_adaptive_run_records_its_stage_plan_and_verify_refuses(tmp_path, capsys
     assert cfg.adaptive  # enabled defaults to true once the object is present
     resolved = cfg.resolved()
     sched = cfg.schedule()
-    assert resolved["fee"] == sched.fee == cfg.alpha
+    assert resolved["fee"] == cfg.alpha
+    assert all(s.fee == cfg.alpha for s in sched.stages)
     assert resolved["stages"] == [
         {"k": k, "T": s.T, "alpha": s.alpha, "gamma": s.gamma, "lambda": s.lam}
         for k, s in enumerate(sched.stages, start=1)

@@ -12,6 +12,7 @@ from privmarket import (
     Herd,
     InvalidParameterError,
     MarketParams,
+    PrivMarketError,
     RandomTrader,
     STRATEGY_KINDS,
     ScaledCost,
@@ -234,6 +235,8 @@ def test_make_strategy():
     assert make_strategy("herd", {"coordinate": 1}, 2, rng).coordinate == 1
     with pytest.raises(InvalidParameterError):
         make_strategy("belief", {"belief": [0.9, 0.2]}, 2, rng)  # sums to 1.1
+    with pytest.raises(PrivMarketError):
+        make_strategy("belief", {"belief": ["0.5", "0.5"]}, 2, rng)  # strings, not numbers
     with pytest.raises(InvalidParameterError):
         make_strategy("momentum", {}, 2, rng)
     with pytest.raises(InvalidParameterError):
