@@ -17,6 +17,8 @@ import numpy as np
 from .errors import InvalidParameterError
 
 PRICE_SUM_TOL = 1e-9
+TALL_ROWS = 16
+"""Rows per column from which a block's row maxima are taken down its long axis."""
 
 
 def check_probabilities(p: np.ndarray, name: str) -> np.ndarray:
@@ -31,9 +33,15 @@ def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The max shift keeps exp() in range for share vectors up to ~1e6.  Every
     row goes through the same ufuncs as a lone state, so a row's result does
-    not depend on the block it is evaluated in.
+    not depend on the block it is evaluated in.  A block of at least
+    TALL_ROWS * d rows takes its maxima down the columns of a transposed
+    copy, which is faster there and exact in any order; the row sums stay
+    row-wise, since summation order changes their bits.
     """
-    m = np.maximum.reduce(x, axis=-1, keepdims=True)
+    if x.ndim == 2 and len(x) >= TALL_ROWS * x.shape[1]:
+        m = np.maximum.reduce(x.T.copy(), axis=0)[:, None]
+    else:
+        m = np.maximum.reduce(x, axis=-1, keepdims=True)
     if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise InvalidParameterError("share vector contains non-finite entries")
     e = np.exp(x - m)

@@ -623,13 +623,17 @@ def privacy_audit(
     # the slot moves by that row's difference and the others by exactly 0
     worst = 0.0
     chunk = min(n_pairs, AUDIT_ENTRIES // (T * d))
+    # every chunk refills the same two pairs of buffers: one chunk's draws live at a time
+    buffers = [(np.empty((chunk, T, d)), np.empty((chunk, T, 1))) for _ in range(2)]
     done = 0
     while done < n_pairs:
         n = min(chunk, n_pairs - done)
-        draws = [(rng.normal(size=(n, T, d)), rng.random((n, T, 1))) for _ in range(2)]
+        for raw, scale in buffers:
+            rng.standard_normal(out=raw[:n])
+            rng.random(out=scale[:n])
         at = np.arange(n), rng.integers(T, size=n)
         seq, alt = (raw[at] / np.maximum(np.sum(np.abs(raw[at]), axis=1, keepdims=True), 1e-12)
-                    * scale[at] for raw, scale in draws)
+                    * scale[at] for raw, scale in buffers)
         worst = max(worst, float(np.max(np.sum(np.abs(alt - seq), axis=1))))
         done += n
     sensitivity_ok = worst <= 2.0 + 1e-9

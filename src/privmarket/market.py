@@ -41,7 +41,8 @@ TRADE_SIZE_TOL = 1e-9
 CASH_TOL = 1e-9
 HELD_TOL = 1e-6  # largest l1 drift of published - true from the held noise sum
 PLAN_CACHE = 64
-"""Block plans kept; a herd+random run at T = 16384 uses about ten."""
+"""Block plans kept; a herd+random run at d = 2 uses 5 at T = 16384 and 13
+over the 3,805,959 arrivals of paper-scale stage 1."""
 
 
 def lambda_star(T: int, alpha: float, gamma: float, epsilon: float, d: int) -> float:

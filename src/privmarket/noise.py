@@ -29,7 +29,8 @@ BLOCK_FLOATS = 2**14
 """Most bundle entries (arrivals times d) that drive_session books in one
 block, and that a session draws ahead of its arrivals.  A block's arrays
 take a few hundred bytes per entry, so with traders.BLOCK_CAP this bounds
-them to a few MB at any d: d <= 64 gets 256 arrivals, d = 1024 gets 16."""
+them to a few MB at any d: d <= 16 gets 1024 arrivals, d = 64 gets 256 and
+d = 1024 gets 16."""
 
 UNIFORM_FLOOR = 1e-300
 LAPLACE_MAX = -math.log(UNIFORM_FLOOR)

@@ -30,7 +30,7 @@ from .noise import BLOCK_FLOATS
 
 STRATEGY_KINDS = ("belief", "arbitrage_hunter", "herd", "random", "abstainer")
 
-BLOCK_CAP = 256
+BLOCK_CAP = 1024
 """Most arrivals drive_session books in one MarketSession.step call."""
 
 RANDOM_CHUNK = 250
@@ -307,13 +307,14 @@ def drive_session(session, stream: Iterator) -> None:
     strategies that do not read the published state (reads_state False:
     herd, random, abstainer), each is asked once for all of its slots
     (step_strategy with n), in the order of their first slots, and the
-    bundles join the pending block in slot order.  The block is booked
-    with one MarketSession.step when it holds BLOCK_CAP arrivals or
-    BLOCK_FLOATS bundle entries, before a strategy that reads the state is
-    asked, and at the end; such a strategy's bundle is booked alone.  A
-    bundle the session rejects, or one of the wrong shape, raises
-    StrategyBugError naming its strategy's kind.  A stream that runs dry
-    first leaves the session short of T (not is_full).
+    bundles join the pending block in slot order (through one strided
+    slice per strategy when the run cycles through its strategies in one
+    order).  The block is booked with one MarketSession.step when it holds
+    BLOCK_CAP arrivals or BLOCK_FLOATS bundle entries, before a strategy
+    that reads the state is asked, and at the end; such a strategy's
+    bundle is booked alone.  A bundle the session rejects, or one of the
+    wrong shape, raises StrategyBugError naming its strategy's kind.  A
+    stream that runs dry first leaves the session short of T (not is_full).
     """
     d, T = session.params.d, session.params.T
     cap = max(1, min(BLOCK_CAP, BLOCK_FLOATS // d))
@@ -358,19 +359,36 @@ def _context(session, ahead: int, last: StrategyContext | None) -> StrategyConte
 
 
 def _ask_run(run: list, ctx: StrategyContext, pending: np.ndarray, owners: list) -> None:
-    """Ask each blind strategy of run for its slots; append the bundles to pending."""
+    """Ask each blind strategy of run for its slots; append the bundles to pending.
+
+    A run is periodic when slot i belongs to run[i % p], p being the number
+    of distinct strategies in it (one strategy, or a round-robin roster);
+    strategy j's slots are then range(j, n, p), booked through one strided
+    slice.  Other runs, and runs of one or two slots, where that gains
+    nothing, list each strategy's slots one slot at a time.
+    """
     d, start, n = pending.shape[1], len(owners), len(run)
     rows = pending[start : start + n]
-    slots: dict[int, list[int]] = {}
-    for i, strat in enumerate(run):
-        slots.setdefault(id(strat), []).append(i)
+    p = len({*map(id, run)}) if n > 2 else n
+    slots: dict[int, range | list[int]] = {}
+    if p < n and all(map(operator.is_, run[p:], run)):
+        for j in range(p):
+            slots[j] = range(j, n, p)
+    else:
+        for i, strat in enumerate(run):
+            slots.setdefault(id(strat), []).append(i)
     skipped: list[int] = []
     for index in slots.values():
         strat, m = run[index[0]], len(index)
         decisions = step_strategy(strat, ctx, m)
         try:
             if isinstance(decisions, np.ndarray) and decisions.shape == (m, d):
-                rows[index[0] if m == 1 else index] = decisions
+                if m == 1:
+                    rows[index[0]] = decisions
+                elif isinstance(index, range):
+                    rows[index.start :: index.step] = decisions
+                else:
+                    rows[index] = decisions
             elif len(decisions) == m:
                 for i, dq in zip(index, decisions):
                     if dq is None:

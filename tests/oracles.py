@@ -420,6 +420,28 @@ def reference_sensitivity(T: int, d: int, n_pairs: int, seed: int) -> float:
     return worst
 
 
+def fresh_draw_sensitivity(T: int, d: int, n_pairs: int, seed: int) -> float:
+    """privacy_audit's sensitivity_max with fresh arrays drawn for every chunk.
+
+    The audit fills two reused buffers per chunk; this draws each chunk's
+    two (n, T, d) normal and two (n, T, 1) uniform batches anew, in the
+    same call order, and normalises only each pair's slot row.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    chunk = min(n_pairs, harness.AUDIT_ENTRIES // (T * d))
+    done = 0
+    while done < n_pairs:
+        n = min(chunk, n_pairs - done)
+        draws = [(rng.normal(size=(n, T, d)), rng.random((n, T, 1))) for _ in range(2)]
+        at = np.arange(n), rng.integers(T, size=n)
+        seq, alt = (raw[at] / np.maximum(np.sum(np.abs(raw[at]), axis=1, keepdims=True), 1e-12)
+                    * scale[at] for raw, scale in draws)
+        worst = max(worst, float(np.max(np.sum(np.abs(alt - seq), axis=1))))
+        done += n
+    return worst
+
+
 def low_bit(t: int) -> int:
     """Value of the lowest set bit of t (t >= 1): low_bit(12) == 4."""
     if t < 1:

@@ -93,21 +93,53 @@ def _one_slot_at_a_time(reference, stream):
     seed=st.integers(0, 2**16),
 )
 def test_drive_session_books_what_one_slot_at_a_time_books(d, T, kinds, length, seed):
-    _assert_drive_session_matches_one_slot_at_a_time(d, T, kinds, length, seed)
+    order = [*range(len(kinds))] * length  # round-robin: every blind run is periodic
+    _assert_drive_session_matches_one_slot_at_a_time(d, T, kinds, order, seed)
+
+
+BLIND = ["herd", "random", "abstainer", "fractional"]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    d=st.sampled_from([1, 2, 3, 8]),
+    T=st.integers(2, 1500),
+    kinds=st.lists(st.sampled_from(BLIND + ["hunter"]), min_size=1, max_size=4),
+    pieces=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 400)), min_size=1, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_unordered_streams_book_what_one_slot_at_a_time_books(d, T, kinds, pieces, seed):
+    # runs of one instance after another: blind runs that are not periodic
+    order = [i % len(kinds) for i, count in pieces for _ in range(count)]
+    _assert_drive_session_matches_one_slot_at_a_time(d, T, kinds, order, seed)
+
+
+@pytest.mark.parametrize("order", [
+    [0, 1, 0] * 800,  # one instance twice in the roster
+    [0] * 5 + [1] * 300 + [0] * 3,  # a sequential order
+    ([0, 1] * 7 + [1, 0]) * 100,  # a round-robin whose order flips
+    [0, 1, 2, 1] * 400,
+])
+@pytest.mark.parametrize("kinds", [["herd", "random", "abstainer"],
+                                   ["random", "fractional", "random"]])
+def test_non_periodic_blind_runs_book_what_one_slot_at_a_time_books(kinds, order):
+    _assert_drive_session_matches_one_slot_at_a_time(2, 2000, kinds, order, len(order))
 
 
 @pytest.mark.parametrize("d", [256, 1024])
 def test_wide_blind_runs_book_what_one_slot_at_a_time_books(d):
     kinds = ["herd", "random", "abstainer", "random", "fractional", "hunter"]
-    _assert_drive_session_matches_one_slot_at_a_time(d, 100, kinds, 30, d)
+    _assert_drive_session_matches_one_slot_at_a_time(d, 100, kinds, [*range(6)] * 30, d)
 
 
-def _assert_drive_session_matches_one_slot_at_a_time(d, T, kinds, length, seed):
+def _assert_drive_session_matches_one_slot_at_a_time(d, T, kinds, order, seed):
+    """drive_session against _one_slot_at_a_time on the stream of kinds' instances in order."""
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
     session = open_market(params, rng=np.random.default_rng(seed))
     reference = ReferenceSession(params, np.random.default_rng(seed))
-    stream = iter(_roster(kinds, d, seed) * length)
-    twin = iter(_roster(kinds, d, seed) * length)
+    roster, twins = _roster(kinds, d, seed), _roster(kinds, d, seed)
+    stream = iter([roster[i] for i in order])
+    twin = iter([twins[i] for i in order])
 
     drive_session(session, stream)
     assert session.is_full != _one_slot_at_a_time(reference, twin)

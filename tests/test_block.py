@@ -92,7 +92,7 @@ def test_every_partition_books_the_same_session(d, noise_off):
     assert all(entry == closed[0] for entry in closed)
 
 
-def test_blocks_of_up_to_256_arrivals_book_the_counter_to_2_to_the_14():
+def test_blocks_of_up_to_block_cap_arrivals_book_the_counter_to_2_to_the_14():
     # the production counter path (block plans and NoiseLedger.advance) at
     # every level up to 14; a close at T - 1 sells back fourteen bundles,
     # one at T sells one
@@ -105,7 +105,7 @@ def test_blocks_of_up_to_256_arrivals_book_the_counter_to_2_to_the_14():
     start = 0
     for end in (T - 1, T):
         while start < end:
-            k = int(min(end - start, rng.integers(1, 257)))
+            k = int(min(end - start, rng.integers(1, BLOCK_CAP + 1)))
             session.step(bundles[start : start + k])
             for dq in bundles[start : start + k]:
                 reference.step(dq)
@@ -228,15 +228,16 @@ class _BlockLog(MarketSession):
 
 @pytest.mark.parametrize("d", [2, 1024])
 def test_blocks_respect_both_caps_and_never_overfill(d):
-    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=600)
+    T = 2 * BLOCK_CAP + 100  # d = 2 fills two blocks of BLOCK_CAP, then a short one
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
     session = _BlockLog(params)
-    stream = iter([Herd(), Abstainer(), RandomTrader(np.random.default_rng(1))] * 1000)
+    stream = iter([Herd(), Abstainer(), RandomTrader(np.random.default_rng(1))] * T)
     drive_session(session, stream)
     assert session.is_full
     cap = min(BLOCK_CAP, BLOCK_FLOATS // d)
-    full, rest = divmod(600, cap)
-    assert session.blocks == [cap] * full + ([rest] if rest else [])
-    assert len(list(stream)) == 3000 - 900  # 600 arrivals took 900 slots, abstentions included
+    full, rest = divmod(T, cap)
+    assert full >= 2 and session.blocks == [cap] * full + ([rest] if rest else [])
+    assert len(list(stream)) == 3 * T - 3 * T // 2  # T arrivals took 1.5 T slots, abstentions too
 
 
 @pytest.mark.parametrize("d", [1, 2, 8, 64, 1024])

@@ -42,7 +42,7 @@ from privmarket.harness import (
     _build_stream,
 )
 
-from oracles import participation_count, reference_sensitivity
+from oracles import fresh_draw_sensitivity, participation_count, reference_sensitivity
 
 
 BASE = {
@@ -434,6 +434,17 @@ def test_privacy_audit_sensitivity_matches_the_reference_across_chunks(monkeypat
         if T * d <= 64:
             got = privacy_audit(T, d, 1.0, n_pairs=pairs, seed=seed).sensitivity_max
             assert got == reference_sensitivity(T, d, pairs, seed), (T, d, seed, pairs)
+
+
+def test_privacy_audit_buffers_draw_what_fresh_arrays_draw():
+    # 3,900 pairs at T = 1024, d = 2: a full chunk of 1,953 pairs, then a
+    # short one of 1,947 that refills only the front of the buffers; at
+    # these seeds the short chunk holds the maximum
+    T, d, pairs = 1024, 2, 3900
+    assert harness.AUDIT_ENTRIES // (T * d) < pairs < 2 * (harness.AUDIT_ENTRIES // (T * d))
+    for seed in (0, 2):
+        got = privacy_audit(T, d, 1.0, n_pairs=pairs, seed=seed).sensitivity_max
+        assert got == fresh_draw_sensitivity(T, d, pairs, seed), seed
 
 
 def test_privacy_audit_validation():

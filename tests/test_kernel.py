@@ -5,6 +5,8 @@ the one-block best-response search use the same arithmetic as the per-state
 engine they replaced, so every comparison here is ==, not approx.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from privmarket import (
     open_market,
     step_strategy,
 )
+from privmarket.cost import TALL_ROWS
 
 from oracles import (
     ReferenceSession,
@@ -32,12 +35,20 @@ from oracles import (
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
 def test_block_cost_and_prices_equal_per_row_references(d):
+    # short blocks take row maxima along their rows, tall ones (TALL_ROWS * d
+    # rows and more) down their columns
     rng = np.random.default_rng(d)
+    tall = TALL_ROWS * d
     for lam in (1.0, 0.3, 0.0123, 1e-4):
         cost = ScaledCost(d=d, lam=lam)
-        for scale in (1.0, 50.0, 1e4):
-            block = rng.normal(0.0, scale, size=(int(rng.integers(1, 200)), d))
+        sides = ((1, tall), (tall, tall + 64))  # row counts below and from tall
+        for scale, (low, high) in itertools.product((1.0, 50.0, 1e4), sides):
+            n = int(rng.integers(low, high))
+            block = rng.normal(0.0, scale, size=(n, d))
             block[0] = rng.uniform(0.99e4, 1.01e4, size=d) * rng.choice([-1.0, 1.0], size=d)
+            if n > 2:  # maxima shared by 0.0 and -0.0, in both orders
+                block[1:3] = -np.abs(block[1:3])
+                block[1:3, [0, -1]] = [[0.0, -0.0], [-0.0, 0.0]]
             costs = cost.cost(block)
             prices = cost.prices(block)
             assert costs.shape == (len(block),) and prices.shape == block.shape
@@ -51,10 +62,15 @@ def test_block_cost_and_prices_equal_per_row_references(d):
 
 def test_non_finite_states_raise():
     cost = ScaledCost(d=3, lam=0.5)
-    for bad_row in ([0.0, np.inf, 1.0], [0.0, np.nan, 1.0], [-np.inf] * 3):
+    bad_rows = ([0.0, np.inf, 1.0], [0.0, np.nan, 1.0], [-np.inf] * 3)
+    tall = np.zeros((TALL_ROWS * 3 + 5, 3))
+    tall[[7, 30, -1]] = bad_rows
+    for bad_row in bad_rows:
         block = np.zeros((4, 3))
         block[2] = bad_row
-        for q in (block, block[2]):
+        tall_block = np.zeros((TALL_ROWS * 3, 3))
+        tall_block[-2] = bad_row
+        for q in (block, block[2], tall_block, tall):
             with pytest.raises(InvalidParameterError, match="non-finite"):
                 cost.cost(q)
             with pytest.raises(InvalidParameterError, match="non-finite"):
