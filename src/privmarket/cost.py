@@ -34,11 +34,11 @@ def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The max shift keeps exp() in range for share vectors up to ~1e6.  Every
     row goes through the same ufuncs as a lone state, so a row's result does
     not depend on the block it is evaluated in.  A block of at least
-    TALL_ROWS * d rows takes its maxima down the columns of a transposed
-    copy, which is faster there and exact in any order; the row sums stay
-    row-wise, since summation order changes their bits.
+    TALL_ROWS * d rows, d >= 2, takes its maxima down the columns of a
+    transposed copy, which is faster there and exact in any order; the row
+    sums stay row-wise, since summation order changes their bits.
     """
-    if x.ndim == 2 and len(x) >= TALL_ROWS * x.shape[1]:
+    if x.ndim == 2 and x.shape[1] > 1 and len(x) >= TALL_ROWS * x.shape[1]:
         m = np.maximum.reduce(x.T.copy(), axis=0)[:, None]
     else:
         m = np.maximum.reduce(x, axis=-1, keepdims=True)

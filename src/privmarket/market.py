@@ -167,24 +167,24 @@ class Ledger:
 
 
 def check_bundle(dq, d: int) -> np.ndarray:
-    """dq as a float block (k, d): one bundle (d,), or k >= 1 bundles as rows.
-
-    Every bundle must be finite with l1 norm at most 1.  A rejection's row
-    is the index of the first bad bundle.
+    """dq as a float block (k, d): k >= 1 bundles as rows, a list or tuple of them,
+    or one bundle as an ndarray (d,).  The one check of a bundle: finite, l1
+    norm at most 1.  A rejection's row is the index of the first bad bundle.
     """
+    if isinstance(dq, np.ndarray) and dq.shape == (d,):
+        dq = dq[None]  # a list of d scalars stays misshapen
     try:
         block = np.asarray(dq, dtype=float)
     except (TypeError, ValueError):  # bundles of different shapes, or not numbers
         block = None
-    if block is not None and block.shape == (d,):
-        block = block[None]
     if block is None or block.ndim != 2 or block.shape[1] != d or len(block) == 0:
         row = _first_misshapen(dq, d)
         raise TradeRejectedError(f"bundle {row} must have shape ({d},)", row)
-    sizes = np.abs(block).dot(np.ones(d)).tolist()
-    for row, size in enumerate(sizes):
-        if not size <= 1.0 + TRADE_SIZE_TOL:  # also catches nan and inf
-            raise TradeRejectedError(f"bundle {row} l1 norm {size:.6f} exceeds 1", row)
+    sizes = np.abs(block).dot(np.ones(d))
+    fits = sizes <= 1.0 + TRADE_SIZE_TOL  # also catches nan and inf
+    row = int(fits.argmin())
+    if not fits[row]:
+        raise TradeRejectedError(f"bundle {row} l1 norm {sizes[row]:.6f} exceeds 1", row)
     return block
 
 
@@ -335,7 +335,7 @@ class MarketSession:
         return self.bundle_l2_total / self.arrivals if self.arrivals else 0.0
 
     def step(self, dq) -> None:
-        """Book one arrival's bundle (d,), or k arrivals' bundles as a block (k, d), in order.
+        """Book the k bundles of check_bundle(dq, d), one arrival each, in order.
 
         Each arrival pays the fee and its trade's cost at the published
         state; then step t sells the tz(t) most recent held bundles and buys

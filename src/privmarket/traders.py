@@ -26,6 +26,7 @@ import numpy as np
 from .cost import ScaledCost, check_probabilities
 from .errors import ConfigError, InvalidParameterError, StrategyBugError, TradeRejectedError
 from .errors import _as_num, _int_in
+from .market import check_bundle
 from .noise import BLOCK_FLOATS
 
 STRATEGY_KINDS = ("belief", "arbitrage_hunter", "herd", "random", "abstainer")
@@ -146,6 +147,10 @@ class Strategy:
 
     kind = "abstract"
     reads_state = True
+
+    def __init_subclass__(cls) -> None:
+        if cls.decide is Strategy.decide and cls.decide_run is Strategy.decide_run:
+            raise TypeError(f"{cls.__name__} must define decide or decide_run")
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
         """A bundle, or None to abstain (by default decide_run's one slot).  Each
@@ -293,7 +298,7 @@ def step_strategy(strategy: Strategy, ctx: StrategyContext, n: int | None = None
     for its n slots of a blind run (decide_run).
 
     This is the strategy-decision boundary the benchmark tracer times.  The
-    bundles are validated once, by the MarketSession.step they go to.
+    bundles are checked by market.check_bundle alone.
     """
     return strategy.decide(ctx) if n is None else strategy.decide_run(ctx, n)
 
@@ -312,9 +317,10 @@ def drive_session(session, stream: Iterator) -> None:
     order).  The block is booked with one MarketSession.step when it holds
     BLOCK_CAP arrivals or BLOCK_FLOATS bundle entries, before a strategy
     that reads the state is asked, and at the end; such a strategy's
-    bundle is booked alone.  A bundle the session rejects, or one of the
-    wrong shape, raises StrategyBugError naming its strategy's kind.  A
-    stream that runs dry first leaves the session short of T (not is_full).
+    answer is booked alone, as a list of one bundle.  A bundle
+    check_bundle rejects, or a blind answer without one entry per slot,
+    raises StrategyBugError naming its strategy's kind.  A stream that
+    runs dry first leaves the session short of T (not is_full).
     """
     d, T = session.params.d, session.params.T
     cap = max(1, min(BLOCK_CAP, BLOCK_FLOATS // d))
@@ -335,7 +341,7 @@ def drive_session(session, stream: Iterator) -> None:
                 ctx = _context(session, 0, ctx)
                 dq = step_strategy(reader, ctx)
                 if dq is not None:
-                    _book(session, _bundle(reader, dq, d), [reader])
+                    _book(session, [dq], [reader])
         if len(owners) == cap:
             _book(session, pending, owners)
         if len(slots) < want:
@@ -363,9 +369,10 @@ def _ask_run(run: list, ctx: StrategyContext, pending: np.ndarray, owners: list)
 
     A run is periodic when slot i belongs to run[i % p], p being the number
     of distinct strategies in it (one strategy, or a round-robin roster);
-    strategy j's slots are then range(j, n, p), booked through one strided
+    strategy j's slots are then range(j, n, p), written through one strided
     slice.  Other runs, and runs of one or two slots, where that gains
-    nothing, list each strategy's slots one slot at a time.
+    nothing, list each strategy's slots one slot at a time.  A list answer
+    is checked by one check_bundle call; one mask drops its abstentions.
     """
     d, start, n = pending.shape[1], len(owners), len(run)
     rows = pending[start : start + n]
@@ -377,7 +384,7 @@ def _ask_run(run: list, ctx: StrategyContext, pending: np.ndarray, owners: list)
     else:
         for i, strat in enumerate(run):
             slots.setdefault(id(strat), []).append(i)
-    skipped: list[int] = []
+    kept = None  # which slots traded, once a list answer is written
     for index in slots.values():
         strat, m = run[index[0]], len(index)
         decisions = step_strategy(strat, ctx, m)
@@ -390,34 +397,25 @@ def _ask_run(run: list, ctx: StrategyContext, pending: np.ndarray, owners: list)
                 else:
                     rows[index] = decisions
             elif len(decisions) == m:
-                for i, dq in zip(index, decisions):
-                    if dq is None:
-                        skipped.append(i)
-                    else:
-                        rows[i] = _bundle(strat, dq, d)
+                traded = np.fromiter(map(operator.is_not, decisions, itertools.repeat(None)), bool, m)
+                at = np.arange(n)[index.start :: index.step] if isinstance(index, range) else np.array(index)
+                bundles = list(itertools.compress(decisions, traded))
+                if bundles:
+                    rows[at[traded]] = check_bundle(bundles, d)
+                kept = np.ones(n, dtype=bool) if kept is None else kept
+                kept[at] = traded
             else:
                 raise ValueError(f"{m} decisions expected")
         except (TypeError, ValueError) as exc:
             raise StrategyBugError(f"{strat.kind} returned a bad bundle: {exc}") from exc
-    if skipped:
-        kept = sorted(set(range(n)).difference(skipped))
-        rows[: len(kept)] = rows[kept]
-        run = [run[i] for i in kept]
+    if kept is not None:
+        rows[: np.count_nonzero(kept)] = rows[kept]
+        run = list(itertools.compress(run, kept))
     owners.extend(run)
 
 
-def _bundle(strat: Strategy, dq, d: int):
-    """dq if it is one bundle, of shape (d,); else StrategyBugError naming strat's kind."""
-    try:
-        if np.shape(dq) == (d,):
-            return dq
-    except ValueError:  # a ragged nesting has no shape
-        pass
-    raise StrategyBugError(f"{strat.kind} returned a bad bundle: not one bundle of shape ({d},)")
-
-
 def _book(session, block, owners: list) -> None:
-    """Step block, whose rows (or one bundle) owners returned, and clear owners."""
+    """Step block, whose bundles owners returned in order, and clear owners."""
     try:
         session.step(block)
     except TradeRejectedError as exc:

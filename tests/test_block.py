@@ -175,6 +175,17 @@ def test_drive_session_blames_the_strategy_of_the_bad_row():
         assert session.arrivals == 0 and session.noise.t == 0  # the whole block is refused
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_blind_list_of_scalars_is_not_a_bundle(d):
+    # d slots answered with d scalars, which numpy would read as one bundle
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=20)
+    session = open_market(params, rng=0)
+    bad = _Returns("scalars", 0.5 / d)
+    with pytest.raises(StrategyBugError, match="^scalars returned a bad bundle"):
+        drive_session(session, iter([bad] * d))
+    assert session.arrivals == 0 and session.noise.t == 0
+
+
 def test_a_state_reader_sees_the_blind_run_ahead_of_it_booked():
     params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=64)
 

@@ -148,6 +148,17 @@ def test_trade_validation():
     assert session.arrivals == 0  # rejected trades leave no trace
 
 
+def test_a_list_is_a_list_of_bundles():
+    # only an ndarray (d,) is read as one bundle; d scalars in a list are not
+    session = open_market(_unsafe_params(), rng=0)
+    with pytest.raises(TradeRejectedError, match="bundle 0 must have shape"):
+        session.step([0.5, 0.5])
+    assert session.arrivals == 0
+    session.step(np.array([0.5, 0.5]))
+    session.step([[0.5, 0.5], np.array([-0.5, 0.0])])
+    assert session.arrivals == 3
+
+
 def test_full_and_closed_errors():
     session = open_market(_unsafe_params(T=2), rng=0)
     session.step(np.array([1.0, 0.0]))

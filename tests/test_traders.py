@@ -244,10 +244,9 @@ def test_make_strategy():
 
 
 def test_step_strategy_validates_bundles():
-    # step_strategy only asks; the session validates each bundle once, and
-    # drive_session blames the strategy for a bundle the session rejects and
-    # for an answer that is not one bundle, before anything is booked
-    params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=4)
+    # step_strategy only asks; market.check_bundle validates each bundle, and
+    # drive_session blames the strategy for a bundle it rejects and for an
+    # answer that is not one bundle, before anything is booked
     ctx = _ctx([0.0, 0.0], lam=0.01)
 
     class Oversize(Strategy):
@@ -276,14 +275,27 @@ def test_step_strategy_validates_bundles():
             return self.answer
 
     blocks = (Answers("block", np.eye(2)), Answers("oversize_row", np.array([[1.0, 0.0], [3.0, 1.0]])),
-              Answers("long_list", [[0.1, 0.0]] * 9), Answers("ragged", [[0.1, 0.0], [0.1]]))
-    for bad in (Oversize(), WrongShape(), NotFinite(), *blocks):
-        session = open_market(params, rng=0)
+              Answers("long_list", [[0.1, 0.0]] * 9), Answers("ragged", [[0.1, 0.0], [0.1]]),
+              Answers("row", np.array([[0.5, 0.5]])))
+    cases = [(2, bad) for bad in (Oversize(), WrongShape(), NotFinite(), *blocks)]
+    cases.append((1, Answers("scalar", 0.5)))  # numpy would read [0.5] as one bundle at d = 1
+    for d, bad in cases:
+        session = open_market(MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=4), rng=0)
         with pytest.raises(StrategyBugError, match=f"{bad.kind} returned a bad bundle"):
             drive_session(session, iter([bad] * 3))
         assert session.arrivals == 0 and session.noise.t == 0
     assert step_strategy(Abstainer(), ctx) is None
     assert step_strategy(Herd(), ctx) is not None
+
+
+def test_a_strategy_must_define_decide_or_decide_run():
+    # each default is written in terms of the other, so with neither the
+    # first decision would recurse without end
+    with pytest.raises(TypeError, match="Silent must define decide or decide_run"):
+
+        class Silent(Strategy):
+            kind = "silent"
+            reads_state = False
 
 
 def test_drive_session_stream_semantics():
