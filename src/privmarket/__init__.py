@@ -60,7 +60,6 @@ from .noise import (
     NoiseLedger,
     noise_scale,
     participation_table,
-    s_flip,
     sample_bundle,
     tree_depth,
 )
@@ -73,11 +72,13 @@ from .traders import (
     RandomTrader,
     Strategy,
     StrategyContext,
+    Stream,
     best_response,
     drive_session,
     make_strategy,
     maximize_profit,
     step_strategy,
+    strategy_args,
 )
 
 __version__ = "0.1.0"

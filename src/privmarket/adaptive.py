@@ -13,13 +13,13 @@ below a constant independent of the true horizon.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import traders
 from .cost import ScaledCost
 from .errors import InvalidParameterError, check_design, check_positive
 from .market import Ledger, MarketParams, MarketSession, open_market
@@ -215,50 +215,39 @@ class AdaptiveResult:
     ledger: Ledger  # exact component-wise sum of stage ledgers
 
 
-_END = object()
-
-
 def run_adaptive(
     markets: Sequence[MarketParams],
-    stream: Iterable,
+    stream: traders.Stream,
     outcome: int,
     seed: int | np.random.Generator = 0,
 ) -> AdaptiveResult:
-    """Drive a sequence of markets over one arrival stream of strategies.
+    """Drive a sequence of markets over one arrival stream.
 
-    Each stream element is a strategy consulted for one potential arrival
+    Each slot's strategy is consulted for one potential arrival
     (abstentions consume no market step).  A market completes at its T
     arrivals and hands its final noisy prices to the next one, which opens
-    at their inverse clamped at next.alpha / (4 d); when the stream ends
-    mid-market that market is final.  A flat run is a one-market sequence,
-    a staged run the stages of a StageSchedule.  All markets settle on the
-    same realized outcome; the global ledger is the component-wise sum of
-    the per-market ledgers.
+    at their inverse clamped at next.alpha / (4 d) and is fed from the slot
+    where the last one stopped; when the stream ends mid-market, or exactly
+    as a market fills, that market is final.  A flat run is a one-market
+    sequence, a staged run the stages of a StageSchedule.  All markets
+    settle on the same realized outcome; the global ledger is the
+    component-wise sum of the per-market ledgers.
     """
-    from .traders import drive_session
-
     if isinstance(seed, np.random.Generator):
         noise_rng = seed
     else:
         noise_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
-    stream = iter(stream)
     settled: list[MarketSession] = []
     init_shares: np.ndarray | None = None
-
-    for i, params in enumerate(markets):
-        if settled:
-            head = next(stream, _END)
-            if head is _END:
-                break  # nobody left to attend another market
-            stream = itertools.chain([head], stream)
+    slot = 0
+    for params, nxt in zip(markets, (*markets[1:], None)):
         session = open_market(params, rng=noise_rng, initial_shares=init_shares)
-        drive_session(session, stream)
+        slot = traders.drive_session(session, stream, slot)  # looked up per call
         session.close(outcome)
         settled.append(session)
-        if not session.is_full or i + 1 >= len(markets):
-            break
-        nxt = markets[i + 1]
+        if nxt is None or not session.is_full or slot == stream.length:
+            break  # the last market, one left short, or nobody left to attend another
         init_shares = transition(session.p_hat, nxt.lam, nxt.d, nxt.alpha / (4.0 * nxt.d))
 
     return AdaptiveResult(

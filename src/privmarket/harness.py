@@ -32,7 +32,8 @@ from .errors import _as_num, _int_in
 # globals because the benchmark tracer patches them where they are looked up.
 from .market import MarketParams, loss_bounds, open_market, share_gap_scale
 from .noise import noise_scale, participation_table, tree_depth
-from .traders import STRATEGY_KINDS, drive_session, make_strategy
+from .traders import ARRIVAL_ORDERS, STRATEGY_KINDS, Stream, drive_session, make_strategy
+from .traders import strategy_args
 
 MAX_D = 1024
 """Largest market.d a config may ask for.  A default belief allocates d
@@ -90,9 +91,14 @@ METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(TrialMetrics))
 
 @dataclass(frozen=True)
 class RosterEntry:
+    """count instances of kind.  params is the roster object as given;
+    RunConfig.from_dict parses it once, with traders.strategy_args, into
+    args, the values a trial builds every instance from."""
+
     kind: str
     count: int
     params: dict
+    args: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -141,13 +147,11 @@ class RunConfig:
         horizon = sum(m.T for m in cfg.markets())  # a flat T is capped by the schema
         if horizon > MAX_T:
             raise ConfigError(f"adaptive: the stage plan's {horizon} arrivals exceed {MAX_T}")
-        rng = np.random.default_rng(0)  # throwaway: construction draws nothing
-        for i, entry in enumerate(cfg.traders):
-            try:
-                make_strategy(entry.kind, entry.params, cfg.d, rng)
-            except (ConfigError, InvalidParameterError) as exc:
-                raise ConfigError(f"traders[{i}]: {exc}") from exc
-        return cfg
+        roster = tuple(
+            dataclasses.replace(entry, args=_checked(
+                f"traders[{i}]", strategy_args, entry.kind, entry.params, cfg.d))
+            for i, entry in enumerate(cfg.traders))
+        return dataclasses.replace(cfg, traders=roster)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -205,10 +209,11 @@ class RunConfig:
 
 
 def _checked(section: str, build, *args, **kwargs):
-    """Call a validating constructor; its parameter errors become ConfigError."""
+    """Call a validating constructor or parser; its errors become ConfigErrors
+    that name section."""
     try:
         return build(*args, **kwargs)
-    except InvalidParameterError as exc:
+    except (ConfigError, InvalidParameterError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
@@ -266,8 +271,7 @@ SCHEMA = {
         ("traders", "traders", _roster, REQUIRED),
         ("outcome", "outcome", _int_in(), 0),
         ("seeds", None, _section("seeds"), {"count": 100}),
-        ("arrival_order", "arrival_order", _one_of("round_robin", "sequential"),
-         "round_robin"),
+        ("arrival_order", "arrival_order", _one_of(*ARRIVAL_ORDERS), "round_robin"),
         ("stream_length", "stream_length", _nullable(_int_in(1, MAX_T)), None),
         ("adaptive", None, _section("adaptive"), {"enabled": False}),
     ),
@@ -320,39 +324,18 @@ def _parse_section(section: str, raw, label: str | None = None) -> dict:
     return out
 
 
-def _build_stream(config: RunConfig, rngs: list[np.random.Generator], length: int):
-    """Lazily expand the roster into the sequence of potential arrivals.
-
-    round_robin cycles through the instances; sequential exhausts each
-    instance's turn count in roster order.  config.stream_length, when set,
-    replaces the default length (the horizon the run can fill).
-    """
-    entries = [entry for entry in config.traders for _ in range(entry.count)]
-    instances = [make_strategy(e.kind, e.params, config.d, rng) for e, rng in zip(entries, rngs)]
-    length = config.stream_length or length
-    if config.arrival_order == "sequential":
-        per = max(1, math.ceil(length / len(instances)))
-        turns = itertools.chain.from_iterable(itertools.repeat(i, per) for i in instances)
-    else:
-        turns = itertools.cycle(instances)
-    return itertools.islice(turns, length)
-
-
-def _actor_rngs(seed: int, n_strategies: int) -> tuple[np.random.Generator, list]:
-    """Independent substreams: child 0 drives the noise trader, 1.. the strategies."""
-    children = np.random.SeedSequence(seed).spawn(n_strategies + 1)
-    noise_rng = np.random.default_rng(children[0])
-    strat_rngs = [np.random.default_rng(c) for c in children[1:]]
-    return noise_rng, strat_rngs
-
-
 def run_trial(config: RunConfig, seed: int) -> TrialMetrics:
     """One deterministic simulated run of the config's markets."""
     markets = config.markets()
-    n_instances = sum(entry.count for entry in config.traders)
-    noise_rng, strat_rngs = _actor_rngs(seed, n_instances)
-    stream = _build_stream(config, strat_rngs, sum(m.T for m in markets))
-    result = run_adaptive(markets, stream, config.outcome, seed=noise_rng)
+    roster = [entry for entry in config.traders for _ in range(entry.count)]
+    # independent substreams: child 0 drives the noise, child 1 + i instance i
+    noise_seed, *seeds = np.random.SeedSequence(seed).spawn(len(roster) + 1)
+    stream = Stream(
+        [make_strategy(entry.kind, entry.args, child) for entry, child in zip(roster, seeds)],
+        config.stream_length or sum(m.T for m in markets),
+        config.arrival_order,
+    )
+    result = run_adaptive(markets, stream, config.outcome, seed=np.random.default_rng(noise_seed))
     ledger, parts = result.ledger, result.stages
     norms = [p.mean_bundle_l2 for p in parts if p.arrivals > 0]
     return TrialMetrics(

@@ -37,13 +37,6 @@ LAPLACE_MAX = -math.log(UNIFORM_FLOOR)
 """Largest size of a sample_bundle entry at scale 1 (about 690.8)."""
 
 
-def s_flip(t: int) -> int:
-    """t with its lowest set bit cleared; s_flip(0) == 0."""
-    if t < 0:
-        raise InvalidParameterError("t must be >= 0")
-    return t & (t - 1)
-
-
 def tree_depth(T: int) -> int:
     """ceil(log2 T), floored at 1 so a single-step horizon still gets noise."""
     if T < 1:

@@ -14,12 +14,13 @@ strategies.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -29,10 +30,11 @@ from .errors import _as_num, _int_in
 from .market import check_bundle
 from .noise import BLOCK_FLOATS
 
-STRATEGY_KINDS = ("belief", "arbitrage_hunter", "herd", "random", "abstainer")
-
 BLOCK_CAP = 1024
 """Most arrivals drive_session books in one MarketSession.step call."""
+
+ARRIVAL_ORDERS = ("round_robin", "sequential")
+"""The orders of a Stream, and of a config's arrival_order."""
 
 RANDOM_CHUNK = 250
 """(sign, coordinate) pairs a RandomTrader draws from its generator at once."""
@@ -148,6 +150,11 @@ class Strategy:
     kind = "abstract"
     reads_state = True
 
+    def __new__(cls, *args, **kwargs):
+        if cls is Strategy:  # its decide and decide_run are written in terms of each other
+            raise TypeError("Strategy is abstract: subclass it and define decide or decide_run")
+        return super().__new__(cls)
+
     def __init_subclass__(cls) -> None:
         if cls.decide is Strategy.decide and cls.decide_run is Strategy.decide_run:
             raise TypeError(f"{cls.__name__} must define decide or decide_run")
@@ -252,8 +259,14 @@ class Abstainer(Strategy):
         return [None] * n
 
 
-def make_strategy(kind: str, params: dict | None, d: int, rng: np.random.Generator) -> Strategy:
-    """Instantiate a strategy by kind name for a market of d outcomes.
+STRATEGIES = {cls.kind: cls for cls in (BeliefTrader, ArbitrageHunter, Herd, RandomTrader,
+                                        Abstainer)}
+STRATEGY_KINDS = tuple(STRATEGIES)
+
+
+def strategy_args(kind: str, params: dict | None, d: int) -> tuple:
+    """The values a strategy of kind takes for a market of d outcomes, parsed
+    from its roster params; make_strategy builds from them.
 
     belief/arbitrage_hunter accept {"belief": [...]}, a list of d numbers
     that sum to 1 (null or absent: uniform), and the hunter additionally
@@ -261,9 +274,13 @@ def make_strategy(kind: str, params: dict | None, d: int, rng: np.random.Generat
     params go through the config schema's parsers (a number is a finite int
     or float, never a string or a bool), so a malformed one is a
     ConfigError; a belief off the simplex, an unknown kind and an unknown
-    param are InvalidParameterErrors.
+    param are InvalidParameterErrors.  A belief is returned read-only: every
+    instance of a roster entry shares it.
     """
+    if kind not in STRATEGIES:
+        raise InvalidParameterError(f"unknown strategy kind {kind!r}")
     params = dict(params or {})
+    args: tuple = ()
     if kind in ("belief", "arbitrage_hunter"):
         belief = params.pop("belief", None)
         if belief is None:
@@ -273,24 +290,24 @@ def make_strategy(kind: str, params: dict | None, d: int, rng: np.random.Generat
         else:
             belief = np.array([_as_num(x, f"belief[{j}]") for j, x in enumerate(belief)])
             check_probabilities(belief, "belief")
-        if kind == "belief":
-            strat: Strategy = BeliefTrader(belief)
-        else:
+        belief.flags.writeable = False
+        args = (belief,)
+        if kind == "arbitrage_hunter":
             threshold = params.pop("threshold", None)
-            if threshold is not None:
-                threshold = _as_num(threshold, "threshold")
-            strat = ArbitrageHunter(belief, threshold)
+            args += (None if threshold is None else _as_num(threshold, "threshold"),)
     elif kind == "herd":
-        strat = Herd(_int_in(0, d - 1)(params.pop("coordinate", 0), "coordinate"))
-    elif kind == "random":
-        strat = RandomTrader(rng)
-    elif kind == "abstainer":
-        strat = Abstainer()
-    else:
-        raise InvalidParameterError(f"unknown strategy kind {kind!r}")
+        args = (_int_in(0, d - 1)(params.pop("coordinate", 0), "coordinate"),)
     if params:
         raise InvalidParameterError(f"unknown {kind} params: {sorted(params)}")
-    return strat
+    return args
+
+
+def make_strategy(kind: str, args: tuple, rng) -> Strategy:
+    """A fresh strategy of kind from strategy_args' values; a random trader
+    draws from np.random.default_rng(rng), the others ignore rng."""
+    if kind == "random":
+        return RandomTrader(np.random.default_rng(rng))
+    return STRATEGIES[kind](*args)
 
 
 def step_strategy(strategy: Strategy, ctx: StrategyContext, n: int | None = None):
@@ -303,51 +320,107 @@ def step_strategy(strategy: Strategy, ctx: StrategyContext, n: int | None = None
     return strategy.decide(ctx) if n is None else strategy.decide_run(ctx, n)
 
 
-def drive_session(session, stream: Iterator) -> None:
-    """Feed potential arrivals from stream until the session fills.
-
-    Slots are taken at most as many at a time as the session and the
-    pending block have room for, so the stream is never taken past the
-    arrival that fills the session.  In each run of consecutive slots of
-    strategies that do not read the published state (reads_state False:
-    herd, random, abstainer), each is asked once for all of its slots
-    (step_strategy with n), in the order of their first slots, and the
-    bundles join the pending block in slot order (through one strided
-    slice per strategy when the run cycles through its strategies in one
-    order).  The block is booked with one MarketSession.step when it holds
-    BLOCK_CAP arrivals or BLOCK_FLOATS bundle entries, before a strategy
-    that reads the state is asked, and at the end; such a strategy's
-    answer is booked alone, as a list of one bundle.  A bundle
-    check_bundle rejects, or a blind answer without one entry per slot,
-    raises StrategyBugError naming its strategy's kind.  A stream that
-    runs dry first leaves the session short of T (not is_full).
+@dataclass(frozen=True)
+class Stream:
+    """The arrival stream of a trial, the same for every seed: slot i < length
+    belongs to instances[(i // per) % n].  round_robin cycles through the n
+    instances (per = 1); sequential gives each one turn of
+    per = max(1, ceil(length / n)) slots, in order.  An empty roster, an
+    instance listed twice (its slots would not be one range), a negative
+    length and an unknown order are InvalidParameterErrors.
     """
+
+    instances: tuple[Strategy, ...]
+    length: int
+    order: str = "round_robin"
+    per: int = field(init=False)  # slots of one turn
+    # the indices of the state readers, then n + the first (its turn in the next cycle)
+    readers: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n = len(self.instances)
+        if not n:
+            raise InvalidParameterError("a stream needs at least one instance")
+        if len({*map(id, self.instances)}) < n:
+            raise InvalidParameterError("a stream lists an instance twice")
+        if not isinstance(self.length, int) or self.length < 0 or self.order not in ARRIVAL_ORDERS:
+            raise InvalidParameterError(
+                f"a stream needs a length >= 0 and an order in {ARRIVAL_ORDERS}")
+        readers = [j for j, strat in enumerate(self.instances) if strat.reads_state]
+        object.__setattr__(self, "instances", tuple(self.instances))
+        per = max(1, -(-self.length // n)) if self.order == "sequential" else 1
+        object.__setattr__(self, "per", per)
+        object.__setattr__(self, "readers", tuple(readers + [n + j for j in readers[:1]]))
+
+    def owner(self, slot: int) -> Strategy:
+        return self.instances[(slot // self.per) % len(self.instances)]
+
+    def next_reader(self, start: int, stop: int) -> int:
+        """The first slot in [start, stop) of a state reader, else stop."""
+        if not self.readers:
+            return stop
+        turn, n = start // self.per, len(self.instances)
+        j = self.readers[bisect.bisect_left(self.readers, turn % n)]
+        return min(max(start, (turn - turn % n + j) * self.per), stop)
+
+    def runs(self, start: int, stop: int):
+        """(instance, range of its slots) for the slots in [start, stop), in the
+        order of their first slots: step n in round robin, one turn in sequence."""
+        n, per = len(self.instances), self.per
+        if per == 1:
+            for slot in range(start, min(stop, start + n)):
+                yield self.instances[slot % n], range(slot, stop, n)
+        else:
+            for turn in range(start // per, (stop - 1) // per + 1):
+                yield self.instances[turn], range(max(start, turn * per),
+                                                  min(stop, turn * per + per))
+
+
+def drive_session(session, stream: Stream, slot: int = 0) -> int:
+    """Book the potential arrivals of stream from slot on until the session
+    fills or the stream ends; return the next slot (no slot past the arrival
+    that fills the session is taken).
+
+    In each run of consecutive blind slots (reads_state False), each
+    strategy is asked once for all of its slots (step_strategy with n), and
+    its bundles join the pending block through one slice (Stream.runs).
+    The block is booked with one MarketSession.step when it holds BLOCK_CAP
+    arrivals or BLOCK_FLOATS bundle entries, before a state reader is asked,
+    and at the end; a reader's answer is booked alone, as a list of one
+    bundle.  A bundle check_bundle rejects, or a blind answer without one
+    entry per slot, raises StrategyBugError naming its strategy's kind; a
+    negative slot is an InvalidParameterError.
+    """
+    if slot < 0:
+        raise InvalidParameterError(f"slot must be >= 0, got {slot}")
     d, T = session.params.d, session.params.T
     cap = max(1, min(BLOCK_CAP, BLOCK_FLOATS // d))
-    pending = np.empty((cap, d))
-    owners: list[Strategy] = []
+    pending, k = np.empty((cap, d)), 0  # rows [0, k) wait to be booked
+    slots = np.empty(cap, dtype=np.intp)  # the stream slot of each pending row
     ctx = None
-    while session.arrivals + len(owners) < T:
-        want = min(T - session.arrivals, cap) - len(owners)
-        slots = list(itertools.islice(stream, want))
-        for reads, run in itertools.groupby(slots, operator.attrgetter("reads_state")):
-            if not reads:
-                ctx = _context(session, len(owners), ctx)
-                _ask_run(list(run), ctx, pending, owners)
-                continue
-            for reader in run:
-                if owners:
-                    _book(session, pending[: len(owners)], owners)
-                ctx = _context(session, 0, ctx)
-                dq = step_strategy(reader, ctx)
-                if dq is not None:
-                    _book(session, [dq], [reader])
-        if len(owners) == cap:
-            _book(session, pending, owners)
-        if len(slots) < want:
-            break
-    if owners:
-        _book(session, pending[: len(owners)], owners)
+    while slot < stream.length and session.arrivals + k < T:
+        strat = stream.owner(slot)
+        if strat.reads_state:  # asked alone, once every earlier arrival is booked
+            if k:
+                _book(session, stream, pending[:k], slots)
+            k = 0
+            ctx = _context(session, 0, ctx)
+            dq = step_strategy(strat, ctx)
+            if dq is not None:
+                _book(session, stream, [dq], [slot])
+            slot += 1
+            continue
+        stop = min(stream.length, slot + min(T - session.arrivals, cap) - k)
+        reader = stream.next_reader(slot, stop)  # the blind run is [slot, reader)
+        ctx = _context(session, k, ctx)
+        k = _ask_run(stream, slot, reader, ctx, pending, slots, k)
+        slot = reader
+        if k == cap:
+            _book(session, stream, pending, slots)
+            k = 0
+    if k:
+        _book(session, stream, pending[:k], slots)
+    return slot
 
 
 def _context(session, ahead: int, last: StrategyContext | None) -> StrategyContext:
@@ -364,61 +437,45 @@ def _context(session, ahead: int, last: StrategyContext | None) -> StrategyConte
     )
 
 
-def _ask_run(run: list, ctx: StrategyContext, pending: np.ndarray, owners: list) -> None:
-    """Ask each blind strategy of run for its slots; append the bundles to pending.
-
-    A run is periodic when slot i belongs to run[i % p], p being the number
-    of distinct strategies in it (one strategy, or a round-robin roster);
-    strategy j's slots are then range(j, n, p), written through one strided
-    slice.  Other runs, and runs of one or two slots, where that gains
-    nothing, list each strategy's slots one slot at a time.  A list answer
-    is checked by one check_bundle call; one mask drops its abstentions.
-    """
-    d, start, n = pending.shape[1], len(owners), len(run)
-    rows = pending[start : start + n]
-    p = len({*map(id, run)}) if n > 2 else n
-    slots: dict[int, range | list[int]] = {}
-    if p < n and all(map(operator.is_, run[p:], run)):
-        for j in range(p):
-            slots[j] = range(j, n, p)
-    else:
-        for i, strat in enumerate(run):
-            slots.setdefault(id(strat), []).append(i)
+def _ask_run(stream: Stream, start: int, stop: int, ctx: StrategyContext,
+             pending: np.ndarray, slots: np.ndarray, k: int) -> int:
+    """Ask each blind strategy of the slots [start, stop) for them; write the
+    bundles and their slots from pending row k on, and return the new count.
+    A list answer is checked by one check_bundle call; one mask drops its
+    abstentions."""
+    d, n = pending.shape[1], stop - start
+    rows = pending[k : k + n]
     kept = None  # which slots traded, once a list answer is written
-    for index in slots.values():
-        strat, m = run[index[0]], len(index)
+    for strat, index in stream.runs(start, stop):
+        m, at = len(index), slice(index.start - start, index.stop - start, index.step)
         decisions = step_strategy(strat, ctx, m)
         try:
             if isinstance(decisions, np.ndarray) and decisions.shape == (m, d):
-                if m == 1:
-                    rows[index[0]] = decisions
-                elif isinstance(index, range):
-                    rows[index.start :: index.step] = decisions
-                else:
-                    rows[index] = decisions
+                rows[at] = decisions
             elif len(decisions) == m:
                 traded = np.fromiter(map(operator.is_not, decisions, itertools.repeat(None)), bool, m)
-                at = np.arange(n)[index.start :: index.step] if isinstance(index, range) else np.array(index)
                 bundles = list(itertools.compress(decisions, traded))
                 if bundles:
-                    rows[at[traded]] = check_bundle(bundles, d)
+                    rows[at][traded] = check_bundle(bundles, d)
                 kept = np.ones(n, dtype=bool) if kept is None else kept
                 kept[at] = traded
             else:
                 raise ValueError(f"{m} decisions expected")
         except (TypeError, ValueError) as exc:
             raise StrategyBugError(f"{strat.kind} returned a bad bundle: {exc}") from exc
-    if kept is not None:
-        rows[: np.count_nonzero(kept)] = rows[kept]
-        run = list(itertools.compress(run, kept))
-    owners.extend(run)
+    slots[k : k + n] = np.arange(start, stop)
+    if kept is None:
+        return k + n
+    traded_n = np.count_nonzero(kept)
+    rows[:traded_n] = rows[kept]
+    slots[k : k + traded_n] = slots[k : k + n][kept]
+    return k + traded_n
 
 
-def _book(session, block, owners: list) -> None:
-    """Step block, whose bundles owners returned in order, and clear owners."""
+def _book(session, stream: Stream, block, slots) -> None:
+    """Step block, row i being the bundle of stream slot slots[i]."""
     try:
         session.step(block)
     except TradeRejectedError as exc:
-        kind = owners[exc.row].kind
+        kind = stream.owner(int(slots[exc.row])).kind
         raise StrategyBugError(f"{kind} returned a bad bundle: {exc}") from exc
-    owners.clear()

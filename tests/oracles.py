@@ -26,7 +26,6 @@ from privmarket import (
     ScaledCost,
     StrategyContext,
     noise_scale,
-    s_flip,
     sample_bundle,
 )
 from privmarket import harness
@@ -220,7 +219,7 @@ def reference_trial(config: RunConfig, seed: int) -> TrialMetrics:
     roster = [entry for entry in config.traders for _ in range(entry.count)]
     children = np.random.SeedSequence(seed).spawn(1 + len(roster))
     noise_rng = np.random.default_rng(children[0])
-    instances = [make_strategy(entry.kind, entry.params, config.d, np.random.default_rng(child))
+    instances = [make_strategy(entry.kind, entry.args, np.random.default_rng(child))
                  for entry, child in zip(roster, children[1:])]
     length = config.stream_length or sum(params.T for params in markets)
     if config.arrival_order == "sequential":
@@ -360,7 +359,8 @@ def ftrl_price(cost: ScaledCost, q: np.ndarray, resolution: int = 33) -> np.ndar
 def participation_count(t_prime: int, T: int) -> int:
     """Number of bundles whose trade-partial-sum covers arrival t_prime.
 
-    Exactly #{t in [t_prime, T] : s(t) < t_prime <= t}.  The worst case,
+    Exactly #{t in [t_prime, T] : s(t) < t_prime <= t}, s(t) = t & (t - 1)
+    being t with its lowest set bit cleared.  The worst case,
     floor(log2 T) + 1 = T.bit_length(), is attained at t_prime = 1 at every
     T (every power of two up to T covers it); it exceeds ceil(log2 T)
     exactly when T is a power of two.
@@ -369,7 +369,7 @@ def participation_count(t_prime: int, T: int) -> int:
         raise InvalidParameterError("need 1 <= t_prime <= T")
     count = 0
     for t in range(t_prime, T + 1):
-        if s_flip(t) < t_prime:
+        if t & (t - 1) < t_prime:
             count += 1
     return count
 
@@ -379,7 +379,7 @@ def reference_participation_table(T: int) -> np.ndarray:
     difference array filled one t at a time: t covers (s(t), t]."""
     diff = np.zeros(T + 2, dtype=np.int64)
     for t in range(1, T + 1):
-        diff[s_flip(t) + 1] += 1
+        diff[(t & (t - 1)) + 1] += 1
         diff[t + 1] -= 1
     return np.cumsum(diff)[1 : T + 1]
 
@@ -477,7 +477,7 @@ def noise_path_sum(t: int, bundles: dict[int, np.ndarray]) -> np.ndarray:
             raise InvalidStateError(f"missing bundle for time {u}")
         v = np.asarray(bundles[u], dtype=float)
         total = v.copy() if total is None else total + v
-        u = s_flip(u)
+        u &= u - 1
     if total is None:
         raise InvalidParameterError("t = 0 has no bundles on its path")
     return total

@@ -21,6 +21,7 @@ from privmarket import (
     RunConfig,
     ScaledCost,
     NoiseLedger,
+    Stream,
     budget_bound,
     lambda_star,
     maximize_profit,
@@ -321,9 +322,8 @@ def test_adaptive_accounting(report):
         children = np.random.SeedSequence(seed).spawn(2)
         herd = Herd()
         rnd = RandomTrader(np.random.default_rng(children[1]))
-        stream = [herd if i % 2 == 0 else rnd for i in range(48)]
         result = run_adaptive(
-            sch.stages, iter(stream), outcome=0, seed=np.random.default_rng(children[0])
+            sch.stages, Stream((herd, rnd), 48), outcome=0, seed=np.random.default_rng(children[0])
         )
         ok = ok and [s.arrivals for s in result.stages] == [16, 16, 16]
         resum = Ledger.combine([s.ledger for s in result.stages])

@@ -13,6 +13,7 @@ from privmarket import (
     MarketParams,
     RandomTrader,
     ScaledCost,
+    Stream,
     budget_bound,
     drive_session,
     lambda_star,
@@ -121,8 +122,7 @@ def test_transition_worked_and_clamped():
 
 
 def _herd_stream(n):
-    herd = Herd()
-    return iter([herd] * n)
+    return Stream((Herd(),), n)
 
 
 def test_run_adaptive_three_full_stages():
@@ -151,7 +151,7 @@ def test_run_adaptive_stream_boundaries():
     result = run_adaptive(sch.stages, _herd_stream(32), outcome=0, seed=2)
     assert [s.arrivals for s in result.stages] == [16, 16]
     # empty stream: one stage, zero arrivals
-    result = run_adaptive(sch.stages, iter([]), outcome=0, seed=2)
+    result = run_adaptive(sch.stages, _herd_stream(0), outcome=0, seed=2)
     assert [s.arrivals for s in result.stages] == [0]
     assert result.ledger.arrivals == 0
     # longer than total capacity: capped at max_stages
@@ -173,9 +173,7 @@ def test_run_adaptive_deterministic():
     sch = stage_schedule(math.log(2), 2, 0.2, 0.1, 1.0, max_stages=4, t1_override=8)
 
     def stream():
-        rng = np.random.default_rng(9)
-        trader = RandomTrader(rng)
-        return iter([trader] * 20)
+        return Stream((RandomTrader(np.random.default_rng(9)),), 20)
 
     a = run_adaptive(sch.stages, stream(), outcome=1, seed=7)
     b = run_adaptive(sch.stages, stream(), outcome=1, seed=7)
@@ -212,8 +210,8 @@ def test_composed_precision_against_noiseless_twin():
             true = mk(True, init_true)
             herd = Herd()
             for _ in range(stage.T):
-                drive_session(noisy, iter([herd]))
-                drive_session(true, iter([herd]))
+                drive_session(noisy, Stream((herd,), 1))
+                drive_session(true, Stream((herd,), 1))
                 gaps.append(float(np.sum(np.abs(noisy.p_hat - true.p_hat))))
             if i + 1 < len(sch.stages):
                 nxt = sch.stages[i + 1]

@@ -20,6 +20,7 @@ from privmarket import (
     Strategy,
     StrategyBugError,
     StrategyContext,
+    Stream,
     TradeRejectedError,
     drive_session,
     open_market,
@@ -169,7 +170,7 @@ def test_drive_session_blames_the_strategy_of_the_bad_row():
     for name, block in _bad_blocks(2).items():
         session = open_market(params, rng=0)
         bad = _Returns("bad_" + name.replace(" ", "_"), block[2 if name == "nan" else 1])
-        stream = iter([Herd(), RandomTrader(np.random.default_rng(0)), Herd(), bad, Herd()])
+        stream = Stream((Herd(), RandomTrader(np.random.default_rng(0)), Herd(), bad, Herd()), 5)
         with pytest.raises(StrategyBugError, match=f"^{bad.kind} returned a bad bundle"):
             drive_session(session, stream)
         assert session.arrivals == 0 and session.noise.t == 0  # the whole block is refused
@@ -182,7 +183,7 @@ def test_a_blind_list_of_scalars_is_not_a_bundle(d):
     session = open_market(params, rng=0)
     bad = _Returns("scalars", 0.5 / d)
     with pytest.raises(StrategyBugError, match="^scalars returned a bad bundle"):
-        drive_session(session, iter([bad] * d))
+        drive_session(session, Stream((bad,), d))
     assert session.arrivals == 0 and session.noise.t == 0
 
 
@@ -198,18 +199,19 @@ def test_a_state_reader_sees_the_blind_run_ahead_of_it_booked():
             self.seen.append((ctx.t, ctx.q_hat.copy(), ctx.p_hat.copy()))
             return super().decide(ctx)
 
+    def blind():  # a blind run of five slots, the same for a twin
+        return [Herd(), RandomTrader(np.random.default_rng(9)), Herd(1),
+                RandomTrader(np.random.default_rng(10)), RandomTrader(np.random.default_rng(11))]
+
     hunter = Hunter()
-    herd, rnd = Herd(), RandomTrader(np.random.default_rng(9))
-    roster = [herd, rnd, herd, rnd, rnd, hunter]
     session = open_market(params, rng=np.random.default_rng(4))
-    drive_session(session, iter(roster * 40))
+    drive_session(session, Stream((*blind(), hunter), 240))
 
     # the same arrivals stepped one at a time, recording what the hunter must see
     reference = open_market(params, rng=np.random.default_rng(4))
-    herd, rnd = Herd(), RandomTrader(np.random.default_rng(9))
     twin = ArbitrageHunter(np.array([0.85, 0.15]))
     expected = []
-    for strat in [herd, rnd, herd, rnd, rnd, twin] * 40:
+    for strat in [*blind(), twin] * 40:
         if reference.is_full:
             break
         if strat is twin:
@@ -242,13 +244,12 @@ def test_blocks_respect_both_caps_and_never_overfill(d):
     T = 2 * BLOCK_CAP + 100  # d = 2 fills two blocks of BLOCK_CAP, then a short one
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
     session = _BlockLog(params)
-    stream = iter([Herd(), Abstainer(), RandomTrader(np.random.default_rng(1))] * T)
-    drive_session(session, stream)
+    stream = Stream((Herd(), Abstainer(), RandomTrader(np.random.default_rng(1))), 3 * T)
+    assert drive_session(session, stream) == 3 * T // 2  # T arrivals took 1.5 T slots
     assert session.is_full
     cap = min(BLOCK_CAP, BLOCK_FLOATS // d)
     full, rest = divmod(T, cap)
     assert full >= 2 and session.blocks == [cap] * full + ([rest] if rest else [])
-    assert len(list(stream)) == 3 * T - 3 * T // 2  # T arrivals took 1.5 T slots, abstentions too
 
 
 @pytest.mark.parametrize("d", [1, 2, 8, 64, 1024])
@@ -259,8 +260,7 @@ def test_a_filled_session_draws_exactly_its_horizon(d):
     for T in (2, 3, 64, 300, 1000):
         params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
         session = open_market(params, rng=np.random.default_rng(T))
-        stream = iter([Herd(), RandomTrader(np.random.default_rng(1))] * T)
-        drive_session(session, stream)
+        drive_session(session, Stream((Herd(), RandomTrader(np.random.default_rng(1))), 2 * T))
         assert session.is_full
         twin = np.random.default_rng(T)
         twin.random((T, d))

@@ -12,10 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from privmarket import (
+    Abstainer,
+    BeliefTrader,
     ConfigError,
+    Herd,
     InsufficientDataError,
     InvalidParameterError,
+    RandomTrader,
     RunConfig,
+    Stream,
     TrialMetrics,
     lambda_star,
     load_metrics,
@@ -39,7 +44,6 @@ from privmarket.harness import (
     MAX_SEEDS,
     MAX_T,
     MAX_TRADERS,
-    _build_stream,
 )
 
 from oracles import fresh_draw_sensitivity, participation_count, reference_sensitivity
@@ -728,24 +732,27 @@ def test_caps_on_d_and_max_stages(capsys):
     assert "max_stages" in capsys.readouterr().err
 
 
-def test_build_stream_is_lazy_and_keeps_the_eager_order():
+def test_stream_slots_follow_the_eager_order():
     def eager(instances, order, length):  # the list the stream used to be
         if order == "sequential":
             per = max(1, math.ceil(length / len(instances)))
             return [inst for inst in instances for _ in range(per)][:length]
         return [instances[i % len(instances)] for i in range(length)]
 
-    roster = [{"kind": "random", "count": 2}, {"kind": "herd"}, {"kind": "random", "count": 2}]
-    rngs = [np.random.default_rng(i) for i in range(5)]
-
-    def who(strategy):  # random traders are told apart by the rng they were given
-        return rngs.index(strategy.rng) if strategy.kind == "random" else strategy.kind
-
-    for order, length in itertools.product(("round_robin", "sequential"), (1, 4, 5, 7, 23)):
-        cfg = _cfg(traders=roster, arrival_order=order, stream_length=length)
-        stream = _build_stream(cfg, rngs, cfg.T)
-        assert [who(s) for s in stream] == eager([0, 1, "herd", 3, 4], order, length)
+    instances = [Herd(), BeliefTrader([0.5, 0.5]), Abstainer(), Herd(),
+                 RandomTrader(np.random.default_rng(0))]
+    for order, length in itertools.product(("round_robin", "sequential"), (0, 1, 4, 5, 7, 23)):
+        stream, slots = Stream(instances, length, order), eager(instances, order, length)
+        assert [stream.owner(i) for i in range(length)] == slots
+        runs = [(strat, i) for strat, index in stream.runs(0, length) for i in index]
+        assert sorted(runs, key=lambda run: run[1]) == list(zip(slots, range(length)))
+        readers = [i for i, strat in enumerate(slots) if strat.reads_state]
+        for start, stop in itertools.combinations(range(length + 1), 2):
+            expect = next((i for i in readers if start <= i < stop), stop)
+            assert stream.next_reader(start, stop) == expect
     # a stream far longer than the market can fill builds nothing up front
+    stream = Stream(instances, MAX_T, "sequential")
+    assert stream.owner(MAX_T - 1) is instances[-1] and stream.next_reader(0, MAX_T) == stream.per
     for order in ("round_robin", "sequential"):
         assert run_trial(_cfg(arrival_order=order, stream_length=MAX_T), seed=0).arrivals == 8
 

@@ -11,7 +11,6 @@ from privmarket import (
     NoiseLedger,
     noise_scale,
     participation_table,
-    s_flip,
     sample_bundle,
     tree_depth,
 )
@@ -49,12 +48,8 @@ def _trailing_zeros(t):
 
 def test_bit_helpers():
     assert [low_bit(t) for t in (1, 2, 3, 4, 6, 12, 80)] == [1, 2, 1, 4, 2, 4, 16]
-    assert [s_flip(t) for t in (1, 2, 3, 4, 12)] == [0, 0, 2, 0, 8]
-    assert s_flip(0) == 0
     with pytest.raises(InvalidParameterError):
         low_bit(0)
-    with pytest.raises(InvalidParameterError):
-        s_flip(-1)
 
 
 def test_tree_depth_and_scale():
@@ -126,7 +121,7 @@ def test_noise_path_sum_missing_bundle():
 def test_participation_count_vs_brute_force():
     for T in (1, 2, 7, 8, 16, 37, 64, 128):
         for tp in range(1, T + 1):
-            brute = sum(1 for t in range(tp, T + 1) if s_flip(t) < tp)
+            brute = sum(1 for t in range(tp, T + 1) if t & (t - 1) < tp)
             assert participation_count(tp, T) == brute
     with pytest.raises(InvalidParameterError):
         participation_count(0, 8)
@@ -222,10 +217,10 @@ def test_ledger_lifecycle():
     for t in range(1, 17):
         _turn_over(led, led.draw(rng))
         assert led.t == t
-        path, u = [], t  # the stack {t, s(t), s(s(t)), ...} down to 0
+        path, u = [], t  # the stack {t, s(t), s(s(t)), ...} down to 0, s(t) = t & (t - 1)
         while u:
             path.append(u)
-            u = s_flip(u)
+            u &= u - 1
         assert [time for time, _ in reversed(led.held)] == path
         got = led.held_sum()
         expect = noise_path_sum(t, dict(led.held))

@@ -20,6 +20,7 @@ from privmarket import (
     MarketParams,
     RandomTrader,
     ScaledCost,
+    Stream,
     drive_session,
     noise_scale,
     open_market,
@@ -106,7 +107,7 @@ def test_engine_matches_replay_oracle(roster, d, T, noise_off):
         trader = Herd() if roster == "herd" else RandomTrader(np.random.default_rng(seed + 50))
         session = open_market(params, rng=seed)
         for t in range(1, T + 1):
-            drive_session(session, iter([trader]))
+            drive_session(session, Stream((trader,), 1))
             assert session.arrivals == t
             assert len(session.noise.held) == t.bit_count()
         engine = {

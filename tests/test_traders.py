@@ -19,12 +19,14 @@ from privmarket import (
     Strategy,
     StrategyBugError,
     StrategyContext,
+    Stream,
     best_response,
     drive_session,
     make_strategy,
     maximize_profit,
     open_market,
     step_strategy,
+    strategy_args,
 )
 
 from privmarket.traders import RANDOM_CHUNK
@@ -210,8 +212,8 @@ def test_decide_asked_n_times_answers_what_decide_run_does(kind):
     # base class derives the other from it
     d, n = 3, 300
     params = {"belief": [0.6, 0.3, 0.1]} if kind in ("belief", "arbitrage_hunter") else {}
-    one = make_strategy(kind, params, d, np.random.default_rng(5))
-    twin = make_strategy(kind, params, d, np.random.default_rng(5))
+    one = make_strategy(kind, strategy_args(kind, params, d), np.random.default_rng(5))
+    twin = make_strategy(kind, strategy_args(kind, params, d), 5)
     assert ("decide_run" if one.reads_state else "decide") not in vars(type(one))
     ctx = _ctx([0.5, -0.25, 0.0], lam=0.01, fee=0.001)
     singles = [one.decide(ctx) for _ in range(n)]
@@ -226,21 +228,22 @@ def test_decide_asked_n_times_answers_what_decide_run_does(kind):
 def test_make_strategy():
     rng = np.random.default_rng(0)
     for kind in STRATEGY_KINDS:
-        strat = make_strategy(kind, {}, 2, rng)
+        strat = make_strategy(kind, strategy_args(kind, {}, 2), rng)
         assert strat.kind == kind
-    b = make_strategy("belief", {}, 4, rng)
-    assert b.belief == pytest.approx(np.full(4, 0.25))
-    h = make_strategy("arbitrage_hunter", {"belief": [0.9, 0.1], "threshold": 0.2}, 2, rng)
-    assert h.threshold == 0.2
-    assert make_strategy("herd", {"coordinate": 1}, 2, rng).coordinate == 1
+    assert make_strategy("random", (), rng).rng is rng
+    (belief,) = strategy_args("belief", {}, 4)
+    assert belief == pytest.approx(np.full(4, 0.25)) and not belief.flags.writeable
+    args = strategy_args("arbitrage_hunter", {"belief": [0.9, 0.1], "threshold": 0.2}, 2)
+    assert make_strategy("arbitrage_hunter", args, rng).threshold == 0.2
+    assert strategy_args("herd", {"coordinate": 1}, 2) == (1,)
     with pytest.raises(InvalidParameterError):
-        make_strategy("belief", {"belief": [0.9, 0.2]}, 2, rng)  # sums to 1.1
+        strategy_args("belief", {"belief": [0.9, 0.2]}, 2)  # sums to 1.1
     with pytest.raises(PrivMarketError):
-        make_strategy("belief", {"belief": ["0.5", "0.5"]}, 2, rng)  # strings, not numbers
+        strategy_args("belief", {"belief": ["0.5", "0.5"]}, 2)  # strings, not numbers
     with pytest.raises(InvalidParameterError):
-        make_strategy("momentum", {}, 2, rng)
+        strategy_args("momentum", {}, 2)
     with pytest.raises(InvalidParameterError):
-        make_strategy("herd", {"speed": 3}, 2, rng)  # unknown param
+        strategy_args("herd", {"speed": 3}, 2)  # unknown param
 
 
 def test_step_strategy_validates_bundles():
@@ -282,7 +285,7 @@ def test_step_strategy_validates_bundles():
     for d, bad in cases:
         session = open_market(MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=4), rng=0)
         with pytest.raises(StrategyBugError, match=f"{bad.kind} returned a bad bundle"):
-            drive_session(session, iter([bad] * 3))
+            drive_session(session, Stream((bad,), 3))
         assert session.arrivals == 0 and session.noise.t == 0
     assert step_strategy(Abstainer(), ctx) is None
     assert step_strategy(Herd(), ctx) is not None
@@ -298,40 +301,59 @@ def test_a_strategy_must_define_decide_or_decide_run():
             reads_state = False
 
 
+def test_strategy_itself_cannot_be_instantiated():
+    # its decide and decide_run default to each other: driving one would recurse
+    with pytest.raises(TypeError, match="Strategy is abstract"):
+        Strategy()
+    assert Herd().kind == "herd"  # a subclass that defines one of them builds
+
+
 def test_drive_session_stream_semantics():
     params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=4, noise_off=True)
     herd = Herd()
     session = open_market(params, rng=0)
-    stream = iter([herd] * 10)
-    drive_session(session, stream)
+    stream = Stream((herd,), 10)
+    assert drive_session(session, stream) == 4  # a full market stops taking slots
     assert session.is_full and session.arrivals == 4
-    assert len(list(stream)) == 6  # a full market stops consuming the stream
+    session = open_market(params, rng=0)
+    assert drive_session(session, stream, 7) == 10  # from slot 7, the stream ran dry
+    assert not session.is_full and session.arrivals == 3
+    with pytest.raises(InvalidParameterError, match="slot"):
+        drive_session(session, stream, -1)
+    assert session.arrivals == 3
 
     # abstainers burn stream slots without filling the market
     session = open_market(params, rng=0)
     quiet = Abstainer()
-    drive_session(session, iter([quiet, herd] * 3))
+    assert drive_session(session, Stream((quiet, herd), 6)) == 6
     assert not session.is_full and session.arrivals == 3  # the stream ran dry
     assert session.q_true == pytest.approx([3.0, 0.0])  # only the herd traded
+    # readers between blind runs: the herd's arrival at slot 5 fills the session
+    rec = Recorder()
+    session = open_market(params, rng=0)
+    assert drive_session(session, Stream((quiet, rec, herd), 20)) == 6
+    assert session.is_full and rec.seen == [(1, 0.0), (3, 2.0)]
+
+
+class Recorder(Strategy):
+    """Reads the state: records (t, q_hat[0]) of each context, and buys one unit of 0."""
+
+    kind = "recorder"
+
+    def __init__(self):
+        self.seen = []
+
+    def decide(self, ctx):
+        assert not ctx.q_hat.flags.writeable and not ctx.p_hat.flags.writeable
+        self.seen.append((ctx.t, float(ctx.q_hat[0])))
+        dq = np.zeros(ctx.cost.d)
+        dq[0] = 1.0
+        return dq
 
 
 def test_drive_session_context_tracks_published_state():
     params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=3, noise_off=True)
     session = open_market(params, rng=0)
-
-    class Recorder(Strategy):
-        kind = "recorder"
-
-        def __init__(self):
-            self.seen = []
-
-        def decide(self, ctx):
-            assert not ctx.q_hat.flags.writeable and not ctx.p_hat.flags.writeable
-            self.seen.append((ctx.t, float(ctx.q_hat[0])))
-            dq = np.zeros(ctx.cost.d)
-            dq[0] = 1.0
-            return dq
-
     rec = Recorder()
-    drive_session(session, iter([rec] * 3))
+    drive_session(session, Stream((rec,), 3))
     assert rec.seen == [(1, 0.0), (2, 1.0), (3, 2.0)]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from privmarket import ConfigError, RunConfig, run_trial
+from privmarket import ConfigError, RunConfig, harness, run_trial, traders
 
 from oracles import reference_trial
 
@@ -75,6 +75,25 @@ def test_run_trial_matches_the_whole_trial_reference(name):
     config = RunConfig.from_dict({"market": MARKET, "seeds": {"count": 1}, **CONFIGS[name]})
     for seed in (0, 7):
         assert run_trial(config, seed) == reference_trial(config, seed), seed
+
+
+def test_a_trial_parses_no_trader_params(monkeypatch):
+    # RunConfig.from_dict parses each roster entry once; a trial only builds
+    config = RunConfig.from_dict({
+        **_market(d=3, T=48), "seeds": {"count": 1}, "arrival_order": "sequential",
+        "traders": [*_every_kind(3), {"kind": "herd", "params": {"coordinate": 2}},
+                    {"kind": "arbitrage_hunter", "count": 2,
+                     "params": {"belief": [0.2, 0.7, 0.1], "threshold": 0.05}}]})
+    expected = [reference_trial(config, seed) for seed in (0, 3)]
+
+    def parse(*args, **kwargs):
+        raise AssertionError("trader params parsed during a trial")
+
+    for module, name in ((traders, "strategy_args"), (harness, "strategy_args"),
+                         (traders, "_as_num"), (traders, "_int_in"),
+                         (traders, "check_probabilities")):
+        monkeypatch.setattr(module, name, parse)
+    assert [run_trial(config, seed) for seed in (0, 3)] == expected
 
 
 def _belief(draw, d: int) -> list:
