@@ -18,7 +18,12 @@ from .errors import InvalidParameterError
 
 PRICE_SUM_TOL = 1e-9
 TALL_ROWS = 16
-"""Rows per column from which a block's row maxima are taken down its long axis."""
+"""Rows per column from which a block (n, d), d >= 2, is worked down its
+columns: its row maxima always, and where d < PAIRWISE_FROM its exp and
+row sums too (see row_sums)."""
+PAIRWISE_FROM = 8
+"""Row length from which numpy sums a row pairwise, in an order row_sums
+does not copy; a shorter row it adds first to last."""
 
 
 def check_probabilities(p: np.ndarray, name: str) -> np.ndarray:
@@ -28,22 +33,52 @@ def check_probabilities(p: np.ndarray, name: str) -> np.ndarray:
     return p
 
 
+def is_tall(x: np.ndarray) -> bool:
+    """Whether x is a block (n, d), d >= 2, of at least TALL_ROWS * d rows."""
+    return x.ndim == 2 and x.shape[1] > 1 and len(x) >= TALL_ROWS * x.shape[1]
+
+
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """np.add.reduce(a, axis=-1) of a block (n, d), equal by ==.
+
+    numpy adds a row of fewer than PAIRWISE_FROM entries first to last, and
+    a float sum's bits depend only on the order of its additions, so a tall
+    block with d < PAIRWISE_FROM adds its d columns first to last: the same
+    sums, far cheaper than reducing n short rows.  Any other block reduces
+    row-wise.  (Only a row of -0.0 differs in bits: -0.0 here, 0.0 there.)
+    """
+    d = a.shape[1]
+    if not (is_tall(a) and d < PAIRWISE_FROM):
+        return np.add.reduce(a, axis=-1)
+    total = a[:, 0] + a[:, 1]
+    for j in range(2, d):
+        np.add(total, a[:, j], out=total)
+    return total
+
+
 def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row max m, exp(x - m) and its row sum, for one row (d,) or a block (n, d).
 
     The max shift keeps exp() in range for share vectors up to ~1e6.  Every
     row goes through the same ufuncs as a lone state, so a row's result does
-    not depend on the block it is evaluated in.  A block of at least
-    TALL_ROWS * d rows, d >= 2, takes its maxima down the columns of a
-    transposed copy, which is faster there and exact in any order; the row
-    sums stay row-wise, since summation order changes their bits.
+    not depend on the block it is evaluated in.  A tall block (TALL_ROWS * d
+    rows or more, d >= 2) takes its maxima down the columns of a transposed
+    copy, which is faster there and exact in any order.  Where also
+    d < PAIRWISE_FROM it shifts and exps that copy in place (elementwise, so
+    the same bits) and sums each state with row_sums, whose column sums
+    equal the row-wise ones; e is then the copy's transpose, column-major.
     """
-    if x.ndim == 2 and x.shape[1] > 1 and len(x) >= TALL_ROWS * x.shape[1]:
-        m = np.maximum.reduce(x.T.copy(), axis=0)[:, None]
+    columns = is_tall(x)
+    if columns:
+        xt = x.T.copy()
+        m = np.maximum.reduce(xt, axis=0)[:, None]
     else:
         m = np.maximum.reduce(x, axis=-1, keepdims=True)
     if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise InvalidParameterError("share vector contains non-finite entries")
+    if columns and x.shape[1] < PAIRWISE_FROM:
+        e = np.exp(np.subtract(xt, m.T, out=xt), out=xt).T
+        return m, e, row_sums(e)[:, None]
     e = np.exp(x - m)
     return m, e, np.add.reduce(e, axis=-1, keepdims=True)
 

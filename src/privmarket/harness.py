@@ -49,8 +49,8 @@ at default sizing (d=2, three stages) is 79,925,139 arrivals, well inside
 the cap."""
 
 MAX_TRADERS = 10_000
-"""Largest total roster count.  Every trial spawns one seed and builds one
-strategy per instance, so the count is bounded before a trial runs."""
+"""Largest total roster count.  Every trial builds one strategy per instance,
+and one seed per random instance, so the count is bounded before a trial runs."""
 
 MAX_SEEDS = 100_000
 """Most seeds one run may ask for (seeds.count, run --seeds, run_trials).  A
@@ -328,14 +328,17 @@ def run_trial(config: RunConfig, seed: int) -> TrialMetrics:
     """One deterministic simulated run of the config's markets."""
     markets = config.markets()
     roster = [entry for entry in config.traders for _ in range(entry.count)]
-    # independent substreams: child 0 drives the noise, child 1 + i instance i
-    noise_seed, *seeds = np.random.SeedSequence(seed).spawn(len(roster) + 1)
+    # independent substreams: child 0 drives the noise, child 1 + i instance i;
+    # child j of SeedSequence(seed).spawn(n) is SeedSequence(seed, spawn_key=(j,))
     stream = Stream(
-        [make_strategy(entry.kind, entry.args, child) for entry, child in zip(roster, seeds)],
+        [make_strategy(entry.kind, entry.args, np.random.SeedSequence(seed, spawn_key=(i,))
+                       if entry.kind == "random" else None)
+         for i, entry in enumerate(roster, 1)],
         config.stream_length or sum(m.T for m in markets),
         config.arrival_order,
     )
-    result = run_adaptive(markets, stream, config.outcome, seed=np.random.default_rng(noise_seed))
+    result = run_adaptive(markets, stream, config.outcome,
+                          seed=np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))))
     ledger, parts = result.ledger, result.stages
     norms = [p.mean_bundle_l2 for p in parts if p.arrivals > 0]
     return TrialMetrics(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import ScaledCost
+from .cost import ScaledCost, is_tall, row_sums
 from .errors import (
     InvalidParameterError,
     InvalidStateError,
@@ -348,11 +348,15 @@ class MarketSession:
         never telescoped: the noise cash is a small difference of large
         costs).  Each cash total adds its amounts one at a time in arrival
         order (np.add.accumulate), so a block books bit for bit what its
-        bundles book one at a time.  Checks, on the state the block leaves,
-        after the counter is advanced and before anything else is booked:
-        held == the counter bits, and published - true == the held noise sum
-        (l1 drift at most HELD_TOL).  A bad bundle, or a block that would pass
-        T, raises before anything is booked.
+        bundles book one at a time.  A tall block of l1 share and price gaps
+        and held-noise drift (cost.is_tall) is summed by cost.row_sums, by
+        columns where d < 8, and its largest share and price gaps come from
+        one np.maximum.reduce; a short one is reduced row-wise and its
+        maxima taken by Python's max over floats.  Checks, on the state the
+        block leaves, after the counter is advanced and before anything else
+        is booked: held == the counter bits, and published - true == the
+        held noise sum (l1 drift at most HELD_TOL).  A bad bundle, or a block
+        that would pass T, raises before anything is booked.
         """
         if self.closed:
             raise MarketClosedError("session is closed")
@@ -395,14 +399,21 @@ class MarketSession:
 
         ledger.advance(k, source.take(levels, axis=0), flips)
         ledger.verify_held()
-        # l1 norms row by row as a lone state's: each arrival's share and price
+        # l1 norms, each as a lone state's: each arrival's share and price
         # gaps, then the drift of published - true after the block from the held noise
         gaps = np.empty((2 * k + 1, d))
         np.subtract(after, states[n + 1 :], out=gaps[:k])
         np.subtract(prices[-k:], p_hat, out=gaps[k:-1])
         np.subtract(gaps[k - 1], ledger.held_sum(), out=gaps[-1])
-        gaps = np.add.reduce(np.abs(gaps, out=gaps), axis=-1).tolist()
-        if not gaps.pop() <= HELD_TOL:
+        np.abs(gaps, out=gaps)
+        if is_tall(gaps):
+            norms = row_sums(gaps)
+            share_gap, price_gap = np.maximum.reduce(norms[:-1].reshape(2, k), axis=1).tolist()
+            drift = norms[-1]
+        else:
+            norms = np.add.reduce(gaps, axis=-1).tolist()
+            share_gap, price_gap, drift = max(norms[:k]), max(norms[k:-1]), norms[-1]
+        if not drift <= HELD_TOL:
             raise InvalidStateError("published state lost sync with held noise")
         (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
          self.fee_total, self.bundle_l2_total) = totals
@@ -411,8 +422,8 @@ class MarketSession:
         self.p_hat = _published(p_hat[-1])
         self.c_hat = float(costs[buys[-1]])
         self.arrivals += k
-        self.max_share_gap = max(self.max_share_gap, *gaps[:k])
-        self.max_price_gap = max(self.max_price_gap, *gaps[k:])
+        self.max_share_gap = max(self.max_share_gap, share_gap)
+        self.max_price_gap = max(self.max_price_gap, price_gap)
 
     def close(self, outcome: int) -> Ledger:
         """Sell back remaining noise, pay every arrival, and return the ledger.

@@ -63,10 +63,10 @@ def _state(session) -> tuple:
     return values, held, session.noise.t, session.closed
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8])
 @pytest.mark.parametrize("noise_off", [False, True])
 def test_every_partition_books_the_same_session(d, noise_off):
-    T = 150  # blocks cross 64 and 128
+    T = 150  # blocks cross 64 and 128; those of 62 and more are tall at d = 7
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T, noise_off=noise_off)
     rng = np.random.default_rng(100 * d + noise_off)
     bundles = _bundles(rng, d, T)

@@ -22,7 +22,7 @@ from privmarket import (
     open_market,
     step_strategy,
 )
-from privmarket.cost import TALL_ROWS
+from privmarket.cost import TALL_ROWS, row_sums
 
 from oracles import (
     ReferenceSession,
@@ -33,10 +33,11 @@ from oracles import (
 )
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 64])
 def test_block_cost_and_prices_equal_per_row_references(d):
     # short blocks take row maxima along their rows, tall ones (TALL_ROWS * d
-    # rows and more) down their columns
+    # rows and more) down their columns; tall ones with 2 <= d < 8 (7 the
+    # last) also exp and sum by columns
     rng = np.random.default_rng(d)
     tall = TALL_ROWS * d
     for lam in (1.0, 0.3, 0.0123, 1e-4):
@@ -61,20 +62,42 @@ def test_block_cost_and_prices_equal_per_row_references(d):
 
 
 def test_non_finite_states_raise():
-    cost = ScaledCost(d=3, lam=0.5)
-    bad_rows = ([0.0, np.inf, 1.0], [0.0, np.nan, 1.0], [-np.inf] * 3)
-    tall = np.zeros((TALL_ROWS * 3 + 5, 3))
-    tall[[7, 30, -1]] = bad_rows
-    for bad_row in bad_rows:
-        block = np.zeros((4, 3))
-        block[2] = bad_row
-        tall_block = np.zeros((TALL_ROWS * 3, 3))
-        tall_block[-2] = bad_row
-        for q in (block, block[2], tall_block, tall):
-            with pytest.raises(InvalidParameterError, match="non-finite"):
-                cost.cost(q)
-            with pytest.raises(InvalidParameterError, match="non-finite"):
-                cost.prices(q)
+    # d = 3 in a short block, a lone state and two tall blocks; d = 2 and 7,
+    # on the column path, in tall blocks
+    for d in (2, 3, 7):
+        cost = ScaledCost(d=d, lam=0.5)
+        bad_rows = [[0.0, v] + [1.0] * (d - 2) for v in (np.inf, np.nan)] + [[-np.inf] * d]
+        tall = np.zeros((TALL_ROWS * d + 5, d))
+        tall[[7, 30, -1]] = bad_rows
+        for bad_row in bad_rows:
+            block = np.zeros((4, d))
+            block[2] = bad_row
+            tall_block = np.zeros((TALL_ROWS * d, d))
+            tall_block[-2] = bad_row
+            blocks = (block, block[2], tall_block, tall) if d == 3 else (tall_block, tall)
+            for q in blocks:
+                with pytest.raises(InvalidParameterError, match="non-finite"):
+                    cost.cost(q)
+                with pytest.raises(InvalidParameterError, match="non-finite"):
+                    cost.prices(q)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_row_sums_equal_numpy_row_reduce(d):
+    # below and from TALL_ROWS * d rows; d from 2 to 7 adds columns there,
+    # every other block reduces row-wise.  The rows [1, 1e-16, ...] and
+    # [1e-16, ..., 1] tell first-to-last from pairwise and other orders
+    rng = np.random.default_rng(1000 + d)
+    special = np.array([np.zeros(d), np.full(d, 0.7), np.full(d, 1e300), np.full(d, -1e-300),
+                        np.r_[1.0, np.full(d - 1, 1e-16)], np.r_[np.full(d - 1, 1e-16), 1.0]])
+    tall = TALL_ROWS * d
+    for n in (1, tall - 1, tall, tall + 37):
+        a = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 301, size=(n, d))
+        a[: len(special)] = special[:n]
+        sums = row_sums(a)
+        assert sums.shape == (n,)
+        assert np.array_equal(sums, np.add.reduce(a, axis=-1))
+        assert np.array_equal(row_sums(np.abs(a)), np.add.reduce(np.abs(a), axis=-1))
 
 
 def test_block_shapes_are_validated():
