@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptive import MAX_STAGES, StageSchedule, run_adaptive, stage_schedule
-from .errors import ConfigError, InsufficientDataError, InvalidParameterError, check_positive
+from .errors import ConfigError, InsufficientDataError, InvalidParameterError
 from .errors import _as_num, _int_in
 # open_market and drive_session run inside run_adaptive; they stay harness
 # globals because the benchmark tracer patches them where they are looked up.
@@ -602,7 +602,7 @@ def privacy_audit(
         raise InvalidParameterError(
             f"n_pairs must lie in [1, {AUDIT_SAMPLED // (T * d)}]: "
             f"n_pairs * T * d <= {AUDIT_SAMPLED}")
-    check_positive("epsilon", epsilon)
+    configured = noise_scale(T, epsilon)  # a bad epsilon raises here, before any draw
     rng = np.random.default_rng(seed)
     # random trade rows with l1 norm <= 1 (random direction and scale); a
     # pair's sequences differ at its slot only, so each partial sum covering
@@ -629,7 +629,6 @@ def privacy_audit(
     depth = tree_depth(T)
     multiplier = participation_max / depth
 
-    configured = noise_scale(T, epsilon)
     expected = 2.0 * depth / epsilon
     scale_ok = abs(configured - expected) <= 1e-12 * expected
 

@@ -96,15 +96,14 @@ class NoiseLedger:
     checked against t, and a level not held is zero.  noise_off swaps the
     sampled values for zeros (schedule and bookkeeping unchanged) so tests
     can isolate the trading mechanics.  A session takes its bundles through
-    take, which draws ahead through draw, books the counter only through
-    advance (a block of steps, or the sell-back at close) and reads levels,
-    mask and held_sum; begin_step, mark_sold, new_bundle and held are the
-    per-arrival reference for tests.
+    take, books the counter only through advance (a block of steps, or the
+    sell-back at close) and reads levels, mask and held_sum; begin_step,
+    mark_sold, new_bundle and held are the per-arrival reference for tests.
 
     take draws ahead: a buffer of at most max(k, BLOCK_FLOATS // d) bundles,
-    refilled by one draw, never past the horizon T.  So a ledger taken to T
-    has drawn exactly T * d uniforms, and one taken less far may have drawn
-    bundles it never uses.
+    refilled by one sample_bundle call, never past the horizon T.  So a
+    ledger taken to T has drawn exactly T * d uniforms, and one taken less
+    far may have drawn bundles it never uses.
     """
 
     def __init__(self, d: int, scale: float, T: int, noise_off: bool = False):
@@ -143,32 +142,24 @@ class NoiseLedger:
         self.levels[level] = 0.0
         return value
 
-    def draw(self, rng: np.random.Generator, k: int | None = None) -> np.ndarray:
-        """Value of the next bundle, or with k the next k as a (k, d) block.
-
-        The values are Laplace draws, or zeros under noise_off.  rng feeds
-        only bundles, so drawing before the step's sells are booked leaves
-        the draw order unchanged.
-        """
-        if self.noise_off:
-            return np.zeros(self.d if k is None else (k, self.d))
-        return sample_bundle(self.d, self.scale, rng, k)
-
     def take(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """The next k bundles as a (k, d) block: the values k more draws would
-        give.  Taking past T raises.  The bundles of steps 1..t are taken
-        already, so advance(k, ...) must follow."""
+        """The next k bundles as a (k, d) block: what k more sample_bundle
+        calls on rng would give, or zeros under noise_off, which leave rng
+        untouched.  Taking past T raises.  The bundles of steps 1..t are
+        taken already, so advance(k, ...) must follow."""
         buffered = len(self._z)
         if buffered < k:
             n = min(max(k, BLOCK_FLOATS // self.d), self.T - self.t) - buffered
             if buffered + n < k:
                 raise InvalidStateError(f"{k} more bundles pass the horizon {self.T}")
-            self._z = np.concatenate((self._z, self.draw(rng, n)))
+            fresh = np.zeros((n, self.d)) if self.noise_off else sample_bundle(
+                self.d, self.scale, rng, n)
+            self._z = np.concatenate((self._z, fresh))
         z, self._z = self._z[:k], self._z[k:]
         return z
 
     def new_bundle(self, value: np.ndarray) -> None:
-        """Buy the bundle of step t, whose value came from draw, at level tz(t)."""
+        """Buy value as the bundle of step t, at level tz(t)."""
         level = (self.t & -self.t).bit_length() - 1
         if self.mask >> level & 1:
             raise InvalidStateError(f"bundle {self.t} already exists")

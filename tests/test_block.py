@@ -6,6 +6,7 @@ the per-state ReferenceSession.
 """
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -256,15 +257,17 @@ def test_blocks_respect_both_caps_and_never_overfill(d):
 def test_a_filled_session_draws_exactly_its_horizon(d):
     # bundles are drawn ahead in chunks, never past T: a filled session
     # leaves its generator where T * d uniforms leave it, so sessions that
-    # share one in turn (run_adaptive's stages) draw what per-arrival draws do
-    for T in (2, 3, 64, 300, 1000):
-        params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
+    # share one in turn (run_adaptive's stages) draw what per-arrival draws
+    # do; under noise_off its zero bundles leave the generator untouched
+    for T, noise_off in itertools.product((2, 3, 64, 300, 1000), (False, True)):
+        params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T, noise_off=noise_off)
         session = open_market(params, rng=np.random.default_rng(T))
         drive_session(session, Stream((Herd(), RandomTrader(np.random.default_rng(1))), 2 * T))
         assert session.is_full
+        session.close(0)
         twin = np.random.default_rng(T)
-        twin.random((T, d))
-        assert session.rng.bit_generator.state == twin.bit_generator.state, T
+        twin.random((0 if noise_off else T, d))
+        assert session.rng.bit_generator.state == twin.bit_generator.state, (T, noise_off)
 
 
 @pytest.mark.parametrize("d, T, k", [(2, 10_000, 5), (8, 300, 299), (64, 1000, 300),

@@ -465,6 +465,20 @@ def test_privacy_audit_validation():
     assert tiny.noise_scale == pytest.approx(1.0)
 
 
+def test_privacy_audit_checks_its_noise_scale_before_it_samples(monkeypatch, capsys):
+    # epsilon = 1e-320 is positive, but 2 ceil(log2 T) / epsilon overflows:
+    # the audit must refuse it before it builds its generator, not after its draws
+    def no_generator(seed):
+        raise AssertionError("the audit built its generator before checking its noise scale")
+
+    monkeypatch.setattr(harness.np.random, "default_rng", no_generator)
+    for epsilon in (1e-320, 0.0, math.nan):
+        with pytest.raises(InvalidParameterError, match="must be finite and positive"):
+            privacy_audit(T=8, d=2, epsilon=epsilon, n_pairs=1)
+    assert cli_main(["audit", "--T", "8", "--d", "2", "--epsilon", "1e-320"]) == 2
+    assert capsys.readouterr().err.startswith("error: noise scale must be finite and positive")
+
+
 def test_privacy_audit_rejects_vacuous_and_unbounded_inputs(monkeypatch, capsys):
     # no pair sampled would pass the sensitivity check vacuously
     for pairs in (0, -5):

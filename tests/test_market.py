@@ -11,6 +11,7 @@ from privmarket import (
     Ledger,
     MarketClosedError,
     MarketParams,
+    MarketSession,
     TradeRejectedError,
     lambda_star,
     loss_bounds,
@@ -308,15 +309,24 @@ def test_ledger_combine():
 
 
 def test_open_market_seeding():
+    # open_market is the session itself, which turns a seed or None into its
+    # generator and keeps a Generator as it is
+    assert open_market is MarketSession
     params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=4)
     a = open_market(params, rng=42)
-    b = open_market(params, rng=42)
+    b = MarketSession(params, 42)
     a.step(np.array([1.0, 0.0]))
     b.step(np.array([1.0, 0.0]))
     assert np.array_equal(a.q_hat, b.q_hat)
-    c = open_market(params, rng=np.random.default_rng(42))
+    rng = np.random.default_rng(42)
+    c = open_market(params, rng=rng)
+    assert c.rng is rng
     c.step(np.array([1.0, 0.0]))
     assert np.array_equal(a.q_hat, c.q_hat)
+    for session in (a, b):
+        session.step(np.tile([0.25, 0.5], (3, 1)))
+    assert _booked(a) == _booked(b) and a.close(0) == b.close(0)
+    assert isinstance(MarketSession(params).rng, np.random.Generator)
 
 
 def _noisy_session(steps: int):

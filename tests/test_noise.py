@@ -161,18 +161,18 @@ def test_participation_bound_many_T():
         assert tree_depth(T) == cap - (T > 1 and T & (T - 1) == 0)
 
 
-def test_take_draws_ahead_what_draw_gives_and_stops_at_the_horizon():
+def test_take_draws_ahead_what_sample_bundle_gives_and_stops_at_the_horizon():
     d, T = 3, 20
     led = NoiseLedger(d=d, scale=4.0, T=T)
     rng, twin = np.random.default_rng(6), np.random.default_rng(6)
     for k in (1, 5, 7, 2):
         z = led.take(rng, k)
         led.t += k  # as the advance after a session's take does
-        assert np.array_equal(z, [led.draw(twin) for _ in range(k)])
+        assert np.array_equal(z, [sample_bundle(d, 4.0, twin) for _ in range(k)])
     assert rng.bit_generator.state != twin.bit_generator.state  # drawn ahead
     with pytest.raises(InvalidStateError, match="horizon"):
         led.take(rng, 6)  # 15 taken, 5 left
-    assert np.array_equal(led.take(rng, 5), [led.draw(twin) for _ in range(5)])
+    assert np.array_equal(led.take(rng, 5), [sample_bundle(d, 4.0, twin) for _ in range(5)])
     assert rng.bit_generator.state == twin.bit_generator.state  # T * d uniforms
 
 
@@ -215,7 +215,7 @@ def test_ledger_lifecycle():
     rng = np.random.default_rng(2)
     led = NoiseLedger(d=2, scale=4.0, T=16)
     for t in range(1, 17):
-        _turn_over(led, led.draw(rng))
+        _turn_over(led, sample_bundle(2, 4.0, rng))
         assert led.t == t
         path, u = [], t  # the stack {t, s(t), s(s(t)), ...} down to 0, s(t) = t & (t - 1)
         while u:
@@ -232,8 +232,11 @@ def test_ledger_lifecycle():
 def test_ledger_noise_off_is_zero():
     rng = np.random.default_rng(3)
     led = NoiseLedger(d=3, scale=4.0, T=4, noise_off=True)
+    z = led.take(rng, 1)
     led.begin_step()
-    led.new_bundle(led.draw(rng))
+    led.new_bundle(z[0])
+    assert np.array_equal(z, np.zeros((1, 3)))
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
     assert np.array_equal(led.held[0][1], np.zeros(3))
     assert np.array_equal(led.held_sum(), np.zeros(3))
 
@@ -244,9 +247,9 @@ def test_ledger_misuse_errors():
     with pytest.raises(InvalidStateError):
         led.mark_sold()  # nothing bought yet
     led.begin_step()
-    led.new_bundle(led.draw(rng))
+    led.new_bundle(sample_bundle(1, 1.0, rng))
     with pytest.raises(InvalidStateError):
-        led.new_bundle(led.draw(rng))  # double buy in one step
+        led.new_bundle(sample_bundle(1, 1.0, rng))  # double buy in one step
     led.mark_sold()
     with pytest.raises(InvalidStateError):
         led.mark_sold()  # double sell: the stack is empty again
