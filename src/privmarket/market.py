@@ -205,16 +205,6 @@ def _published(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def l2_norms(z: np.ndarray) -> np.ndarray:
-    """math.sqrt(row.dot(row)) of each row of z (k, d), bit for bit.
-
-    A stacked (1, d) @ (d, 1) matmul is a dot per row; np.linalg.norm and
-    sums of squares round differently at d >= 2.
-    """
-    k, d = z.shape
-    return np.sqrt(np.matmul(z.reshape(k, 1, d), z.reshape(k, d, 1)).ravel())
-
-
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _block_plan(k: int, low: int, top: int) -> tuple:
     """Row plan of a block of k arrivals after t0.
@@ -347,16 +337,18 @@ class MarketSession:
 
         Each arrival pays the fee and its trade's cost at the published
         state; then step t sells the tz(t) most recent held bundles and buys
-        a fresh one, taken from the bundles the noise ledger drew ahead
-        (NoiseLedger.take).  The cached _block_plan says where every state of
-        the block comes from, so once it is cached no Python work is done per
-        arrival: one gather and one sequential running sum build the states
-        after each trade, sell and buy, one of q_true and the trades the true
-        states, and one kernel pass costs and prices them (one cost per state,
-        never telescoped: the noise cash is a small difference of large
-        costs).  Each cash total adds its amounts one at a time in arrival
-        order (np.add.accumulate), so a block books bit for bit what its
-        bundles book one at a time.  A tall block of l1 share and price gaps
+        a fresh one, taken with its l2 norm from the bundles the noise ledger
+        drew ahead (NoiseLedger.take).  The cached _block_plan says where every
+        state of the block comes from, so once it is cached no Python work is
+        done per arrival: one gather and one sequential running sum build the
+        states after each trade, sell and buy, one of q_true and the trades
+        the true states, and one kernel pass costs and prices them (one cost
+        per state, never telescoped: the noise cash is a small difference of
+        large costs).  The prices after each buy are gathered along the axis
+        the block's prices are contiguous in, and p_hat is a contiguous copy
+        of the last.  Each cash total adds its amounts one at a time in
+        arrival order (np.add.accumulate), so a block books bit for bit what
+        its bundles book one at a time.  A tall block of l1 share and price gaps
         and held-noise drift (cost.is_tall) is summed by cost.row_sums, by
         columns where d < 8, and its largest share and price gaps come from
         one np.maximum.reduce; a short one is reduced row-wise and its
@@ -381,7 +373,7 @@ class MarketSession:
         top = (t0 + k) >> m << m  # the one time in the block that 2^m divides, if any
         neg, sold, chain, buys, cash, levels, flips = _block_plan(
             k, t0 & ((1 << m) - 1), (top & -top).bit_length() - 1 if top > t0 else -1)
-        z = ledger.take(self.rng, k)
+        z, z_norms = ledger.take(self.rng, k)
         source = np.concatenate((
             self.q_hat, self.q_true, block.ravel(), z.ravel(),
             np.zeros(d), z.ravel(), ledger.levels[:sold].ravel(),
@@ -396,13 +388,16 @@ class MarketSession:
         np.add.accumulate(source[1 : 2 + k], axis=0, out=states[n:])
         costs, prices = self.cost.cost_and_prices(states)
         after = states.take(buys, axis=0)
-        p_hat = prices.take(buys, axis=0)
+        # a tall block's prices at d < cost.PAIRWISE_FROM are column-major
+        # (cost._shifted_exp)
+        p_hat = (prices.take(buys, axis=0) if prices.flags.c_contiguous
+                 else prices.T.take(buys, axis=1).T)
 
         # each total's amounts, after the total itself, as differences of
         # costs, bundle l2 norms and the head's entries
         head = (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
                 self.fee_total, self.bundle_l2_total, self.c_hat, self.params.fee, 0.0)
-        terms = np.concatenate((costs, l2_norms(z), head)).take(cash)
+        terms = np.concatenate((costs, z_norms, head)).take(cash)
         totals = np.add.accumulate(np.subtract(terms[0], terms[1]), axis=1)[:, -1].tolist()
 
         ledger.advance(k, source.take(levels, axis=0), flips)
@@ -427,7 +422,7 @@ class MarketSession:
          self.fee_total, self.bundle_l2_total) = totals
         self.q_true = states[-1].copy()  # not a view that keeps states alive
         self.q_hat = _published(after[-1])
-        self.p_hat = _published(p_hat[-1])
+        self.p_hat = _published(p_hat[-1].copy())  # contiguous, and keeps no block alive
         self.c_hat = float(costs[buys[-1]])
         self.arrivals += k
         self.max_share_gap = max(self.max_share_gap, share_gap)

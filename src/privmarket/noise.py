@@ -86,6 +86,16 @@ def sample_bundle(
     return -scale * np.sign(u) * np.log(np.maximum(1.0 - 2.0 * np.abs(u), UNIFORM_FLOOR))
 
 
+def l2_norms(z: np.ndarray) -> np.ndarray:
+    """math.sqrt(row.dot(row)) of each row of z (k, d), bit for bit.
+
+    A stacked (1, d) @ (d, 1) matmul is a dot per row; np.linalg.norm and
+    sums of squares round differently at d >= 2.
+    """
+    k, d = z.shape
+    return np.sqrt(np.matmul(z.reshape(k, 1, d), z.reshape(k, d, 1)).ravel())
+
+
 class NoiseLedger:
     """The noise trader's binary counter for one market session.
 
@@ -100,10 +110,11 @@ class NoiseLedger:
     sell-back at close) and reads levels, mask and held_sum; begin_step,
     mark_sold, new_bundle and held are the per-arrival reference for tests.
 
-    take draws ahead: a buffer of at most max(k, BLOCK_FLOATS // d) bundles,
-    refilled by one sample_bundle call, never past the horizon T.  So a
-    ledger taken to T has drawn exactly T * d uniforms, and one taken less
-    far may have drawn bundles it never uses.
+    take draws ahead: a buffer of at most max(k, BLOCK_FLOATS // d) bundles
+    and their l2 norms, refilled by one sample_bundle call and one l2_norms
+    call, never past the horizon T.  So a ledger taken to T has drawn exactly
+    T * d uniforms, and one taken less far may have drawn bundles it never
+    uses.
     """
 
     def __init__(self, d: int, scale: float, T: int, noise_off: bool = False):
@@ -111,7 +122,7 @@ class NoiseLedger:
         self.t = self.mask = 0
         self.levels = np.zeros((tree_depth(T) + 1, d))
         self._ones = np.ones(len(self.levels))
-        self._z = np.zeros((0, d))  # drawn, not yet taken
+        self._z, self._norms = np.zeros((0, d)), np.zeros(0)  # drawn, not yet taken
 
     @property
     def held(self) -> list[tuple[int, np.ndarray]]:
@@ -142,11 +153,11 @@ class NoiseLedger:
         self.levels[level] = 0.0
         return value
 
-    def take(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """The next k bundles as a (k, d) block: what k more sample_bundle
-        calls on rng would give, or zeros under noise_off, which leave rng
-        untouched.  Taking past T raises.  The bundles of steps 1..t are
-        taken already, so advance(k, ...) must follow."""
+    def take(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next k bundles as a (k, d) block z, and l2_norms(z): z is what
+        k more sample_bundle calls on rng would give, or zeros under
+        noise_off, which leave rng untouched.  Taking past T raises.  The
+        bundles of steps 1..t are taken already, so advance(k, ...) must follow."""
         buffered = len(self._z)
         if buffered < k:
             n = min(max(k, BLOCK_FLOATS // self.d), self.T - self.t) - buffered
@@ -155,8 +166,10 @@ class NoiseLedger:
             fresh = np.zeros((n, self.d)) if self.noise_off else sample_bundle(
                 self.d, self.scale, rng, n)
             self._z = np.concatenate((self._z, fresh))
+            self._norms = np.concatenate((self._norms, l2_norms(fresh)))
         z, self._z = self._z[:k], self._z[k:]
-        return z
+        norms, self._norms = self._norms[:k], self._norms[k:]
+        return z, norms
 
     def new_bundle(self, value: np.ndarray) -> None:
         """Buy value as the bundle of step t, at level tz(t)."""

@@ -37,7 +37,9 @@ ARRIVAL_ORDERS = ("round_robin", "sequential")
 """The orders of a Stream, and of a config's arrival_order."""
 
 RANDOM_CHUNK = 250
-"""(sign, coordinate) pairs a RandomTrader draws from its generator at once."""
+"""The unit of a RandomTrader's draws: it draws whole chunks of this many
+(sign, coordinate) pairs, so its generator ends where drawing them one chunk
+at a time would leave it (rng.integers draws each bound in turn)."""
 
 
 @dataclass(frozen=True)
@@ -223,11 +225,12 @@ class Herd(Strategy):
 class RandomTrader(Strategy):
     """Uniform random signed unit coordinate trades.
 
-    (sign, coordinate) pairs are drawn RANDOM_CHUNK at a time: the same
-    stream as per-decision draws of the sign (as rng.choice([-1.0, 1.0])
-    makes it), then the coordinate.  The last chunk may draw past the end
-    of a trial, which is harmless: each instance's generator belongs to one
-    trial.  An instance serves markets of one d.
+    (sign, coordinate) pairs are drawn in whole RANDOM_CHUNKs, a run's
+    shortfall in one rng.integers call over the bounds [2, d, 2, d, ...]:
+    the same stream as per-decision draws of the sign (as
+    rng.choice([-1.0, 1.0]) makes it), then the coordinate.  The last chunk
+    may draw past the end of a trial, which is harmless: each instance's
+    generator belongs to one trial.  An instance serves markets of one d.
     """
 
     kind = "random"
@@ -239,14 +242,24 @@ class RandomTrader(Strategy):
 
     def decide_run(self, ctx: StrategyContext, n: int) -> np.ndarray:
         d = ctx.cost.d
-        while self._pairs.shape[1] < n:
-            fresh = self.rng.integers(np.tile([2, d], RANDOM_CHUNK)).reshape(-1, 2).T
+        short = n - self._pairs.shape[1]
+        if short > 0:
+            bounds = _random_bounds(d, -(-short // RANDOM_CHUNK))  # whole chunks
+            fresh = self.rng.integers(bounds).reshape(-1, 2).T
             fresh[0] = 2 * fresh[0] - 1  # sign 0 sells, 1 buys
             self._pairs = np.concatenate((self._pairs, fresh), axis=1)
         (signs, coords), self._pairs = self._pairs[:, :n], self._pairs[:, n:]
         dq = np.zeros((n, d))
         dq[np.arange(n), coords] = signs
         return dq
+
+
+@functools.lru_cache(maxsize=8)
+def _random_bounds(d: int, chunks: int) -> np.ndarray:
+    """Read-only bounds [2, d, 2, d, ...] of chunks whole RANDOM_CHUNKs."""
+    bounds = np.tile([2, d], chunks * RANDOM_CHUNK)
+    bounds.flags.writeable = False
+    return bounds
 
 
 class Abstainer(Strategy):

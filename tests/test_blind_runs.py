@@ -28,7 +28,7 @@ from privmarket import (
     open_market,
     sample_bundle,
 )
-from privmarket.market import l2_norms
+from privmarket.noise import l2_norms
 
 from oracles import ReferenceSession, assert_same_session
 

@@ -67,7 +67,9 @@ def _state(session) -> tuple:
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8])
 @pytest.mark.parametrize("noise_off", [False, True])
 def test_every_partition_books_the_same_session(d, noise_off):
-    T = 150  # blocks cross 64 and 128; those of 62 and more are tall at d = 7
+    # blocks cross 64 and 128; those of 62 and more are tall at d = 7, and
+    # the long blocks are tall at d = 8 too, where prices stay row-major
+    T = 150
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T, noise_off=noise_off)
     rng = np.random.default_rng(100 * d + noise_off)
     bundles = _bundles(rng, d, T)
@@ -86,6 +88,10 @@ def test_every_partition_books_the_same_session(d, noise_off):
                 reference.step(dq)
             start += k
             assert_same_session(session, reference)
+            # the published prices own a contiguous row, whichever axis the
+            # block's prices were gathered along
+            p_hat = session.p_hat
+            assert p_hat.flags.c_contiguous and not p_hat.flags.writeable and p_hat.base is None
         assert session.is_full
         ledger = session.close(outcome)
         assert ledger == reference.close(outcome)

@@ -15,6 +15,8 @@ from privmarket import (
     tree_depth,
 )
 
+from privmarket.noise import BLOCK_FLOATS, l2_norms
+
 from oracles import (
     bundle_gap_total,
     low_bit,
@@ -162,18 +164,24 @@ def test_participation_bound_many_T():
 
 
 def test_take_draws_ahead_what_sample_bundle_gives_and_stops_at_the_horizon():
-    d, T = 3, 20
-    led = NoiseLedger(d=d, scale=4.0, T=T)
-    rng, twin = np.random.default_rng(6), np.random.default_rng(6)
-    for k in (1, 5, 7, 2):
-        z = led.take(rng, k)
-        led.t += k  # as the advance after a session's take does
-        assert np.array_equal(z, [sample_bundle(d, 4.0, twin) for _ in range(k)])
-    assert rng.bit_generator.state != twin.bit_generator.state  # drawn ahead
-    with pytest.raises(InvalidStateError, match="horizon"):
-        led.take(rng, 6)  # 15 taken, 5 left
-    assert np.array_equal(led.take(rng, 5), [sample_bundle(d, 4.0, twin) for _ in range(5)])
-    assert rng.bit_generator.state == twin.bit_generator.state  # T * d uniforms
+    # at d = BLOCK_FLOATS // 4 the buffer holds 4 bundles, so the takes
+    # refill it, and each take's norms must still be its bundles'
+    T = 20
+    for d in (3, BLOCK_FLOATS // 4):
+        led = NoiseLedger(d=d, scale=4.0, T=T)
+        rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+        for k in (1, 5, 7, 2):
+            z, norms = led.take(rng, k)
+            led.t += k  # as the advance after a session's take does
+            assert np.array_equal(z, [sample_bundle(d, 4.0, twin) for _ in range(k)])
+            assert norms.tolist() == l2_norms(z).tolist()
+        assert rng.bit_generator.state != twin.bit_generator.state  # drawn ahead
+        with pytest.raises(InvalidStateError, match="horizon"):
+            led.take(rng, 6)  # 15 taken, 5 left
+        z, norms = led.take(rng, 5)
+        assert np.array_equal(z, [sample_bundle(d, 4.0, twin) for _ in range(5)])
+        assert norms.tolist() == l2_norms(z).tolist()
+        assert rng.bit_generator.state == twin.bit_generator.state  # T * d uniforms
 
 
 def test_bundle_gap_total():
@@ -232,10 +240,10 @@ def test_ledger_lifecycle():
 def test_ledger_noise_off_is_zero():
     rng = np.random.default_rng(3)
     led = NoiseLedger(d=3, scale=4.0, T=4, noise_off=True)
-    z = led.take(rng, 1)
+    z, norms = led.take(rng, 1)
     led.begin_step()
     led.new_bundle(z[0])
-    assert np.array_equal(z, np.zeros((1, 3)))
+    assert np.array_equal(z, np.zeros((1, 3))) and np.array_equal(norms, np.zeros(1))
     assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
     assert np.array_equal(led.held[0][1], np.zeros(3))
     assert np.array_equal(led.held_sum(), np.zeros(3))

@@ -178,7 +178,7 @@ def test_simple_strategies():
     assert float(np.sum(np.abs(a))) == 1.0
 
 
-@pytest.mark.parametrize("d", [2, 8, 1024])
+@pytest.mark.parametrize("d", [2, 3, 8, 1024])
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
 def test_random_trader_keeps_the_choice_stream(d, seed):
     # RandomTrader must draw its sign as rng.choice([-1.0, 1.0]) does, or
@@ -204,6 +204,18 @@ def test_random_trader_keeps_the_choice_stream(d, seed):
         assert block.shape == (n, d) and (block == stream[start : start + n]).all()
         start += n
     assert runs.rng.bit_generator.state == state
+    # a run's shortfall, here of several chunks, is drawn in one call of whole
+    # chunks: after each run the generator is where a twin that drew the
+    # same chunks one at a time left its own
+    chunks = RandomTrader(np.random.default_rng(seed))
+    twin, drawn, start = np.random.default_rng(seed), 0, 0
+    for n in (1, 1023, 976):
+        assert (chunks.decide_run(ctx, n) == stream[start : start + n]).all()
+        start += n
+        while drawn < start:
+            twin.integers(np.tile([2, d], RANDOM_CHUNK))
+            drawn += RANDOM_CHUNK
+        assert chunks.rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
