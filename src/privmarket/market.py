@@ -348,15 +348,22 @@ class MarketSession:
         the block's prices are contiguous in, and p_hat is a contiguous copy
         of the last.  Each cash total adds its amounts one at a time in
         arrival order (np.add.accumulate), so a block books bit for bit what
-        its bundles book one at a time.  A tall block of l1 share and price gaps
-        and held-noise drift (cost.is_tall) is summed by cost.row_sums, by
-        columns where d < 8, and its largest share and price gaps come from
-        one np.maximum.reduce; a short one is reduced row-wise and its
-        maxima taken by Python's max over floats.  Checks, on the state the
-        block leaves, after the counter is advanced and before anything else
-        is booked: held == the counter bits, and published - true == the
-        held noise sum (l1 drift at most HELD_TOL).  A bad bundle, or a block
-        that would pass T, raises before anything is booked.
+        its bundles book one at a time.  One bundle (k == 1, a state reader's
+        trade) skips the plan: the same tz(t) + 5 states are filled directly
+        and run through one running sum and one kernel pass, and each total
+        adds its amounts as Python floats: the same IEEE operations in the
+        same order, but for the 0.0 the plan's padding adds, which changes
+        no total (totals start at +0.0, and a sum is -0.0 only when both
+        terms are), so both paths book the same bits.  A tall block of l1
+        share and price gaps and held-noise drift (cost.is_tall) is summed by
+        cost.row_sums, by columns where d < 8, and its largest share and
+        price gaps come from one np.maximum.reduce; a short one is reduced
+        row-wise and its maxima taken by Python's max over floats.  Checks,
+        on the state the block leaves, after the counter is advanced and
+        before anything else is booked: held == the counter bits, and
+        published - true == the held noise sum (l1 drift at most HELD_TOL).
+        A bad bundle, or a block that would pass T, raises before anything
+        is booked.
         """
         if self.closed:
             raise MarketClosedError("session is closed")
@@ -369,38 +376,58 @@ class MarketSession:
             )
 
         ledger = self.noise
-        m = k.bit_length()
-        top = (t0 + k) >> m << m  # the one time in the block that 2^m divides, if any
-        neg, sold, chain, buys, cash, levels, flips = _block_plan(
-            k, t0 & ((1 << m) - 1), (top & -top).bit_length() - 1 if top > t0 else -1)
         z, z_norms = ledger.take(self.rng, k)
-        source = np.concatenate((
-            self.q_hat, self.q_true, block.ravel(), z.ravel(),
-            np.zeros(d), z.ravel(), ledger.levels[:sold].ravel(),
-        )).reshape(-1, d)
-        tail = source[neg:]
-        np.negative(tail, out=tail)
-        # the chain from q_hat, then q_true and the true state after each arrival
-        n = len(chain)
-        states = np.empty((n + k + 1, d))
-        source.take(chain, axis=0, out=states[:n])
-        np.add.accumulate(states[:n], axis=0, out=states[:n])
-        np.add.accumulate(source[1 : 2 + k], axis=0, out=states[n:])
-        costs, prices = self.cost.cost_and_prices(states)
-        after = states.take(buys, axis=0)
-        # a tall block's prices at d < cost.PAIRWISE_FROM are column-major
-        # (cost._shifted_exp)
-        p_hat = (prices.take(buys, axis=0) if prices.flags.c_contiguous
-                 else prices.T.take(buys, axis=1).T)
+        if k == 1:  # the plan's rows of one arrival, filled in place
+            tz = ((t0 + 1) & -(t0 + 1)).bit_length() - 1
+            n = tz + 3
+            states = np.empty((n + 2, d))
+            states[0], states[1], states[n - 1], states[n] = self.q_hat, block, z, self.q_true
+            np.negative(ledger.levels[:tz], out=states[2 : n - 1])
+            np.add.accumulate(states[:n], axis=0, out=states[:n])
+            np.add(self.q_true, block[0], out=states[-1])
+            costs, prices = self.cost.cost_and_prices(states)
+            after, p_hat = states[n - 1 : n], prices[n - 1 : n]
+            c = costs.tolist()
+            sell = self.noise_sell_total
+            for i in range(1, n - 2):  # each sale's revenue, most recent bundle first
+                sell += c[i] - c[i + 1]
+            totals = (self.trade_payments + (c[1] - self.c_hat), sell,
+                      self.noise_buy_total + (c[n - 1] - c[n - 2]),
+                      self.fee_total + self.params.fee, self.bundle_l2_total + z_norms.item())
+            low = np.zeros((tz + 1, d))
+            low[tz] = z[0]
+            ledger.advance(1, low, (2 << tz) - 1)
+        else:
+            m = k.bit_length()
+            top = (t0 + k) >> m << m  # the one time in the block that 2^m divides, if any
+            neg, sold, chain, buys, cash, levels, flips = _block_plan(
+                k, t0 & ((1 << m) - 1), (top & -top).bit_length() - 1 if top > t0 else -1)
+            source = np.concatenate((
+                self.q_hat, self.q_true, block.ravel(), z.ravel(),
+                np.zeros(d), z.ravel(), ledger.levels[:sold].ravel(),
+            )).reshape(-1, d)
+            tail = source[neg:]
+            np.negative(tail, out=tail)
+            # the chain from q_hat, then q_true and the true state after each arrival
+            n = len(chain)
+            states = np.empty((n + k + 1, d))
+            source.take(chain, axis=0, out=states[:n])
+            np.add.accumulate(states[:n], axis=0, out=states[:n])
+            np.add.accumulate(source[1 : 2 + k], axis=0, out=states[n:])
+            costs, prices = self.cost.cost_and_prices(states)
+            after = states.take(buys, axis=0)
+            # a tall block's prices at d < cost.PAIRWISE_FROM are column-major
+            # (cost._shifted_exp)
+            p_hat = (prices.take(buys, axis=0) if prices.flags.c_contiguous
+                     else prices.T.take(buys, axis=1).T)
 
-        # each total's amounts, after the total itself, as differences of
-        # costs, bundle l2 norms and the head's entries
-        head = (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
-                self.fee_total, self.bundle_l2_total, self.c_hat, self.params.fee, 0.0)
-        terms = np.concatenate((costs, z_norms, head)).take(cash)
-        totals = np.add.accumulate(np.subtract(terms[0], terms[1]), axis=1)[:, -1].tolist()
-
-        ledger.advance(k, source.take(levels, axis=0), flips)
+            # each total's amounts, after the total itself, as differences of
+            # costs, bundle l2 norms and the head's entries
+            head = (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
+                    self.fee_total, self.bundle_l2_total, self.c_hat, self.params.fee, 0.0)
+            terms = np.concatenate((costs, z_norms, head)).take(cash)
+            totals = np.add.accumulate(np.subtract(terms[0], terms[1]), axis=1)[:, -1].tolist()
+            ledger.advance(k, source.take(levels, axis=0), flips)
         ledger.verify_held()
         # l1 norms, each as a lone state's: each arrival's share and price
         # gaps, then the drift of published - true after the block from the held noise
@@ -423,7 +450,7 @@ class MarketSession:
         self.q_true = states[-1].copy()  # not a view that keeps states alive
         self.q_hat = _published(after[-1])
         self.p_hat = _published(p_hat[-1].copy())  # contiguous, and keeps no block alive
-        self.c_hat = float(costs[buys[-1]])
+        self.c_hat = float(costs[n - 1])  # the chain ends with the last buy
         self.arrivals += k
         self.max_share_gap = max(self.max_share_gap, share_gap)
         self.max_price_gap = max(self.max_price_gap, price_gap)

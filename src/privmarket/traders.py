@@ -399,10 +399,11 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     its bundles join the pending block through one slice (Stream.runs).
     The block is booked with one MarketSession.step when it holds BLOCK_CAP
     arrivals or BLOCK_FLOATS bundle entries, before a state reader is asked,
-    and at the end; a reader's answer is booked alone, as a list of one
-    bundle.  A bundle check_bundle rejects, or a blind answer without one
-    entry per slot, raises StrategyBugError naming its strategy's kind; a
-    negative slot is an InvalidParameterError.
+    and at the end; a reader's answer is booked alone: an ndarray (d,) as
+    it is, anything else as a list of one bundle.  A bundle check_bundle
+    rejects, or a blind answer without one entry per slot, raises
+    StrategyBugError naming its strategy's kind; a negative slot is an
+    InvalidParameterError.
     """
     if slot < 0:
         raise InvalidParameterError(f"slot must be >= 0, got {slot}")
@@ -419,8 +420,9 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
             k = 0
             ctx = _context(session, 0, ctx)
             dq = step_strategy(strat, ctx)
-            if dq is not None:
-                _book(session, stream, [dq], [slot])
+            if dq is not None:  # an ndarray (d,) is one bundle as it is
+                one = isinstance(dq, np.ndarray) and dq.shape == (d,)
+                _book(session, stream, dq if one else [dq], [slot])
             slot += 1
             continue
         stop = min(stream.length, slot + min(T - session.arrivals, cap) - k)

@@ -100,11 +100,9 @@ def test_every_partition_books_the_same_session(d, noise_off):
     assert all(entry == closed[0] for entry in closed)
 
 
-def test_blocks_of_up_to_block_cap_arrivals_book_the_counter_to_2_to_the_14():
-    # the production counter path (block plans and NoiseLedger.advance) at
-    # every level up to 14; a close at T - 1 sells back fourteen bundles,
-    # one at T sells one
-    T = 2**14
+def _sweep_the_counter(T: int, most: int) -> None:
+    """Step blocks of 1 .. most random bundles at d = 2 up to a close at
+    T - 1 and one at T, each compared with ReferenceSession after every step."""
     params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
     rng = np.random.default_rng(14)
     bundles = _bundles(rng, 2, T)
@@ -113,7 +111,7 @@ def test_blocks_of_up_to_block_cap_arrivals_book_the_counter_to_2_to_the_14():
     start = 0
     for end in (T - 1, T):
         while start < end:
-            k = int(min(end - start, rng.integers(1, BLOCK_CAP + 1)))
+            k = int(min(end - start, rng.integers(1, most + 1)))
             session.step(bundles[start : start + k])
             for dq in bundles[start : start + k]:
                 reference.step(dq)
@@ -124,6 +122,19 @@ def test_blocks_of_up_to_block_cap_arrivals_book_the_counter_to_2_to_the_14():
         assert twin.close(0) == twin_reference.close(0)
         assert np.array_equal(twin.q_hat, twin_reference.q_hat)
         assert twin.c_hat == twin_reference.c_hat
+
+
+def test_blocks_of_up_to_block_cap_arrivals_book_the_counter_to_2_to_the_14():
+    # the production counter path (block plans and NoiseLedger.advance) at
+    # every level up to 14; a close at T - 1 sells back fourteen bundles,
+    # one at T sells one
+    _sweep_the_counter(2**14, BLOCK_CAP)
+
+
+def test_one_bundle_steps_book_the_counter_to_2_to_the_12():
+    # every arrival a one-bundle step, which step books without a block
+    # plan, at every level up to 12; closes at T - 1 and T
+    _sweep_the_counter(2**12, 1)
 
 
 def _bad_blocks(d: int):
@@ -191,6 +202,30 @@ def test_a_blind_list_of_scalars_is_not_a_bundle(d):
     bad = _Returns("scalars", 0.5 / d)
     with pytest.raises(StrategyBugError, match="^scalars returned a bad bundle"):
         drive_session(session, Stream((bad,), d))
+    assert session.arrivals == 0 and session.noise.t == 0
+
+
+class _ReadsState(_Returns):
+    """Returns a fixed bundle, as a strategy that reads the published state."""
+
+    reads_state = True
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_state_readers_ndarray_bundle_is_stepped_as_it_is(d):
+    # an ndarray (d,) reaches step unwrapped, any other answer as a list of
+    # one bundle, so a (1, d) array is still refused
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=20)
+    bundle = np.full(d, 0.5 / d)
+    for answer in (bundle, bundle.tolist()):
+        session = open_market(params, rng=0)
+        seen, step = [], session.step
+        session.step = lambda dq: (seen.append(dq), step(dq))
+        drive_session(session, Stream((_ReadsState("reader", answer),), 3))
+        assert session.arrivals == 3 and [dq is answer for dq in seen] == [answer is bundle] * 3
+    session = open_market(params, rng=0)
+    with pytest.raises(StrategyBugError, match="^reader returned a bad bundle"):
+        drive_session(session, Stream((_ReadsState("reader", bundle[None]),), 3))
     assert session.arrivals == 0 and session.noise.t == 0
 
 

@@ -365,7 +365,8 @@ def test_close_detects_sell_back_disagreeing_with_batch_total():
     assert session.close(0) == _noisy_session(3).close(0)
 
 
-@pytest.mark.parametrize("steps, k", [(3, 5), (0, 16)])  # mid-session; one block to T = 16
+# mid-session; one block to T = 16; one bundle (no block plan) at t = 4 and t = 8
+@pytest.mark.parametrize("steps, k", [(3, 5), (0, 16), (3, 1), (7, 1)])
 def test_step_detects_the_levels_it_books_out_of_sync_with_published_state(steps, k):
     session = _noisy_session(steps)
     advance = session.noise.advance
@@ -409,3 +410,8 @@ def test_open_and_close_each_make_one_kernel_pass(monkeypatch):
     shapes.clear()
     session.close(0)
     assert shapes == [(6, 2)]  # three sales, the batch state, q_true and q_init
+    session = _noisy_session(7)
+    shapes.clear()
+    session.step(np.array([0.5, -0.25]))  # t = 8 sells three bundles
+    # q_hat, the trade, three sales, the buy, q_true and the true state after
+    assert shapes == [(8, 2)]
