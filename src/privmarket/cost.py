@@ -111,6 +111,12 @@ class ScaledCost:
         c = (m + np.log(total))[..., 0] / self.lam
         return (float(c) if q.ndim == 1 else c), e, total
 
+    def _block_cost_and_prices(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """cost_and_prices of a float block (n, d) its caller built, so its shape
+        goes unchecked; a non-finite state still raises (_shifted_exp)."""
+        m, e, total = _shifted_exp(self.lam * q)
+        return (m + np.log(total))[:, 0] / self.lam, e / total
+
     def cost(self, q: np.ndarray) -> float | np.ndarray:
         """C(q) = (1/lam) * ln sum_j exp(lam * q_j).
 

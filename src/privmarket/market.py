@@ -180,12 +180,20 @@ def check_bundle(dq, d: int) -> np.ndarray:
     if block is None or block.ndim != 2 or block.shape[1] != d or len(block) == 0:
         row = _first_misshapen(dq, d)
         raise TradeRejectedError(f"bundle {row} must have shape ({d},)", row)
-    sizes = np.abs(block).dot(np.ones(d))
+    sizes = np.abs(block).dot(_ones(d))
     fits = sizes <= 1.0 + TRADE_SIZE_TOL  # also catches nan and inf
     row = int(fits.argmin())
     if not fits[row]:
         raise TradeRejectedError(f"bundle {row} l1 norm {sizes[row]:.6f} exceeds 1", row)
     return block
+
+
+@functools.lru_cache(maxsize=8)
+def _ones(d: int) -> np.ndarray:
+    """Read-only ones (d,): check_bundle's l1 sizes are |block|.dot(_ones(d))."""
+    ones = np.ones(d)
+    ones.flags.writeable = False
+    return ones
 
 
 def _first_misshapen(dq, d: int) -> int:
@@ -332,7 +340,7 @@ class MarketSession:
         """Mean l2 norm of the noise bundles bought so far (one per arrival)."""
         return self.bundle_l2_total / self.arrivals if self.arrivals else 0.0
 
-    def step(self, dq) -> None:
+    def step(self, dq, probe: np.ndarray | None = None) -> np.ndarray | None:
         """Book the k bundles of check_bundle(dq, d), one arrival each, in order.
 
         Each arrival pays the fee and its trade's cost at the published
@@ -362,8 +370,16 @@ class MarketSession:
         on the state the block leaves, after the counter is advanced and
         before anything else is booked: held == the counter bits, and
         published - true == the held noise sum (l1 drift at most HELD_TOL).
-        A bad bundle, or a block that would pass T, raises before anything
-        is booked.
+        A bad bundle, a misshapen probe, or a block that would pass T,
+        raises before anything is booked.
+
+        probe, a block (m, d) of trades, adds the states q_hat + probe (q_hat
+        after the block) below the booked ones in the same kernel pass
+        (ScaledCost._block_cost_and_prices: no shape re-check of states built
+        here; a non-finite one still raises), and their costs are returned,
+        read-only (else None).  A row's cost does not depend on its block,
+        tall or not (the partition tests), so a probe changes no booked bit
+        and its costs are cost.cost(q_hat + probe)'s after the step.
         """
         if self.closed:
             raise MarketClosedError("session is closed")
@@ -374,18 +390,23 @@ class MarketSession:
             raise MarketClosedError(
                 f"session has {t0} of {self.params.T} arrivals; {k} more do not fit"
             )
+        if probe is not None and np.shape(probe)[1:] != (d,):
+            raise InvalidParameterError(f"probe must have shape (m, {d})")
+        extra = 0 if probe is None else len(probe)  # probe rows, after the r booked
 
         ledger = self.noise
         z, z_norms = ledger.take(self.rng, k)
         if k == 1:  # the plan's rows of one arrival, filled in place
             tz = ((t0 + 1) & -(t0 + 1)).bit_length() - 1
-            n = tz + 3
-            states = np.empty((n + 2, d))
+            n, r = tz + 3, tz + 5  # chain states; states booked
+            states = np.empty((r + extra, d))
             states[0], states[1], states[n - 1], states[n] = self.q_hat, block, z, self.q_true
             np.negative(ledger.levels[:tz], out=states[2 : n - 1])
             np.add.accumulate(states[:n], axis=0, out=states[:n])
-            np.add(self.q_true, block[0], out=states[-1])
-            costs, prices = self.cost.cost_and_prices(states)
+            np.add(self.q_true, block[0], out=states[n + 1])
+            if probe is not None:
+                np.add(states[n - 1], probe, out=states[r:])
+            costs, prices = self.cost._block_cost_and_prices(states)
             after, p_hat = states[n - 1 : n], prices[n - 1 : n]
             c = costs.tolist()
             sell = self.noise_sell_total
@@ -410,11 +431,14 @@ class MarketSession:
             np.negative(tail, out=tail)
             # the chain from q_hat, then q_true and the true state after each arrival
             n = len(chain)
-            states = np.empty((n + k + 1, d))
+            r = n + k + 1
+            states = np.empty((r + extra, d))
             source.take(chain, axis=0, out=states[:n])
             np.add.accumulate(states[:n], axis=0, out=states[:n])
-            np.add.accumulate(source[1 : 2 + k], axis=0, out=states[n:])
-            costs, prices = self.cost.cost_and_prices(states)
+            np.add.accumulate(source[1 : 2 + k], axis=0, out=states[n:r])
+            if probe is not None:
+                np.add(states[n - 1], probe, out=states[r:])
+            costs, prices = self.cost._block_cost_and_prices(states)
             after = states.take(buys, axis=0)
             # a tall block's prices at d < cost.PAIRWISE_FROM are column-major
             # (cost._shifted_exp)
@@ -425,15 +449,15 @@ class MarketSession:
             # costs, bundle l2 norms and the head's entries
             head = (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
                     self.fee_total, self.bundle_l2_total, self.c_hat, self.params.fee, 0.0)
-            terms = np.concatenate((costs, z_norms, head)).take(cash)
+            terms = np.concatenate((costs[:r], z_norms, head)).take(cash)
             totals = np.add.accumulate(np.subtract(terms[0], terms[1]), axis=1)[:, -1].tolist()
             ledger.advance(k, source.take(levels, axis=0), flips)
         ledger.verify_held()
         # l1 norms, each as a lone state's: each arrival's share and price
         # gaps, then the drift of published - true after the block from the held noise
         gaps = np.empty((2 * k + 1, d))
-        np.subtract(after, states[n + 1 :], out=gaps[:k])
-        np.subtract(prices[-k:], p_hat, out=gaps[k:-1])
+        np.subtract(after, states[n + 1 : r], out=gaps[:k])
+        np.subtract(prices[r - k : r], p_hat, out=gaps[k:-1])
         np.subtract(gaps[k - 1], ledger.held_sum(), out=gaps[-1])
         np.abs(gaps, out=gaps)
         if is_tall(gaps):
@@ -447,13 +471,14 @@ class MarketSession:
             raise InvalidStateError("published state lost sync with held noise")
         (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
          self.fee_total, self.bundle_l2_total) = totals
-        self.q_true = states[-1].copy()  # not a view that keeps states alive
+        self.q_true = states[r - 1].copy()  # not a view that keeps states alive
         self.q_hat = _published(after[-1])
         self.p_hat = _published(p_hat[-1].copy())  # contiguous, and keeps no block alive
         self.c_hat = float(costs[n - 1])  # the chain ends with the last buy
         self.arrivals += k
         self.max_share_gap = max(self.max_share_gap, share_gap)
         self.max_price_gap = max(self.max_price_gap, price_gap)
+        return None if probe is None else _published(costs[r:])
 
     def close(self, outcome: int) -> Ledger:
         """Sell back remaining noise, pay every arrival, and return the ledger.

@@ -48,6 +48,11 @@ class StrategyContext:
 
     t is the 1-based index this arrival would get; q_hat and p_hat are the
     share state and prices published after step t-1 (read-only arrays).
+    unit_costs, when set, are unit_trade_costs as the step that published
+    q_hat priced them, in its own kernel pass (MarketSession.step's probe,
+    which drive_session asks for when a state reader is next): the same
+    bits as pricing them here, since a state's cost does not depend on the
+    block it is priced in.
     """
 
     t: int
@@ -55,13 +60,16 @@ class StrategyContext:
     p_hat: np.ndarray
     fee: float
     cost: ScaledCost
+    unit_costs: np.ndarray | None = field(default=None, repr=False)
 
     @functools.cached_property
     def unit_trade_costs(self) -> np.ndarray:
         """C(q_hat + each row of _unit_trades(d)), row 0 being C(q_hat); read-only.
 
-        Priced once per context: drive_session hands every state reader the
-        same context until something is booked."""
+        unit_costs if set, else priced once per context: drive_session
+        hands every state reader the same context until something is booked."""
+        if self.unit_costs is not None:
+            return self.unit_costs
         costs = self.cost.cost(self.q_hat + _unit_trades(self.cost.d))
         costs.flags.writeable = False
         return costs
@@ -400,7 +408,10 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     The block is booked with one MarketSession.step when it holds BLOCK_CAP
     arrivals or BLOCK_FLOATS bundle entries, before a state reader is asked,
     and at the end; a reader's answer is booked alone: an ndarray (d,) as
-    it is, anything else as a list of one bundle.  A bundle check_bundle
+    it is, anything else as a list of one bundle.  A step after which the
+    next slot is a state reader's also prices its unit trades (step's
+    probe), and the reader's context carries them (unit_costs), so a reader
+    arrival makes one kernel pass, not two.  A bundle check_bundle
     rejects, or a blind answer without one entry per slot, raises
     StrategyBugError naming its strategy's kind; a negative slot is an
     InvalidParameterError.
@@ -411,36 +422,38 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     cap = max(1, min(BLOCK_CAP, BLOCK_FLOATS // d))
     pending, k = np.empty((cap, d)), 0  # rows [0, k) wait to be booked
     slots = np.empty(cap, dtype=np.intp)  # the stream slot of each pending row
-    ctx = None
+    ctx = costs = None  # costs: the last step's probe costs, if it had one
     while slot < stream.length and session.arrivals + k < T:
         strat = stream.owner(slot)
         if strat.reads_state:  # asked alone, once every earlier arrival is booked
             if k:
-                _book(session, stream, pending[:k], slots)
+                costs = _book(session, stream, pending[:k], slots, slot)
             k = 0
-            ctx = _context(session, 0, ctx)
+            ctx = _context(session, 0, ctx, costs)
             dq = step_strategy(strat, ctx)
             if dq is not None:  # an ndarray (d,) is one bundle as it is
                 one = isinstance(dq, np.ndarray) and dq.shape == (d,)
-                _book(session, stream, dq if one else [dq], [slot])
+                costs = _book(session, stream, dq if one else [dq], [slot], slot + 1)
             slot += 1
             continue
         stop = min(stream.length, slot + min(T - session.arrivals, cap) - k)
         reader = stream.next_reader(slot, stop)  # the blind run is [slot, reader)
-        ctx = _context(session, k, ctx)
+        ctx = _context(session, k, ctx, costs)
         k = _ask_run(stream, slot, reader, ctx, pending, slots, k)
         slot = reader
         if k == cap:
-            _book(session, stream, pending, slots)
+            costs = _book(session, stream, pending, slots, slot)
             k = 0
     if k:
-        _book(session, stream, pending[:k], slots)
+        _book(session, stream, pending[:k], slots, stream.length)  # no slot is asked next
     return slot
 
 
-def _context(session, ahead: int, last: StrategyContext | None) -> StrategyContext:
-    """The context of the arrival after the session's and ahead pending ones;
-    last when it is that context (nothing was booked since)."""
+def _context(session, ahead: int, last: StrategyContext | None,
+             costs: np.ndarray | None) -> StrategyContext:
+    """The context of the arrival after the session's and ahead pending ones,
+    carrying costs, the unit-trade costs of the session's q_hat if its last
+    step priced them; last when it is that context (nothing was booked since)."""
     if last is not None and last.q_hat is session.q_hat and last.t == session.arrivals + ahead + 1:
         return last
     return StrategyContext(
@@ -449,6 +462,7 @@ def _context(session, ahead: int, last: StrategyContext | None) -> StrategyConte
         p_hat=session.p_hat,
         fee=session.params.fee,
         cost=session.cost,
+        unit_costs=costs,
     )
 
 
@@ -487,10 +501,13 @@ def _ask_run(stream: Stream, start: int, stop: int, ctx: StrategyContext,
     return k + traded_n
 
 
-def _book(session, stream: Stream, block, slots) -> None:
-    """Step block, row i being the bundle of stream slot slots[i]."""
+def _book(session, stream: Stream, block, slots, next_slot: int) -> np.ndarray | None:
+    """Step block, row i being the bundle of stream slot slots[i]; when
+    next_slot is a state reader's, the step also prices its unit trades, and
+    their costs are returned (else None)."""
+    reads = next_slot < stream.length and stream.owner(next_slot).reads_state
     try:
-        session.step(block)
+        return session.step(block, probe=_unit_trades(session.params.d) if reads else None)
     except TradeRejectedError as exc:
         kind = stream.owner(int(slots[exc.row])).kind
         raise StrategyBugError(f"{kind} returned a bad bundle: {exc}") from exc

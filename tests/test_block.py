@@ -15,6 +15,7 @@ from privmarket import (
     Abstainer,
     ArbitrageHunter,
     Herd,
+    InvalidParameterError,
     MarketClosedError,
     MarketParams,
     RandomTrader,
@@ -28,7 +29,7 @@ from privmarket import (
 )
 
 from privmarket.market import MarketSession
-from privmarket.traders import BLOCK_CAP, BLOCK_FLOATS
+from privmarket.traders import BLOCK_CAP, BLOCK_FLOATS, _unit_trades
 
 from oracles import SESSION_FIELDS, ReferenceSession, assert_same_session
 
@@ -68,7 +69,9 @@ def _state(session) -> tuple:
 @pytest.mark.parametrize("noise_off", [False, True])
 def test_every_partition_books_the_same_session(d, noise_off):
     # blocks cross 64 and 128; those of 62 and more are tall at d = 7, and
-    # the long blocks are tall at d = 8 too, where prices stay row-major
+    # the long blocks are tall at d = 8 too, where prices stay row-major.
+    # Most steps also price q_hat + the unit trades after them (a probe) in
+    # their kernel pass: that books nothing else, and gives a lone pass's bits
     T = 150
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T, noise_off=noise_off)
     rng = np.random.default_rng(100 * d + noise_off)
@@ -83,11 +86,17 @@ def test_every_partition_books_the_same_session(d, noise_off):
         start = 0
         for k in sizes:
             block = bundles[start : start + k]
-            session.step(block[0] if k == 1 and start % 2 else block)  # (d,) or (1, d)
+            probe = None if start % 3 == 1 else _unit_trades(d)
+            costs = session.step(block[0] if k == 1 and start % 2 else block, probe)  # (d,) or (1, d)
             for dq in block:
                 reference.step(dq)
             start += k
             assert_same_session(session, reference)
+            if probe is None:
+                assert costs is None
+            else:
+                assert not costs.flags.writeable
+                assert costs.tobytes() == session.cost.cost(session.q_hat + probe).tobytes()
             # the published prices own a contiguous row, whichever axis the
             # block's prices were gathered along
             p_hat = session.p_hat
@@ -157,11 +166,15 @@ def test_a_rejected_block_books_nothing(d):
     session.step(np.tile(np.eye(d)[0], (5, 1)))
     before = _state(session)
     rng_state = session.rng.bit_generator.state
-    for name, block in _bad_blocks(d).items():
+    for (name, block), probe in itertools.product(_bad_blocks(d).items(), (None, _unit_trades(d))):
         with pytest.raises(TradeRejectedError) as info:
-            session.step(block)
+            session.step(block, probe)
         assert info.value.row == (1 if name != "nan" else 2), name
         assert _state(session) == before and session.rng.bit_generator.state == rng_state
+    # a misshapen probe
+    with pytest.raises(InvalidParameterError, match="probe"):
+        session.step(np.eye(d)[0], np.zeros((3, d + 1)))
+    assert _state(session) == before and session.rng.bit_generator.state == rng_state
     # a block that would pass T: 5 booked, 6 more do not fit
     with pytest.raises(MarketClosedError, match="6 more do not fit"):
         session.step(np.tile(np.eye(d)[0], (6, 1)))
@@ -220,7 +233,7 @@ def test_a_state_readers_ndarray_bundle_is_stepped_as_it_is(d):
     for answer in (bundle, bundle.tolist()):
         session = open_market(params, rng=0)
         seen, step = [], session.step
-        session.step = lambda dq: (seen.append(dq), step(dq))
+        session.step = lambda dq, probe=None: (seen.append(dq), step(dq, probe))[1]
         drive_session(session, Stream((_ReadsState("reader", answer),), 3))
         assert session.arrivals == 3 and [dq is answer for dq in seen] == [answer is bundle] * 3
     session = open_market(params, rng=0)
@@ -276,9 +289,9 @@ class _BlockLog(MarketSession):
         super().__init__(params, np.random.default_rng(0))
         self.blocks = []
 
-    def step(self, dq):
+    def step(self, dq, probe=None):
         self.blocks.append(len(np.atleast_2d(dq)))
-        super().step(dq)
+        return super().step(dq, probe)
 
 
 @pytest.mark.parametrize("d", [2, 1024])

@@ -53,6 +53,9 @@ def test_block_cost_and_prices_equal_per_row_references(d):
             costs = cost.cost(block)
             prices = cost.prices(block)
             assert costs.shape == (len(block),) and prices.shape == block.shape
+            # the session's unchecked entry (MarketSession.step) gives the same bits
+            ours = cost._block_cost_and_prices(block)
+            assert ours[0].tobytes() == costs.tobytes() and ours[1].tobytes() == prices.tobytes()
             for row, c, p in zip(block, costs, prices):
                 assert c == reference_cost(cost, row)
                 assert np.array_equal(p, reference_prices(cost, row))
@@ -63,7 +66,8 @@ def test_block_cost_and_prices_equal_per_row_references(d):
 
 def test_non_finite_states_raise():
     # d = 3 in a short block, a lone state and two tall blocks; d = 2 and 7,
-    # on the column path, in tall blocks
+    # on the column path, in tall blocks; blocks through the session's
+    # unchecked entry too, which skips only the shape check
     for d in (2, 3, 7):
         cost = ScaledCost(d=d, lam=0.5)
         bad_rows = [[0.0, v] + [1.0] * (d - 2) for v in (np.inf, np.nan)] + [[-np.inf] * d]
@@ -80,6 +84,9 @@ def test_non_finite_states_raise():
                     cost.cost(q)
                 with pytest.raises(InvalidParameterError, match="non-finite"):
                     cost.prices(q)
+                if q.ndim == 2:
+                    with pytest.raises(InvalidParameterError, match="non-finite"):
+                        cost._block_cost_and_prices(q)
 
 
 @pytest.mark.parametrize("d", range(1, 10))

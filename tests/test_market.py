@@ -20,6 +20,7 @@ from privmarket import (
 )
 
 from privmarket import cost as cost_module
+from privmarket.traders import _unit_trades
 
 from oracles import ReferenceSession, low_bit
 
@@ -415,3 +416,10 @@ def test_open_and_close_each_make_one_kernel_pass(monkeypatch):
     session.step(np.array([0.5, -0.25]))  # t = 8 sells three bundles
     # q_hat, the trade, three sales, the buy, q_true and the true state after
     assert shapes == [(8, 2)]
+    # probed, the same step prices q_hat + the 2d + 1 unit trades below them
+    session = _noisy_session(7)
+    shapes.clear()
+    probe = _unit_trades(2)
+    costs = session.step(np.array([0.5, -0.25]), probe)
+    assert shapes == [(8 + 5, 2)]
+    assert costs.tobytes() == session.cost.cost(session.q_hat + probe).tobytes()

@@ -9,6 +9,7 @@ import pytest
 from privmarket import (
     Abstainer,
     ArbitrageHunter,
+    BeliefTrader,
     Herd,
     InvalidParameterError,
     MarketParams,
@@ -29,7 +30,9 @@ from privmarket import (
     strategy_args,
 )
 
-from privmarket.traders import RANDOM_CHUNK
+from privmarket import cost as cost_module
+from privmarket.cost import TALL_ROWS
+from privmarket.traders import RANDOM_CHUNK, _unit_trades
 
 from oracles import reference_cost
 
@@ -42,9 +45,11 @@ def _ctx(q_hat, lam=0.01, fee=0.0, t=1):
 
 def test_context_exposes_only_published_data():
     # the context field set is the information boundary; widening it is an
-    # API change that needs a deliberate decision, not an accident
+    # API change that needs a deliberate decision, not an accident.
+    # unit_costs holds the public cost function's values at q_hat plus the
+    # unit trades, so it adds nothing a strategy could not price itself
     names = {f.name for f in dataclasses.fields(StrategyContext)}
-    assert names == {"t", "q_hat", "p_hat", "fee", "cost"}
+    assert names == {"t", "q_hat", "p_hat", "fee", "cost", "unit_costs"}
 
 
 def _expected_profit(ctx, belief, dq):
@@ -369,3 +374,87 @@ def test_drive_session_context_tracks_published_state():
     rec = Recorder()
     drive_session(session, Stream((rec,), 3))
     assert rec.seen == [(1, 0.0), (2, 1.0), (3, 2.0)]
+
+
+def _recorded(cls, seen: list):
+    """cls, with each context appended to seen before it decides."""
+
+    class Recorded(cls):
+        def decide(self, ctx):
+            seen.append(ctx)
+            return super().decide(ctx)
+
+    return Recorded
+
+
+def _lean(d: int) -> np.ndarray:
+    """A belief of 0.72 on coordinate 0 (1 at d = 1), the rest spread evenly."""
+    belief = np.full(d, 0.28 / max(d - 1, 1))
+    belief[0] = 0.72 if d > 1 else 1.0
+    return belief
+
+
+def _reader_stream(d: int, seen: list, length: int) -> Stream:
+    """belief, near-uniform belief, arbitrage_hunter, random; the state
+    readers record their contexts in seen."""
+    near = np.full(d, 1.0 / d)
+    if d > 1:
+        near[0], near[-1] = near[0] + 0.005, near[-1] - 0.005
+    return Stream((_recorded(BeliefTrader, seen)(_lean(d)), _recorded(BeliefTrader, seen)(near),
+                   _recorded(ArbitrageHunter, seen)(_lean(d)[::-1].copy()),
+                   RandomTrader(np.random.default_rng(d))), length)
+
+
+def _assert_fresh_unit_costs(seen: list) -> None:
+    """Each context's unit_trade_costs are, byte for byte, a fresh pass's."""
+    for ctx in seen:
+        costs = ctx.unit_trade_costs
+        fresh = ctx.cost.cost(ctx.q_hat + _unit_trades(ctx.cost.d))
+        assert not costs.flags.writeable and costs.tobytes() == fresh.tobytes(), ctx.t
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_a_readers_carried_unit_costs_are_a_fresh_pass(d):
+    # the step before a state reader prices its unit trades (step's probe):
+    # after a blind run, after a reader's trade and after abstentions
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=64)
+    seen = []
+    session = open_market(params, rng=d)
+    drive_session(session, _reader_stream(d, seen, 600))
+    assert session.is_full and len({*map(id, seen)}) > 30
+    _assert_fresh_unit_costs(seen)
+    # only the first context, the session's opening state, priced them itself
+    assert [ctx.unit_costs is None for ctx in seen] == [ctx is seen[0] for ctx in seen]
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_unit_costs_carried_from_a_tall_block(d, monkeypatch):
+    # a blind turn of 32 d rows, then a reader's turn: the block probed for
+    # the first reader is tall (cost.is_tall), so its rows take the column path
+    shapes, seen = [], []
+    kernel = cost_module._shifted_exp
+    monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (shapes.append(x.shape), kernel(x))[1])
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=1024)
+    stream = Stream((RandomTrader(np.random.default_rng(d)), _recorded(BeliefTrader, seen)(_lean(d))),
+                    64 * d, order="sequential")
+    drive_session(open_market(params, rng=d), stream)
+    assert shapes[1][0] >= TALL_ROWS * d  # the open's pass, then the blind turn's
+    assert len(seen) == 32 * d and all(ctx.unit_costs is not None for ctx in seen)
+    _assert_fresh_unit_costs(seen)
+
+
+def test_one_kernel_pass_per_reader_arrival(monkeypatch):
+    passes = []
+    kernel = cost_module._shifted_exp
+    monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (passes.append(x.shape), kernel(x))[1])
+    params = MarketParams(d=8, epsilon=1.0, alpha=0.3, gamma=0.1, T=256)
+    session = open_market(params, rng=8)
+    steps, step = [], session.step
+    session.step = lambda dq, probe=None: (steps.append(dq), step(dq, probe))[1]
+    seen = []
+    drive_session(session, _reader_stream(8, seen, 400))
+    session.close(0)
+    assert session.arrivals == 256 and len(seen) > 200
+    # the open, every step, the first reader's unit trades and the close
+    assert len(passes) == 1 + len(steps) + 1 + 1
+    assert passes[:2] == [(8,), (17, 8)] and passes.count((17, 8)) == 1
