@@ -168,18 +168,34 @@ class Ledger:
 
 def check_bundle(dq, d: int) -> np.ndarray:
     """dq as a float block (k, d): k >= 1 bundles as rows, a list or tuple of them,
-    or one bundle as an ndarray (d,).  The one check of a bundle: finite, l1
-    norm at most 1.  A rejection's row is the index of the first bad bundle.
+    or one bundle as an ndarray (d,).  The one check of a bundle: entries ints
+    or floats (numpy kinds i, u, f), finite, l1 norm at most 1.  A rejection's
+    row is the index of the first bad bundle.  A float64 ndarray (d,), every
+    state reader's trade, is checked directly, with the block path's l1 size
+    of its (1, d) view, which is returned.
     """
     if isinstance(dq, np.ndarray) and dq.shape == (d,):
         dq = dq[None]  # a list of d scalars stays misshapen
+        if dq.dtype == np.float64:
+            size = np.abs(dq).dot(_ones(d)).item()
+            if not size <= 1.0 + TRADE_SIZE_TOL:  # also catches nan and inf
+                raise TradeRejectedError(f"bundle 0 l1 norm {size:.6f} exceeds 1", 0)
+            return dq
     try:
-        block = np.asarray(dq, dtype=float)
-    except (TypeError, ValueError):  # bundles of different shapes, or not numbers
+        block = np.asarray(dq)
+    except (TypeError, ValueError):  # bundles of different shapes
         block = None
     if block is None or block.ndim != 2 or block.shape[1] != d or len(block) == 0:
         row = _first_misshapen(dq, d)
         raise TradeRejectedError(f"bundle {row} must have shape ({d},)", row)
+    if block.dtype != np.float64 or not isinstance(dq, np.ndarray):
+        # each bundle of a list as numpy reads it alone: beside floats, bools would pass as floats
+        for row, bundle in enumerate(dq if isinstance(dq, (list, tuple)) else (block,)):
+            dtype = np.asarray(bundle).dtype
+            if dtype.kind not in "iuf":  # signed, unsigned, float
+                raise TradeRejectedError(
+                    f"bundle {row} entries must be ints or floats, not {dtype}", row)
+        block = block.astype(float, copy=False)
     sizes = np.abs(block).dot(_ones(d))
     fits = sizes <= 1.0 + TRADE_SIZE_TOL  # also catches nan and inf
     row = int(fits.argmin())

@@ -52,7 +52,8 @@ class StrategyContext:
     q_hat priced them, in its own kernel pass (MarketSession.step's probe,
     which drive_session asks for when a state reader is next): the same
     bits as pricing them here, since a state's cost does not depend on the
-    block it is priced in.
+    block it is priced in.  Without them, unit_trade_costs prices them once
+    per context, on first use, and keeps them off the fields.
     """
 
     t: int
@@ -62,16 +63,21 @@ class StrategyContext:
     cost: ScaledCost
     unit_costs: np.ndarray | None = field(default=None, repr=False)
 
-    @functools.cached_property
+    @property
     def unit_trade_costs(self) -> np.ndarray:
         """C(q_hat + each row of _unit_trades(d)), row 0 being C(q_hat); read-only.
 
-        unit_costs if set, else priced once per context: drive_session
-        hands every state reader the same context until something is booked."""
-        if self.unit_costs is not None:
-            return self.unit_costs
-        costs = self.cost.cost(self.q_hat + _unit_trades(self.cost.d))
-        costs.flags.writeable = False
+        unit_costs if set, else priced once per context (a plain property: a
+        cached_property takes a lock on each new context), and unit_costs
+        stays None; drive_session hands every state reader the same context
+        until something is booked."""
+        costs = self.unit_costs
+        if costs is None:
+            costs = self.__dict__.get("_priced")
+            if costs is None:
+                costs = self.cost.cost(self.q_hat + _unit_trades(self.cost.d))
+                costs.flags.writeable = False
+                self.__dict__["_priced"] = costs  # frozen: not through setattr
         return costs
 
 
@@ -96,25 +102,30 @@ def maximize_profit(
 ) -> tuple[np.ndarray, float]:
     """Best trade among signed unit coordinates plus a fractional refinement.
 
-    Prices the full trades +/- e_j for every coordinate in one block, picks
-    the most profitable (ties: lowest coordinate index, buy over sell), then
-    line searches the size along that direction.  Each profit is
-    <dq, belief> - (C(q_hat + dq) - C(q_hat)): the belief's expected payout
-    minus the trade's cost at the published state.
+    Reads the costs of the full trades +/- e_j from ctx.unit_trade_costs,
+    picks the most profitable (ties: lowest coordinate index, buy over
+    sell), then line searches the size along that direction.  Each profit
+    is <dq, belief> - (C(q_hat + dq) - C(q_hat)): the belief's expected
+    payout minus the trade's cost at the published state.  +/- e_j pays
+    exactly +/- b_j (a finite belief), so the profit is the Python float
+    +/-b_j - (c_i - c_hat), the array formula's bits (its matmul only adds
+    zeros) but for the sign of a zero payout, which compares equal.
     Returns (bundle, profit).
     """
     belief = np.asarray(belief, dtype=float)
     d = ctx.cost.d
     if belief.shape != (d,):
         raise InvalidParameterError(f"belief must have shape ({d},)")
-    trades = _unit_trades(d)
-    costs = ctx.unit_trade_costs
-    c_hat = float(costs[0])
-    profits = (trades[1:] @ belief - (costs[1:] - c_hat)).tolist()
+    costs = ctx.unit_trade_costs.tolist()
+    c_hat = costs[0]
     best, best_profit = 0, -math.inf
-    for i, profit in enumerate(profits):
+    for j, (b, c_buy, c_sell) in enumerate(zip(belief.tolist(), costs[1::2], costs[2::2])):
+        profit = b - (c_buy - c_hat)  # +e_j pays b_j
         if profit > best_profit + 1e-15:
-            best, best_profit = i, profit
+            best, best_profit = 2 * j, profit
+        profit = -b - (c_sell - c_hat)  # -e_j pays -b_j
+        if profit > best_profit + 1e-15:
+            best, best_profit = 2 * j + 1, profit
     best_j, sell = divmod(best, 2)
     best_sign = -1.0 if sell else 1.0
     s = _best_scale(ctx, belief, best_j, best_sign)
@@ -124,7 +135,7 @@ def maximize_profit(
         frac_profit = float(frac @ belief) - (ctx.cost.cost(ctx.q_hat + frac) - c_hat)
         if frac_profit > best_profit:
             return frac, frac_profit
-    return trades[1 + best].copy(), best_profit
+    return _unit_trades(d)[1 + best].copy(), best_profit
 
 
 @functools.lru_cache(maxsize=1)
@@ -180,13 +191,22 @@ class Strategy:
         return [self.decide(ctx) for _ in range(n)]
 
 
+def _finite_belief(belief) -> np.ndarray:
+    """belief as a float array; a nan or inf entry is an InvalidParameterError,
+    since maximize_profit's profits are exact only for a finite belief."""
+    belief = np.asarray(belief, dtype=float)
+    if not np.isfinite(belief).all():
+        raise InvalidParameterError("belief entries must be finite")
+    return belief
+
+
 class BeliefTrader(Strategy):
     """Best-responds to a fixed private belief, net of the fee."""
 
     kind = "belief"
 
     def __init__(self, belief: np.ndarray):
-        self.belief = np.asarray(belief, dtype=float)
+        self.belief = _finite_belief(belief)
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
         return best_response(ctx, self.belief)
@@ -203,12 +223,12 @@ class ArbitrageHunter(Strategy):
     kind = "arbitrage_hunter"
 
     def __init__(self, belief: np.ndarray, threshold: float | None = None):
-        self.belief = np.asarray(belief, dtype=float)
+        self.belief = _finite_belief(belief)
         self.threshold = threshold
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
         threshold = self.threshold if self.threshold is not None else ctx.fee
-        gap = float(np.max(np.abs(ctx.p_hat - self.belief)))
+        gap = float(np.abs(ctx.p_hat - self.belief).max())
         if gap <= threshold:
             return None
         dq, _ = maximize_profit(ctx, self.belief)
@@ -470,17 +490,20 @@ def _ask_run(stream: Stream, start: int, stop: int, ctx: StrategyContext,
              pending: np.ndarray, slots: np.ndarray, k: int) -> int:
     """Ask each blind strategy of the slots [start, stop) for them; write the
     bundles and their slots from pending row k on, and return the new count.
-    A list answer is checked by one check_bundle call; one mask drops its
-    abstentions."""
+    A float64 (m, d) answer is written as it is (step checks the block); any
+    other ndarray answer, or the bundles of a list answer, go through one
+    check_bundle call, and one mask drops a list's abstentions."""
     d, n = pending.shape[1], stop - start
     rows = pending[k : k + n]
     kept = None  # which slots traded, once a list answer is written
-    for strat, index in stream.runs(start, stop):
+    # a one-slot run, the usual one between state readers, skips the runs generator
+    runs = stream.runs(start, stop) if n > 1 else ((stream.owner(start), range(start, stop)),)
+    for strat, index in runs:
         m, at = len(index), slice(index.start - start, index.stop - start, index.step)
         decisions = step_strategy(strat, ctx, m)
         try:
             if isinstance(decisions, np.ndarray) and decisions.shape == (m, d):
-                rows[at] = decisions
+                rows[at] = decisions if decisions.dtype == np.float64 else check_bundle(decisions, d)
             elif len(decisions) == m:
                 traded = np.fromiter(map(operator.is_not, decisions, itertools.repeat(None)), bool, m)
                 bundles = list(itertools.compress(decisions, traded))
@@ -492,7 +515,10 @@ def _ask_run(stream: Stream, start: int, stop: int, ctx: StrategyContext,
                 raise ValueError(f"{m} decisions expected")
         except (TypeError, ValueError) as exc:
             raise StrategyBugError(f"{strat.kind} returned a bad bundle: {exc}") from exc
-    slots[k : k + n] = np.arange(start, stop)
+    if n == 1:
+        slots[k] = start
+    else:
+        slots[k : k + n] = np.arange(start, stop)
     if kept is None:
         return k + n
     traded_n = np.count_nonzero(kept)

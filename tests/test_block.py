@@ -156,6 +156,12 @@ def _bad_blocks(d: int):
         "l1 norm above 1": np.stack([good, oversize, good]),
         "nan": np.stack([good, good, not_finite]),
         "wrong shape": [good, np.ones(d + 1), good],
+        # entries that are not ints or floats
+        "complex": [good, good * 0.5 + 0.7j, good],
+        "string": [good, np.array(["0.5"] * d), good],
+        "bytes": [good, np.array([b"0.5"] * d), good],
+        "bool": [good, np.ones(d, dtype=bool), good],
+        "object": [good, good.astype(object), good],
     }
 
 

@@ -6,9 +6,12 @@ engine they replaced, so every comparison here is ==, not approx.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from privmarket import (
     ArbitrageHunter,
@@ -23,6 +26,7 @@ from privmarket import (
     step_strategy,
 )
 from privmarket.cost import TALL_ROWS, row_sums
+from privmarket.traders import _best_scale, _unit_trades
 
 from oracles import (
     ReferenceSession,
@@ -132,6 +136,58 @@ def test_maximize_profit_equals_the_sequential_reference():
         ctx = _context(cost, q_hat)
         dq, profit = maximize_profit(ctx, belief)
         ref_dq, ref_profit = reference_maximize_profit(ctx, belief)
+        assert np.array_equal(dq, ref_dq) and profit == ref_profit
+
+
+def _array_maximize_profit(ctx, belief):
+    """maximize_profit with array arithmetic: the unit trades' payouts by one
+    matmul, their costs less C(q_hat) by two array subtractions."""
+    d = ctx.cost.d
+    trades = _unit_trades(d)
+    costs = ctx.unit_trade_costs
+    c_hat = float(costs[0])
+    profits = (trades[1:] @ belief - (costs[1:] - c_hat)).tolist()
+    best, best_profit = 0, -math.inf
+    for i, profit in enumerate(profits):
+        if profit > best_profit + 1e-15:
+            best, best_profit = i, profit
+    best_j, sell = divmod(best, 2)
+    best_sign = -1.0 if sell else 1.0
+    s = _best_scale(ctx, belief, best_j, best_sign)
+    if 0.0 < s < 1.0:
+        frac = np.zeros(d)
+        frac[best_j] = best_sign * s
+        frac_profit = float(frac @ belief) - (ctx.cost.cost(ctx.q_hat + frac) - c_hat)
+        if frac_profit > best_profit:
+            return frac, frac_profit
+    return trades[1 + best].copy(), best_profit
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    d=st.sampled_from([1, 2, 3, 8, 9]),
+    lam=st.sampled_from([1.0, 0.2, 0.01, 1e-4]),
+    spread=st.sampled_from([0.0, 0.5, 5.0]),
+    zeros=st.integers(0, 8),
+    even=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_maximize_profit_equals_the_array_formula_and_the_reference(d, lam, spread, zeros, even,
+                                                                     seed):
+    # profits as Python floats, b_j - (c_i - c_hat) and -b_j - (c_i - c_hat),
+    # are the array formula's: +-e_j pays +-b_j exactly.  A zero belief's
+    # sell pays -0.0 here and +0.0 through the matmul, which compare equal.
+    # spread 0 puts q_hat on the diagonal, and with an even belief the buys
+    # of its nonzero coordinates tie exactly, and so do their sells
+    rng = np.random.default_rng(seed)
+    cost = ScaledCost(d=d, lam=lam)
+    q_hat = np.full(d, rng.normal(0.0, 1.0 / lam)) + rng.normal(0.0, spread / lam, size=d)
+    belief = np.full(d, 1.0 / d) if even else rng.dirichlet(np.ones(d))
+    belief[rng.permutation(d)[: min(zeros, d - 1)]] = 0.0  # some entries zero, not all
+    ctx = _context(cost, q_hat)
+    dq, profit = maximize_profit(ctx, belief)
+    for ref_dq, ref_profit in (_array_maximize_profit(ctx, belief),
+                               reference_maximize_profit(ctx, belief)):
         assert np.array_equal(dq, ref_dq) and profit == ref_profit
 
 

@@ -1,6 +1,7 @@
 """Session mechanics: parameter resolution, ledger identities, loss bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from privmarket import (
 )
 
 from privmarket import cost as cost_module
+from privmarket.market import check_bundle
 from privmarket.traders import _unit_trades
 
 from oracles import ReferenceSession, low_bit
@@ -159,6 +161,72 @@ def test_a_list_is_a_list_of_bundles():
     session.step(np.array([0.5, 0.5]))
     session.step([[0.5, 0.5], np.array([-0.5, 0.0])])
     assert session.arrivals == 3
+
+
+def _bundles_of_every_edge(d: int) -> dict:
+    """Float64 (d,) bundles at and past each edge check_bundle tests."""
+    over = np.full(d, (1.0 + 2e-9) / d)
+    over[-1] = (1.0 + 2e-9) - over[:-1].sum()
+    at_tol = np.eye(d)[0] * (1.0 + 0.5e-9)
+    wide = np.zeros(2 * d)
+    wide[::2] = 1.0 / d  # a strided view of it is a bundle of l1 norm 1
+    read_only = np.full(d, 0.5 / d)
+    read_only.flags.writeable = False
+    cases = {"unit": np.eye(d)[-1], "zero": np.zeros(d), "minus zero": np.full(d, -0.0),
+             "minus zero beside a trade": np.where(np.arange(d) == 0, -0.25, -0.0),
+             "l1 1 + 2e-9": over, "l1 1 + 0.5e-9": at_tol, "l1 2": np.full(d, 2.0 / d),
+             "strided": wide[::2], "read-only": read_only}
+    for v in (np.nan, np.inf, -np.inf):
+        bad = np.zeros(d)
+        bad[-1] = v
+        cases[f"{v} entry"] = bad
+    return cases
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_check_bundle_direct_path_matches_the_block_path(d):
+    # a float64 ndarray (d,) is checked directly; the same bundle as a list
+    # of one goes through the block path: the same verdict, row and message,
+    # and the same bits; the direct path returns its (1, d) view
+    refused = set()
+    for name, x in _bundles_of_every_edge(d).items():
+        results = []
+        for dq in (x, [x]):
+            try:
+                results.append(check_bundle(dq, d))
+            except TradeRejectedError as exc:
+                results.append((exc.row, str(exc)))
+        direct, block = results
+        if isinstance(block, tuple):
+            assert direct == block, name
+            refused.add(name)
+        else:
+            assert isinstance(direct, np.ndarray), (name, direct)
+            assert direct.shape == block.shape == (1, d) and direct.tobytes() == block.tobytes(), name
+            assert direct.base is x or direct.base is x.base, name  # a view, not a copy
+    assert refused == {"l1 1 + 2e-9", "l1 2", "nan entry", "inf entry", "-inf entry"}
+    with pytest.raises(TradeRejectedError, match="bundle 0 l1 norm 2.000000 exceeds 1"):
+        check_bundle(np.full(d, 2.0 / d), d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_bundles_must_hold_ints_or_floats(d):
+    # complex, str, bytes, bool and object entries are refused, also beside
+    # float bundles in a list, where numpy would read bools as floats;
+    # ints, unsigned ints and other float widths are read as float64
+    good = np.eye(d)[0] * 0.5
+    refused = {"complex128": good + 0.7j, "<U3": np.array(["0.5"] * d), "|S3": np.array([b"0.5"] * d),
+               "bool": np.ones(d, dtype=bool), "object": good.astype(object)}
+    for dtype, bad in refused.items():
+        for dq, row in ((bad, 0), ([bad], 0), ([good, good, bad], 2), (np.stack([bad, bad]), 0)):
+            with pytest.raises(TradeRejectedError, match=f"^bundle {row} entries must be ints or floats, "
+                                                         f"not {re.escape(dtype)}$") as info:
+                check_bundle(dq, d)
+            assert info.value.row == row
+    for dq in (np.eye(d, dtype=int)[0], np.eye(d, dtype=np.uint8), [[1] + [0] * (d - 1)],
+               good.astype(np.float32), good.astype(">f8")):
+        block = check_bundle(dq, d)
+        assert block.dtype == np.float64 and np.array_equal(block, np.reshape(dq, (-1, d)))
 
 
 def test_full_and_closed_errors():

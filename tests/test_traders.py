@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ def test_context_exposes_only_published_data():
     # unit trades, so it adds nothing a strategy could not price itself
     names = {f.name for f in dataclasses.fields(StrategyContext)}
     assert names == {"t", "q_hat", "p_hat", "fee", "cost", "unit_costs"}
+    # drive_session hands one context to every reader until something is
+    # booked, so a strategy cannot rebind its fields
+    ctx = _ctx([0.0, 1.0])
+    assert (ctx.t, ctx.fee, ctx.unit_costs) == (1, 0.0, None)
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ctx, name, None)
+    moved = dataclasses.replace(ctx, t=7)
+    assert moved.t == 7 and vars(moved).keys() == names
 
 
 def _expected_profit(ctx, belief, dq):
@@ -170,6 +180,16 @@ def test_arbitrage_hunter_threshold():
     off = _ctx([0.3, 0.0], lam=0.01)
     hunter = ArbitrageHunter(np.array([0.5, 0.5]), threshold=0.0)
     assert hunter.decide(off) is not None
+
+
+@pytest.mark.parametrize("cls", [BeliefTrader, ArbitrageHunter])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_readers_refuse_a_belief_that_is_not_finite(cls, bad):
+    """A reader's profits are exact only on a finite belief, so a nan or inf
+    entry is refused when the reader is built, not decided on."""
+    with pytest.raises(InvalidParameterError, match="finite"):
+        cls(np.array([bad, 0.9]))
+    assert cls([0.1, 0.9]).belief.tolist() == [0.1, 0.9]
 
 
 def test_simple_strategies():
@@ -308,6 +328,36 @@ def test_step_strategy_validates_bundles():
     assert step_strategy(Herd(), ctx) is not None
 
 
+@pytest.mark.parametrize("bad", [np.array([0.5 + 0.7j, 0.0]), np.array(["0.5", "0"])],
+                         ids=["complex", "string"])
+def test_bundles_that_are_not_ints_or_floats_are_not_booked(bad):
+    # a cast to float would drop the imaginary part (with only a
+    # ComplexWarning) and parse the string: both would book [0.5, 0]
+    class Reader(Strategy):
+        kind = "reader"
+
+        def decide(self, ctx):
+            return bad
+
+    class Blind(Strategy):
+        kind = "blind"
+        reads_state = False
+
+        def decide_run(self, ctx, n):
+            return np.tile(bad, (n, 1))
+
+    params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=64)
+    for strat in (Reader(), Blind()):
+        session = open_market(params, rng=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ComplexWarning would be an error
+            with pytest.raises(StrategyBugError, match=f"^{strat.kind} returned a bad bundle: "
+                                                       "bundle 0 entries must be ints or floats"):
+                drive_session(session, Stream((strat,), 4))
+        assert session.arrivals == 0 and session.noise.t == 0
+        assert session.q_true.tolist() == [0.0, 0.0]
+
+
 def test_a_strategy_must_define_decide_or_decide_run():
     # each default is written in terms of the other, so with neither the
     # first decision would recurse without end
@@ -441,6 +491,23 @@ def test_unit_costs_carried_from_a_tall_block(d, monkeypatch):
     assert shapes[1][0] >= TALL_ROWS * d  # the open's pass, then the blind turn's
     assert len(seen) == 32 * d and all(ctx.unit_costs is not None for ctx in seen)
     _assert_fresh_unit_costs(seen)
+
+
+def test_a_context_without_carried_costs_prices_them_once(monkeypatch):
+    # a hand-built context prices its unit trades on first use, in one
+    # kernel pass, and hands the same read-only array out after; unit_costs
+    # stays None, so the context's fields are what it was built with
+    passes = []
+    kernel = cost_module._shifted_exp
+    monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (passes.append(x.shape), kernel(x))[1])
+    ctx = _ctx([0.3, -1.2, 2.0], lam=0.05)
+    passes.clear()
+    first = ctx.unit_trade_costs
+    assert ctx.unit_trade_costs is first and passes == [(7, 3)]
+    assert ctx.unit_costs is None and not first.flags.writeable
+    assert first.tobytes() == ctx.cost.cost(ctx.q_hat + _unit_trades(3)).tobytes()
+    carried = dataclasses.replace(ctx, unit_costs=first)
+    assert carried.unit_trade_costs is first and len(passes) == 2  # the check's own pass only
 
 
 def test_one_kernel_pass_per_reader_arrival(monkeypatch):
