@@ -171,12 +171,14 @@ def check_bundle(dq, d: int) -> np.ndarray:
     or one bundle as an ndarray (d,).  The one check of a bundle: entries ints
     or floats (numpy kinds i, u, f), finite, l1 norm at most 1.  A rejection's
     row is the index of the first bad bundle.  A float64 ndarray (d,), every
-    state reader's trade, is checked directly, with the block path's l1 size
-    of its (1, d) view, which is returned.
+    state reader's trade, or (1, d), the one blind slot booked before a
+    reader, is checked directly, with the block path's l1 size, and returned
+    as a (1, d) view.
     """
-    if isinstance(dq, np.ndarray) and dq.shape == (d,):
-        dq = dq[None]  # a list of d scalars stays misshapen
-        if dq.dtype == np.float64:
+    if isinstance(dq, np.ndarray):
+        if dq.shape == (d,):
+            dq = dq[None]  # a list of d scalars stays misshapen
+        if dq.shape == (1, d) and dq.dtype == np.float64:
             size = np.abs(dq).dot(_ones(d)).item()
             if not size <= 1.0 + TRADE_SIZE_TOL:  # also catches nan and inf
                 raise TradeRejectedError(f"bundle 0 l1 norm {size:.6f} exceeds 1", 0)
@@ -224,8 +226,9 @@ def _first_misshapen(dq, d: int) -> int:
 
 
 def _published(x: np.ndarray) -> np.ndarray:
-    """Freeze an array handed out as published state."""
-    x.flags.writeable = False
+    """Freeze an array handed out as published state (setflags: half the
+    time of setting x.flags.writeable)."""
+    x.setflags(write=False)
     return x
 
 
@@ -373,8 +376,9 @@ class MarketSession:
         of the last.  Each cash total adds its amounts one at a time in
         arrival order (np.add.accumulate), so a block books bit for bit what
         its bundles book one at a time.  One bundle (k == 1, a state reader's
-        trade) skips the plan: the same tz(t) + 5 states are filled directly
-        and run through one running sum and one kernel pass, and each total
+        trade or the blind slot before one) skips the plan: the plan's states
+        but q_true, tz(t) + 4, are filled directly and run through one
+        running sum and one kernel pass, and each total
         adds its amounts as Python floats: the same IEEE operations in the
         same order, but for the 0.0 the plan's padding adds, which changes
         no total (totals start at +0.0, and a sum is -0.0 only when both
@@ -414,12 +418,12 @@ class MarketSession:
         z, z_norms = ledger.take(self.rng, k)
         if k == 1:  # the plan's rows of one arrival, filled in place
             tz = ((t0 + 1) & -(t0 + 1)).bit_length() - 1
-            n, r = tz + 3, tz + 5  # chain states; states booked
+            n, r = tz + 3, tz + 4  # chain states; states booked
             states = np.empty((r + extra, d))
-            states[0], states[1], states[n - 1], states[n] = self.q_hat, block, z, self.q_true
+            states[0], states[1], states[n - 1] = self.q_hat, block, z
             np.negative(ledger.levels[:tz], out=states[2 : n - 1])
             np.add.accumulate(states[:n], axis=0, out=states[:n])
-            np.add(self.q_true, block[0], out=states[n + 1])
+            np.add(self.q_true, block[0], out=states[n])
             if probe is not None:
                 np.add(states[n - 1], probe, out=states[r:])
             costs, prices = self.cost._block_cost_and_prices(states)
@@ -472,7 +476,7 @@ class MarketSession:
         # l1 norms, each as a lone state's: each arrival's share and price
         # gaps, then the drift of published - true after the block from the held noise
         gaps = np.empty((2 * k + 1, d))
-        np.subtract(after, states[n + 1 : r], out=gaps[:k])
+        np.subtract(after, states[r - k : r], out=gaps[:k])
         np.subtract(prices[r - k : r], p_hat, out=gaps[k:-1])
         np.subtract(gaps[k - 1], ledger.held_sum(), out=gaps[-1])
         np.abs(gaps, out=gaps)

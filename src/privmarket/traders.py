@@ -223,12 +223,19 @@ class ArbitrageHunter(Strategy):
     kind = "arbitrage_hunter"
 
     def __init__(self, belief: np.ndarray, threshold: float | None = None):
-        self.belief = _finite_belief(belief)
+        # a read-only copy and its entries as floats: the gap and the trade
+        # read the belief it was built with
+        self.belief = _finite_belief(belief).copy()
+        self.belief.flags.writeable = False
+        self._entries = self.belief.tolist()
         self.threshold = threshold
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
         threshold = self.threshold if self.threshold is not None else ctx.fee
-        gap = float(np.abs(ctx.p_hat - self.belief).max())
+        # max |p_j - b_j| over Python floats: each difference and abs is
+        # correctly rounded and published prices are finite, so these are
+        # the bits of np.abs(ctx.p_hat - self.belief).max()
+        gap = max(map(abs, map(operator.sub, ctx.p_hat.tolist(), self._entries)))
         if gap <= threshold:
             return None
         dq, _ = maximize_profit(ctx, self.belief)
@@ -259,6 +266,8 @@ class RandomTrader(Strategy):
     rng.choice([-1.0, 1.0]) makes it), then the coordinate.  The last chunk
     may draw past the end of a trial, which is harmless: each instance's
     generator belongs to one trial.  An instance serves markets of one d.
+    One slot, the usual run between state readers, is answered from its
+    pair as two Python ints and one entry write.
     """
 
     kind = "random"
@@ -276,9 +285,13 @@ class RandomTrader(Strategy):
             fresh = self.rng.integers(bounds).reshape(-1, 2).T
             fresh[0] = 2 * fresh[0] - 1  # sign 0 sells, 1 buys
             self._pairs = np.concatenate((self._pairs, fresh), axis=1)
-        (signs, coords), self._pairs = self._pairs[:, :n], self._pairs[:, n:]
+        pairs, self._pairs = self._pairs, self._pairs[:, n:]
         dq = np.zeros((n, d))
-        dq[np.arange(n), coords] = signs
+        if n == 1:
+            dq[0, pairs.item(1, 0)] = pairs.item(0, 0)
+        else:
+            signs, coords = pairs[:, :n]
+            dq[np.arange(n), coords] = signs
         return dq
 
 
@@ -375,8 +388,9 @@ class Stream:
     length: int
     order: str = "round_robin"
     per: int = field(init=False)  # slots of one turn
-    # the indices of the state readers, then n + the first (its turn in the next cycle)
-    readers: tuple[int, ...] = field(init=False, repr=False)
+    # turns from instance j's turn to the next state reader's (0 for a reader);
+    # empty without readers
+    ahead: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.instances)
@@ -388,21 +402,22 @@ class Stream:
             raise InvalidParameterError(
                 f"a stream needs a length >= 0 and an order in {ARRIVAL_ORDERS}")
         readers = [j for j, strat in enumerate(self.instances) if strat.reads_state]
+        readers += [n + j for j in readers[:1]]  # the first's turn in the next cycle
         object.__setattr__(self, "instances", tuple(self.instances))
         per = max(1, -(-self.length // n)) if self.order == "sequential" else 1
         object.__setattr__(self, "per", per)
-        object.__setattr__(self, "readers", tuple(readers + [n + j for j in readers[:1]]))
+        object.__setattr__(self, "ahead", tuple(
+            readers[bisect.bisect_left(readers, j)] - j for j in range(n)) if readers else ())
 
     def owner(self, slot: int) -> Strategy:
         return self.instances[(slot // self.per) % len(self.instances)]
 
     def next_reader(self, start: int, stop: int) -> int:
         """The first slot in [start, stop) of a state reader, else stop."""
-        if not self.readers:
+        if not self.ahead:
             return stop
-        turn, n = start // self.per, len(self.instances)
-        j = self.readers[bisect.bisect_left(self.readers, turn % n)]
-        return min(max(start, (turn - turn % n + j) * self.per), stop)
+        turn = start // self.per
+        return min(max(start, (turn + self.ahead[turn % len(self.ahead)]) * self.per), stop)
 
     def runs(self, start: int, stop: int):
         """(instance, range of its slots) for the slots in [start, stop), in the
@@ -438,34 +453,37 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     """
     if slot < 0:
         raise InvalidParameterError(f"slot must be >= 0, got {slot}")
-    d, T = session.params.d, session.params.T
+    d, T, length = session.params.d, session.params.T, stream.length
     cap = max(1, min(BLOCK_CAP, BLOCK_FLOATS // d))
     pending, k = np.empty((cap, d)), 0  # rows [0, k) wait to be booked
     slots = np.empty(cap, dtype=np.intp)  # the stream slot of each pending row
     ctx = costs = None  # costs: the last step's probe costs, if it had one
-    while slot < stream.length and session.arrivals + k < T:
-        strat = stream.owner(slot)
+    strat = stream.owner(slot) if slot < length else None  # the owner of slot
+    while strat is not None and session.arrivals + k < T:
         if strat.reads_state:  # asked alone, once every earlier arrival is booked
             if k:
-                costs = _book(session, stream, pending[:k], slots, slot)
+                costs = _book(session, stream, pending[:k], slots, True)
             k = 0
             ctx = _context(session, 0, ctx, costs)
             dq = step_strategy(strat, ctx)
+            slot += 1
+            strat = stream.owner(slot) if slot < length else None
             if dq is not None:  # an ndarray (d,) is one bundle as it is
                 one = isinstance(dq, np.ndarray) and dq.shape == (d,)
-                costs = _book(session, stream, dq if one else [dq], [slot], slot + 1)
-            slot += 1
+                costs = _book(session, stream, dq if one else [dq], [slot - 1],
+                              strat is not None and strat.reads_state)
             continue
-        stop = min(stream.length, slot + min(T - session.arrivals, cap) - k)
+        stop = min(length, slot + min(T - session.arrivals, cap) - k)
         reader = stream.next_reader(slot, stop)  # the blind run is [slot, reader)
         ctx = _context(session, k, ctx, costs)
-        k = _ask_run(stream, slot, reader, ctx, pending, slots, k)
+        k = _ask_run(stream, strat, slot, reader, ctx, pending, slots, k)
         slot = reader
+        strat = stream.owner(slot) if slot < length else None
         if k == cap:
-            costs = _book(session, stream, pending, slots, slot)
+            costs = _book(session, stream, pending, slots, strat is not None and strat.reads_state)
             k = 0
     if k:
-        _book(session, stream, pending[:k], slots, stream.length)  # no slot is asked next
+        _book(session, stream, pending[:k], slots, False)  # no slot is asked next
     return slot
 
 
@@ -486,10 +504,11 @@ def _context(session, ahead: int, last: StrategyContext | None,
     )
 
 
-def _ask_run(stream: Stream, start: int, stop: int, ctx: StrategyContext,
+def _ask_run(stream: Stream, first: Strategy, start: int, stop: int, ctx: StrategyContext,
              pending: np.ndarray, slots: np.ndarray, k: int) -> int:
-    """Ask each blind strategy of the slots [start, stop) for them; write the
-    bundles and their slots from pending row k on, and return the new count.
+    """Ask each blind strategy of the slots [start, stop) (first owns start)
+    for them; write the bundles and their slots from pending row k on, and
+    return the new count.
     A float64 (m, d) answer is written as it is (step checks the block); any
     other ndarray answer, or the bundles of a list answer, go through one
     check_bundle call, and one mask drops a list's abstentions."""
@@ -497,7 +516,7 @@ def _ask_run(stream: Stream, start: int, stop: int, ctx: StrategyContext,
     rows = pending[k : k + n]
     kept = None  # which slots traded, once a list answer is written
     # a one-slot run, the usual one between state readers, skips the runs generator
-    runs = stream.runs(start, stop) if n > 1 else ((stream.owner(start), range(start, stop)),)
+    runs = stream.runs(start, stop) if n > 1 else ((first, range(start, stop)),)
     for strat, index in runs:
         m, at = len(index), slice(index.start - start, index.stop - start, index.step)
         decisions = step_strategy(strat, ctx, m)
@@ -527,11 +546,10 @@ def _ask_run(stream: Stream, start: int, stop: int, ctx: StrategyContext,
     return k + traded_n
 
 
-def _book(session, stream: Stream, block, slots, next_slot: int) -> np.ndarray | None:
-    """Step block, row i being the bundle of stream slot slots[i]; when
-    next_slot is a state reader's, the step also prices its unit trades, and
-    their costs are returned (else None)."""
-    reads = next_slot < stream.length and stream.owner(next_slot).reads_state
+def _book(session, stream: Stream, block, slots, reads: bool) -> np.ndarray | None:
+    """Step block, row i being the bundle of stream slot slots[i]; when a
+    state reader reads next, the step also prices its unit trades, and their
+    costs are returned (else None)."""
     try:
         return session.step(block, probe=_unit_trades(session.params.d) if reads else None)
     except TradeRejectedError as exc:

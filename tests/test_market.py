@@ -185,25 +185,27 @@ def _bundles_of_every_edge(d: int) -> dict:
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_check_bundle_direct_path_matches_the_block_path(d):
-    # a float64 ndarray (d,) is checked directly; the same bundle as a list
-    # of one goes through the block path: the same verdict, row and message,
-    # and the same bits; the direct path returns its (1, d) view
+    # a float64 ndarray (d,) or (1, d) is checked directly; the same bundle
+    # as a list of one goes through the block path: the same verdict, row
+    # and message, and the same bits; the direct path returns a (1, d) view
     refused = set()
     for name, x in _bundles_of_every_edge(d).items():
         results = []
-        for dq in (x, [x]):
+        row = x[None]  # the one blind slot booked before a state reader
+        for dq in (x, row, [x]):
             try:
                 results.append(check_bundle(dq, d))
             except TradeRejectedError as exc:
                 results.append((exc.row, str(exc)))
-        direct, block = results
+        direct, direct_row, block = results
         if isinstance(block, tuple):
-            assert direct == block, name
+            assert direct == direct_row == block, name
             refused.add(name)
         else:
             assert isinstance(direct, np.ndarray), (name, direct)
             assert direct.shape == block.shape == (1, d) and direct.tobytes() == block.tobytes(), name
             assert direct.base is x or direct.base is x.base, name  # a view, not a copy
+            assert direct_row is row, name
     assert refused == {"l1 1 + 2e-9", "l1 2", "nan entry", "inf entry", "-inf entry"}
     with pytest.raises(TradeRejectedError, match="bundle 0 l1 norm 2.000000 exceeds 1"):
         check_bundle(np.full(d, 2.0 / d), d)
@@ -482,12 +484,12 @@ def test_open_and_close_each_make_one_kernel_pass(monkeypatch):
     session = _noisy_session(7)
     shapes.clear()
     session.step(np.array([0.5, -0.25]))  # t = 8 sells three bundles
-    # q_hat, the trade, three sales, the buy, q_true and the true state after
-    assert shapes == [(8, 2)]
+    # q_hat, the trade, three sales, the buy and the true state after
+    assert shapes == [(7, 2)]
     # probed, the same step prices q_hat + the 2d + 1 unit trades below them
     session = _noisy_session(7)
     shapes.clear()
     probe = _unit_trades(2)
     costs = session.step(np.array([0.5, -0.25]), probe)
-    assert shapes == [(8 + 5, 2)]
+    assert shapes == [(7 + 5, 2)]
     assert costs.tobytes() == session.cost.cost(session.q_hat + probe).tobytes()

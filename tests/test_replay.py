@@ -1,10 +1,13 @@
 """Independent replay oracle for the step engine.
 
 The oracle rebuilds a whole session from the seed alone: it redraws every
-noise bundle with sample_bundle from the same generator, rebuilds each
-published state as q^t + noise_path_sum(t), and recomputes every cash flow
-from the bits of t with plain per-step cost calls: step t sells the bundles
-bought at t - 1, t - 2, t - 4, ... for each trailing zero bit.  It shares no
+noise bundle with sample_bundle from the same generator and recomputes
+every cash flow from the bits of t with plain per-step cost calls: step t
+sells the bundles bought at t - 1, t - 2, t - 4, ... for each trailing zero
+bit.  Each published state is carried as the engine carries it, the state
+after the sales plus the new bundle (so its last bits, and the costs taken
+at it, are the engine's), and checked against q^t + noise_path_sum(t)
+computed independently.  It shares no
 state with MarketSession, so ledger agreement checks the cached costs, the
 held stack and the running metrics of the engine.
 """
@@ -69,8 +72,8 @@ def _replay(params: MarketParams, trades, seed: int) -> dict:
             state = state - z[s]
             gap <<= 1
         buys += cost.cost(state + z[t]) - cost.cost(state)
-        q_hat = q + noise_path_sum(t, z)
-        assert state + z[t] == pytest.approx(q_hat, rel=1e-12, abs=1e-9)
+        q_hat = state + z[t]  # published as the engine publishes it
+        assert q_hat == pytest.approx(q + noise_path_sum(t, z), rel=1e-12, abs=1e-9)
         price_gap = max(price_gap, float(np.sum(np.abs(cost.prices(q) - cost.prices(q_hat)))))
         share_gap = max(share_gap, float(np.sum(np.abs(q - q_hat))))
     # close: sell the remaining path most recent first

@@ -182,6 +182,38 @@ def test_arbitrage_hunter_threshold():
     assert hunter.decide(off) is not None
 
 
+@pytest.mark.parametrize("d", [2, 8, 1024])
+def test_arbitrage_hunter_gap_is_numpys_max_bit_for_bit(d):
+    """The hunter takes its gap over Python floats; pinned between two
+    thresholds, it is float(np.abs(p_hat - belief).max()) exactly, and a gap
+    equal to the threshold abstains."""
+    rng = np.random.default_rng(d)
+    cost = ScaledCost(d=d, lam=0.01)
+    for _ in range(20):
+        q_hat = rng.normal(0.0, 50.0, d)
+        ctx = StrategyContext(t=1, q_hat=q_hat, p_hat=cost.prices(q_hat), fee=0.0, cost=cost)
+        belief = rng.dirichlet(np.ones(d))
+        gap = float(np.abs(ctx.p_hat - belief).max())
+        assert ArbitrageHunter(belief, threshold=gap).decide(ctx) is None
+        below = float(np.nextafter(gap, -math.inf))
+        assert ArbitrageHunter(belief, threshold=below).decide(ctx) is not None
+
+
+def test_arbitrage_hunter_keeps_its_own_belief():
+    """A directly built hunter copies its belief: a later in-place change to
+    the array it was given changes neither its gap nor its trades."""
+    belief = np.array([0.5, 0.5])
+    hunter = ArbitrageHunter(belief, threshold=0.1)
+    twin = ArbitrageHunter(belief.copy(), threshold=0.1)
+    belief[:] = [0.9, 0.1]
+    for q_hat in ([0.0, 0.0], [30.0, 0.0], [0.0, 30.0]):
+        ctx = _ctx(q_hat, lam=0.01)
+        mine, theirs = hunter.decide(ctx), twin.decide(ctx)
+        assert (mine is None) == (theirs is None)
+        assert mine is None or mine.tobytes() == theirs.tobytes()
+    assert hunter.belief.tolist() == [0.5, 0.5] and not hunter.belief.flags.writeable
+
+
 @pytest.mark.parametrize("cls", [BeliefTrader, ArbitrageHunter])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_readers_refuse_a_belief_that_is_not_finite(cls, bad):
