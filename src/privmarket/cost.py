@@ -10,6 +10,7 @@ package is an instance of this scaled family.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,20 @@ def row_sums(a: np.ndarray) -> np.ndarray:
     for j in range(2, d):
         np.add(total, a[:, j], out=total)
     return total
+
+
+@functools.lru_cache(maxsize=1)
+def unit_trades(d: int) -> np.ndarray:
+    """Read-only (2d + 1, d) block: no trade, then +e_j (row 1 + 2j) and -e_j (row 2 + 2j).
+
+    A state reader's unit-trade costs are C(q_hat + each row), row 0 being
+    C(q_hat) (MarketSession.step's probe, traders.maximize_profit)."""
+    trades = np.zeros((2 * d + 1, d))
+    flat = trades.reshape(-1)  # row 1 + 2j, column j is flat entry d + j (2d + 1)
+    flat[d :: 2 * d + 1] = 1.0
+    flat[2 * d :: 2 * d + 1] = -1.0
+    trades.flags.writeable = False
+    return trades
 
 
 def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import ScaledCost, is_tall, row_sums
+from .cost import ScaledCost, is_tall, row_sums, unit_trades
 from .errors import (
     InvalidParameterError,
     InvalidStateError,
@@ -359,7 +359,7 @@ class MarketSession:
         """Mean l2 norm of the noise bundles bought so far (one per arrival)."""
         return self.bundle_l2_total / self.arrivals if self.arrivals else 0.0
 
-    def step(self, dq, probe: np.ndarray | None = None) -> np.ndarray | None:
+    def step(self, dq, probe: bool = False) -> np.ndarray | None:
         """Book the k bundles of check_bundle(dq, d), one arrival each, in order.
 
         Each arrival pays the fee and its trade's cost at the published
@@ -390,16 +390,15 @@ class MarketSession:
         on the state the block leaves, after the counter is advanced and
         before anything else is booked: held == the counter bits, and
         published - true == the held noise sum (l1 drift at most HELD_TOL).
-        A bad bundle, a misshapen probe, or a block that would pass T,
-        raises before anything is booked.
+        A bad bundle or a block that would pass T raises before anything is
+        booked, and so does any failure before the counter is advanced (take
+        is a read: the next step takes the same bundles).
 
-        probe, a block (m, d) of trades, adds the states q_hat + probe (q_hat
-        after the block) below the booked ones in the same kernel pass
-        (ScaledCost._block_cost_and_prices: no shape re-check of states built
-        here; a non-finite one still raises), and their costs are returned,
-        read-only (else None).  A row's cost does not depend on its block,
-        tall or not (the partition tests), so a probe changes no booked bit
-        and its costs are cost.cost(q_hat + probe)'s after the step.
+        With probe, the states q_hat + each row of cost.unit_trades(d) (q_hat
+        after the block) go below the booked ones in the same kernel pass, and
+        their costs are returned, read-only (else None).  A row's cost does not
+        depend on its block, tall or not (the partition tests), so a probe
+        changes no booked bit and its costs are a lone pass's.
         """
         if self.closed:
             raise MarketClosedError("session is closed")
@@ -410,9 +409,7 @@ class MarketSession:
             raise MarketClosedError(
                 f"session has {t0} of {self.params.T} arrivals; {k} more do not fit"
             )
-        if probe is not None and np.shape(probe)[1:] != (d,):
-            raise InvalidParameterError(f"probe must have shape (m, {d})")
-        extra = 0 if probe is None else len(probe)  # probe rows, after the r booked
+        extra = 2 * d + 1 if probe else 0  # probe rows, after the r booked
 
         ledger = self.noise
         z, z_norms = ledger.take(self.rng, k)
@@ -424,8 +421,8 @@ class MarketSession:
             np.negative(ledger.levels[:tz], out=states[2 : n - 1])
             np.add.accumulate(states[:n], axis=0, out=states[:n])
             np.add(self.q_true, block[0], out=states[n])
-            if probe is not None:
-                np.add(states[n - 1], probe, out=states[r:])
+            if probe:
+                np.add(states[n - 1], unit_trades(d), out=states[r:])
             costs, prices = self.cost._block_cost_and_prices(states)
             after, p_hat = states[n - 1 : n], prices[n - 1 : n]
             c = costs.tolist()
@@ -456,8 +453,8 @@ class MarketSession:
             source.take(chain, axis=0, out=states[:n])
             np.add.accumulate(states[:n], axis=0, out=states[:n])
             np.add.accumulate(source[1 : 2 + k], axis=0, out=states[n:r])
-            if probe is not None:
-                np.add(states[n - 1], probe, out=states[r:])
+            if probe:
+                np.add(states[n - 1], unit_trades(d), out=states[r:])
             costs, prices = self.cost._block_cost_and_prices(states)
             after = states.take(buys, axis=0)
             # a tall block's prices at d < cost.PAIRWISE_FROM are column-major
@@ -498,7 +495,7 @@ class MarketSession:
         self.arrivals += k
         self.max_share_gap = max(self.max_share_gap, share_gap)
         self.max_price_gap = max(self.max_price_gap, price_gap)
-        return None if probe is None else _published(costs[r:])
+        return _published(costs[r:]) if probe else None
 
     def close(self, outcome: int) -> Ledger:
         """Sell back remaining noise, pay every arrival, and return the ledger.

@@ -105,16 +105,17 @@ class NoiseLedger:
     the held levels are exactly the one-bits of t: mask keeps them and is
     checked against t, and a level not held is zero.  noise_off swaps the
     sampled values for zeros (schedule and bookkeeping unchanged) so tests
-    can isolate the trading mechanics.  A session takes its bundles through
-    take, books the counter only through advance (a block of steps, or the
-    sell-back at close) and reads levels, mask and held_sum; begin_step,
-    mark_sold, new_bundle and held are the per-arrival reference for tests.
+    can isolate the trading mechanics.  A session reads its next bundles
+    through take, books the counter only through advance (a block of steps,
+    or the sell-back at close) and reads levels, mask and held_sum;
+    begin_step, mark_sold and new_bundle are the per-arrival reference for
+    tests.
 
     take draws ahead: a buffer of at most max(k, BLOCK_FLOATS // d) bundles
-    and their l2 norms, refilled by one sample_bundle call and one l2_norms
-    call, never past the horizon T.  So a ledger taken to T has drawn exactly
-    T * d uniforms, and one taken less far may have drawn bundles it never
-    uses.
+    and their l2 norms from step _base + 1 on, refilled by one sample_bundle
+    call and one l2_norms call, never past the horizon T.  So a ledger taken
+    to T has drawn exactly T * d uniforms, and one taken less far may have
+    drawn bundles it never uses.
     """
 
     def __init__(self, d: int, scale: float, T: int, noise_off: bool = False):
@@ -122,17 +123,7 @@ class NoiseLedger:
         self.t = self.mask = 0
         self.levels = np.zeros((tree_depth(T) + 1, d))
         self._ones = np.ones(len(self.levels))
-        self._z, self._norms = np.zeros((0, d)), np.zeros(0)  # drawn, not yet taken
-
-    @property
-    def held(self) -> list[tuple[int, np.ndarray]]:
-        """(buy time, value) of each held bundle, oldest first; values are views of levels.
-
-        The bundle at level l was bought at the latest u <= t with tz(u) == l.
-        """
-        t = self.t
-        return [(t - ((t - (1 << l)) & ((2 << l) - 1)), self.levels[l])
-                for l in reversed(range(len(self.levels))) if self.mask >> l & 1]
+        self._z, self._norms, self._base = np.zeros((0, d)), np.zeros(0), 0  # steps _base + 1 ..
 
     def held_sum(self) -> np.ndarray:
         """Sum of the held bundles: of all levels, since a level not held is zero."""
@@ -154,22 +145,23 @@ class NoiseLedger:
         return value
 
     def take(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next k bundles as a (k, d) block z, and l2_norms(z): z is what
-        k more sample_bundle calls on rng would give, or zeros under
-        noise_off, which leave rng untouched.  Taking past T raises.  The
-        bundles of steps 1..t are taken already, so advance(k, ...) must follow."""
-        buffered = len(self._z)
-        if buffered < k:
-            n = min(max(k, BLOCK_FLOATS // self.d), self.T - self.t) - buffered
-            if buffered + n < k:
+        """The bundles of steps t + 1 .. t + k as a (k, d) block z, and
+        l2_norms(z): z is what sample_bundle calls on rng would give them, or
+        zeros under noise_off, which leave rng untouched.  Taking past T
+        raises.  A read: only advance moves t, so until it does, take
+        returns the same bundles."""
+        at = self.t - self._base
+        if len(self._z) < at + k:  # refill: keep the bundles from step t + 1 on
+            kept, norms = self._z[at:], self._norms[at:]
+            n = min(max(k, BLOCK_FLOATS // self.d), self.T - self.t)  # buffered after it
+            if n < k:
                 raise InvalidStateError(f"{k} more bundles pass the horizon {self.T}")
-            fresh = np.zeros((n, self.d)) if self.noise_off else sample_bundle(
-                self.d, self.scale, rng, n)
-            self._z = np.concatenate((self._z, fresh))
-            self._norms = np.concatenate((self._norms, l2_norms(fresh)))
-        z, self._z = self._z[:k], self._z[k:]
-        norms, self._norms = self._norms[:k], self._norms[k:]
-        return z, norms
+            fresh = np.zeros((n - len(kept), self.d)) if self.noise_off else sample_bundle(
+                self.d, self.scale, rng, n - len(kept))
+            self._z = np.concatenate((kept, fresh))
+            self._norms = np.concatenate((norms, l2_norms(fresh)))
+            self._base, at = self.t, 0
+        return self._z[at : at + k], self._norms[at : at + k]
 
     def new_bundle(self, value: np.ndarray) -> None:
         """Buy value as the bundle of step t, at level tz(t)."""

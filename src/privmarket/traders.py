@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import ScaledCost, check_probabilities
+from .cost import ScaledCost, check_probabilities, unit_trades
 from .errors import ConfigError, InvalidParameterError, StrategyBugError, TradeRejectedError
 from .errors import _as_num, _int_in
 from .market import check_bundle
@@ -48,12 +48,13 @@ class StrategyContext:
 
     t is the 1-based index this arrival would get; q_hat and p_hat are the
     share state and prices published after step t-1 (read-only arrays).
-    unit_costs, when set, are unit_trade_costs as the step that published
-    q_hat priced them, in its own kernel pass (MarketSession.step's probe,
-    which drive_session asks for when a state reader is next): the same
-    bits as pricing them here, since a state's cost does not depend on the
-    block it is priced in.  Without them, unit_trade_costs prices them once
-    per context, on first use, and keeps them off the fields.
+    unit_costs are C(q_hat + each row of cost.unit_trades(d)), row 0 being
+    C(q_hat), read-only: drive_session hands every state reader them, from
+    the probe of the step that published q_hat (MarketSession.step) or, at
+    a session's first look, from one pass of its own.  They are the bits
+    any other pass would give, since a state's cost does not depend on the
+    block it is priced in.  A context built by hand may leave them None,
+    and maximize_profit then prices them.
     """
 
     t: int
@@ -62,23 +63,6 @@ class StrategyContext:
     fee: float
     cost: ScaledCost
     unit_costs: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def unit_trade_costs(self) -> np.ndarray:
-        """C(q_hat + each row of _unit_trades(d)), row 0 being C(q_hat); read-only.
-
-        unit_costs if set, else priced once per context (a plain property: a
-        cached_property takes a lock on each new context), and unit_costs
-        stays None; drive_session hands every state reader the same context
-        until something is booked."""
-        costs = self.unit_costs
-        if costs is None:
-            costs = self.__dict__.get("_priced")
-            if costs is None:
-                costs = self.cost.cost(self.q_hat + _unit_trades(self.cost.d))
-                costs.flags.writeable = False
-                self.__dict__["_priced"] = costs  # frozen: not through setattr
-        return costs
 
 
 def _best_scale(ctx: StrategyContext, belief: np.ndarray, j: int, sign: float) -> float:
@@ -102,7 +86,8 @@ def maximize_profit(
 ) -> tuple[np.ndarray, float]:
     """Best trade among signed unit coordinates plus a fractional refinement.
 
-    Reads the costs of the full trades +/- e_j from ctx.unit_trade_costs,
+    Reads the costs of the full trades +/- e_j from ctx.unit_costs (a
+    hand-built context may carry none: then it prices them in one pass),
     picks the most profitable (ties: lowest coordinate index, buy over
     sell), then line searches the size along that direction.  Each profit
     is <dq, belief> - (C(q_hat + dq) - C(q_hat)): the belief's expected
@@ -116,7 +101,8 @@ def maximize_profit(
     d = ctx.cost.d
     if belief.shape != (d,):
         raise InvalidParameterError(f"belief must have shape ({d},)")
-    costs = ctx.unit_trade_costs.tolist()
+    costs = (ctx.unit_costs if ctx.unit_costs is not None
+             else ctx.cost.cost(ctx.q_hat + unit_trades(d))).tolist()
     c_hat = costs[0]
     best, best_profit = 0, -math.inf
     for j, (b, c_buy, c_sell) in enumerate(zip(belief.tolist(), costs[1::2], costs[2::2])):
@@ -135,18 +121,7 @@ def maximize_profit(
         frac_profit = float(frac @ belief) - (ctx.cost.cost(ctx.q_hat + frac) - c_hat)
         if frac_profit > best_profit:
             return frac, frac_profit
-    return _unit_trades(d)[1 + best].copy(), best_profit
-
-
-@functools.lru_cache(maxsize=1)
-def _unit_trades(d: int) -> np.ndarray:
-    """Read-only (2d + 1, d) block: no trade, then +e_j (row 1 + 2j) and -e_j (row 2 + 2j)."""
-    trades = np.zeros((2 * d + 1, d))
-    flat = trades.reshape(-1)  # row 1 + 2j, column j is flat entry d + j (2d + 1)
-    flat[d :: 2 * d + 1] = 1.0
-    flat[2 * d :: 2 * d + 1] = -1.0
-    trades.flags.writeable = False
-    return trades
+    return unit_trades(d)[1 + best].copy(), best_profit
 
 
 def best_response(ctx: StrategyContext, belief: np.ndarray) -> Optional[np.ndarray]:
@@ -191,6 +166,12 @@ class Strategy:
         return [self.decide(ctx) for _ in range(n)]
 
 
+def _is_num(x, types=(int, float)) -> bool:
+    """Whether x is one of types, a bool being no number here (a check, not
+    the schema's parsers: a trial builds its strategies and parses nothing)."""
+    return isinstance(x, types) and not isinstance(x, bool)
+
+
 def _finite_belief(belief) -> np.ndarray:
     """belief as a float array; a nan or inf entry is an InvalidParameterError,
     since maximize_profit's profits are exact only for a finite belief."""
@@ -217,7 +198,8 @@ class ArbitrageHunter(Strategy):
 
     The threshold defaults to the fee at decision time, so a fee-free market
     gets hit on any deviation; it pays the fee and trades regardless of
-    whether the expected profit clears it.
+    whether the expected profit clears it.  A threshold is None or a finite
+    int or float (not a bool), else an InvalidParameterError.
     """
 
     kind = "arbitrage_hunter"
@@ -228,6 +210,9 @@ class ArbitrageHunter(Strategy):
         self.belief = _finite_belief(belief).copy()
         self.belief.flags.writeable = False
         self._entries = self.belief.tolist()
+        if threshold is not None and not (_is_num(threshold) and abs(threshold) < math.inf):
+            raise InvalidParameterError(
+                f"threshold must be None or a finite number, not {threshold!r}")
         self.threshold = threshold
 
     def decide(self, ctx: StrategyContext) -> Optional[np.ndarray]:
@@ -243,12 +228,14 @@ class ArbitrageHunter(Strategy):
 
 
 class Herd(Strategy):
-    """Always buys one unit of a fixed coordinate."""
+    """Always buys one unit of a fixed coordinate, an int >= 0 (not a bool)."""
 
     kind = "herd"
     reads_state = False
 
     def __init__(self, coordinate: int = 0):
+        if not (_is_num(coordinate, int) and coordinate >= 0):
+            raise InvalidParameterError(f"coordinate must be an int >= 0, not {coordinate!r}")
         self.coordinate = coordinate
 
     def decide_run(self, ctx: StrategyContext, n: int) -> np.ndarray:
@@ -443,10 +430,11 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     The block is booked with one MarketSession.step when it holds BLOCK_CAP
     arrivals or BLOCK_FLOATS bundle entries, before a state reader is asked,
     and at the end; a reader's answer is booked alone: an ndarray (d,) as
-    it is, anything else as a list of one bundle.  A step after which the
-    next slot is a state reader's also prices its unit trades (step's
-    probe), and the reader's context carries them (unit_costs), so a reader
-    arrival makes one kernel pass, not two.  A bundle check_bundle
+    it is, anything else as a list of one bundle.  Every reader's context
+    carries its unit-trade costs (unit_costs): a step after which the next
+    slot is a state reader's prices them (step's probe), so a reader
+    arrival makes one kernel pass, not two; when no step priced them (a
+    session's first look) one pass here does.  A bundle check_bundle
     rejects, or a blind answer without one entry per slot, raises
     StrategyBugError naming its strategy's kind; a negative slot is an
     InvalidParameterError.
@@ -457,13 +445,16 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     cap = max(1, min(BLOCK_CAP, BLOCK_FLOATS // d))
     pending, k = np.empty((cap, d)), 0  # rows [0, k) wait to be booked
     slots = np.empty(cap, dtype=np.intp)  # the stream slot of each pending row
-    ctx = costs = None  # costs: the last step's probe costs, if it had one
+    ctx = costs = None  # costs: the unit-trade costs of session.q_hat, once priced
     strat = stream.owner(slot) if slot < length else None  # the owner of slot
     while strat is not None and session.arrivals + k < T:
         if strat.reads_state:  # asked alone, once every earlier arrival is booked
             if k:
                 costs = _book(session, stream, pending[:k], slots, True)
             k = 0
+            if costs is None:  # no step priced them: the session's first look
+                costs = session.cost.cost(session.q_hat + unit_trades(d))
+                costs.setflags(write=False)
             ctx = _context(session, 0, ctx, costs)
             dq = step_strategy(strat, ctx)
             slot += 1
@@ -490,9 +481,10 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
 def _context(session, ahead: int, last: StrategyContext | None,
              costs: np.ndarray | None) -> StrategyContext:
     """The context of the arrival after the session's and ahead pending ones,
-    carrying costs, the unit-trade costs of the session's q_hat if its last
-    step priced them; last when it is that context (nothing was booked since)."""
-    if last is not None and last.q_hat is session.q_hat and last.t == session.arrivals + ahead + 1:
+    carrying costs, the unit-trade costs of the session's q_hat or None; last
+    when it is that context (nothing was booked since, and it carries costs)."""
+    if (last is not None and last.unit_costs is costs and last.q_hat is session.q_hat
+            and last.t == session.arrivals + ahead + 1):
         return last
     return StrategyContext(
         t=session.arrivals + ahead + 1,
@@ -551,7 +543,7 @@ def _book(session, stream: Stream, block, slots, reads: bool) -> np.ndarray | No
     state reader reads next, the step also prices its unit trades, and their
     costs are returned (else None)."""
     try:
-        return session.step(block, probe=_unit_trades(session.params.d) if reads else None)
+        return session.step(block, reads)
     except TradeRejectedError as exc:
         kind = stream.owner(int(slots[exc.row])).kind
         raise StrategyBugError(f"{kind} returned a bad bundle: {exc}") from exc

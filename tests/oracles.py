@@ -192,12 +192,24 @@ SESSION_FIELDS = ("q_hat", "p_hat", "c_hat", "q_true", "trade_payments", "fee_to
 """The MarketSession state a ReferenceSession keeps too."""
 
 
+def held_pairs(ledger) -> list[tuple[int, np.ndarray]]:
+    """(buy time, value) of each bundle a NoiseLedger holds, oldest first,
+    decoded from its levels, mask and t; the values are views of levels.
+
+    The bundle at level l was bought at the latest u <= t with tz(u) == l.
+    """
+    t = ledger.t
+    return [(t - ((t - (1 << l)) & ((2 << l) - 1)), ledger.levels[l])
+            for l in reversed(range(len(ledger.levels))) if ledger.mask >> l & 1]
+
+
 def assert_same_session(session, reference: ReferenceSession) -> None:
     """session's SESSION_FIELDS and held (time, value) pairs, oldest first, == reference's."""
     for name in SESSION_FIELDS:
         assert np.array_equal(getattr(session, name), getattr(reference, name)), name
-    assert [time for time, _ in session.noise.held] == list(reference.held)
-    for (_, ours), theirs in zip(session.noise.held, reference.held.values()):
+    held = held_pairs(session.noise)
+    assert [time for time, _ in held] == list(reference.held)
+    for (_, ours), theirs in zip(held, reference.held.values()):
         assert np.array_equal(ours, theirs.value)
 
 

@@ -38,7 +38,7 @@ from privmarket import (
 )
 from privmarket.traders import StrategyContext, best_response
 
-from oracles import ftrl_price, low_bit, noise_path_sum, participation_count
+from oracles import ftrl_price, held_pairs, low_bit, noise_path_sum, participation_count
 
 MARKET = {"d": 2, "epsilon": 1.0, "alpha": 0.3, "gamma": 0.1, "T": 64}
 SEEDS = 500
@@ -111,7 +111,7 @@ def test_schedule_combinatorics_exhaustive(report):
         if ledger.t != t or n_sells != low_bit(t).bit_length() - 1:
             violations += 1
         for _ in range(n_sells):
-            s = ledger.held[-1][0]
+            s = held_pairs(ledger)[-1][0]
             if s in sold_at or t - s != low_bit(s):
                 violations += 1
             ledger.mark_sold()
@@ -119,7 +119,7 @@ def test_schedule_combinatorics_exhaustive(report):
             running -= values[s]
         values[t] = float(rng.normal())
         ledger.new_bundle(np.array([values[t]]))
-        held = {u for u, _ in ledger.held}
+        held = {u for u, _ in held_pairs(ledger)}
         running += values[t]
         # held set == one-bit prefixes of the counter
         expect = set()

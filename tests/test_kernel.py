@@ -25,8 +25,8 @@ from privmarket import (
     open_market,
     step_strategy,
 )
-from privmarket.cost import TALL_ROWS, row_sums
-from privmarket.traders import _best_scale, _unit_trades
+from privmarket.cost import TALL_ROWS, row_sums, unit_trades
+from privmarket.traders import _best_scale
 
 from oracles import (
     ReferenceSession,
@@ -143,8 +143,8 @@ def _array_maximize_profit(ctx, belief):
     """maximize_profit with array arithmetic: the unit trades' payouts by one
     matmul, their costs less C(q_hat) by two array subtractions."""
     d = ctx.cost.d
-    trades = _unit_trades(d)
-    costs = ctx.unit_trade_costs
+    trades = unit_trades(d)
+    costs = ctx.cost.cost(ctx.q_hat + trades)
     c_hat = float(costs[0])
     profits = (trades[1:] @ belief - (costs[1:] - c_hat)).tolist()
     best, best_profit = 0, -math.inf

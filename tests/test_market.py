@@ -21,10 +21,10 @@ from privmarket import (
 )
 
 from privmarket import cost as cost_module
+from privmarket.cost import unit_trades
 from privmarket.market import check_bundle
-from privmarket.traders import _unit_trades
 
-from oracles import ReferenceSession, low_bit
+from oracles import ReferenceSession, held_pairs, low_bit
 
 
 def test_lambda_star_worked_values():
@@ -248,13 +248,13 @@ def test_full_and_closed_errors():
 def test_close_rejects_unknown_outcome():
     session = open_market(_unsafe_params(T=4), rng=0)
     session.step(np.array([1.0, 0.0]))
-    held = [time for time, _ in session.noise.held]
+    held = [time for time, _ in held_pairs(session.noise)]
     for outcome in (2, -1):  # d == 2
         with pytest.raises(InvalidParameterError):
             session.close(outcome)
         # nothing was sold back or settled: the session stays open
         assert not session.closed
-        assert [time for time, _ in session.noise.held] == held
+        assert [time for time, _ in held_pairs(session.noise)] == held
     session.step(np.array([0.0, 1.0]))
     assert session.close(1).arrivals == 2
 
@@ -410,7 +410,7 @@ def _noisy_session(steps: int):
 
 def test_step_detects_published_state_out_of_sync_with_held_noise():
     session = _noisy_session(3)  # held: the bundles bought at t = 2 and t = 3
-    session.noise.held[0][1][0] += 1.0  # corrupt a held bundle in place
+    held_pairs(session.noise)[0][1][0] += 1.0  # corrupt a held bundle in place
     with pytest.raises(InvalidStateError, match="lost sync with held noise"):
         session.step(np.array([0.0, 0.5]))
 
@@ -459,7 +459,7 @@ def test_step_detects_the_levels_it_books_out_of_sync_with_published_state(steps
 @pytest.mark.parametrize("steps", [5, 16])
 def test_close_detects_held_levels_out_of_sync_with_published_state(steps):
     session = _noisy_session(steps)
-    session.noise.held[0][1][1] -= 1e-3  # corrupt the oldest held bundle after the last step
+    held_pairs(session.noise)[0][1][1] -= 1e-3  # corrupt the oldest held bundle after the last step
     before = _booked(session)
     with pytest.raises(InvalidStateError, match="lost sync with held noise"):
         session.close(0)
@@ -489,7 +489,6 @@ def test_open_and_close_each_make_one_kernel_pass(monkeypatch):
     # probed, the same step prices q_hat + the 2d + 1 unit trades below them
     session = _noisy_session(7)
     shapes.clear()
-    probe = _unit_trades(2)
-    costs = session.step(np.array([0.5, -0.25]), probe)
+    costs = session.step(np.array([0.5, -0.25]), probe=True)
     assert shapes == [(7 + 5, 2)]
-    assert costs.tobytes() == session.cost.cost(session.q_hat + probe).tobytes()
+    assert costs.tobytes() == session.cost.cost(session.q_hat + unit_trades(2)).tobytes()

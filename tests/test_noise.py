@@ -19,6 +19,7 @@ from privmarket.noise import BLOCK_FLOATS, l2_norms
 
 from oracles import (
     bundle_gap_total,
+    held_pairs,
     low_bit,
     noise_path_sum,
     participation_count,
@@ -33,7 +34,7 @@ def _turn_over(led, value):
     """
     sold = []
     for _ in range(led.begin_step()):
-        sold.append(led.held[-1][0])
+        sold.append(held_pairs(led)[-1][0])
         led.mark_sold()
     led.new_bundle(value)
     led.verify_held()
@@ -73,7 +74,7 @@ def test_sell_schedule_worked_examples():
     assert sells[8] == [7, 6, 4]
     assert sells[12] == [11, 10]
     assert sells[5] == []
-    assert [time for time, _ in led.held] == [8, 12]
+    assert [time for time, _ in held_pairs(led)] == [8, 12]
 
 
 def test_counter_equivalence_exhaustive():
@@ -86,8 +87,8 @@ def test_counter_equivalence_exhaustive():
         for s in sold:
             assert s not in sold_at
             sold_at[s] = t
-        held = {time for time, _ in led.held}
-        assert len(held) == len(led.held)
+        held = {time for time, _ in held_pairs(led)}
+        assert len(held) == len(held_pairs(led))
         # rebuild independently: the one-bit prefixes of t
         expect = set()
         rem = t
@@ -229,12 +230,12 @@ def test_ledger_lifecycle():
         while u:
             path.append(u)
             u &= u - 1
-        assert [time for time, _ in reversed(led.held)] == path
+        assert [time for time, _ in reversed(held_pairs(led))] == path
         got = led.held_sum()
-        expect = noise_path_sum(t, dict(led.held))
+        expect = noise_path_sum(t, dict(held_pairs(led)))
         assert got == pytest.approx(expect, abs=1e-12)
     # t = 16: held is exactly {16}
-    assert [time for time, _ in led.held] == [16]
+    assert [time for time, _ in held_pairs(led)] == [16]
 
 
 def test_ledger_noise_off_is_zero():
@@ -245,7 +246,7 @@ def test_ledger_noise_off_is_zero():
     led.new_bundle(z[0])
     assert np.array_equal(z, np.zeros((1, 3))) and np.array_equal(norms, np.zeros(1))
     assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
-    assert np.array_equal(led.held[0][1], np.zeros(3))
+    assert np.array_equal(held_pairs(led)[0][1], np.zeros(3))
     assert np.array_equal(led.held_sum(), np.zeros(3))
 
 

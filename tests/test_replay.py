@@ -30,7 +30,7 @@ from privmarket import (
     sample_bundle,
 )
 
-from oracles import noise_path_sum
+from oracles import held_pairs, noise_path_sum
 
 OUTCOME = 1
 
@@ -112,7 +112,7 @@ def test_engine_matches_replay_oracle(roster, d, T, noise_off):
         for t in range(1, T + 1):
             drive_session(session, Stream((trader,), 1))
             assert session.arrivals == t
-            assert len(session.noise.held) == t.bit_count()
+            assert len(held_pairs(session.noise)) == t.bit_count()
         engine = {
             "max_price_gap": session.max_price_gap,
             "max_share_gap": session.max_share_gap,

@@ -11,6 +11,7 @@ from privmarket import (
     Abstainer,
     ArbitrageHunter,
     BeliefTrader,
+    ConfigError,
     Herd,
     InvalidParameterError,
     MarketParams,
@@ -32,8 +33,8 @@ from privmarket import (
 )
 
 from privmarket import cost as cost_module
-from privmarket.cost import TALL_ROWS
-from privmarket.traders import RANDOM_CHUNK, _unit_trades
+from privmarket.cost import TALL_ROWS, unit_trades
+from privmarket.traders import RANDOM_CHUNK
 
 from oracles import reference_cost
 
@@ -222,6 +223,28 @@ def test_readers_refuse_a_belief_that_is_not_finite(cls, bad):
     with pytest.raises(InvalidParameterError, match="finite"):
         cls(np.array([bad, 0.9]))
     assert cls([0.1, 0.9]).belief.tolist() == [0.1, 0.9]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.1", True, [0.1]])
+def test_arbitrage_hunter_refuses_a_threshold_that_is_not_a_finite_number(bad):
+    """nan would trade at every turn, inf never, a string would raise at the
+    first decision and True would mean 1: each is refused when the hunter is
+    built."""
+    with pytest.raises(InvalidParameterError, match="threshold"):
+        ArbitrageHunter(np.array([0.5, 0.5]), threshold=bad)
+    for good in (None, 0, 0.25, -1, 10**400):
+        assert ArbitrageHunter(np.array([0.5, 0.5]), threshold=good).threshold == good
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, "0", None])
+def test_herd_refuses_a_coordinate_that_is_not_an_int_of_at_least_zero(bad):
+    """-1 would buy the last outcome and 1.5 would raise mid-run; a config's
+    coordinate is still a ConfigError, from strategy_args."""
+    with pytest.raises(InvalidParameterError, match="coordinate"):
+        Herd(bad)
+    assert Herd(2).coordinate == 2 and Herd().coordinate == 0
+    with pytest.raises(ConfigError, match="coordinate"):
+        strategy_args("herd", {"coordinate": -1}, 2)
 
 
 def test_simple_strategies():
@@ -488,25 +511,24 @@ def _reader_stream(d: int, seen: list, length: int) -> Stream:
 
 
 def _assert_fresh_unit_costs(seen: list) -> None:
-    """Each context's unit_trade_costs are, byte for byte, a fresh pass's."""
+    """Each context's carried unit costs are, byte for byte, a fresh pass's."""
     for ctx in seen:
-        costs = ctx.unit_trade_costs
-        fresh = ctx.cost.cost(ctx.q_hat + _unit_trades(ctx.cost.d))
+        costs = ctx.unit_costs
+        fresh = ctx.cost.cost(ctx.q_hat + unit_trades(ctx.cost.d))
         assert not costs.flags.writeable and costs.tobytes() == fresh.tobytes(), ctx.t
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_a_readers_carried_unit_costs_are_a_fresh_pass(d):
     # the step before a state reader prices its unit trades (step's probe):
-    # after a blind run, after a reader's trade and after abstentions
+    # after a blind run, after a reader's trade and after abstentions; the
+    # first reader's, at the session's opening state, come from the driver
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=64)
     seen = []
     session = open_market(params, rng=d)
     drive_session(session, _reader_stream(d, seen, 600))
     assert session.is_full and len({*map(id, seen)}) > 30
     _assert_fresh_unit_costs(seen)
-    # only the first context, the session's opening state, priced them itself
-    assert [ctx.unit_costs is None for ctx in seen] == [ctx is seen[0] for ctx in seen]
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
@@ -525,21 +547,49 @@ def test_unit_costs_carried_from_a_tall_block(d, monkeypatch):
     _assert_fresh_unit_costs(seen)
 
 
-def test_a_context_without_carried_costs_prices_them_once(monkeypatch):
-    # a hand-built context prices its unit trades on first use, in one
-    # kernel pass, and hands the same read-only array out after; unit_costs
-    # stays None, so the context's fields are what it was built with
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_maximize_profit_prices_a_hand_built_context_as_carried_costs_give(d, monkeypatch):
+    # a context built without unit_costs is priced by maximize_profit, in
+    # one kernel pass of the unit trades; its answer is the carried costs',
+    # bit for bit, and a context that carries them makes no such pass
     passes = []
     kernel = cost_module._shifted_exp
     monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (passes.append(x.shape), kernel(x))[1])
-    ctx = _ctx([0.3, -1.2, 2.0], lam=0.05)
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        ctx = _ctx(rng.normal(0.0, 40.0, d), lam=0.02)
+        carried = dataclasses.replace(
+            ctx, unit_costs=ctx.cost.cost(ctx.q_hat + unit_trades(d)))
+        belief = rng.dirichlet(np.ones(d))
+        passes.clear()
+        dq, profit = maximize_profit(carried, belief)
+        assert (2 * d + 1, d) not in passes and ctx.unit_costs is None
+        hand_dq, hand_profit = maximize_profit(ctx, belief)
+        assert passes.count((2 * d + 1, d)) == 1
+        assert hand_dq.tobytes() == dq.tobytes() and hand_profit == profit
+
+
+def test_a_reader_after_an_abstaining_blind_run_carries_fresh_unit_costs(monkeypatch):
+    # the session's first run is blind and books nothing, so no step priced
+    # the hunter's unit trades: the driver prices them once, at the opening
+    # state, for the hunter's context (not the blind one's); every later
+    # hunter turn follows a herd's booked slot, whose step prices them
+    passes = []
+    kernel = cost_module._shifted_exp
+    monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (passes.append(x.shape), kernel(x))[1])
+    params = MarketParams(d=3, epsilon=1.0, alpha=0.3, gamma=0.1, T=32)
+    session = open_market(params, rng=3)
+    steps, step = [], session.step
+    session.step = lambda dq, probe=False: (steps.append(probe), step(dq, probe))[1]
+    seen = []
+    hunter = _recorded(ArbitrageHunter, seen)(np.array([0.8, 0.1, 0.1]), threshold=0.0)
     passes.clear()
-    first = ctx.unit_trade_costs
-    assert ctx.unit_trade_costs is first and passes == [(7, 3)]
-    assert ctx.unit_costs is None and not first.flags.writeable
-    assert first.tobytes() == ctx.cost.cost(ctx.q_hat + _unit_trades(3)).tobytes()
-    carried = dataclasses.replace(ctx, unit_costs=first)
-    assert carried.unit_trade_costs is first and len(passes) == 2  # the check's own pass only
+    drive_session(session, Stream((Abstainer(), hunter, Herd()), 30))
+    assert len(seen) == 10 and seen[0].t == 1 and session.arrivals == 20
+    # the first reader's unit trades, then one pass per step
+    assert passes[0] == (7, 3) and len(passes) == 1 + len(steps)
+    assert steps.count(True) == len(seen) - 1
+    _assert_fresh_unit_costs(seen)
 
 
 def test_one_kernel_pass_per_reader_arrival(monkeypatch):
