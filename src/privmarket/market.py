@@ -22,7 +22,7 @@ import dataclasses
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,7 +169,8 @@ class Ledger:
 def check_bundle(dq, d: int) -> np.ndarray:
     """dq as a float block (k, d): k >= 1 bundles as rows, a list or tuple of them,
     or one bundle as an ndarray (d,).  The one check of a bundle: entries ints
-    or floats (numpy kinds i, u, f), finite, l1 norm at most 1.  A rejection's
+    or floats (numpy kinds i, u, f; never a bool, also as an entry of a list
+    bundle), finite, l1 norm at most 1.  A rejection's
     row is the index of the first bad bundle.  A float64 ndarray (d,), every
     state reader's trade, or (1, d), the one blind slot booked before a
     reader, is checked directly, with the block path's l1 size, and returned
@@ -191,9 +192,13 @@ def check_bundle(dq, d: int) -> np.ndarray:
         row = _first_misshapen(dq, d)
         raise TradeRejectedError(f"bundle {row} must have shape ({d},)", row)
     if block.dtype != np.float64 or not isinstance(dq, np.ndarray):
-        # each bundle of a list as numpy reads it alone: beside floats, bools would pass as floats
+        # each bundle of a list as numpy reads it alone, and a list bundle's
+        # entries one by one: beside ints or floats, bools would pass as numbers
         for row, bundle in enumerate(dq if isinstance(dq, (list, tuple)) else (block,)):
             dtype = np.asarray(bundle).dtype
+            if isinstance(bundle, (list, tuple)) and any(
+                    isinstance(x, (bool, np.bool_)) for x in bundle):
+                dtype = np.dtype(bool)
             if dtype.kind not in "iuf":  # signed, unsigned, float
                 raise TradeRejectedError(
                     f"bundle {row} entries must be ints or floats, not {dtype}", row)
@@ -296,14 +301,39 @@ def _block_plan(k: int, low: int, top: int) -> tuple:
     return plan
 
 
+@dataclass(frozen=True)
+class StrategyContext:
+    """Published information available to a strategy at its arrival.
+
+    t is the 1-based index the next arrival would get; q_hat and p_hat are
+    the share state and prices published after step t-1 (read-only arrays).
+    unit_costs are C(q_hat + each row of cost.unit_trades(d)), row 0 being
+    C(q_hat), read-only, or None: MarketSession.quote carries them when the
+    step that published q_hat priced them (its probe).  They are the bits any
+    other pass would give, since a state's cost does not depend on the block
+    it is priced in.  Without them maximize_profit prices them.
+    """
+
+    t: int
+    q_hat: np.ndarray
+    p_hat: np.ndarray
+    fee: float
+    cost: ScaledCost
+    unit_costs: np.ndarray | None = field(default=None, repr=False)
+
+
 class MarketSession:
     """Mutable state of one running market; single-owner, not thread-safe.
 
     The session keeps only what the ledger and the accuracy metrics need:
     the true and published states, C(q_hat) cached between steps, the held
     noise stack, cash totals, and running gaps.  q_hat and p_hat are the
-    latest published state and prices and are read-only.  Nonzero
-    initial_shares support stage handoff.
+    latest published state and prices and are read-only.  quote is what a
+    strategy may see of them, the StrategyContext of the state last
+    published: the open sets it without unit_costs (pricing the unit trades
+    there would cost every session a (2d + 1, d) pass, whether a state
+    reader looks first or not) and every step sets it anew; close leaves it,
+    as it leaves p_hat.  Nonzero initial_shares support stage handoff.
 
     rng is anything np.random.default_rng takes; a Generator is used as it
     is.  The session draws its noise bundles from it ahead of its arrivals,
@@ -334,6 +364,7 @@ class MarketSession:
         self.q_hat = _published(q0.copy())
         self.c_hat, p0 = self.cost.cost_and_prices(q0)
         self.p_hat = _published(p0)
+        self.quote = StrategyContext(1, self.q_hat, self.p_hat, params.fee, self.cost)
         self.noise = NoiseLedger(
             d=params.d,
             scale=noise_scale(params.T, params.epsilon),
@@ -359,7 +390,7 @@ class MarketSession:
         """Mean l2 norm of the noise bundles bought so far (one per arrival)."""
         return self.bundle_l2_total / self.arrivals if self.arrivals else 0.0
 
-    def step(self, dq, probe: bool = False) -> np.ndarray | None:
+    def step(self, dq, probe: bool = False) -> None:
         """Book the k bundles of check_bundle(dq, d), one arrival each, in order.
 
         Each arrival pays the fee and its trade's cost at the published
@@ -394,11 +425,13 @@ class MarketSession:
         booked, and so does any failure before the counter is advanced (take
         is a read: the next step takes the same bundles).
 
-        With probe, the states q_hat + each row of cost.unit_trades(d) (q_hat
-        after the block) go below the booked ones in the same kernel pass, and
-        their costs are returned, read-only (else None).  A row's cost does not
-        depend on its block, tall or not (the partition tests), so a probe
-        changes no booked bit and its costs are a lone pass's.
+        The step publishes quote: t = arrivals + 1, the q_hat and p_hat it
+        publishes, and unit_costs.  With probe, the states q_hat + each row of
+        cost.unit_trades(d) (q_hat after the block) go below the booked ones in
+        the same kernel pass, and their costs, read-only, are the quote's
+        unit_costs (else None).  A row's cost does not depend on its block,
+        tall or not (the partition tests), so a probe changes no booked bit
+        and its costs are a lone pass's.
         """
         if self.closed:
             raise MarketClosedError("session is closed")
@@ -495,7 +528,8 @@ class MarketSession:
         self.arrivals += k
         self.max_share_gap = max(self.max_share_gap, share_gap)
         self.max_price_gap = max(self.max_price_gap, price_gap)
-        return _published(costs[r:]) if probe else None
+        self.quote = StrategyContext(self.arrivals + 1, self.q_hat, self.p_hat, self.params.fee,
+                                     self.cost, _published(costs[r:]) if probe else None)
 
     def close(self, outcome: int) -> Ledger:
         """Sell back remaining noise, pay every arrival, and return the ledger.
@@ -503,7 +537,7 @@ class MarketSession:
         The held levels are sold lowest (most recent) first, in one running
         sum and one kernel pass; the batch check and then step's held-noise
         check run before anything is booked.  Security j pays 1 exactly on
-        outcome j.  p_hat is left as the last published prices (a next stage opens at them).
+        outcome j.  p_hat and quote are left as last published (a next stage opens at p_hat).
         """
         if self.closed:
             raise InvalidStateError("session is already closed")

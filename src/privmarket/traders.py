@@ -24,10 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .cost import ScaledCost, check_probabilities, unit_trades
+from .cost import check_probabilities, unit_trades
 from .errors import ConfigError, InvalidParameterError, StrategyBugError, TradeRejectedError
 from .errors import _as_num, _int_in
-from .market import check_bundle
+from .market import StrategyContext, check_bundle
 from .noise import BLOCK_FLOATS
 
 BLOCK_CAP = 1024
@@ -40,29 +40,6 @@ RANDOM_CHUNK = 250
 """The unit of a RandomTrader's draws: it draws whole chunks of this many
 (sign, coordinate) pairs, so its generator ends where drawing them one chunk
 at a time would leave it (rng.integers draws each bound in turn)."""
-
-
-@dataclass(frozen=True)
-class StrategyContext:
-    """Published information available to a strategy at its arrival.
-
-    t is the 1-based index this arrival would get; q_hat and p_hat are the
-    share state and prices published after step t-1 (read-only arrays).
-    unit_costs are C(q_hat + each row of cost.unit_trades(d)), row 0 being
-    C(q_hat), read-only: drive_session hands every state reader them, from
-    the probe of the step that published q_hat (MarketSession.step) or, at
-    a session's first look, from one pass of its own.  They are the bits
-    any other pass would give, since a state's cost does not depend on the
-    block it is priced in.  A context built by hand may leave them None,
-    and maximize_profit then prices them.
-    """
-
-    t: int
-    q_hat: np.ndarray
-    p_hat: np.ndarray
-    fee: float
-    cost: ScaledCost
-    unit_costs: np.ndarray | None = field(default=None, repr=False)
 
 
 def _best_scale(ctx: StrategyContext, belief: np.ndarray, j: int, sign: float) -> float:
@@ -86,8 +63,9 @@ def maximize_profit(
 ) -> tuple[np.ndarray, float]:
     """Best trade among signed unit coordinates plus a fractional refinement.
 
-    Reads the costs of the full trades +/- e_j from ctx.unit_costs (a
-    hand-built context may carry none: then it prices them in one pass),
+    Reads the costs of the full trades +/- e_j from ctx.unit_costs, or,
+    when the context carries none (a session's opening quote, the quote of
+    an unprobed step, a hand-built context), prices them in one pass.  It
     picks the most profitable (ties: lowest coordinate index, buy over
     sell), then line searches the size along that direction.  Each profit
     is <dq, belief> - (C(q_hat + dq) - C(q_hat)): the belief's expected
@@ -138,9 +116,10 @@ class Strategy:
     reads_state is False for a strategy whose decisions ignore ctx.t,
     ctx.q_hat and ctx.p_hat.  drive_session asks it once per run of
     consecutive blind slots for all of its slots there (decide_run), with
-    the context before the run: ctx.t is the run's first arrival index.
+    the session's quote: its t counts booked arrivals only, so it is below
+    the run's first arrival index when earlier bundles wait to be booked.
     One that reads them keeps the default, True, and is asked through
-    decide once every earlier arrival is booked.
+    decide, with the quote, once every earlier arrival is booked.
     """
 
     kind = "abstract"
@@ -228,7 +207,8 @@ class ArbitrageHunter(Strategy):
 
 
 class Herd(Strategy):
-    """Always buys one unit of a fixed coordinate, an int >= 0 (not a bool)."""
+    """Always buys one unit of a fixed coordinate, an int >= 0 (not a bool)
+    and below the market's d, checked when it decides."""
 
     kind = "herd"
     reads_state = False
@@ -239,6 +219,9 @@ class Herd(Strategy):
         self.coordinate = coordinate
 
     def decide_run(self, ctx: StrategyContext, n: int) -> np.ndarray:
+        if self.coordinate >= ctx.cost.d:
+            raise InvalidParameterError(
+                f"coordinate {self.coordinate} is not below the market's d = {ctx.cost.d}")
         dq = np.zeros((n, ctx.cost.d))
         dq[:, self.coordinate] = 1.0
         return dq
@@ -367,8 +350,9 @@ class Stream:
     belongs to instances[(i // per) % n].  round_robin cycles through the n
     instances (per = 1); sequential gives each one turn of
     per = max(1, ceil(length / n)) slots, in order.  An empty roster, an
-    instance listed twice (its slots would not be one range), a negative
-    length and an unknown order are InvalidParameterErrors.
+    instance listed twice (its slots would not be one range), a length that
+    is not an int >= 0 (a bool is none) and an unknown order are
+    InvalidParameterErrors.
     """
 
     instances: tuple[Strategy, ...]
@@ -385,9 +369,9 @@ class Stream:
             raise InvalidParameterError("a stream needs at least one instance")
         if len({*map(id, self.instances)}) < n:
             raise InvalidParameterError("a stream lists an instance twice")
-        if not isinstance(self.length, int) or self.length < 0 or self.order not in ARRIVAL_ORDERS:
+        if not (_is_num(self.length, int) and self.length >= 0) or self.order not in ARRIVAL_ORDERS:
             raise InvalidParameterError(
-                f"a stream needs a length >= 0 and an order in {ARRIVAL_ORDERS}")
+                f"a stream needs an int length >= 0 and an order in {ARRIVAL_ORDERS}")
         readers = [j for j, strat in enumerate(self.instances) if strat.reads_state]
         readers += [n + j for j in readers[:1]]  # the first's turn in the next cycle
         object.__setattr__(self, "instances", tuple(self.instances))
@@ -396,7 +380,10 @@ class Stream:
         object.__setattr__(self, "ahead", tuple(
             readers[bisect.bisect_left(readers, j)] - j for j in range(n)) if readers else ())
 
-    def owner(self, slot: int) -> Strategy:
+    def owner(self, slot: int) -> Strategy | None:
+        """The instance slot belongs to; None past the stream's end."""
+        if slot >= self.length:
+            return None
         return self.instances[(slot // self.per) % len(self.instances)]
 
     def next_reader(self, start: int, stop: int) -> int:
@@ -424,76 +411,52 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     fills or the stream ends; return the next slot (no slot past the arrival
     that fills the session is taken).
 
-    In each run of consecutive blind slots (reads_state False), each
-    strategy is asked once for all of its slots (step_strategy with n), and
-    its bundles join the pending block through one slice (Stream.runs).
-    The block is booked with one MarketSession.step when it holds BLOCK_CAP
-    arrivals or BLOCK_FLOATS bundle entries, before a state reader is asked,
-    and at the end; a reader's answer is booked alone: an ndarray (d,) as
-    it is, anything else as a list of one bundle.  Every reader's context
-    carries its unit-trade costs (unit_costs): a step after which the next
-    slot is a state reader's prices them (step's probe), so a reader
-    arrival makes one kernel pass, not two; when no step priced them (a
-    session's first look) one pass here does.  A bundle check_bundle
-    rejects, or a blind answer without one entry per slot, raises
-    StrategyBugError naming its strategy's kind; a negative slot is an
+    Every strategy is asked with the session's quote (MarketSession.quote),
+    the one context of the state it last published.  In each run of
+    consecutive blind slots (reads_state False), each strategy is asked once
+    for all of its slots (step_strategy with n), and its bundles join the
+    pending block through one slice (Stream.runs).  The block is booked with
+    one MarketSession.step when it holds BLOCK_CAP arrivals or BLOCK_FLOATS
+    bundle entries, before a state reader is asked, and at the end; a
+    reader's answer is booked alone: an ndarray (d,) as it is, anything else
+    as a list of one bundle.  A step after which the next slot is a state
+    reader's prices its unit trades (step's probe), so a reader arrival
+    makes one kernel pass, not two; a quote without them is priced by
+    maximize_profit.  A bundle check_bundle rejects, or a blind answer
+    without one entry per slot, raises StrategyBugError naming its
+    strategy's kind; a slot that is not an int >= 0 (a bool is none) is an
     InvalidParameterError.
     """
-    if slot < 0:
-        raise InvalidParameterError(f"slot must be >= 0, got {slot}")
-    d, T, length = session.params.d, session.params.T, stream.length
+    if not (_is_num(slot, int) and slot >= 0):
+        raise InvalidParameterError(f"slot must be an int >= 0, not {slot!r}")
+    d, T = session.params.d, session.params.T
     cap = max(1, min(BLOCK_CAP, BLOCK_FLOATS // d))
     pending, k = np.empty((cap, d)), 0  # rows [0, k) wait to be booked
     slots = np.empty(cap, dtype=np.intp)  # the stream slot of each pending row
-    ctx = costs = None  # costs: the unit-trade costs of session.q_hat, once priced
-    strat = stream.owner(slot) if slot < length else None  # the owner of slot
+    strat = stream.owner(slot)
     while strat is not None and session.arrivals + k < T:
         if strat.reads_state:  # asked alone, once every earlier arrival is booked
             if k:
-                costs = _book(session, stream, pending[:k], slots, True)
+                _book(session, stream, pending[:k], slots, strat)
             k = 0
-            if costs is None:  # no step priced them: the session's first look
-                costs = session.cost.cost(session.q_hat + unit_trades(d))
-                costs.setflags(write=False)
-            ctx = _context(session, 0, ctx, costs)
-            dq = step_strategy(strat, ctx)
+            dq = step_strategy(strat, session.quote)
             slot += 1
-            strat = stream.owner(slot) if slot < length else None
+            strat = stream.owner(slot)
             if dq is not None:  # an ndarray (d,) is one bundle as it is
                 one = isinstance(dq, np.ndarray) and dq.shape == (d,)
-                costs = _book(session, stream, dq if one else [dq], [slot - 1],
-                              strat is not None and strat.reads_state)
+                _book(session, stream, dq if one else [dq], [slot - 1], strat)
             continue
-        stop = min(length, slot + min(T - session.arrivals, cap) - k)
+        stop = min(stream.length, slot + min(T - session.arrivals, cap) - k)
         reader = stream.next_reader(slot, stop)  # the blind run is [slot, reader)
-        ctx = _context(session, k, ctx, costs)
-        k = _ask_run(stream, strat, slot, reader, ctx, pending, slots, k)
+        k = _ask_run(stream, strat, slot, reader, session.quote, pending, slots, k)
         slot = reader
-        strat = stream.owner(slot) if slot < length else None
+        strat = stream.owner(slot)
         if k == cap:
-            costs = _book(session, stream, pending, slots, strat is not None and strat.reads_state)
+            _book(session, stream, pending, slots, strat)
             k = 0
     if k:
-        _book(session, stream, pending[:k], slots, False)  # no slot is asked next
+        _book(session, stream, pending[:k], slots, None)  # no slot is asked next
     return slot
-
-
-def _context(session, ahead: int, last: StrategyContext | None,
-             costs: np.ndarray | None) -> StrategyContext:
-    """The context of the arrival after the session's and ahead pending ones,
-    carrying costs, the unit-trade costs of the session's q_hat or None; last
-    when it is that context (nothing was booked since, and it carries costs)."""
-    if (last is not None and last.unit_costs is costs and last.q_hat is session.q_hat
-            and last.t == session.arrivals + ahead + 1):
-        return last
-    return StrategyContext(
-        t=session.arrivals + ahead + 1,
-        q_hat=session.q_hat,
-        p_hat=session.p_hat,
-        fee=session.params.fee,
-        cost=session.cost,
-        unit_costs=costs,
-    )
 
 
 def _ask_run(stream: Stream, first: Strategy, start: int, stop: int, ctx: StrategyContext,
@@ -532,18 +495,18 @@ def _ask_run(stream: Stream, first: Strategy, start: int, stop: int, ctx: Strate
         slots[k : k + n] = np.arange(start, stop)
     if kept is None:
         return k + n
-    traded_n = np.count_nonzero(kept)
+    traded_n = int(np.count_nonzero(kept))  # a Python int: drive_session returns slots as ints
     rows[:traded_n] = rows[kept]
     slots[k : k + traded_n] = slots[k : k + n][kept]
     return k + traded_n
 
 
-def _book(session, stream: Stream, block, slots, reads: bool) -> np.ndarray | None:
-    """Step block, row i being the bundle of stream slot slots[i]; when a
-    state reader reads next, the step also prices its unit trades, and their
-    costs are returned (else None)."""
+def _book(session, stream: Stream, block, slots, asked: Strategy | None) -> None:
+    """Step block, row i being the bundle of stream slot slots[i]; when asked,
+    the strategy asked next, reads the state, the step also prices its unit
+    trades (step's probe)."""
     try:
-        return session.step(block, reads)
+        session.step(block, asked is not None and asked.reads_state)
     except TradeRejectedError as exc:
         kind = stream.owner(int(slots[exc.row])).kind
         raise StrategyBugError(f"{kind} returned a bad bundle: {exc}") from exc

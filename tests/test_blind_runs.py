@@ -164,6 +164,7 @@ def _assert_drive_session_matches_one_slot_at_a_time(d, T, kinds, order, length,
     ((Herd(),), -1, "round_robin", "length >= 0"),
     ((Herd(),), 2.0, "round_robin", "length >= 0"),
     ((Herd(),), 10, "shuffled", "order in"),
+    ((Herd(),), True, "round_robin", "length >= 0"),  # not a length of 1
 ])
 def test_a_stream_rejects_what_no_roster_expresses(instances, length, order, message):
     with pytest.raises(InvalidParameterError, match=message):

@@ -84,31 +84,47 @@ def test_every_partition_books_the_same_session(d, noise_off):
     for sizes in splits:
         session = open_market(params, rng=np.random.default_rng(7))
         reference = ReferenceSession(params, np.random.default_rng(7))
+        _assert_quote(session, False)  # the open prices no unit trades
         start = 0
         for k in sizes:
             block = bundles[start : start + k]
             probe = start % 3 != 1
-            costs = session.step(block[0] if k == 1 and start % 2 else block, probe)  # (d,) or (1, d)
+            # (d,) or (1, d); the probe's costs go to the quote
+            assert session.step(block[0] if k == 1 and start % 2 else block, probe) is None
             for dq in block:
                 reference.step(dq)
             start += k
             assert_same_session(session, reference)
-            if not probe:
-                assert costs is None
-            else:
-                assert not costs.flags.writeable
-                fresh = session.cost.cost(session.q_hat + unit_trades(d))
-                assert costs.tobytes() == fresh.tobytes()
+            _assert_quote(session, probe)
             # the published prices own a contiguous row, whichever axis the
             # block's prices were gathered along
             p_hat = session.p_hat
             assert p_hat.flags.c_contiguous and not p_hat.flags.writeable and p_hat.base is None
         assert session.is_full
+        quote = session.quote
         ledger = session.close(outcome)
+        assert session.quote is quote  # left as last published, as p_hat is
         assert ledger == reference.close(outcome)
         assert np.array_equal(session.q_hat, reference.q_hat) and session.c_hat == reference.c_hat
         closed.append((_state(session), ledger))
     assert all(entry == closed[0] for entry in closed)
+
+
+def _assert_quote(session, probe: bool) -> None:
+    """session.quote is the context of the state the session last published;
+    it carries unit costs only when that state's step was probed: read-only,
+    and byte for byte a fresh pass's."""
+    quote = session.quote
+    assert quote.t == session.arrivals + 1
+    assert quote.q_hat is session.q_hat and quote.p_hat is session.p_hat
+    assert quote.fee == session.params.fee and quote.cost is session.cost
+    if not probe:
+        assert quote.unit_costs is None
+    else:
+        costs = quote.unit_costs
+        assert not costs.flags.writeable
+        fresh = session.cost.cost(session.q_hat + unit_trades(session.params.d))
+        assert costs.tobytes() == fresh.tobytes()
 
 
 def _sweep_the_counter(T: int, most: int) -> None:

@@ -231,6 +231,18 @@ def test_bundles_must_hold_ints_or_floats(d):
         assert block.dtype == np.float64 and np.array_equal(block, np.reshape(dq, (-1, d)))
 
 
+def test_a_bool_entry_of_a_list_bundle_is_refused():
+    # numpy reads [True, 0.0] as float64 and [True, 0] as int64, so the
+    # dtype alone would book a bool as 1.0; a bool is refused before any l1 check
+    for dq, row in (([[True, 0.0]], 0), ([[True, 0]], 0), ([[np.True_, 0.0]], 0),
+                    (([0.5, True],), 0), ([[0.5, 0.0], (0.0, False)], 1)):
+        with pytest.raises(TradeRejectedError,
+                           match=f"^bundle {row} entries must be ints or floats, not bool$") as info:
+            check_bundle(dq, 2)
+        assert info.value.row == row
+    assert check_bundle([[1, 0.0], (0, -0.5)], 2).tolist() == [[1.0, 0.0], [0.0, -0.5]]
+
+
 def test_full_and_closed_errors():
     session = open_market(_unsafe_params(T=2), rng=0)
     session.step(np.array([1.0, 0.0]))
@@ -489,6 +501,7 @@ def test_open_and_close_each_make_one_kernel_pass(monkeypatch):
     # probed, the same step prices q_hat + the 2d + 1 unit trades below them
     session = _noisy_session(7)
     shapes.clear()
-    costs = session.step(np.array([0.5, -0.25]), probe=True)
+    session.step(np.array([0.5, -0.25]), probe=True)
     assert shapes == [(7 + 5, 2)]
+    costs = session.quote.unit_costs
     assert costs.tobytes() == session.cost.cost(session.q_hat + unit_trades(2)).tobytes()

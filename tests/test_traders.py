@@ -52,7 +52,7 @@ def test_context_exposes_only_published_data():
     # unit trades, so it adds nothing a strategy could not price itself
     names = {f.name for f in dataclasses.fields(StrategyContext)}
     assert names == {"t", "q_hat", "p_hat", "fee", "cost", "unit_costs"}
-    # drive_session hands one context to every reader until something is
+    # a session hands its one quote to every strategy until something is
     # booked, so a strategy cannot rebind its fields
     ctx = _ctx([0.0, 1.0])
     assert (ctx.t, ctx.fee, ctx.unit_costs) == (1, 0.0, None)
@@ -413,6 +413,53 @@ def test_bundles_that_are_not_ints_or_floats_are_not_booked(bad):
         assert session.q_true.tolist() == [0.0, 0.0]
 
 
+def test_a_bool_entry_of_an_answer_is_not_booked():
+    # [True, 0.0] reads as the float bundle [1.0, 0.0] to numpy
+    class Reader(Strategy):
+        kind = "reader"
+
+        def decide(self, ctx):
+            return [True, 0.0]
+
+    class Blind(Strategy):
+        kind = "blind"
+        reads_state = False
+
+        def decide_run(self, ctx, n):
+            return [[0.5, 0.0]] * (n - 1) + [[np.True_, 0]]
+
+    params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=64)
+    for strat, length, row in ((Reader(), 4, 0), (Blind(), 1, 0), (Blind(), 4, 3)):
+        session = open_market(params, rng=0)
+        with pytest.raises(StrategyBugError, match=f"^{strat.kind} returned a bad bundle: "
+                                                   f"bundle {row} entries must be ints or "
+                                                   "floats, not bool$"):
+            drive_session(session, Stream((strat,), length))
+        assert session.arrivals == 0 and session.noise.t == 0
+        assert session.q_true.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.5, "0", np.float64(0.0)])
+def test_drive_session_refuses_a_slot_that_is_not_an_int_of_at_least_zero(bad):
+    # True would start at slot 1 and 1.5 fail in a tuple index
+    params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=4)
+    session = open_market(params, rng=0)
+    with pytest.raises(InvalidParameterError, match="slot must be an int >= 0"):
+        drive_session(session, Stream((Herd(),), 4), bad)
+    assert session.arrivals == 0 and drive_session(session, Stream((Herd(),), 4), 1) == 4
+
+
+def test_a_herds_coordinate_past_d_is_refused_when_it_decides():
+    # built directly, Herd(5) knows no d; in a d = 2 market it would index past a bundle
+    session = open_market(MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=4), rng=0)
+    for stream in (Stream((Herd(5),), 3), Stream((Abstainer(), Herd(2)), 3)):
+        with pytest.raises(InvalidParameterError, match="coordinate 5|coordinate 2"):
+            drive_session(session, stream)
+        assert session.arrivals == 0 and session.noise.t == 0
+    assert drive_session(session, Stream((Herd(1),), 3)) == 3
+    assert session.q_true.tolist() == [0.0, 3.0]
+
+
 def test_a_strategy_must_define_decide_or_decide_run():
     # each default is written in terms of the other, so with neither the
     # first decision would recurse without end
@@ -511,9 +558,12 @@ def _reader_stream(d: int, seen: list, length: int) -> Stream:
 
 
 def _assert_fresh_unit_costs(seen: list) -> None:
-    """Each context's carried unit costs are, byte for byte, a fresh pass's."""
+    """Each context's carried unit costs are, byte for byte, a fresh pass's;
+    only the opening quote (t == 1: no step published its state) carries none."""
     for ctx in seen:
         costs = ctx.unit_costs
+        if costs is None and ctx.t == 1:
+            continue
         fresh = ctx.cost.cost(ctx.q_hat + unit_trades(ctx.cost.d))
         assert not costs.flags.writeable and costs.tobytes() == fresh.tobytes(), ctx.t
 
@@ -522,7 +572,7 @@ def _assert_fresh_unit_costs(seen: list) -> None:
 def test_a_readers_carried_unit_costs_are_a_fresh_pass(d):
     # the step before a state reader prices its unit trades (step's probe):
     # after a blind run, after a reader's trade and after abstentions; the
-    # first reader's, at the session's opening state, come from the driver
+    # first reader's, at the session's opening state, are maximize_profit's
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=64)
     seen = []
     session = open_market(params, rng=d)
@@ -571,9 +621,9 @@ def test_maximize_profit_prices_a_hand_built_context_as_carried_costs_give(d, mo
 
 def test_a_reader_after_an_abstaining_blind_run_carries_fresh_unit_costs(monkeypatch):
     # the session's first run is blind and books nothing, so no step priced
-    # the hunter's unit trades: the driver prices them once, at the opening
-    # state, for the hunter's context (not the blind one's); every later
-    # hunter turn follows a herd's booked slot, whose step prices them
+    # the hunter's unit trades: maximize_profit prices them once, at the
+    # opening quote; every later hunter turn follows a herd's booked slot,
+    # whose step prices them
     passes = []
     kernel = cost_module._shifted_exp
     monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (passes.append(x.shape), kernel(x))[1])
@@ -592,18 +642,85 @@ def test_a_reader_after_an_abstaining_blind_run_carries_fresh_unit_costs(monkeyp
     _assert_fresh_unit_costs(seen)
 
 
-def test_one_kernel_pass_per_reader_arrival(monkeypatch):
+def _mixed_stream(d: int, seen: list, length: int) -> Stream:
+    """The flat_mixed_T64 benchmark roster: herd, random and an
+    arbitrage_hunter believing [0.85, 0.15], which records its contexts."""
+    return Stream((Herd(), RandomTrader(np.random.default_rng(d)),
+                   _recorded(ArbitrageHunter, seen)(np.array([0.85, 0.15]))), length)
+
+
+@pytest.mark.parametrize("d, T, roster, first_look, least_seen", [
+    (8, 256, _reader_stream, 1, 200),  # a belief trader looks first, at the opening quote
+    (2, 64, _mixed_stream, 0, 20),  # the hunter looks after the herd's and random's probed step
+], ids=["staged_d8", "flat_mixed_T64"])
+def test_one_kernel_pass_per_reader_arrival(monkeypatch, d, T, roster, first_look, least_seen):
     passes = []
     kernel = cost_module._shifted_exp
     monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (passes.append(x.shape), kernel(x))[1])
-    params = MarketParams(d=8, epsilon=1.0, alpha=0.3, gamma=0.1, T=256)
-    session = open_market(params, rng=8)
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
+    session = open_market(params, rng=d)
     steps, step = [], session.step
     session.step = lambda dq, probe=None: (steps.append(dq), step(dq, probe))[1]
     seen = []
-    drive_session(session, _reader_stream(8, seen, 400))
+    drive_session(session, roster(d, seen, 400))
     session.close(0)
-    assert session.arrivals == 256 and len(seen) > 200
-    # the open, every step, the first reader's unit trades and the close
-    assert len(passes) == 1 + len(steps) + 1 + 1
-    assert passes[:2] == [(8,), (17, 8)] and passes.count((17, 8)) == 1
+    assert session.arrivals == T and len(seen) > least_seen
+    # the open, every step, the first reader's unit trades when it looks at
+    # the opening quote, and the close
+    assert len(passes) == 1 + len(steps) + first_look + 1 and passes[0] == (d,)
+    if first_look:  # at d = 8 no step's pass has the unit trades' shape
+        assert passes[1] == (17, 8) and passes.count((17, 8)) == 1
+
+
+def test_a_hunter_within_its_threshold_prices_no_unit_trades(monkeypatch):
+    # a gap of prices and belief never passes 1, so the hunter never trades
+    # and never reads unit costs: not at the opening quote, which carries
+    # none, and not after the herd's steps, whose probes price them anyway
+    passes = []
+    kernel = cost_module._shifted_exp
+    monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (passes.append(x.shape), kernel(x))[1])
+    session = open_market(MarketParams(d=3, epsilon=1.0, alpha=0.3, gamma=0.1, T=32), rng=3)
+    steps, step = [], session.step
+    session.step = lambda dq, probe=False: (steps.append(probe), step(dq, probe))[1]
+    seen = []
+    hunter = _recorded(ArbitrageHunter, seen)(np.array([0.8, 0.1, 0.1]), threshold=1.0)
+    assert drive_session(session, Stream((hunter, Herd()), 80)) == 64
+    assert session.is_full and len(seen) == 32 and seen[0].unit_costs is None
+    # the open, then one pass per step, each probed for the hunter after it
+    # but the last, which fills the session
+    assert len(passes) == 1 + len(steps) == 1 + 32 and steps.count(True) == 31
+    assert (7, 3) not in passes
+
+
+def _quoted(cls, session, asked: list):
+    """cls, noting whether each context it is asked with is session.quote."""
+
+    class Quoted(cls):
+        def decide(self, ctx):
+            asked.append((self.kind, ctx is session.quote))
+            return super().decide(ctx)
+
+        def decide_run(self, ctx, n):
+            asked.append((self.kind, ctx is session.quote))
+            return super().decide_run(ctx, n)
+
+    return Quoted
+
+
+@pytest.mark.parametrize("order, length", [("round_robin", 3000), ("sequential", 1000)])
+@pytest.mark.parametrize("d", [2, 3])
+def test_drive_session_asks_every_strategy_with_the_sessions_quote(order, length, d):
+    # readers and blind runs, abstentions, tall blind turns (sequential), a
+    # session that fills (round robin) and a stream that runs dry: every
+    # strategy is asked with the quote of the state last published
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=1024)
+    session = open_market(params, rng=d)
+    asked = []
+    roster = (_quoted(Herd, session, asked)(), _quoted(Abstainer, session, asked)(),
+              _quoted(RandomTrader, session, asked)(np.random.default_rng(d)),
+              _quoted(BeliefTrader, session, asked)(_lean(d)),
+              _quoted(ArbitrageHunter, session, asked)(_lean(d)[::-1].copy()))
+    slot = drive_session(session, Stream(roster, length, order))
+    assert session.is_full == (order == "round_robin") and slot <= length
+    assert {kind for kind, _ in asked} == {strat.kind for strat in roster}
+    assert all(is_quote for _, is_quote in asked)
