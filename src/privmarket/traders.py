@@ -65,9 +65,10 @@ def maximize_profit(
 
     Reads the costs of the full trades +/- e_j from ctx.unit_costs, or,
     when the context carries none (a session's opening quote, the quote of
-    an unprobed step, a hand-built context), prices them in one pass.  It
-    picks the most profitable (ties: lowest coordinate index, buy over
-    sell), then line searches the size along that direction.  Each profit
+    an unprobed step, such as a full block's, or a hand-built context),
+    prices them in one pass.  It picks the most profitable (ties: lowest
+    coordinate index, buy over sell), then line searches the size along
+    that direction.  Each profit
     is <dq, belief> - (C(q_hat + dq) - C(q_hat)): the belief's expected
     payout minus the trade's cost at the published state.  +/- e_j pays
     exactly +/- b_j (a finite belief), so the profit is the Python float
@@ -117,9 +118,11 @@ class Strategy:
     ctx.q_hat and ctx.p_hat.  drive_session asks it once per run of
     consecutive blind slots for all of its slots there (decide_run), with
     the session's quote: its t counts booked arrivals only, so it is below
-    the run's first arrival index when earlier bundles wait to be booked.
-    One that reads them keeps the default, True, and is asked through
-    decide, with the quote, once every earlier arrival is booked.
+    the run's first arrival index when earlier bundles wait to be booked,
+    and a blind run after a state reader's trade is asked before that trade
+    is booked, with the quote from before it.  One that reads them keeps the
+    default, True, and is asked through decide, with the quote, once every
+    earlier arrival is booked.
     """
 
     kind = "abstract"
@@ -415,15 +418,18 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     the one context of the state it last published.  In each run of
     consecutive blind slots (reads_state False), each strategy is asked once
     for all of its slots (step_strategy with n), and its bundles join the
-    pending block through one slice (Stream.runs).  The block is booked with
-    one MarketSession.step when it holds BLOCK_CAP arrivals or BLOCK_FLOATS
-    bundle entries, before a state reader is asked, and at the end; a
-    reader's answer is booked alone: an ndarray (d,) as it is, anything else
-    as a list of one bundle.  A step after which the next slot is a state
-    reader's prices its unit trades (step's probe), so a reader arrival
-    makes one kernel pass, not two; a quote without them is priced by
-    maximize_profit.  A bundle check_bundle rejects, or a blind answer
-    without one entry per slot, raises StrategyBugError naming its
+    pending block through one slice (Stream.runs).  A state reader's bundle
+    is pending row 0, the row that leads the next block, and the blind run
+    after it joins that block.  The block is booked with one
+    MarketSession.step when it holds BLOCK_CAP arrivals or BLOCK_FLOATS
+    bundle entries, before a state reader is asked, and at the end; as a
+    block books the bits of its bundles booked one at a time, a reader's
+    trade needs no step of its own.  A step after which the next slot is a
+    state reader's prices its unit trades (step's probe), so a reader
+    arrival makes one kernel pass, not two; a quote without them (the
+    opening one, or a full block's when every blind slot up to the reader
+    abstains) is priced by maximize_profit.  A bundle check_bundle rejects,
+    or a blind answer without one entry per slot, raises StrategyBugError naming its
     strategy's kind; a slot that is not an int >= 0 (a bool is none) is an
     InvalidParameterError.
     """
@@ -438,18 +444,21 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
         if strat.reads_state:  # asked alone, once every earlier arrival is booked
             if k:
                 _book(session, stream, pending[:k], slots, strat)
-            k = 0
             dq = step_strategy(strat, session.quote)
+            k = 0
+            if dq is not None:  # pending row 0, which leads the next block
+                one = isinstance(dq, np.ndarray) and dq.shape == (d,) and dq.dtype == np.float64
+                try:  # one float64 (d,) as it is (step checks it), else a list of one bundle
+                    pending[0] = dq if one else check_bundle([dq], d)[0]
+                except TradeRejectedError as exc:
+                    raise StrategyBugError(f"{strat.kind} returned a bad bundle: {exc}") from exc
+                slots[0], k = slot, 1
             slot += 1
-            strat = stream.owner(slot)
-            if dq is not None:  # an ndarray (d,) is one bundle as it is
-                one = isinstance(dq, np.ndarray) and dq.shape == (d,)
-                _book(session, stream, dq if one else [dq], [slot - 1], strat)
-            continue
-        stop = min(stream.length, slot + min(T - session.arrivals, cap) - k)
-        reader = stream.next_reader(slot, stop)  # the blind run is [slot, reader)
-        k = _ask_run(stream, strat, slot, reader, session.quote, pending, slots, k)
-        slot = reader
+        else:
+            stop = min(stream.length, slot + min(T - session.arrivals, cap) - k)
+            reader = stream.next_reader(slot, stop)  # the blind run is [slot, reader)
+            k = _ask_run(stream, strat, slot, reader, session.quote, pending, slots, k)
+            slot = reader
         strat = stream.owner(slot)
         if k == cap:
             _book(session, stream, pending, slots, strat)

@@ -276,22 +276,73 @@ class _ReadsState(_Returns):
     reads_state = True
 
 
+_TOTALS = ("trade_payments", "noise_sell_total", "noise_buy_total", "fee_total", "bundle_l2_total")
+
+
+def _booked(session) -> tuple:
+    """Arrivals, the five cash totals, q_hat and p_hat."""
+    return (session.arrivals, *(getattr(session, name) for name in _TOTALS),
+            session.q_hat.tolist(), session.p_hat.tolist())
+
+
 @pytest.mark.parametrize("d", [1, 2])
-def test_a_state_readers_ndarray_bundle_is_stepped_as_it_is(d):
-    # an ndarray (d,) reaches step unwrapped, any other answer as a list of
-    # one bundle, so a (1, d) array is still refused
+def test_a_state_readers_answer_books_what_booking_it_alone_books(d):
+    # a reader's answer leads the block the blind run after it joins: a
+    # float64 (d,) array, a list and an int array book what each arrival
+    # booked alone books, and a (1, d) array is refused, not read as one bundle
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=20)
     bundle = np.full(d, 0.5 / d)
-    for answer in (bundle, bundle.tolist()):
+    for answer in (bundle, bundle.tolist(), np.eye(d, dtype=int)[-1]):
         session = open_market(params, rng=0)
-        seen, step = [], session.step
-        session.step = lambda dq, probe=None: (seen.append(dq), step(dq, probe))[1]
-        drive_session(session, Stream((_ReadsState("reader", answer),), 3))
-        assert session.arrivals == 3 and [dq is answer for dq in seen] == [answer is bundle] * 3
+        drive_session(session, Stream((_ReadsState("reader", answer), Herd()), 9))
+        reference = open_market(params, rng=0)
+        for slot in range(9):
+            reference.step([answer] if slot % 2 == 0 else np.eye(d)[0])
+        assert session.arrivals == 9 and _booked(session) == _booked(reference)
     session = open_market(params, rng=0)
     with pytest.raises(StrategyBugError, match="^reader returned a bad bundle"):
-        drive_session(session, Stream((_ReadsState("reader", bundle[None]),), 3))
+        drive_session(session, Stream((_ReadsState("reader", bundle[None]), Herd()), 3))
     assert session.arrivals == 0 and session.noise.t == 0
+
+
+class _BadSecond(Strategy):
+    """A state reader that buys coordinate 0 on its first turn and answers bad
+    on its second, noting the session's books and next bundles as it is asked."""
+
+    kind = "bad_second"
+
+    def __init__(self, session, bad):
+        self.session, self.bad, self.turns = session, bad, []
+
+    def decide(self, ctx):
+        session = self.session
+        z, norms = session.noise.take(session.rng, 3)
+        self.turns.append((_booked(session), session.noise.t, session.noise.mask,
+                           z.tolist(), norms.tolist()))
+        return self.bad if len(self.turns) == 2 else np.eye(session.params.d)[0]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_rejected_reader_answer_books_nothing(d):
+    # refused when written (a bool entry, a (1, d) array) or by the step of
+    # the block it leads, after the blind run behind it is asked (nan, l1
+    # norm above 1): either way the session is as the reader found it
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=20)
+    oversize = np.full(d, 0.6)
+    not_finite = np.eye(d)[0]
+    not_finite[-1] = np.nan
+    answers = {"nan": not_finite, "l1 norm above 1": oversize,
+               "bool": [True] + [0.0] * (d - 1), "(1, d)": np.eye(d)[:1]}
+    for name, bad in answers.items():
+        session = open_market(params, rng=np.random.default_rng(d))
+        reader = _BadSecond(session, bad)
+        stream = Stream((Herd(), reader, RandomTrader(np.random.default_rng(1))), 12)
+        with pytest.raises(StrategyBugError, match="^bad_second returned a bad bundle"):
+            drive_session(session, stream)
+        assert len(reader.turns) == 2 and session.arrivals == 4, name
+        z, norms = session.noise.take(session.rng, 3)
+        after = (_booked(session), session.noise.t, session.noise.mask, z.tolist(), norms.tolist())
+        assert after == reader.turns[1], name
 
 
 def test_a_state_reader_sees_the_blind_run_ahead_of_it_booked():

@@ -642,6 +642,90 @@ def test_a_reader_after_an_abstaining_blind_run_carries_fresh_unit_costs(monkeyp
     _assert_fresh_unit_costs(seen)
 
 
+def test_a_hunter_arrival_after_an_abstaining_blind_run_makes_one_kernel_pass(monkeypatch):
+    # the hunter's trade waits in the block, which is booked and probed just
+    # before its next turn: no unprobed step of its trade alone, then a
+    # pricing of the unit trades for the next turn
+    d = 3
+    events = []
+    block_pass = ScaledCost._block_cost_and_prices
+    cost = ScaledCost.cost
+    monkeypatch.setattr(ScaledCost, "_block_cost_and_prices",
+                        lambda self, q: (events.append("pass"), block_pass(self, q))[1])
+    monkeypatch.setattr(ScaledCost, "cost", lambda self, q: (
+        events.append("pass") if np.shape(q) == (2 * d + 1, d) else None, cost(self, q))[1])
+
+    class Hunter(ArbitrageHunter):
+        def decide(self, ctx):
+            dq = super().decide(ctx)
+            events.append("decided")
+            return dq
+
+    session = open_market(MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=32), rng=3)
+    hunter = Hunter(np.array([0.8, 0.1, 0.1]), threshold=0.0)
+    drive_session(session, Stream((Abstainer(), hunter), 24))
+    assert session.arrivals == 12
+    turns = " ".join(events).split("decided")[:-1]
+    # the first at the opening quote, priced by maximize_profit
+    assert len(turns) == 12 and turns[0].split() == ["pass"]
+    assert [turn.split() for turn in turns[1:]] == [["pass"]] * 11
+
+
+def _exact_roster(d: int, seen: list, session) -> tuple:
+    """The flat_mixed_T64 roster at d = 2, the staged_d8_belief roster at
+    d = 8; the state readers note each context and whether it is session.quote
+    (no session: they note the context only)."""
+
+    def reader(cls):
+        class Noted(cls):
+            def decide(self, ctx):
+                seen.append((ctx, session is None or ctx is session.quote))
+                return super().decide(ctx)
+        return Noted
+
+    if d == 2:
+        return (Herd(), RandomTrader(np.random.default_rng(5)),
+                reader(ArbitrageHunter)(np.array([0.85, 0.15])))
+    lean = np.full(d, 0.04)
+    lean[0] = 0.72
+    near = np.full(d, 0.125)
+    near[0], near[-1] = 0.13, 0.12
+    return (reader(BeliefTrader)(lean), reader(BeliefTrader)(near),
+            reader(ArbitrageHunter)(lean[np.r_[1, 0, 2:d]]), RandomTrader(np.random.default_rng(5)))
+
+
+@pytest.mark.parametrize("d, T, length", [(2, 64, 120), (8, 256, 400)],
+                         ids=["flat_mixed_T64", "staged_d8_belief"])
+def test_every_reader_sees_the_quote_that_booking_each_arrival_alone_publishes(d, T, length):
+    # a reader's trade leads the block the blind run after it joins, so a
+    # later reader is asked with the quote of the block booked before it:
+    # that is session.quote, and its t, q_hat, p_hat and unit costs are those
+    # a session that books every arrival alone, probed, publishes at its slot
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
+    seen, expected = [], []
+    session = open_market(params, rng=np.random.default_rng(d))
+    drive_session(session, Stream(_exact_roster(d, seen, session), length))
+    reference = open_market(params, rng=np.random.default_rng(d))
+    roster = _exact_roster(d, expected, None)
+    for slot in range(length):
+        if reference.is_full:
+            break
+        strat = roster[slot % len(roster)]
+        dq = (strat.decide(reference.quote) if strat.reads_state
+              else strat.decide_run(reference.quote, 1)[0])
+        if dq is not None:
+            reference.step(dq, probe=True)
+    assert session.is_full and len(seen) == len(expected) > 20
+    assert all(is_quote for _, is_quote in seen)
+    for (ctx, _), (ref, _) in zip(seen, expected):
+        assert (ctx.t, ctx.q_hat.tolist(), ctx.p_hat.tolist()) == (
+            ref.t, ref.q_hat.tolist(), ref.p_hat.tolist())
+        if ref.t == 1:  # the opening quote, which no step priced
+            assert ctx.unit_costs is None is ref.unit_costs
+        else:
+            assert ctx.unit_costs.tolist() == ref.unit_costs.tolist()
+
+
 def _mixed_stream(d: int, seen: list, length: int) -> Stream:
     """The flat_mixed_T64 benchmark roster: herd, random and an
     arbitrage_hunter believing [0.85, 0.15], which records its contexts."""
