@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import ScaledCost, is_tall, row_sums, unit_trades
+from .cost import ScaledCost, row_sums, unit_trades
 from .errors import (
     InvalidParameterError,
     InvalidStateError,
@@ -166,15 +166,15 @@ class Ledger:
         return cls(**{name: sum(getattr(p, name) for p in parts) for name in names})
 
 
-def check_bundle(dq, d: int) -> np.ndarray:
+def check_bundle(dq, d: int, first: int = 0) -> np.ndarray:
     """dq as a float block (k, d): k >= 1 bundles as rows, a list or tuple of them,
     or one bundle as an ndarray (d,).  The one check of a bundle: entries ints
     or floats (numpy kinds i, u, f; never a bool, also as an entry of a list
-    bundle), finite, l1 norm at most 1.  A rejection's
-    row is the index of the first bad bundle.  A float64 ndarray (d,), every
-    state reader's trade, or (1, d), the one blind slot booked before a
-    reader, is checked directly, with the block path's l1 size, and returned
-    as a (1, d) view.
+    bundle), finite, l1 norm at most 1.  A rejection's row, and the bundle its
+    message names, is first plus the index of the first bad bundle (dq being
+    rows first .. of a longer block).  A float64 ndarray (d,) or (1, d) is
+    checked directly, with the block path's l1 size, and returned as a
+    (1, d) view.
     """
     if isinstance(dq, np.ndarray):
         if dq.shape == (d,):
@@ -182,19 +182,19 @@ def check_bundle(dq, d: int) -> np.ndarray:
         if dq.shape == (1, d) and dq.dtype == np.float64:
             size = np.abs(dq).dot(_ones(d)).item()
             if not size <= 1.0 + TRADE_SIZE_TOL:  # also catches nan and inf
-                raise TradeRejectedError(f"bundle 0 l1 norm {size:.6f} exceeds 1", 0)
+                raise TradeRejectedError(f"bundle {first} l1 norm {size:.6f} exceeds 1", first)
             return dq
     try:
         block = np.asarray(dq)
     except (TypeError, ValueError):  # bundles of different shapes
         block = None
     if block is None or block.ndim != 2 or block.shape[1] != d or len(block) == 0:
-        row = _first_misshapen(dq, d)
+        row = first + _first_misshapen(dq, d)
         raise TradeRejectedError(f"bundle {row} must have shape ({d},)", row)
     if block.dtype != np.float64 or not isinstance(dq, np.ndarray):
         # each bundle of a list as numpy reads it alone, and a list bundle's
         # entries one by one: beside ints or floats, bools would pass as numbers
-        for row, bundle in enumerate(dq if isinstance(dq, (list, tuple)) else (block,)):
+        for row, bundle in enumerate(dq if isinstance(dq, (list, tuple)) else (block,), first):
             dtype = np.asarray(bundle).dtype
             if isinstance(bundle, (list, tuple)) and any(
                     isinstance(x, (bool, np.bool_)) for x in bundle):
@@ -207,7 +207,8 @@ def check_bundle(dq, d: int) -> np.ndarray:
     fits = sizes <= 1.0 + TRADE_SIZE_TOL  # also catches nan and inf
     row = int(fits.argmin())
     if not fits[row]:
-        raise TradeRejectedError(f"bundle {row} l1 norm {sizes[row]:.6f} exceeds 1", row)
+        raise TradeRejectedError(
+            f"bundle {first + row} l1 norm {sizes[row]:.6f} exceeds 1", first + row)
     return block
 
 
@@ -305,13 +306,14 @@ def _block_plan(k: int, low: int, top: int) -> tuple:
 class StrategyContext:
     """Published information available to a strategy at its arrival.
 
-    t is the 1-based index the next arrival would get; q_hat and p_hat are
-    the share state and prices published after step t-1 (read-only arrays).
-    unit_costs are C(q_hat + each row of cost.unit_trades(d)), row 0 being
-    C(q_hat), read-only, or None: MarketSession.quote carries them when the
-    step that published q_hat priced them (its probe).  They are the bits any
-    other pass would give, since a state's cost does not depend on the block
-    it is priced in.  Without them maximize_profit prices them.
+    t is the 1-based index the next arrival would get, counting every earlier
+    arrival, booked or previewed; q_hat and p_hat are the share state and
+    prices after arrival t - 1 (read-only arrays).  unit_costs are
+    C(q_hat + each row of cost.unit_trades(d)), row 0 being C(q_hat),
+    read-only, or None: MarketSession.quote carries them when a preview
+    published it (MarketSession.preview).  They are the bits any other pass
+    would give, since a state's cost does not depend on the block it is
+    priced in.  Without them maximize_profit prices them.
     """
 
     t: int
@@ -322,18 +324,66 @@ class StrategyContext:
     unit_costs: np.ndarray | None = field(default=None, repr=False)
 
 
+PREVIEW_ROWS = 16
+"""New rows from which a preview builds its chain by index arithmetic, not
+row by row: the crossover of about 1.5 us a row against about 22 us for a
+few dozen rows (timeit at d = 2 and 8 on a 2-core x86 host)."""
+
+
+def _preview_chain(q: np.ndarray, block: np.ndarray, z: np.ndarray, levels: np.ndarray,
+                   t: int) -> np.ndarray:
+    """The published state after arrivals t + 1 .. t + m trade block (m, d)
+    and buy the bundles z (m, d), from q, the state after t: the running sum
+    over each trade, sale (most recent first) and buy, the rows a step's
+    chain adds in the same order, so the step's bits at that row.  levels,
+    the counter's bundles after t, become those after t + m (a level sold
+    and not bought again keeps a stale bundle, which no sale reads).
+    """
+    m, d = block.shape
+    if m < PREVIEW_ROWS:  # each arrival's trade, sales and buy, row by row
+        tzs = [(u & -u).bit_length() - 1 for u in range(t + 1, t + m + 1)]
+        states = np.empty((1 + 2 * m + sum(tzs), d))
+        states[0] = q
+        row = 1
+        for i, tz in enumerate(tzs):
+            states[row] = block[i]
+            np.negative(levels[:tz], out=states[row + 1 : row + 1 + tz])
+            row += tz + 2
+            states[row - 1] = levels[tz] = z[i]
+    else:  # source rows: q, the trades, the bundles, minus them, minus the levels
+        u = np.arange(t + 1, t + m + 1)
+        tz = np.frexp(u & -u)[1] - 1
+        size = tz + 2  # chain rows per arrival
+        end = np.cumsum(size)
+        level = np.arange(end[-1]) - np.repeat(end - size, size) - 1  # -1 at a trade, tz at a buy
+        back = np.repeat(np.arange(m), size) - (1 << np.maximum(level, 0))  # a sold row of block
+        chain = np.where(back >= 0, 1 + 2 * m + back, 1 + 3 * m + level)
+        chain[end - size] = np.arange(1, m + 1)
+        chain[end - 1] = np.arange(1 + m, 1 + 2 * m)
+        source = np.concatenate((q[None], block, z, -z, -levels))
+        states = source.take(np.concatenate(([0], chain)), axis=0)
+        top = t + m
+        for bit in range(top.bit_length()):  # the held levels bought after t
+            bought = top >> bit << bit
+            if top >> bit & 1 and bought > t:
+                levels[bit] = z[bought - t - 1]
+    np.add.accumulate(states, axis=0, out=states)
+    return states[-1]
+
+
 class MarketSession:
     """Mutable state of one running market; single-owner, not thread-safe.
 
     The session keeps only what the ledger and the accuracy metrics need:
     the true and published states, C(q_hat) cached between steps, the held
     noise stack, cash totals, and running gaps.  q_hat and p_hat are the
-    latest published state and prices and are read-only.  quote is what a
-    strategy may see of them, the StrategyContext of the state last
-    published: the open sets it without unit_costs (pricing the unit trades
-    there would cost every session a (2d + 1, d) pass, whether a state
-    reader looks first or not) and every step sets it anew; close leaves it,
-    as it leaves p_hat.  Nonzero initial_shares support stage handoff.
+    latest booked published state and prices and are read-only.  quote is
+    what a strategy may see, the StrategyContext of the state last
+    published: the open and every step set it without unit_costs (pricing
+    the unit trades there would cost every session and step a (2d + 1, d)
+    pass, whether a state reader looks next or not), and every preview sets
+    it with them; close leaves it, as it leaves p_hat.  Nonzero
+    initial_shares support stage handoff.
 
     rng is anything np.random.default_rng takes; a Generator is used as it
     is.  The session draws its noise bundles from it ahead of its arrivals,
@@ -380,6 +430,13 @@ class MarketSession:
         self.max_price_gap = 0.0  # max_t ||p^t - p_hat^t||_1
         self.max_share_gap = 0.0  # max_t ||q^t - q_hat^t||_1
         self.bundle_l2_total = 0.0
+        self._clear_previews()
+
+    def _clear_previews(self) -> None:
+        """Forget the previews: after the open and every step, none is of an unbooked row."""
+        # rows previewed, the state after them and the shadow levels (None: the ledger's)
+        self._ahead = (0, self.q_hat, None)
+        self._previews = []  # (rows, q_hat, p_hat) of each preview of unbooked rows
 
     @property
     def is_full(self) -> bool:
@@ -390,7 +447,52 @@ class MarketSession:
         """Mean l2 norm of the noise bundles bought so far (one per arrival)."""
         return self.bundle_l2_total / self.arrivals if self.arrivals else 0.0
 
-    def step(self, dq, probe: bool = False) -> None:
+    def preview(self, pending, k: int) -> None:
+        """Publish as quote the state after the unbooked bundles pending[:k],
+        which the next step books first, and book nothing.
+
+        It picks up from the last preview since the last step (so k may not
+        fall): the new rows, pending[j:k] after a preview of j, are checked
+        (check_bundle, a rejection's row counted in pending) before
+        NoiseLedger.take, a read, hands over their bundles; one running sum
+        from the last previewed state over their trades, sales and buys
+        (_preview_chain, on a shadow copy of the levels) and one kernel pass
+        of that state plus each row of cost.unit_trades(d) give the quote
+        t = arrivals + k + 1, q_hat, p_hat and unit_costs.  With no new row,
+        a quote without unit costs gets them from one pass of the unit trades
+        alone.  Only take's draw ahead, which the next step makes anyway,
+        moves rng; the next step checks every preview against its own chain.
+        """
+        if self.closed:
+            raise MarketClosedError("session is closed")
+        d, t0 = self.params.d, self.arrivals
+        start, q_hat, levels = self._ahead
+        if t0 + k > self.params.T:
+            raise MarketClosedError(
+                f"session has {t0} of {self.params.T} arrivals; {k} more do not fit")
+        if not start <= k <= len(pending):
+            raise InvalidParameterError(
+                f"{start} rows are previewed; preview {k} of {len(pending)} pending")
+        if k == start:
+            quote = self.quote
+            if quote.unit_costs is None:
+                costs = self.cost.cost(quote.q_hat + unit_trades(d))
+                self.quote = StrategyContext(quote.t, quote.q_hat, quote.p_hat, quote.fee,
+                                             self.cost, _published(costs))
+            return
+        block = check_bundle(pending[start:k], d, start)
+        z = self.noise.take(self.rng, k)[0][start:]
+        # a fresh copy, so that a preview that raises leaves the last one's
+        levels = (self.noise.levels if levels is None else levels).copy()
+        q_hat = _published(_preview_chain(q_hat, block, z, levels, t0 + start))
+        costs, prices = self.cost._block_cost_and_prices(q_hat + unit_trades(d))
+        p_hat = _published(prices[0])
+        self._ahead = (k, q_hat, levels)
+        self._previews.append((k, q_hat, p_hat))
+        self.quote = StrategyContext(t0 + k + 1, q_hat, p_hat, self.params.fee, self.cost,
+                                     _published(costs))
+
+    def step(self, dq) -> None:
         """Book the k bundles of check_bundle(dq, d), one arrival each, in order.
 
         Each arrival pays the fee and its trade's cost at the published
@@ -406,32 +508,24 @@ class MarketSession:
         the block's prices are contiguous in, and p_hat is a contiguous copy
         of the last.  Each cash total adds its amounts one at a time in
         arrival order (np.add.accumulate), so a block books bit for bit what
-        its bundles book one at a time.  One bundle (k == 1, a state reader's
-        trade or the blind slot before one) skips the plan: the plan's states
-        but q_true, tz(t) + 4, are filled directly and run through one
-        running sum and one kernel pass, and each total
-        adds its amounts as Python floats: the same IEEE operations in the
-        same order, but for the 0.0 the plan's padding adds, which changes
-        no total (totals start at +0.0, and a sum is -0.0 only when both
-        terms are), so both paths book the same bits.  A tall block of l1
-        share and price gaps and held-noise drift (cost.is_tall) is summed by
-        cost.row_sums, by columns where d < 8, and its largest share and
-        price gaps come from one np.maximum.reduce; a short one is reduced
-        row-wise and its maxima taken by Python's max over floats.  Checks,
-        on the state the block leaves, after the counter is advanced and
-        before anything else is booked: held == the counter bits, and
-        published - true == the held noise sum (l1 drift at most HELD_TOL).
-        A bad bundle or a block that would pass T raises before anything is
-        booked, and so does any failure before the counter is advanced (take
-        is a read: the next step takes the same bundles).
+        its bundles book one at a time.  The l1 share and price gaps and the
+        held-noise drift are summed by cost.row_sums (by columns where a tall
+        block has d < 8), and the largest share and price gaps come from one
+        np.maximum.reduce.
 
-        The step publishes quote: t = arrivals + 1, the q_hat and p_hat it
-        publishes, and unit_costs.  With probe, the states q_hat + each row of
-        cost.unit_trades(d) (q_hat after the block) go below the booked ones in
-        the same kernel pass, and their costs, read-only, are the quote's
-        unit_costs (else None).  A row's cost does not depend on its block,
-        tall or not (the partition tests), so a probe changes no booked bit
-        and its costs are a lone pass's.
+        Checks, before anything is booked: the block must book every row
+        previewed since the last step (preview), and each previewed state
+        must be the block's own at its row, q_hat and p_hat ==, with
+        published - true - held noise there within HELD_TOL, the held noise
+        being held_sum() before the block plus the running sum of the
+        chain's sales and buys.  Then, on the state the block leaves, after
+        the counter is advanced and before anything else is booked: held ==
+        the counter bits, and published - true == the held noise sum (l1
+        drift at most HELD_TOL).  A bad bundle or a block that would pass T
+        raises before anything is booked, and so does any failure before the
+        counter is advanced (take is a read: the next step takes the same
+        bundles).  The step publishes quote: t = arrivals + 1 and the q_hat
+        and p_hat it publishes, without unit_costs.
         """
         if self.closed:
             raise MarketClosedError("session is closed")
@@ -442,86 +536,59 @@ class MarketSession:
             raise MarketClosedError(
                 f"session has {t0} of {self.params.T} arrivals; {k} more do not fit"
             )
-        extra = 2 * d + 1 if probe else 0  # probe rows, after the r booked
+        if self._ahead[0] > k:
+            raise InvalidStateError(f"{self._ahead[0]} rows are previewed; {k} are booked")
 
         ledger = self.noise
         z, z_norms = ledger.take(self.rng, k)
-        if k == 1:  # the plan's rows of one arrival, filled in place
-            tz = ((t0 + 1) & -(t0 + 1)).bit_length() - 1
-            n, r = tz + 3, tz + 4  # chain states; states booked
-            states = np.empty((r + extra, d))
-            states[0], states[1], states[n - 1] = self.q_hat, block, z
-            np.negative(ledger.levels[:tz], out=states[2 : n - 1])
-            np.add.accumulate(states[:n], axis=0, out=states[:n])
-            np.add(self.q_true, block[0], out=states[n])
-            if probe:
-                np.add(states[n - 1], unit_trades(d), out=states[r:])
-            costs, prices = self.cost._block_cost_and_prices(states)
-            after, p_hat = states[n - 1 : n], prices[n - 1 : n]
-            c = costs.tolist()
-            sell = self.noise_sell_total
-            for i in range(1, n - 2):  # each sale's revenue, most recent bundle first
-                sell += c[i] - c[i + 1]
-            totals = (self.trade_payments + (c[1] - self.c_hat), sell,
-                      self.noise_buy_total + (c[n - 1] - c[n - 2]),
-                      self.fee_total + self.params.fee, self.bundle_l2_total + z_norms.item())
-            low = np.zeros((tz + 1, d))
-            low[tz] = z[0]
-            ledger.advance(1, low, (2 << tz) - 1)
-        else:
-            m = k.bit_length()
-            top = (t0 + k) >> m << m  # the one time in the block that 2^m divides, if any
-            neg, sold, chain, buys, cash, levels, flips = _block_plan(
-                k, t0 & ((1 << m) - 1), (top & -top).bit_length() - 1 if top > t0 else -1)
-            source = np.concatenate((
-                self.q_hat, self.q_true, block.ravel(), z.ravel(),
-                np.zeros(d), z.ravel(), ledger.levels[:sold].ravel(),
-            )).reshape(-1, d)
-            tail = source[neg:]
-            np.negative(tail, out=tail)
-            # the chain from q_hat, then q_true and the true state after each arrival
-            n = len(chain)
-            r = n + k + 1
-            states = np.empty((r + extra, d))
-            source.take(chain, axis=0, out=states[:n])
-            np.add.accumulate(states[:n], axis=0, out=states[:n])
-            np.add.accumulate(source[1 : 2 + k], axis=0, out=states[n:r])
-            if probe:
-                np.add(states[n - 1], unit_trades(d), out=states[r:])
-            costs, prices = self.cost._block_cost_and_prices(states)
-            after = states.take(buys, axis=0)
-            # a tall block's prices at d < cost.PAIRWISE_FROM are column-major
-            # (cost._shifted_exp)
-            p_hat = (prices.take(buys, axis=0) if prices.flags.c_contiguous
-                     else prices.T.take(buys, axis=1).T)
+        m = k.bit_length()
+        top = (t0 + k) >> m << m  # the one time in the block that 2^m divides, if any
+        neg, sold, chain, buys, cash, levels, flips = _block_plan(
+            k, t0 & ((1 << m) - 1), (top & -top).bit_length() - 1 if top > t0 else -1)
+        source = np.concatenate((
+            self.q_hat, self.q_true, block.ravel(), z.ravel(),
+            np.zeros(d), z.ravel(), ledger.levels[:sold].ravel(),
+        )).reshape(-1, d)
+        tail = source[neg:]
+        np.negative(tail, out=tail)
+        # the chain from q_hat, then q_true and the true state after each arrival
+        n = len(chain)
+        r = n + k + 1
+        states = np.empty((r, d))
+        source.take(chain, axis=0, out=states[:n])
+        np.add.accumulate(states[:n], axis=0, out=states[:n])
+        np.add.accumulate(source[1 : 2 + k], axis=0, out=states[n:])
+        costs, prices = self.cost._block_cost_and_prices(states)
+        after = states.take(buys, axis=0)
+        # a tall block's prices at d < cost.PAIRWISE_FROM are column-major
+        # (cost._shifted_exp)
+        p_hat = (prices.take(buys, axis=0) if prices.flags.c_contiguous
+                 else prices.T.take(buys, axis=1).T)
+        if self._previews:
+            self._check_previews(source, chain, buys, k, after, p_hat, states[n + 1 :])
 
-            # each total's amounts, after the total itself, as differences of
-            # costs, bundle l2 norms and the head's entries
-            head = (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
-                    self.fee_total, self.bundle_l2_total, self.c_hat, self.params.fee, 0.0)
-            terms = np.concatenate((costs[:r], z_norms, head)).take(cash)
-            totals = np.add.accumulate(np.subtract(terms[0], terms[1]), axis=1)[:, -1].tolist()
-            ledger.advance(k, source.take(levels, axis=0), flips)
+        # each total's amounts, after the total itself, as differences of
+        # costs, bundle l2 norms and the head's entries
+        head = (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
+                self.fee_total, self.bundle_l2_total, self.c_hat, self.params.fee, 0.0)
+        terms = np.concatenate((costs, z_norms, head)).take(cash)
+        totals = np.add.accumulate(np.subtract(terms[0], terms[1]), axis=1)[:, -1].tolist()
+        ledger.advance(k, source.take(levels, axis=0), flips)
         ledger.verify_held()
         # l1 norms, each as a lone state's: each arrival's share and price
         # gaps, then the drift of published - true after the block from the held noise
         gaps = np.empty((2 * k + 1, d))
-        np.subtract(after, states[r - k : r], out=gaps[:k])
-        np.subtract(prices[r - k : r], p_hat, out=gaps[k:-1])
+        np.subtract(after, states[n + 1 :], out=gaps[:k])
+        np.subtract(prices[n + 1 :], p_hat, out=gaps[k:-1])
         np.subtract(gaps[k - 1], ledger.held_sum(), out=gaps[-1])
         np.abs(gaps, out=gaps)
-        if is_tall(gaps):
-            norms = row_sums(gaps)
-            share_gap, price_gap = np.maximum.reduce(norms[:-1].reshape(2, k), axis=1).tolist()
-            drift = norms[-1]
-        else:
-            norms = np.add.reduce(gaps, axis=-1).tolist()
-            share_gap, price_gap, drift = max(norms[:k]), max(norms[k:-1]), norms[-1]
-        if not drift <= HELD_TOL:
+        norms = row_sums(gaps)
+        if not norms[-1] <= HELD_TOL:
             raise InvalidStateError("published state lost sync with held noise")
+        share_gap, price_gap = np.maximum.reduce(norms[:-1].reshape(2, k), axis=1).tolist()
         (self.trade_payments, self.noise_sell_total, self.noise_buy_total,
          self.fee_total, self.bundle_l2_total) = totals
-        self.q_true = states[r - 1].copy()  # not a view that keeps states alive
+        self.q_true = states[-1].copy()  # not a view that keeps states alive
         self.q_hat = _published(after[-1])
         self.p_hat = _published(p_hat[-1].copy())  # contiguous, and keeps no block alive
         self.c_hat = float(costs[n - 1])  # the chain ends with the last buy
@@ -529,7 +596,27 @@ class MarketSession:
         self.max_share_gap = max(self.max_share_gap, share_gap)
         self.max_price_gap = max(self.max_price_gap, price_gap)
         self.quote = StrategyContext(self.arrivals + 1, self.q_hat, self.p_hat, self.params.fee,
-                                     self.cost, _published(costs[r:]) if probe else None)
+                                     self.cost)
+        self._clear_previews()
+
+    def _check_previews(self, source, chain, buys, k, after, p_hat, true) -> None:
+        """Each preview of this block against it: its q_hat and p_hat == the
+        block's after arrival j (after[j - 1], p_hat[j - 1]), and published -
+        true - held noise there within HELD_TOL, the held noise summed from
+        held_sum() over the chain's noise rows only (source row 0 replaced by
+        it and the trade rows by zeros)."""
+        rows = np.array([j for j, _, _ in self._previews]) - 1
+        seen_q = np.array([q for _, q, _ in self._previews])
+        seen_p = np.array([p for _, _, p in self._previews])
+        if not (np.array_equal(seen_q, after[rows]) and np.array_equal(seen_p, p_hat[rows])):
+            raise InvalidStateError("a previewed state is not the state booked at its row")
+        noise = source.copy()
+        noise[0], noise[2 : 2 + k] = self.noise.held_sum(), 0.0
+        held = noise.take(chain, axis=0)
+        np.add.accumulate(held, axis=0, out=held)
+        drift = np.abs(seen_q - true[rows] - held[buys[rows]])
+        if not np.maximum.reduce(row_sums(drift)) <= HELD_TOL:
+            raise InvalidStateError("a previewed state lost sync with held noise")
 
     def close(self, outcome: int) -> Ledger:
         """Sell back remaining noise, pay every arrival, and return the ledger.

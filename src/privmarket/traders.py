@@ -64,9 +64,9 @@ def maximize_profit(
     """Best trade among signed unit coordinates plus a fractional refinement.
 
     Reads the costs of the full trades +/- e_j from ctx.unit_costs, or,
-    when the context carries none (a session's opening quote, the quote of
-    an unprobed step, such as a full block's, or a hand-built context),
-    prices them in one pass.  It picks the most profitable (ties: lowest
+    when the context carries none (a hand-built one: every quote
+    drive_session asks a reader with comes from MarketSession.preview,
+    which prices them), prices them in one pass.  It picks the most profitable (ties: lowest
     coordinate index, buy over sell), then line searches the size along
     that direction.  Each profit
     is <dq, belief> - (C(q_hat + dq) - C(q_hat)): the belief's expected
@@ -117,12 +117,14 @@ class Strategy:
     reads_state is False for a strategy whose decisions ignore ctx.t,
     ctx.q_hat and ctx.p_hat.  drive_session asks it once per run of
     consecutive blind slots for all of its slots there (decide_run), with
-    the session's quote: its t counts booked arrivals only, so it is below
-    the run's first arrival index when earlier bundles wait to be booked,
-    and a blind run after a state reader's trade is asked before that trade
-    is booked, with the quote from before it.  One that reads them keeps the
-    default, True, and is asked through decide, with the quote, once every
-    earlier arrival is booked.
+    the last quote the session published: that of the last preview, or of
+    the open or last step, so its t is below the run's first arrival index
+    when bundles since then wait (a blind run after a state reader's trade
+    is asked with the quote from before that trade).  One that reads them
+    keeps the default, True, and is asked through decide with the quote a
+    preview of every earlier pending bundle publishes: t counts every
+    earlier arrival, booked or not, and q_hat and p_hat are the state after
+    it, bit for bit what booking each arrival alone would publish.
     """
 
     kind = "abstract"
@@ -418,20 +420,19 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     the one context of the state it last published.  In each run of
     consecutive blind slots (reads_state False), each strategy is asked once
     for all of its slots (step_strategy with n), and its bundles join the
-    pending block through one slice (Stream.runs).  A state reader's bundle
-    is pending row 0, the row that leads the next block, and the blind run
-    after it joins that block.  The block is booked with one
-    MarketSession.step when it holds BLOCK_CAP arrivals or BLOCK_FLOATS
-    bundle entries, before a state reader is asked, and at the end; as a
-    block books the bits of its bundles booked one at a time, a reader's
-    trade needs no step of its own.  A step after which the next slot is a
-    state reader's prices its unit trades (step's probe), so a reader
-    arrival makes one kernel pass, not two; a quote without them (the
-    opening one, or a full block's when every blind slot up to the reader
-    abstains) is priced by maximize_profit.  A bundle check_bundle rejects,
-    or a blind answer without one entry per slot, raises StrategyBugError naming its
-    strategy's kind; a slot that is not an int >= 0 (a bool is none) is an
-    InvalidParameterError.
+    pending block through one slice (Stream.runs).  A state reader is asked
+    after MarketSession.preview publishes the state after every pending
+    bundle, and its bundle joins the block too.  The block is booked with
+    one MarketSession.step when it holds BLOCK_CAP arrivals or BLOCK_FLOATS
+    bundle entries, when it fills the session, and at the end; as a block
+    books the bits of its bundles booked one at a time, and the step checks
+    every preview against its own chain, neither a reader's look nor its
+    trade needs a step of its own.  A reader makes at most one kernel pass,
+    its preview's, which prices the unit trades with the new state (or
+    alone, once, at a quote without them).  A bundle check_bundle rejects,
+    or a blind answer without one entry per slot, raises StrategyBugError
+    naming its strategy's kind; a slot that is not an int >= 0 (a bool is
+    none) is an InvalidParameterError.
     """
     if not (_is_num(slot, int) and slot >= 0):
         raise InvalidParameterError(f"slot must be an int >= 0, not {slot!r}")
@@ -441,18 +442,17 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     slots = np.empty(cap, dtype=np.intp)  # the stream slot of each pending row
     strat = stream.owner(slot)
     while strat is not None and session.arrivals + k < T:
-        if strat.reads_state:  # asked alone, once every earlier arrival is booked
-            if k:
-                _book(session, stream, pending[:k], slots, strat)
+        if strat.reads_state:
+            _blamed(stream, slots, session.preview, pending, k)
             dq = step_strategy(strat, session.quote)
-            k = 0
-            if dq is not None:  # pending row 0, which leads the next block
+            if dq is not None:
                 one = isinstance(dq, np.ndarray) and dq.shape == (d,) and dq.dtype == np.float64
-                try:  # one float64 (d,) as it is (step checks it), else a list of one bundle
-                    pending[0] = dq if one else check_bundle([dq], d)[0]
+                try:  # one float64 (d,) as it is (previews and steps check it), else a list of one bundle
+                    pending[k] = dq if one else check_bundle([dq], d)[0]
                 except TradeRejectedError as exc:
                     raise StrategyBugError(f"{strat.kind} returned a bad bundle: {exc}") from exc
-                slots[0], k = slot, 1
+                slots[k] = slot
+                k += 1
             slot += 1
         else:
             stop = min(stream.length, slot + min(T - session.arrivals, cap) - k)
@@ -461,10 +461,10 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
             slot = reader
         strat = stream.owner(slot)
         if k == cap:
-            _book(session, stream, pending, slots, strat)
+            _blamed(stream, slots, session.step, pending)
             k = 0
     if k:
-        _book(session, stream, pending[:k], slots, None)  # no slot is asked next
+        _blamed(stream, slots, session.step, pending[:k])
     return slot
 
 
@@ -510,12 +510,12 @@ def _ask_run(stream: Stream, first: Strategy, start: int, stop: int, ctx: Strate
     return k + traded_n
 
 
-def _book(session, stream: Stream, block, slots, asked: Strategy | None) -> None:
-    """Step block, row i being the bundle of stream slot slots[i]; when asked,
-    the strategy asked next, reads the state, the step also prices its unit
-    trades (step's probe)."""
+def _blamed(stream: Stream, slots, call, *args) -> None:
+    """call(*args), a preview or step of pending rows, row i being the bundle of
+    stream slot slots[i]; a rejected row is a StrategyBugError naming its
+    strategy's kind."""
     try:
-        session.step(block, asked is not None and asked.reads_state)
+        call(*args)
     except TradeRejectedError as exc:
         kind = stream.owner(int(slots[exc.row])).kind
         raise StrategyBugError(f"{kind} returned a bad bundle: {exc}") from exc

@@ -175,6 +175,30 @@ def test_price_precision_monte_carlo(mixed_run, report):
     )
 
 
+def test_price_precision_fails_at_sixteen_times_lambda_star(report):
+    # a negative control: the same roster and the same 200 seeds with the
+    # price sensitivity raised to 16 lambda* (allow_unsafe_lambda) move the
+    # published prices so far per noise bundle that the exceedance passes
+    # gamma + 3 SE, while at lambda* the check passes; the reader's previews
+    # run at both
+    seeds = {"count": 200}
+    lam = 16.0 * lambda_star(MARKET["T"], MARKET["alpha"], MARKET["gamma"], MARKET["epsilon"],
+                             MARKET["d"])
+    verdicts = []
+    for market in (MARKET, dict(MARKET, **{"lambda": lam, "allow_unsafe_lambda": True})):
+        cfg = RunConfig.from_dict({"market": market, "traders": MIXED_ROSTER, "seeds": seeds})
+        rows = [m.to_dict() for m in run_trials(cfg)]
+        verdicts.append(verify_precision(rows, alpha=cfg.alpha, gamma=cfg.gamma))
+    safe, unsafe = verdicts
+    ok = safe.passed and not unsafe.passed and safe.n == unsafe.n == 200
+    assert report(
+        "negative control: price precision at 16 lambda*",
+        ok,
+        f"exceedance {safe.observed:.4f} at lambda* (passes), {unsafe.observed:.4f} at "
+        f"16 lambda* (fails), threshold {unsafe.threshold:.4f}",
+    )
+
+
 def test_share_accuracy_monte_carlo(mixed_run, report):
     rows, cfg = mixed_run["rows"], mixed_run["cfg"]
     verdict = verify_share_accuracy(

@@ -15,9 +15,12 @@ from privmarket import (
     Abstainer,
     ArbitrageHunter,
     Herd,
+    InvalidParameterError,
+    InvalidStateError,
     MarketClosedError,
     MarketParams,
     RandomTrader,
+    ScaledCost,
     Strategy,
     StrategyBugError,
     StrategyContext,
@@ -28,6 +31,7 @@ from privmarket import (
 )
 
 from privmarket import cost as cost_module
+from privmarket import market as market_module
 from privmarket.cost import unit_trades
 from privmarket.market import MarketSession
 from privmarket.traders import BLOCK_CAP, BLOCK_FLOATS
@@ -71,8 +75,11 @@ def _state(session) -> tuple:
 def test_every_partition_books_the_same_session(d, noise_off):
     # blocks cross 64 and 128; those of 62 and more are tall at d = 7, and
     # the long blocks are tall at d = 8 too, where prices stay row-major.
-    # Most steps also price q_hat + the unit trades after them (a probe) in
-    # their kernel pass: that books nothing else, and gives a lone pass's bits
+    # Before most steps the session previews prefixes of the block, short
+    # and long (row by row and by index arithmetic): each preview's quote is
+    # the state a per-state reference publishes at that row, with a lone
+    # pass's unit costs, it books nothing, and the step that books the block
+    # checks it against its own chain
     T = 150
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T, noise_off=noise_off)
     rng = np.random.default_rng(100 * d + noise_off)
@@ -84,18 +91,33 @@ def test_every_partition_books_the_same_session(d, noise_off):
     for sizes in splits:
         session = open_market(params, rng=np.random.default_rng(7))
         reference = ReferenceSession(params, np.random.default_rng(7))
-        _assert_quote(session, False)  # the open prices no unit trades
+        _assert_quote(session)  # the open prices no unit trades
         start = 0
         for k in sizes:
             block = bundles[start : start + k]
-            probe = start % 3 != 1
-            # (d,) or (1, d); the probe's costs go to the quote
-            assert session.step(block[0] if k == 1 and start % 2 else block, probe) is None
+            seen = []  # the reference's t, q_hat and p_hat after each row of the block
             for dq in block:
                 reference.step(dq)
+                seen.append((reference.arrivals + 1, reference.q_hat.tolist(),
+                             reference.p_hat.tolist()))
+            previews = sorted({0, 1, k // 3, k - 1, k}) if start % 3 != 1 else []
+            for j in previews:
+                booked = _state(session)
+                session.preview(block, j)
+                assert _state(session) == booked
+                quote = session.quote
+                if j:
+                    assert (quote.t, quote.q_hat.tolist(), quote.p_hat.tolist()) == seen[j - 1]
+                else:
+                    assert quote.t == session.arrivals + 1 and quote.q_hat is session.q_hat
+                fresh = session.cost.cost(quote.q_hat + unit_trades(d))
+                assert not quote.unit_costs.flags.writeable
+                assert quote.unit_costs.tobytes() == fresh.tobytes()
+            # (d,) or (1, d)
+            assert session.step(block[0] if k == 1 and start % 2 else block) is None
             start += k
             assert_same_session(session, reference)
-            _assert_quote(session, probe)
+            _assert_quote(session)
             # the published prices own a contiguous row, whichever axis the
             # block's prices were gathered along
             p_hat = session.p_hat
@@ -110,21 +132,13 @@ def test_every_partition_books_the_same_session(d, noise_off):
     assert all(entry == closed[0] for entry in closed)
 
 
-def _assert_quote(session, probe: bool) -> None:
-    """session.quote is the context of the state the session last published;
-    it carries unit costs only when that state's step was probed: read-only,
-    and byte for byte a fresh pass's."""
+def _assert_quote(session) -> None:
+    """session.quote is the context of the state a step (or the open) last
+    published, which carries no unit costs."""
     quote = session.quote
-    assert quote.t == session.arrivals + 1
+    assert quote.t == session.arrivals + 1 and quote.unit_costs is None
     assert quote.q_hat is session.q_hat and quote.p_hat is session.p_hat
     assert quote.fee == session.params.fee and quote.cost is session.cost
-    if not probe:
-        assert quote.unit_costs is None
-    else:
-        costs = quote.unit_costs
-        assert not costs.flags.writeable
-        fresh = session.cost.cost(session.q_hat + unit_trades(session.params.d))
-        assert costs.tobytes() == fresh.tobytes()
 
 
 def _sweep_the_counter(T: int, most: int) -> None:
@@ -159,8 +173,8 @@ def test_blocks_of_up_to_block_cap_arrivals_book_the_counter_to_2_to_the_14():
 
 
 def test_one_bundle_steps_book_the_counter_to_2_to_the_12():
-    # every arrival a one-bundle step, which step books without a block
-    # plan, at every level up to 12; closes at T - 1 and T
+    # every arrival a one-bundle step, a block plan of one arrival, at every
+    # level up to 12; closes at T - 1 and T
     _sweep_the_counter(2**12, 1)
 
 
@@ -222,10 +236,14 @@ def test_a_rejected_block_books_nothing(d):
     session.step(np.tile(np.eye(d)[0], (5, 1)))
     before = _state(session)
     rng_state = session.rng.bit_generator.state
-    for (name, block), probe in itertools.product(_bad_blocks(d).items(), (False, True)):
+    # a preview checks the rows it adds before it takes their bundles, as the
+    # step checks its block: the same row is refused, and nothing moves
+    for (name, block), call in itertools.product(
+            _bad_blocks(d).items(), (session.step, lambda block: session.preview(block, 3))):
         with pytest.raises(TradeRejectedError) as info:
-            session.step(block, probe)
+            call(block)
         assert info.value.row == (1 if name != "nan" else 2), name
+        assert f"bundle {info.value.row} " in str(info.value), name
         assert _state(session) == before and session.rng.bit_generator.state == rng_state
     # a block that would pass T: 5 booked, 6 more do not fit
     with pytest.raises(MarketClosedError, match="6 more do not fit"):
@@ -249,14 +267,18 @@ class _Returns(Strategy):
 
 
 def test_drive_session_blames_the_strategy_of_the_bad_row():
+    # refused by the step of the block, or, when a state reader follows, by
+    # the preview before it is asked: the preview checks the rows it adds
     params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=20)
-    for name, block in _bad_blocks(2).items():
+    for (name, block), reader in itertools.product(_bad_blocks(2).items(), (False, True)):
         session = open_market(params, rng=0)
         bad = _Returns("bad_" + name.replace(" ", "_"), block[2 if name == "nan" else 1])
-        stream = Stream((Herd(), RandomTrader(np.random.default_rng(0)), Herd(), bad, Herd()), 5)
+        last = _ReadsState("reader", np.eye(2)[1]) if reader else Herd()
+        stream = Stream((Herd(), RandomTrader(np.random.default_rng(0)), Herd(), bad, last), 5)
         with pytest.raises(StrategyBugError, match=f"^{bad.kind} returned a bad bundle"):
             drive_session(session, stream)
         assert session.arrivals == 0 and session.noise.t == 0  # the whole block is refused
+        assert session.quote.t == 1  # and no preview published a state
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -324,9 +346,10 @@ class _BadSecond(Strategy):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_a_rejected_reader_answer_books_nothing(d):
-    # refused when written (a bool entry, a (1, d) array) or by the step of
-    # the block it leads, after the blind run behind it is asked (nan, l1
-    # norm above 1): either way the session is as the reader found it
+    # refused when written (a bool entry, a (1, d) array) or by the preview
+    # before the reader's next turn, after the blind run behind it is asked
+    # (nan, l1 norm above 1): either way nothing is booked (the block waits
+    # for the end of the stream) and the session is as the reader found it
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=20)
     oversize = np.full(d, 0.6)
     not_finite = np.eye(d)[0]
@@ -339,7 +362,7 @@ def test_a_rejected_reader_answer_books_nothing(d):
         stream = Stream((Herd(), reader, RandomTrader(np.random.default_rng(1))), 12)
         with pytest.raises(StrategyBugError, match="^bad_second returned a bad bundle"):
             drive_session(session, stream)
-        assert len(reader.turns) == 2 and session.arrivals == 4, name
+        assert len(reader.turns) == 2 and session.arrivals == 0, name
         z, norms = session.noise.take(session.rng, 3)
         after = (_booked(session), session.noise.t, session.noise.mask, z.tolist(), norms.tolist())
         assert after == reader.turns[1], name
@@ -392,9 +415,9 @@ class _BlockLog(MarketSession):
         super().__init__(params, np.random.default_rng(0))
         self.blocks = []
 
-    def step(self, dq, probe=None):
+    def step(self, dq):
         self.blocks.append(len(np.atleast_2d(dq)))
-        return super().step(dq, probe)
+        return super().step(dq)
 
 
 @pytest.mark.parametrize("d", [2, 1024])
@@ -440,3 +463,111 @@ def test_a_session_closed_short_of_its_horizon_draws_at_most_its_horizon(d, T, k
         states.append(twin.bit_generator.state)
         twin.random(d)
     assert k <= states.index(session.rng.bit_generator.state) <= T
+
+
+def _books(session) -> tuple:
+    """_state, the level array's bytes, the mask and the generator's state."""
+    return (_state(session), session.noise.levels.tobytes(), session.noise.mask,
+            session.rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("d", [2, 64])  # at 64 the take buffer refills at t = 256
+def test_previews_book_nothing(d):
+    # any number of previews of a block's prefixes, short and long, repeated
+    # and of no new row, leave arrivals, the totals, q_hat, p_hat, the
+    # levels, the mask and the generator as the twin that never previews
+    # has them once its step of the block has taken its bundles (the one
+    # draw ahead a preview may make is the one that step makes); the step
+    # after them books what the twin's books
+    T = 300
+    params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
+    bundles = _bundles(np.random.default_rng(d), d, T)
+    session, twin = (open_market(params, rng=np.random.default_rng(5)) for _ in range(2))
+    start = 0
+    for k in (5, 40, 1, 120, 100, 34):
+        block = bundles[start : start + k]
+        before = _books(session)
+        twin.noise.take(twin.rng, k)
+        drawn = twin.rng.bit_generator.state
+        for j in sorted((0, 0, 1, 1, k // 2, k, k)):
+            session.preview(block, j)
+            books = _books(session)
+            # the generator moves only to where taking the block leaves it
+            assert books[:-1] == before[:-1] and books[-1] in (before[-1], drawn), j
+            assert j < k or books[-1] == drawn
+            before = books
+        session.step(block)
+        twin.step(block)
+        assert _books(session) == _books(twin)
+        start += k
+    assert session.close(0) == twin.close(0) and _books(session) == _books(twin)
+
+
+def _flip(x: np.ndarray) -> np.ndarray:
+    """x with the last bit of its entry 0 flipped."""
+    y = x.copy()
+    y.view(np.int64)[0] ^= 1
+    return y
+
+
+@pytest.mark.parametrize("flipped", ["q_hat", "p_hat"])
+def test_a_preview_that_is_not_the_booked_state_stops_the_step(flipped, monkeypatch):
+    # the step checks each preview against its own chain before it books
+    # anything: one bit of a previewed q_hat or p_hat off raises
+    params = MarketParams(d=3, epsilon=1.0, alpha=0.3, gamma=0.1, T=40)
+    block = _bundles(np.random.default_rng(3), 3, 20)
+    session = open_market(params, rng=np.random.default_rng(8))
+    session.step(block[:4])
+    session.preview(block[4:], 3)
+    with monkeypatch.context() as patch:
+        if flipped == "q_hat":
+            chain = market_module._preview_chain
+            patch.setattr(market_module, "_preview_chain", lambda *args: _flip(chain(*args)))
+        else:
+            kernel = ScaledCost._block_cost_and_prices
+
+            def flipped_prices(self, q):  # row 0's prices are the previewed p_hat
+                costs, prices = kernel(self, q)
+                return costs, np.vstack([_flip(prices[0]), prices[1:]])
+
+            patch.setattr(ScaledCost, "_block_cost_and_prices", flipped_prices)
+        session.preview(block[4:], 9)
+    session.preview(block[4:], 12)
+    before = _books(session)
+    with pytest.raises(InvalidStateError, match="previewed state is not the state booked"):
+        session.step(block[4:16])
+    assert _books(session) == before
+
+
+def test_a_preview_out_of_sync_with_held_noise_stops_the_step():
+    # published - true - held noise at each previewed row, the held noise
+    # summed over the chain's sales and buys from held_sum(): a held level
+    # corrupted after a step is carried into the preview and the block alike
+    # (they agree), and the preview's check raises before anything is booked
+    params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=40)
+    block = _bundles(np.random.default_rng(2), 2, 20)
+    session = open_market(params, rng=np.random.default_rng(8))
+    session.step(block[:7])
+    held_pairs(session.noise)[0][1][1] -= 1e-3  # the oldest held bundle, bought at t = 4
+    session.preview(block[7:], 2)
+    before = _books(session)
+    with pytest.raises(InvalidStateError, match="previewed state lost sync with held noise"):
+        session.step(block[7:12])
+    assert _books(session) == before
+
+
+def test_a_step_books_every_previewed_row():
+    # a block shorter than the rows previewed since the last step would leave
+    # a state a strategy saw unchecked: refused before anything is booked
+    params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=40)
+    block = _bundles(np.random.default_rng(2), 2, 20)
+    session = open_market(params, rng=np.random.default_rng(8))
+    session.preview(block, 6)
+    before = _books(session)
+    with pytest.raises(InvalidStateError, match="6 rows are previewed; 5 are booked"):
+        session.step(block[:5])
+    assert _books(session) == before
+    with pytest.raises(InvalidParameterError, match="6 rows are previewed"):
+        session.preview(block, 5)
+    session.step(block[:6])
+    assert session.arrivals == 6

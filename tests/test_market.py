@@ -496,12 +496,15 @@ def test_open_and_close_each_make_one_kernel_pass(monkeypatch):
     session = _noisy_session(7)
     shapes.clear()
     session.step(np.array([0.5, -0.25]))  # t = 8 sells three bundles
-    # q_hat, the trade, three sales, the buy and the true state after
-    assert shapes == [(7, 2)]
-    # probed, the same step prices q_hat + the 2d + 1 unit trades below them
+    # q_hat, the trade, three sales, the buy, q_true and the true state after
+    assert shapes == [(8, 2)]
+    # a preview of the same bundle prices the state after it plus the 2d + 1
+    # unit trades, in one pass (its running sum needs none), and a second
+    # preview of no new row makes none
     session = _noisy_session(7)
     shapes.clear()
-    session.step(np.array([0.5, -0.25]), probe=True)
-    assert shapes == [(7 + 5, 2)]
-    costs = session.quote.unit_costs
-    assert costs.tobytes() == session.cost.cost(session.q_hat + unit_trades(2)).tobytes()
+    for _ in range(2):
+        session.preview(np.array([[0.5, -0.25]]), 1)
+    assert shapes == [(5, 2)] and session.arrivals == 7
+    quote = session.quote
+    assert quote.unit_costs.tobytes() == session.cost.cost(quote.q_hat + unit_trades(2)).tobytes()

@@ -33,6 +33,7 @@ from privmarket import (
 )
 
 from privmarket import cost as cost_module
+from privmarket import traders as traders_module
 from privmarket.cost import TALL_ROWS, unit_trades
 from privmarket.traders import RANDOM_CHUNK
 
@@ -559,20 +560,18 @@ def _reader_stream(d: int, seen: list, length: int) -> Stream:
 
 def _assert_fresh_unit_costs(seen: list) -> None:
     """Each context's carried unit costs are, byte for byte, a fresh pass's;
-    only the opening quote (t == 1: no step published its state) carries none."""
+    every reader is asked after a preview, so every context carries them."""
     for ctx in seen:
         costs = ctx.unit_costs
-        if costs is None and ctx.t == 1:
-            continue
         fresh = ctx.cost.cost(ctx.q_hat + unit_trades(ctx.cost.d))
         assert not costs.flags.writeable and costs.tobytes() == fresh.tobytes(), ctx.t
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_a_readers_carried_unit_costs_are_a_fresh_pass(d):
-    # the step before a state reader prices its unit trades (step's probe):
-    # after a blind run, after a reader's trade and after abstentions; the
-    # first reader's, at the session's opening state, are maximize_profit's
+    # the preview before a state reader prices its unit trades: after a
+    # blind run, after a reader's trade and after abstentions, and alone at
+    # the session's opening state
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=64)
     seen = []
     session = open_market(params, rng=d)
@@ -583,17 +582,24 @@ def test_a_readers_carried_unit_costs_are_a_fresh_pass(d):
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_unit_costs_carried_from_a_tall_block(d, monkeypatch):
-    # a blind turn of 32 d rows, then a reader's turn: the block probed for
-    # the first reader is tall (cost.is_tall), so its rows take the column path
+    # a blind turn of 32 d rows, then a reader's turn: the first reader's
+    # preview sums the blind turn's chain by index arithmetic (its quote is
+    # a lone pass's), and the one step, booked at the end, is a tall block
+    # (cost.is_tall) whose rows take the column path and which checks every
+    # preview against them
     shapes, seen = [], []
     kernel = cost_module._shifted_exp
     monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (shapes.append(x.shape), kernel(x))[1])
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=1024)
     stream = Stream((RandomTrader(np.random.default_rng(d)), _recorded(BeliefTrader, seen)(_lean(d))),
                     64 * d, order="sequential")
-    drive_session(open_market(params, rng=d), stream)
-    assert shapes[1][0] >= TALL_ROWS * d  # the open's pass, then the blind turn's
-    assert len(seen) == 32 * d and all(ctx.unit_costs is not None for ctx in seen)
+    session = open_market(params, rng=d)
+    drive_session(session, stream)
+    # the open's pass, one preview's per quote the reader saw (a turn after
+    # an abstention sees the same one), then the tall block's
+    quotes = len({*map(id, seen)})
+    assert shapes[1:-1] == [(2 * d + 1, d)] * quotes and shapes[-1][0] >= TALL_ROWS * d
+    assert len(seen) == 32 * d and seen[0].t == 32 * d + 1
     _assert_fresh_unit_costs(seen)
 
 
@@ -620,25 +626,25 @@ def test_maximize_profit_prices_a_hand_built_context_as_carried_costs_give(d, mo
 
 
 def test_a_reader_after_an_abstaining_blind_run_carries_fresh_unit_costs(monkeypatch):
-    # the session's first run is blind and books nothing, so no step priced
-    # the hunter's unit trades: maximize_profit prices them once, at the
-    # opening quote; every later hunter turn follows a herd's booked slot,
-    # whose step prices them
+    # the session's first run is blind and adds no row, so the first
+    # preview prices the hunter's unit trades alone, at the opening quote;
+    # every later hunter turn follows its own trade and a herd's, which its
+    # preview adds; the one step books all 20 arrivals when the stream ends
     passes = []
     kernel = cost_module._shifted_exp
     monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (passes.append(x.shape), kernel(x))[1])
     params = MarketParams(d=3, epsilon=1.0, alpha=0.3, gamma=0.1, T=32)
     session = open_market(params, rng=3)
     steps, step = [], session.step
-    session.step = lambda dq, probe=False: (steps.append(probe), step(dq, probe))[1]
+    session.step = lambda dq: (steps.append(len(dq)), step(dq))[1]
     seen = []
     hunter = _recorded(ArbitrageHunter, seen)(np.array([0.8, 0.1, 0.1]), threshold=0.0)
     passes.clear()
     drive_session(session, Stream((Abstainer(), hunter, Herd()), 30))
-    assert len(seen) == 10 and seen[0].t == 1 and session.arrivals == 20
-    # the first reader's unit trades, then one pass per step
-    assert passes[0] == (7, 3) and len(passes) == 1 + len(steps)
-    assert steps.count(True) == len(seen) - 1
+    assert len(seen) == 10 and [ctx.t for ctx in seen] == list(range(1, 20, 2))
+    assert session.arrivals == 20 and steps == [20]
+    # one pass per reader turn, its preview's, then the step's
+    assert passes[:-1] == [(7, 3)] * len(seen) and len(passes) == len(seen) + 1
     _assert_fresh_unit_costs(seen)
 
 
@@ -697,13 +703,16 @@ def _exact_roster(d: int, seen: list, session) -> tuple:
 @pytest.mark.parametrize("d, T, length", [(2, 64, 120), (8, 256, 400)],
                          ids=["flat_mixed_T64", "staged_d8_belief"])
 def test_every_reader_sees_the_quote_that_booking_each_arrival_alone_publishes(d, T, length):
-    # a reader's trade leads the block the blind run after it joins, so a
-    # later reader is asked with the quote of the block booked before it:
-    # that is session.quote, and its t, q_hat, p_hat and unit costs are those
-    # a session that books every arrival alone, probed, publishes at its slot
+    # nothing is booked before a reader: each is asked with the quote a
+    # preview of the pending rows publishes, which is session.quote, and its
+    # t, q_hat, p_hat and unit costs are those of a session that books every
+    # arrival alone, its unit costs priced by a separate pass; the one step,
+    # at the fill, checks every preview
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
     seen, expected = [], []
     session = open_market(params, rng=np.random.default_rng(d))
+    steps, step = [], session.step
+    session.step = lambda dq: (steps.append(len(dq)), step(dq))[1]
     drive_session(session, Stream(_exact_roster(d, seen, session), length))
     reference = open_market(params, rng=np.random.default_rng(d))
     roster = _exact_roster(d, expected, None)
@@ -711,19 +720,18 @@ def test_every_reader_sees_the_quote_that_booking_each_arrival_alone_publishes(d
         if reference.is_full:
             break
         strat = roster[slot % len(roster)]
-        dq = (strat.decide(reference.quote) if strat.reads_state
-              else strat.decide_run(reference.quote, 1)[0])
+        ctx = reference.quote
+        if strat.reads_state:
+            ctx = StrategyContext(ctx.t, ctx.q_hat, ctx.p_hat, ctx.fee, ctx.cost,
+                                  ctx.cost.cost(ctx.q_hat + unit_trades(d)))
+        dq = strat.decide(ctx) if strat.reads_state else strat.decide_run(ctx, 1)[0]
         if dq is not None:
-            reference.step(dq, probe=True)
-    assert session.is_full and len(seen) == len(expected) > 20
+            reference.step(dq)
+    assert session.is_full and steps == [T] and len(seen) == len(expected) > 20
     assert all(is_quote for _, is_quote in seen)
     for (ctx, _), (ref, _) in zip(seen, expected):
-        assert (ctx.t, ctx.q_hat.tolist(), ctx.p_hat.tolist()) == (
-            ref.t, ref.q_hat.tolist(), ref.p_hat.tolist())
-        if ref.t == 1:  # the opening quote, which no step priced
-            assert ctx.unit_costs is None is ref.unit_costs
-        else:
-            assert ctx.unit_costs.tolist() == ref.unit_costs.tolist()
+        assert (ctx.t, ctx.q_hat.tolist(), ctx.p_hat.tolist(), ctx.unit_costs.tolist()) == (
+            ref.t, ref.q_hat.tolist(), ref.p_hat.tolist(), ref.unit_costs.tolist())
 
 
 def _mixed_stream(d: int, seen: list, length: int) -> Stream:
@@ -735,45 +743,78 @@ def _mixed_stream(d: int, seen: list, length: int) -> Stream:
 
 @pytest.mark.parametrize("d, T, roster, first_look, least_seen", [
     (8, 256, _reader_stream, 1, 200),  # a belief trader looks first, at the opening quote
-    (2, 64, _mixed_stream, 0, 20),  # the hunter looks after the herd's and random's probed step
+    (2, 64, _mixed_stream, 0, 20),  # the hunter looks after the herd's and random's rows
 ], ids=["staged_d8", "flat_mixed_T64"])
 def test_one_kernel_pass_per_reader_arrival(monkeypatch, d, T, roster, first_look, least_seen):
+    # a reader turn makes at most one pass, its preview's: one per distinct
+    # quote the readers saw (a reader after one that abstained shares its
+    # quote), the first alone at the opening quote when a reader looks
+    # first; the arrivals are booked by one step, when they fill the session
     passes = []
     kernel = cost_module._shifted_exp
     monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (passes.append(x.shape), kernel(x))[1])
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T)
     session = open_market(params, rng=d)
     steps, step = [], session.step
-    session.step = lambda dq, probe=None: (steps.append(dq), step(dq, probe))[1]
+    session.step = lambda dq: (steps.append(len(dq)), step(dq))[1]
     seen = []
     drive_session(session, roster(d, seen, 400))
     session.close(0)
-    assert session.arrivals == T and len(seen) > least_seen
-    # the open, every step, the first reader's unit trades when it looks at
-    # the opening quote, and the close
-    assert len(passes) == 1 + len(steps) + first_look + 1 and passes[0] == (d,)
-    if first_look:  # at d = 8 no step's pass has the unit trades' shape
-        assert passes[1] == (17, 8) and passes.count((17, 8)) == 1
+    assert session.arrivals == T and len(seen) > least_seen and steps == [T]
+    assert (seen[0].t == 1) == bool(first_look)
+    quotes = len({*map(id, seen)})
+    # the open, a pass per quote, the step and the close
+    assert passes[0] == (d,) and passes[1:-2] == [(2 * d + 1, d)] * quotes and len(passes) == quotes + 3
 
 
-def test_a_hunter_within_its_threshold_prices_no_unit_trades(monkeypatch):
+def test_a_hunter_within_its_threshold_makes_no_pass_of_its_own(monkeypatch):
     # a gap of prices and belief never passes 1, so the hunter never trades
-    # and never reads unit costs: not at the opening quote, which carries
-    # none, and not after the herd's steps, whose probes price them anyway
+    # and never calls maximize_profit: its turns' passes are the previews',
+    # one per turn (the first alone, at the opening quote), and the herd's 32
+    # arrivals are booked by one step, when they fill the session
     passes = []
     kernel = cost_module._shifted_exp
     monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (passes.append(x.shape), kernel(x))[1])
+    monkeypatch.setattr(traders_module, "maximize_profit", None)  # never called
     session = open_market(MarketParams(d=3, epsilon=1.0, alpha=0.3, gamma=0.1, T=32), rng=3)
     steps, step = [], session.step
-    session.step = lambda dq, probe=False: (steps.append(probe), step(dq, probe))[1]
+    session.step = lambda dq: (steps.append(len(dq)), step(dq))[1]
     seen = []
     hunter = _recorded(ArbitrageHunter, seen)(np.array([0.8, 0.1, 0.1]), threshold=1.0)
     assert drive_session(session, Stream((hunter, Herd()), 80)) == 64
-    assert session.is_full and len(seen) == 32 and seen[0].unit_costs is None
-    # the open, then one pass per step, each probed for the hunter after it
-    # but the last, which fills the session
-    assert len(passes) == 1 + len(steps) == 1 + 32 and steps.count(True) == 31
-    assert (7, 3) not in passes
+    assert session.is_full and len(seen) == 32 and steps == [32]
+    # the open, a preview per hunter turn, then the step
+    assert passes[0] == (3,) and passes[1:-1] == [(7, 3)] * 32 and len(passes) == 34
+
+
+def test_readers_at_one_quote_share_one_unit_pass(monkeypatch):
+    # a quote without unit costs (the open's, or a step's) is priced once,
+    # by the preview of no new row before the first reader that meets it:
+    # a near-uniform belief trader that abstains and a hunter after it, both
+    # at the opening quote, make one (2d + 1, d) pass between them
+    passes = []
+    kernel = cost_module._shifted_exp
+    monkeypatch.setattr(cost_module, "_shifted_exp", lambda x: (passes.append(x.shape), kernel(x))[1])
+    near = np.full(8, 0.125)
+    near[0], near[-1] = 0.13, 0.12
+    seen = []
+    session = open_market(MarketParams(d=8, epsilon=1.0, alpha=0.3, gamma=0.1, T=16), rng=8)
+    readers = (_recorded(BeliefTrader, seen)(near), _recorded(ArbitrageHunter, seen)(_lean(8)))
+    drive_session(session, Stream(readers, 2))
+    assert [ctx.t for ctx in seen] == [1, 1] and seen[0] is seen[1] and session.arrivals == 1
+    assert passes.count((17, 8)) == 1
+
+    # a sequential herd, abstainer and hunter: the hunter's first turn follows
+    # a full block of the herd's bundles and a run of abstentions, and every
+    # context maximize_profit reads carries its unit costs
+    calls = []
+    search = traders_module.maximize_profit
+    monkeypatch.setattr(traders_module, "maximize_profit",
+                        lambda ctx, belief: (calls.append(ctx.unit_costs), search(ctx, belief))[1])
+    session = open_market(MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=4096), rng=0)
+    hunter = ArbitrageHunter(np.array([0.85, 0.15]))
+    drive_session(session, Stream((Herd(), Abstainer(), hunter), 3072, order="sequential"))
+    assert len(calls) > 20 and all(costs is not None for costs in calls)
 
 
 def _quoted(cls, session, asked: list):
