@@ -41,8 +41,11 @@ TRADE_SIZE_TOL = 1e-9
 CASH_TOL = 1e-9
 HELD_TOL = 1e-6  # largest l1 drift of published - true from the held noise sum
 PLAN_CACHE = 64
-"""Block plans kept; a herd+random run at d = 2 uses 5 at T = 16384 and 13
-over the 3,805,959 arrivals of paper-scale stage 1."""
+"""Block plans kept, for steps and previews alike.  Distinct plans at d = 2
+(none evicted): herd+random uses 5 at T = 16384 and 13 over the 3,805,959
+arrivals of paper-scale stage 1; herd+random+arbitrage_hunter 12 over 20
+trials at T = 64, 47 at T = 2^16 and 53 at T = 2^20.  The d = 8 staged
+belief roster (three stages of 256) uses 23 over 20 trials."""
 
 
 def lambda_star(T: int, alpha: float, gamma: float, epsilon: float, d: int) -> float:
@@ -240,7 +243,9 @@ def _published(x: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
 def _block_plan(k: int, low: int, top: int) -> tuple:
-    """Row plan of a block of k arrivals after t0.
+    """Row plan of a block of k arrivals after t0, whether a step books them
+    or a preview publishes the state after them (_block_source lays out
+    their source rows).
 
     It depends only on the trailing-zero counts tz(t0 + i), which follow
     from low = t0 mod 2^m (m = k.bit_length()) and top, the tz of the one
@@ -302,6 +307,24 @@ def _block_plan(k: int, low: int, top: int) -> tuple:
     return plan
 
 
+def _block_source(q: np.ndarray, q_true: np.ndarray, block: np.ndarray, z: np.ndarray,
+                  levels: np.ndarray, t0: int) -> tuple:
+    """The source rows of the arrivals t0 + 1 .. t0 + k, which trade block
+    (k, d) and buy the bundles z (k, d) from the published state q, the true
+    state q_true and the counter's levels after t0, and the _block_plan they
+    follow: source, then the plan's chain, buys, cash, levels and flips."""
+    k, d = block.shape
+    m = k.bit_length()
+    top = (t0 + k) >> m << m  # the one time in the block that 2^m divides, if any
+    neg, sold, *plan = _block_plan(
+        k, t0 & ((1 << m) - 1), (top & -top).bit_length() - 1 if top > t0 else -1)
+    source = np.concatenate((q, q_true, block.ravel(), z.ravel(), np.zeros(d), z.ravel(),
+                             levels[:sold].ravel())).reshape(-1, d)
+    tail = source[neg:]
+    np.negative(tail, out=tail)
+    return source, *plan
+
+
 @dataclass(frozen=True)
 class StrategyContext:
     """Published information available to a strategy at its arrival.
@@ -311,9 +334,11 @@ class StrategyContext:
     prices after arrival t - 1 (read-only arrays).  unit_costs are
     C(q_hat + each row of cost.unit_trades(d)), row 0 being C(q_hat),
     read-only, or None: MarketSession.quote carries them when a preview
-    published it (MarketSession.preview).  They are the bits any other pass
-    would give, since a state's cost does not depend on the block it is
-    priced in.  Without them maximize_profit prices them.
+    published it (MarketSession.preview).  A previewed q_hat and p_hat are
+    the step's bits at that row, the preview running the step's cached
+    block plan over its new rows, and the unit costs are the bits any other
+    pass would give, since a state's cost does not depend on the block it
+    is priced in.  Without them maximize_profit prices them.
     """
 
     t: int
@@ -322,53 +347,6 @@ class StrategyContext:
     fee: float
     cost: ScaledCost
     unit_costs: np.ndarray | None = field(default=None, repr=False)
-
-
-PREVIEW_ROWS = 16
-"""New rows from which a preview builds its chain by index arithmetic, not
-row by row: the crossover of about 1.5 us a row against about 22 us for a
-few dozen rows (timeit at d = 2 and 8 on a 2-core x86 host)."""
-
-
-def _preview_chain(q: np.ndarray, block: np.ndarray, z: np.ndarray, levels: np.ndarray,
-                   t: int) -> np.ndarray:
-    """The published state after arrivals t + 1 .. t + m trade block (m, d)
-    and buy the bundles z (m, d), from q, the state after t: the running sum
-    over each trade, sale (most recent first) and buy, the rows a step's
-    chain adds in the same order, so the step's bits at that row.  levels,
-    the counter's bundles after t, become those after t + m (a level sold
-    and not bought again keeps a stale bundle, which no sale reads).
-    """
-    m, d = block.shape
-    if m < PREVIEW_ROWS:  # each arrival's trade, sales and buy, row by row
-        tzs = [(u & -u).bit_length() - 1 for u in range(t + 1, t + m + 1)]
-        states = np.empty((1 + 2 * m + sum(tzs), d))
-        states[0] = q
-        row = 1
-        for i, tz in enumerate(tzs):
-            states[row] = block[i]
-            np.negative(levels[:tz], out=states[row + 1 : row + 1 + tz])
-            row += tz + 2
-            states[row - 1] = levels[tz] = z[i]
-    else:  # source rows: q, the trades, the bundles, minus them, minus the levels
-        u = np.arange(t + 1, t + m + 1)
-        tz = np.frexp(u & -u)[1] - 1
-        size = tz + 2  # chain rows per arrival
-        end = np.cumsum(size)
-        level = np.arange(end[-1]) - np.repeat(end - size, size) - 1  # -1 at a trade, tz at a buy
-        back = np.repeat(np.arange(m), size) - (1 << np.maximum(level, 0))  # a sold row of block
-        chain = np.where(back >= 0, 1 + 2 * m + back, 1 + 3 * m + level)
-        chain[end - size] = np.arange(1, m + 1)
-        chain[end - 1] = np.arange(1 + m, 1 + 2 * m)
-        source = np.concatenate((q[None], block, z, -z, -levels))
-        states = source.take(np.concatenate(([0], chain)), axis=0)
-        top = t + m
-        for bit in range(top.bit_length()):  # the held levels bought after t
-            bought = top >> bit << bit
-            if top >> bit & 1 and bought > t:
-                levels[bit] = z[bought - t - 1]
-    np.add.accumulate(states, axis=0, out=states)
-    return states[-1]
 
 
 class MarketSession:
@@ -434,8 +412,8 @@ class MarketSession:
 
     def _clear_previews(self) -> None:
         """Forget the previews: after the open and every step, none is of an unbooked row."""
-        # rows previewed, the state after them and the shadow levels (None: the ledger's)
-        self._ahead = (0, self.q_hat, None)
+        # rows previewed, the state after them and the counter's levels there
+        self._ahead = (0, self.q_hat, self.noise.levels)
         self._previews = []  # (rows, q_hat, p_hat) of each preview of unbooked rows
 
     @property
@@ -454,14 +432,18 @@ class MarketSession:
         It picks up from the last preview since the last step (so k may not
         fall): the new rows, pending[j:k] after a preview of j, are checked
         (check_bundle, a rejection's row counted in pending) before
-        NoiseLedger.take, a read, hands over their bundles; one running sum
-        from the last previewed state over their trades, sales and buys
-        (_preview_chain, on a shadow copy of the levels) and one kernel pass
-        of that state plus each row of cost.unit_trades(d) give the quote
-        t = arrivals + k + 1, q_hat, p_hat and unit_costs.  With no new row,
-        a quote without unit costs gets them from one pass of the unit trades
-        alone.  Only take's draw ahead, which the next step makes anyway,
-        moves rng; the next step checks every preview against its own chain.
+        NoiseLedger.take, a read, hands over their bundles.  The step's cached
+        _block_plan of the new rows (_block_source) runs from the last
+        previewed state and the counter's levels there: one running sum over
+        their trades, sales and buys, in the step's order, so a previewed
+        state has the step's bits at its row, and the plan's levels rows give
+        the levels after them (a shadow: the ledger's are left as they are).
+        One kernel pass of that state plus each row of cost.unit_trades(d)
+        gives the quote t = arrivals + k + 1, q_hat, p_hat and unit_costs.
+        With no new row, a quote without unit costs gets them from one pass
+        of the unit trades alone.  Only take's draw ahead, which the next
+        step makes anyway, moves rng; the next step checks every preview
+        against its own chain.
         """
         if self.closed:
             raise MarketClosedError("session is closed")
@@ -482,9 +464,13 @@ class MarketSession:
             return
         block = check_bundle(pending[start:k], d, start)
         z = self.noise.take(self.rng, k)[0][start:]
-        # a fresh copy, so that a preview that raises leaves the last one's
-        levels = (self.noise.levels if levels is None else levels).copy()
-        q_hat = _published(_preview_chain(q_hat, block, z, levels, t0 + start))
+        # q_hat stands in for q_true, which no chain row reads
+        source, chain, _, _, low, _ = _block_source(q_hat, q_hat, block, z, levels, t0 + start)
+        states = source.take(chain, axis=0)
+        np.add.accumulate(states, axis=0, out=states)
+        q_hat = _published(states[-1])  # the chain ends with the last buy
+        levels = levels.copy()  # a shadow: the ledger's stay as they are
+        levels[: len(low)] = source.take(low, axis=0)
         costs, prices = self.cost._block_cost_and_prices(q_hat + unit_trades(d))
         p_hat = _published(prices[0])
         self._ahead = (k, q_hat, levels)
@@ -541,16 +527,8 @@ class MarketSession:
 
         ledger = self.noise
         z, z_norms = ledger.take(self.rng, k)
-        m = k.bit_length()
-        top = (t0 + k) >> m << m  # the one time in the block that 2^m divides, if any
-        neg, sold, chain, buys, cash, levels, flips = _block_plan(
-            k, t0 & ((1 << m) - 1), (top & -top).bit_length() - 1 if top > t0 else -1)
-        source = np.concatenate((
-            self.q_hat, self.q_true, block.ravel(), z.ravel(),
-            np.zeros(d), z.ravel(), ledger.levels[:sold].ravel(),
-        )).reshape(-1, d)
-        tail = source[neg:]
-        np.negative(tail, out=tail)
+        source, chain, buys, cash, levels, flips = _block_source(
+            self.q_hat, self.q_true, block, z, ledger.levels, t0)
         # the chain from q_hat, then q_true and the true state after each arrival
         n = len(chain)
         r = n + k + 1

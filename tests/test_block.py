@@ -20,6 +20,7 @@ from privmarket import (
     MarketClosedError,
     MarketParams,
     RandomTrader,
+    RunConfig,
     ScaledCost,
     Strategy,
     StrategyBugError,
@@ -28,6 +29,7 @@ from privmarket import (
     TradeRejectedError,
     drive_session,
     open_market,
+    run_trial,
 )
 
 from privmarket import cost as cost_module
@@ -503,10 +505,10 @@ def test_previews_book_nothing(d):
     assert session.close(0) == twin.close(0) and _books(session) == _books(twin)
 
 
-def _flip(x: np.ndarray) -> np.ndarray:
-    """x with the last bit of its entry 0 flipped."""
+def _flip(x: np.ndarray, entry: int = 0) -> np.ndarray:
+    """x with the last bit of one entry flipped."""
     y = x.copy()
-    y.view(np.int64)[0] ^= 1
+    y.view(np.int64)[entry] ^= 1
     return y
 
 
@@ -516,13 +518,18 @@ def test_a_preview_that_is_not_the_booked_state_stops_the_step(flipped, monkeypa
     # anything: one bit of a previewed q_hat or p_hat off raises
     params = MarketParams(d=3, epsilon=1.0, alpha=0.3, gamma=0.1, T=40)
     block = _bundles(np.random.default_rng(3), 3, 20)
-    session = open_market(params, rng=np.random.default_rng(8))
-    session.step(block[:4])
-    session.preview(block[4:], 3)
+    session, twin = (open_market(params, rng=np.random.default_rng(8)) for _ in range(2))
+    for market in (session, twin):
+        market.step(block[:4])
+        market.preview(block[4:], 3)
+    twin.preview(block[4:], 9)
     with monkeypatch.context() as patch:
         if flipped == "q_hat":
-            chain = market_module._preview_chain
-            patch.setattr(market_module, "_preview_chain", lambda *args: _flip(chain(*args)))
+            # the chain runs from the last previewed q_hat with one bit off, in
+            # the entry whose bit the running sum keeps (asserted below)
+            source = market_module._block_source
+            patch.setattr(market_module, "_block_source",
+                          lambda q, *args: source(_flip(q, 2), *args))
         else:
             kernel = ScaledCost._block_cost_and_prices
 
@@ -532,6 +539,9 @@ def test_a_preview_that_is_not_the_booked_state_stops_the_step(flipped, monkeypa
 
             patch.setattr(ScaledCost, "_block_cost_and_prices", flipped_prices)
         session.preview(block[4:], 9)
+    seen, booked = session.quote, twin.quote
+    assert ((seen.q_hat.tolist(), seen.p_hat.tolist())
+            != (booked.q_hat.tolist(), booked.p_hat.tolist()))
     session.preview(block[4:], 12)
     before = _books(session)
     with pytest.raises(InvalidStateError, match="previewed state is not the state booked"):
@@ -554,6 +564,61 @@ def test_a_preview_out_of_sync_with_held_noise_stops_the_step():
     with pytest.raises(InvalidStateError, match="previewed state lost sync with held noise"):
         session.step(block[7:12])
     assert _books(session) == before
+
+
+_LEAN = [0.72] + [0.04] * 7  # belief 0.72 on one coordinate at d = 8
+
+
+@pytest.mark.parametrize("config", [
+    {"market": {"d": 2, "epsilon": 1.0, "alpha": 0.3, "gamma": 0.1, "T": 64},
+     "traders": [{"kind": "herd"}, {"kind": "random"},
+                 {"kind": "arbitrage_hunter", "params": {"belief": [0.85, 0.15]}}]},
+    {"market": {"d": 8, "epsilon": 1.0, "alpha": 0.3, "gamma": 0.1, "T": 256},
+     "traders": [{"kind": "belief", "params": {"belief": _LEAN}},
+                 {"kind": "belief", "params": {"belief": [0.13] + [0.125] * 6 + [0.12]}},
+                 {"kind": "arbitrage_hunter", "params": {"belief": _LEAN[1::-1] + _LEAN[2:]}},
+                 {"kind": "random"}],
+     "stream_length": 1056, "adaptive": {"stage_override": 256, "max_stages": 3}},
+], ids=["flat_mixed_T64", "staged_d8_belief"])
+def test_quotes_and_books_do_not_depend_on_the_plan_cache(monkeypatch, config):
+    # previews and steps share _block_plan's cached read-only arrays: trials
+    # that clear the cache before every preview and step, so that each builds
+    # its plans afresh, see the reader quotes (t, q_hat, p_hat, unit costs)
+    # and close the ledgers of trials that keep it
+    config = RunConfig.from_dict(config)
+    preview, step, close = MarketSession.preview, MarketSession.step, MarketSession.close
+
+    def trials(clear: bool) -> tuple[list, list]:
+        quotes, ledgers = [], []
+
+        def previewed(self, *args):
+            if clear:
+                market_module._block_plan.cache_clear()
+            preview(self, *args)
+            q = self.quote
+            quotes.append((q.t, q.q_hat.tolist(), q.p_hat.tolist(), q.unit_costs.tolist()))
+
+        def stepped(self, dq):
+            if clear:
+                market_module._block_plan.cache_clear()
+            step(self, dq)
+
+        def closed(self, outcome):
+            ledgers.append(close(self, outcome))
+            return ledgers[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MarketSession, "preview", previewed)
+            patch.setattr(MarketSession, "step", stepped)
+            patch.setattr(MarketSession, "close", closed)
+            for seed in range(3):
+                run_trial(config, seed)
+        return quotes, ledgers
+
+    kept, cleared = trials(False), trials(True)
+    quotes, ledgers = kept
+    assert len(quotes) > 60 and len(ledgers) == 3 * len(config.markets())
+    assert cleared == kept
 
 
 def test_a_step_books_every_previewed_row():
