@@ -61,8 +61,7 @@ def row_sums(a: np.ndarray) -> np.ndarray:
 def unit_trades(d: int) -> np.ndarray:
     """Read-only (2d + 1, d) block: no trade, then +e_j (row 1 + 2j) and -e_j (row 2 + 2j).
 
-    A state reader's unit-trade costs are C(q_hat + each row), row 0 being
-    C(q_hat) (MarketSession.preview, traders.maximize_profit)."""
+    A quote's unit_costs are C(q_hat + each row) (market.StrategyContext)."""
     trades = np.zeros((2 * d + 1, d))
     flat = trades.reshape(-1)  # row 1 + 2j, column j is flat entry d + j (2d + 1)
     flat[d :: 2 * d + 1] = 1.0

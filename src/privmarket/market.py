@@ -22,7 +22,8 @@ import dataclasses
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -325,20 +326,22 @@ def _block_source(q: np.ndarray, q_true: np.ndarray, block: np.ndarray, z: np.nd
     return source, *plan
 
 
-@dataclass(frozen=True)
-class StrategyContext:
-    """Published information available to a strategy at its arrival.
+class StrategyContext(NamedTuple):
+    """A quote: the published information a strategy sees at its arrival,
+    and a session's one record of each state it publishes.
 
-    t is the 1-based index the next arrival would get, counting every earlier
-    arrival, booked or previewed; q_hat and p_hat are the share state and
-    prices after arrival t - 1 (read-only arrays).  unit_costs are
-    C(q_hat + each row of cost.unit_trades(d)), row 0 being C(q_hat),
-    read-only, or None: MarketSession.quote carries them when a preview
-    published it (MarketSession.preview).  A previewed q_hat and p_hat are
-    the step's bits at that row, the preview running the step's cached
-    block plan over its new rows, and the unit costs are the bits any other
-    pass would give, since a state's cost does not depend on the block it
-    is priced in.  Without them maximize_profit prices them.
+    An immutable NamedTuple: no field can be rebound, and a changed quote is
+    a new one (_replace).  t is the 1-based index the next arrival would
+    get, counting every earlier arrival, booked or previewed; q_hat and
+    p_hat are the share state and prices after arrival t - 1 (read-only
+    arrays); fee is the flat fee and cost the public cost function.
+    unit_costs are C(q_hat + each row of cost.unit_trades(d)), row 0 being
+    C(q_hat), read-only, set exactly when a preview published or priced the
+    quote (MarketSession.preview), else None; maximize_profit prices a quote
+    without them itself.  A previewed q_hat and p_hat are the step's bits at
+    that row, the preview running the step's cached block plan over its new
+    rows, and the unit costs are the bits any other pass would give, since a
+    state's cost does not depend on the block it is priced in.
     """
 
     t: int
@@ -346,7 +349,7 @@ class StrategyContext:
     p_hat: np.ndarray
     fee: float
     cost: ScaledCost
-    unit_costs: np.ndarray | None = field(default=None, repr=False)
+    unit_costs: np.ndarray | None = None
 
 
 class MarketSession:
@@ -357,11 +360,13 @@ class MarketSession:
     noise stack, cash totals, and running gaps.  q_hat and p_hat are the
     latest booked published state and prices and are read-only.  quote is
     what a strategy may see, the StrategyContext of the state last
-    published: the open and every step set it without unit_costs (pricing
-    the unit trades there would cost every session and step a (2d + 1, d)
-    pass, whether a state reader looks next or not), and every preview sets
-    it with them; close leaves it, as it leaves p_hat.  Nonzero
-    initial_shares support stage handoff.
+    published: the open and every step publish one without unit costs
+    (pricing the unit trades there would cost every session and step a
+    (2d + 1, d) pass, whether a state reader looks next or not), every
+    preview one with them, and close leaves it, as it leaves p_hat.  The
+    quote is also the one record of a preview: quote.t - arrivals - 1 rows
+    are previewed, and the step checks the quotes previews published since
+    the last step.  Nonzero initial_shares support stage handoff.
 
     rng is anything np.random.default_rng takes; a Generator is used as it
     is.  The session draws its noise bundles from it ahead of its arrivals,
@@ -408,13 +413,8 @@ class MarketSession:
         self.max_price_gap = 0.0  # max_t ||p^t - p_hat^t||_1
         self.max_share_gap = 0.0  # max_t ||q^t - q_hat^t||_1
         self.bundle_l2_total = 0.0
-        self._clear_previews()
-
-    def _clear_previews(self) -> None:
-        """Forget the previews: after the open and every step, none is of an unbooked row."""
-        # rows previewed, the state after them and the counter's levels there
-        self._ahead = (0, self.q_hat, self.noise.levels)
-        self._previews = []  # (rows, q_hat, p_hat) of each preview of unbooked rows
+        self._levels = self.noise.levels  # the counter's levels at quote (a preview's: a shadow)
+        self._previews = []  # the quotes published by previews since the last step
 
     @property
     def is_full(self) -> bool:
@@ -429,26 +429,27 @@ class MarketSession:
         """Publish as quote the state after the unbooked bundles pending[:k],
         which the next step books first, and book nothing.
 
-        It picks up from the last preview since the last step (so k may not
-        fall): the new rows, pending[j:k] after a preview of j, are checked
-        (check_bundle, a rejection's row counted in pending) before
-        NoiseLedger.take, a read, hands over their bundles.  The step's cached
-        _block_plan of the new rows (_block_source) runs from the last
-        previewed state and the counter's levels there: one running sum over
+        It picks up from the quote, which has previewed j = quote.t -
+        arrivals - 1 rows (so k may not fall below j): the new rows,
+        pending[j:k], are checked (check_bundle, a rejection's row counted in
+        pending) before NoiseLedger.take, a read, hands over their bundles.
+        The step's cached _block_plan of the new rows (_block_source) runs
+        from quote.q_hat and the counter's levels there: one running sum over
         their trades, sales and buys, in the step's order, so a previewed
         state has the step's bits at its row, and the plan's levels rows give
         the levels after them (a shadow: the ledger's are left as they are).
         One kernel pass of that state plus each row of cost.unit_trades(d)
-        gives the quote t = arrivals + k + 1, q_hat, p_hat and unit_costs.
-        With no new row, a quote without unit costs gets them from one pass
-        of the unit trades alone.  Only take's draw ahead, which the next
-        step makes anyway, moves rng; the next step checks every preview
+        gives the new quote (StrategyContext), t = arrivals + k + 1.  With no
+        new row, a quote without unit costs is replaced by the same quote
+        with them, from one pass of the unit trades alone, and one with them
+        is left as it is.  Only take's draw ahead, which the next step makes
+        anyway, moves rng; the next step checks every preview's quote
         against its own chain.
         """
         if self.closed:
             raise MarketClosedError("session is closed")
-        d, t0 = self.params.d, self.arrivals
-        start, q_hat, levels = self._ahead
+        d, t0, quote = self.params.d, self.arrivals, self.quote
+        start = quote.t - t0 - 1  # rows previewed
         if t0 + k > self.params.T:
             raise MarketClosedError(
                 f"session has {t0} of {self.params.T} arrivals; {k} more do not fit")
@@ -456,27 +457,25 @@ class MarketSession:
             raise InvalidParameterError(
                 f"{start} rows are previewed; preview {k} of {len(pending)} pending")
         if k == start:
-            quote = self.quote
             if quote.unit_costs is None:
                 costs = self.cost.cost(quote.q_hat + unit_trades(d))
-                self.quote = StrategyContext(quote.t, quote.q_hat, quote.p_hat, quote.fee,
-                                             self.cost, _published(costs))
+                self.quote = quote._replace(unit_costs=_published(costs))
             return
         block = check_bundle(pending[start:k], d, start)
         z = self.noise.take(self.rng, k)[0][start:]
         # q_hat stands in for q_true, which no chain row reads
-        source, chain, _, _, low, _ = _block_source(q_hat, q_hat, block, z, levels, t0 + start)
+        source, chain, _, _, low, _ = _block_source(
+            quote.q_hat, quote.q_hat, block, z, self._levels, t0 + start)
         states = source.take(chain, axis=0)
         np.add.accumulate(states, axis=0, out=states)
         q_hat = _published(states[-1])  # the chain ends with the last buy
-        levels = levels.copy()  # a shadow: the ledger's stay as they are
+        levels = self._levels.copy()  # a shadow: the ledger's stay as they are
         levels[: len(low)] = source.take(low, axis=0)
         costs, prices = self.cost._block_cost_and_prices(q_hat + unit_trades(d))
-        p_hat = _published(prices[0])
-        self._ahead = (k, q_hat, levels)
-        self._previews.append((k, q_hat, p_hat))
-        self.quote = StrategyContext(t0 + k + 1, q_hat, p_hat, self.params.fee, self.cost,
-                                     _published(costs))
+        self._levels = levels
+        self.quote = StrategyContext(t0 + k + 1, q_hat, _published(prices[0]), self.params.fee,
+                                     self.cost, _published(costs))
+        self._previews.append(self.quote)
 
     def step(self, dq) -> None:
         """Book the k bundles of check_bundle(dq, d), one arrival each, in order.
@@ -510,8 +509,8 @@ class MarketSession:
         drift at most HELD_TOL).  A bad bundle or a block that would pass T
         raises before anything is booked, and so does any failure before the
         counter is advanced (take is a read: the next step takes the same
-        bundles).  The step publishes quote: t = arrivals + 1 and the q_hat
-        and p_hat it publishes, without unit_costs.
+        bundles).  The step publishes its quote (StrategyContext), without
+        unit costs.
         """
         if self.closed:
             raise MarketClosedError("session is closed")
@@ -522,8 +521,9 @@ class MarketSession:
             raise MarketClosedError(
                 f"session has {t0} of {self.params.T} arrivals; {k} more do not fit"
             )
-        if self._ahead[0] > k:
-            raise InvalidStateError(f"{self._ahead[0]} rows are previewed; {k} are booked")
+        ahead = self.quote.t - t0 - 1
+        if ahead > k:
+            raise InvalidStateError(f"{ahead} rows are previewed; {k} are booked")
 
         ledger = self.noise
         z, z_norms = ledger.take(self.rng, k)
@@ -575,17 +575,18 @@ class MarketSession:
         self.max_price_gap = max(self.max_price_gap, price_gap)
         self.quote = StrategyContext(self.arrivals + 1, self.q_hat, self.p_hat, self.params.fee,
                                      self.cost)
-        self._clear_previews()
+        self._levels, self._previews = ledger.levels, []
 
     def _check_previews(self, source, chain, buys, k, after, p_hat, true) -> None:
-        """Each preview of this block against it: its q_hat and p_hat == the
-        block's after arrival j (after[j - 1], p_hat[j - 1]), and published -
-        true - held noise there within HELD_TOL, the held noise summed from
-        held_sum() over the chain's noise rows only (source row 0 replaced by
-        it and the trade rows by zeros)."""
-        rows = np.array([j for j, _, _ in self._previews]) - 1
-        seen_q = np.array([q for _, q, _ in self._previews])
-        seen_p = np.array([p for _, _, p in self._previews])
+        """Each preview's quote against this block: its q_hat and p_hat == the
+        block's after arrival j = quote.t - arrivals - 1 (after[j - 1],
+        p_hat[j - 1]), and published - true - held noise there within
+        HELD_TOL, the held noise summed from held_sum() over the chain's
+        noise rows only (source row 0 replaced by it and the trade rows by
+        zeros)."""
+        rows = np.array([quote.t for quote in self._previews]) - self.arrivals - 2
+        seen_q = np.array([quote.q_hat for quote in self._previews])
+        seen_p = np.array([quote.p_hat for quote in self._previews])
         if not (np.array_equal(seen_q, after[rows]) and np.array_equal(seen_p, p_hat[rows])):
             raise InvalidStateError("a previewed state is not the state booked at its row")
         noise = source.copy()

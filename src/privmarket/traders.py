@@ -63,12 +63,10 @@ def maximize_profit(
 ) -> tuple[np.ndarray, float]:
     """Best trade among signed unit coordinates plus a fractional refinement.
 
-    Reads the costs of the full trades +/- e_j from ctx.unit_costs, or,
-    when the context carries none (a hand-built one: every quote
-    drive_session asks a reader with comes from MarketSession.preview,
-    which prices them), prices them in one pass.  It picks the most profitable (ties: lowest
-    coordinate index, buy over sell), then line searches the size along
-    that direction.  Each profit
+    Reads the costs of the full trades +/- e_j from ctx.unit_costs, or
+    prices them in one pass when the quote carries none (StrategyContext).
+    It picks the most profitable (ties: lowest coordinate index, buy over
+    sell), then line searches the size along that direction.  Each profit
     is <dq, belief> - (C(q_hat + dq) - C(q_hat)): the belief's expected
     payout minus the trade's cost at the published state.  +/- e_j pays
     exactly +/- b_j (a finite belief), so the profit is the Python float
@@ -117,14 +115,12 @@ class Strategy:
     reads_state is False for a strategy whose decisions ignore ctx.t,
     ctx.q_hat and ctx.p_hat.  drive_session asks it once per run of
     consecutive blind slots for all of its slots there (decide_run), with
-    the last quote the session published: that of the last preview, or of
-    the open or last step, so its t is below the run's first arrival index
-    when bundles since then wait (a blind run after a state reader's trade
-    is asked with the quote from before that trade).  One that reads them
-    keeps the default, True, and is asked through decide with the quote a
-    preview of every earlier pending bundle publishes: t counts every
-    earlier arrival, booked or not, and q_hat and p_hat are the state after
-    it, bit for bit what booking each arrival alone would publish.
+    the last quote the session published (StrategyContext), so its t is
+    below the run's first arrival index when bundles since then wait (a
+    blind run after a state reader's trade is asked with the quote from
+    before that trade).  One that reads them keeps the default, True, and
+    is asked through decide with the quote MarketSession.preview publishes
+    of every earlier pending bundle.
     """
 
     kind = "abstract"
@@ -416,8 +412,8 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     fills or the stream ends; return the next slot (no slot past the arrival
     that fills the session is taken).
 
-    Every strategy is asked with the session's quote (MarketSession.quote),
-    the one context of the state it last published.  In each run of
+    Every strategy is asked with the session's quote (MarketSession.quote,
+    a StrategyContext).  In each run of
     consecutive blind slots (reads_state False), each strategy is asked once
     for all of its slots (step_strategy with n), and its bundles join the
     pending block through one slice (Stream.runs).  A state reader is asked
@@ -428,8 +424,7 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     books the bits of its bundles booked one at a time, and the step checks
     every preview against its own chain, neither a reader's look nor its
     trade needs a step of its own.  A reader makes at most one kernel pass,
-    its preview's, which prices the unit trades with the new state (or
-    alone, once, at a quote without them).  A bundle check_bundle rejects,
+    its preview's.  A bundle check_bundle rejects,
     or a blind answer without one entry per slot, raises StrategyBugError
     naming its strategy's kind; a slot that is not an int >= 0 (a bool is
     none) is an InvalidParameterError.

@@ -212,6 +212,23 @@ def test_share_accuracy_monte_carlo(mixed_run, report):
     )
 
 
+def test_share_accuracy_fails_when_checked_at_four_times_epsilon(report):
+    # a negative control: 200 seeds run at epsilon = 1 pass the share bound
+    # of twice that epsilon (half the bound) and fail that of four times it
+    # (a quarter of the bound), which a quarter of the seeds' largest share
+    # gaps exceed
+    cfg, rows = _run_rows(MIXED_ROSTER, seeds=200)
+    double, quadruple = (verify_share_accuracy(rows, d=cfg.d, T=cfg.T, epsilon=k * cfg.epsilon,
+                                               gamma=cfg.gamma) for k in (2, 4))
+    ok = double.passed and not quadruple.passed and double.n == quadruple.n == 200
+    assert report(
+        "negative control: share accuracy at 4 epsilon",
+        ok,
+        f"exceedance {double.observed:.4f} at 2 epsilon (passes), {quadruple.observed:.4f} at "
+        f"4 epsilon (fails), threshold {quadruple.threshold:.4f}",
+    )
+
+
 ROSTERS = {
     "arbitrage_hunter": [
         {"kind": "arbitrage_hunter", "params": {"belief": [0.85, 0.15]}}

@@ -78,10 +78,10 @@ def test_every_partition_books_the_same_session(d, noise_off):
     # blocks cross 64 and 128; those of 62 and more are tall at d = 7, and
     # the long blocks are tall at d = 8 too, where prices stay row-major.
     # Before most steps the session previews prefixes of the block, short
-    # and long (row by row and by index arithmetic): each preview's quote is
-    # the state a per-state reference publishes at that row, with a lone
-    # pass's unit costs, it books nothing, and the step that books the block
-    # checks it against its own chain
+    # and long: each preview's quote is the state a per-state reference
+    # publishes at that row, with a lone pass's unit costs, a second look
+    # with no new row hands out that same quote, it books nothing, and the
+    # step that books the block checks it against its own chain
     T = 150
     params = MarketParams(d=d, epsilon=1.0, alpha=0.3, gamma=0.1, T=T, noise_off=noise_off)
     rng = np.random.default_rng(100 * d + noise_off)
@@ -113,8 +113,11 @@ def test_every_partition_books_the_same_session(d, noise_off):
                 else:
                     assert quote.t == session.arrivals + 1 and quote.q_hat is session.q_hat
                 fresh = session.cost.cost(quote.q_hat + unit_trades(d))
-                assert not quote.unit_costs.flags.writeable
                 assert quote.unit_costs.tobytes() == fresh.tobytes()
+                session.preview(block, j)  # no new row, and the quote carries its costs
+                assert session.quote is quote and _state(session) == booked
+                for x in (quote.q_hat, quote.p_hat, quote.unit_costs):
+                    assert not x.flags.writeable
             # (d,) or (1, d)
             assert session.step(block[0] if k == 1 and start % 2 else block) is None
             start += k
