@@ -14,8 +14,7 @@ below a constant independent of the true horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,8 +55,7 @@ def stage_constants(
     return A_prime, check_positive("A", A), check_positive("D", 4.0 * d / gamma)
 
 
-@dataclass(frozen=True)
-class StageSchedule:
+class StageSchedule(NamedTuple):
     """Full staged-market design for (B1, d, alpha, gamma, epsilon)."""
 
     B1: float
@@ -130,8 +128,7 @@ def budget_bound(B1: float, d: int, alpha: float, gamma: float, epsilon: float) 
     return 9.0 * A_prime * math.log(9.0 * A * D) ** 2
 
 
-@dataclass(frozen=True)
-class StageCheck:
+class StageCheck(NamedTuple):
     """Per-stage inequality margins behind the budget guarantee."""
 
     k: int
@@ -143,8 +140,7 @@ class StageCheck:
     lam_ratio_ok: bool  # 1/lam^(k) <= 4/lam^(k-1) (k >= 2)
 
 
-@dataclass(frozen=True)
-class StageInequalityReport:
+class StageInequalityReport(NamedTuple):
     checks: tuple[StageCheck, ...]
     stage1_log_ok: bool  # log2 T^(1) / (8 ln(4 T^(1))) <= 1/4
     stage1_log_value: float
@@ -209,8 +205,7 @@ def transition(
     return cost.invert_prices(prev_prices, eta)
 
 
-@dataclass(frozen=True)
-class AdaptiveResult:
+class AdaptiveResult(NamedTuple):
     stages: tuple[MarketSession, ...]  # the closed session of each market that ran
     ledger: Ledger  # exact component-wise sum of stage ledgers
 

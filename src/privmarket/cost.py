@@ -11,7 +11,7 @@ package is an instance of this scaled family.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,18 +97,22 @@ def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return m, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class ScaledCost:
-    """Log-sum-exp cost over d securities with price sensitivity lam."""
+class ScaledCost(NamedTuple("ScaledCost", [("d", int), ("lam", float)])):
+    """Log-sum-exp cost over d securities with price sensitivity lam, an
+    immutable NamedTuple that the constructor (and so _replace) checks."""
 
-    d: int
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
+    def __new__(cls, d: int, lam: float) -> ScaledCost:
+        if d < 1:
             raise InvalidParameterError("d must be >= 1")
-        if not (0.0 < self.lam <= 1.0):
+        if not (0.0 < lam <= 1.0):
             raise InvalidParameterError("lam must lie in (0, 1]")
+        return super().__new__(cls, d, lam)
+
+    @classmethod
+    def _make(cls, fields) -> ScaledCost:
+        return cls(*fields)  # _replace builds through here, so it is checked too
 
     def _check_q(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)

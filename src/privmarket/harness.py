@@ -14,14 +14,13 @@ epsilon empirically.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +66,7 @@ time is bounded at every shape: 1,048,576 pairs at T = 1024, d = 2 took
 105 s on a 2-core machine, 537 at T = 16384, d = 244 took 95 s."""
 
 
-@dataclass(frozen=True)
-class TrialMetrics:
+class TrialMetrics(NamedTuple):
     """Per-seed outcome of one simulated run."""
 
     seed: int
@@ -83,14 +81,13 @@ class TrialMetrics:
     mean_bundle_l2: float
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return self._asdict()
 
 
-METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(TrialMetrics))
+METRIC_FIELDS = TrialMetrics._fields
 
 
-@dataclass(frozen=True)
-class RosterEntry:
+class RosterEntry(NamedTuple):
     """count instances of kind.  params is the roster object as given;
     RunConfig.from_dict parses it once, with traders.strategy_args, into
     args, the values a trial builds every instance from."""
@@ -101,8 +98,7 @@ class RosterEntry:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated simulation plan; SCHEMA lists its JSON fields and defaults."""
 
     d: int
@@ -148,10 +144,10 @@ class RunConfig:
         if horizon > MAX_T:
             raise ConfigError(f"adaptive: the stage plan's {horizon} arrivals exceed {MAX_T}")
         roster = tuple(
-            dataclasses.replace(entry, args=_checked(
+            entry._replace(args=_checked(
                 f"traders[{i}]", strategy_args, entry.kind, entry.params, cfg.d))
             for i, entry in enumerate(cfg.traders))
-        return dataclasses.replace(cfg, traders=roster)
+        return cfg._replace(traders=roster)
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -464,8 +460,7 @@ def read_run_dir(path: str) -> tuple[list[dict], MarketParams]:
     return rows, _checked("resolved_config.json", MarketParams, **fields)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Machine-readable verdict of one statistical check."""
 
     check: str
@@ -473,10 +468,10 @@ class VerifyReport:
     observed: float
     threshold: float
     n: int
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {**self._asdict(), "detail": dict(self.detail)}
 
 
 MIN_TRIALS = 100
@@ -553,8 +548,7 @@ def verify_noise_loss(rows: list[dict], lam: float, K: float) -> VerifyReport:
     return _mean_within("noise_loss", rows, "ntl", bounds, {"K": K})
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Structural privacy audit results for (T, d, epsilon)."""
 
     T: int
@@ -572,9 +566,7 @@ class AuditReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["participation_counts"] = list(self.participation_counts)
-        return out
+        return {**self._asdict(), "participation_counts": list(self.participation_counts)}
 
 
 def privacy_audit(

@@ -18,11 +18,9 @@ jointly telescope to C(true final state) - C(initial state).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -72,8 +70,7 @@ def noise_scale_K(T: int, epsilon: float, d: int) -> float:
     return 2.0 * math.sqrt(2.0 * d) * tree_depth(T) / check_positive("epsilon", epsilon)
 
 
-@dataclass(frozen=True)
-class LossBounds:
+class LossBounds(NamedTuple):
     """Pre-run loss bounds and the fee-sufficiency report."""
 
     ntl_bound: float  # (T' log2 T' / 2) * lam * K
@@ -107,52 +104,57 @@ def loss_bounds(
     )
 
 
-@dataclass
-class MarketParams:
-    """Resolved parameters of one fee-market session.
+class MarketParams(NamedTuple("MarketParams", [
+        ("d", int), ("epsilon", float), ("alpha", float), ("gamma", float), ("T", int),
+        ("fee", float), ("lam", float), ("noise_off", bool), ("allow_unsafe_lambda", bool)])):
+    """Resolved parameters of one fee-market session, an immutable NamedTuple
+    that the constructor (and so _replace) checks.
 
     fee defaults to alpha and lam to lambda_star(T, alpha, gamma, epsilon, d).
     Raising lam above lambda_star voids the accuracy guarantee and is only
     allowed with allow_unsafe_lambda (used by tightness experiments).
     """
 
-    d: int
-    epsilon: float
-    alpha: float
-    gamma: float
-    T: int
-    fee: float | None = None
-    lam: float | None = None
-    noise_off: bool = False
-    allow_unsafe_lambda: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        self.lam_star = lambda_star(self.T, self.alpha, self.gamma, self.epsilon, self.d)
-        if self.fee is None:
-            self.fee = self.alpha
-        check_positive("fee", self.fee, zero_ok=True)
-        if self.lam is None:
-            self.lam = self.lam_star
-        if not (0.0 < self.lam <= 1.0):
+    def __new__(cls, d: int, epsilon: float, alpha: float, gamma: float, T: int,
+                fee: float | None = None, lam: float | None = None,
+                noise_off: bool = False, allow_unsafe_lambda: bool = False) -> MarketParams:
+        lam_star = lambda_star(T, alpha, gamma, epsilon, d)
+        if fee is None:
+            fee = alpha
+        check_positive("fee", fee, zero_ok=True)
+        if lam is None:
+            lam = lam_star
+        if not (0.0 < lam <= 1.0):
             raise InvalidParameterError("lam must lie in (0, 1]")
-        if self.lam < sys.float_info.min:
-            raise InvalidParameterError(f"lam {self.lam:.3e} is below the smallest normal float")
-        worst = LAPLACE_MAX * noise_scale(self.T, self.epsilon)  # a bundle entry's largest size
-        if not math.isfinite(worst * worst * self.d):
+        if lam < sys.float_info.min:
+            raise InvalidParameterError(f"lam {lam:.3e} is below the smallest normal float")
+        worst = LAPLACE_MAX * noise_scale(T, epsilon)  # a bundle entry's largest size
+        if not math.isfinite(worst * worst * d):
             raise InvalidParameterError("noise bundles' squared l2 norms would pass float range")
-        if self.lam > self.lam_star and not self.allow_unsafe_lambda:
+        if lam > lam_star and not allow_unsafe_lambda:
             raise InvalidParameterError(
-                f"lam {self.lam:.3e} exceeds lambda_star {self.lam_star:.3e}; "
+                f"lam {lam:.3e} exceeds lambda_star {lam_star:.3e}; "
                 "pass allow_unsafe_lambda=True to run anyway"
             )
+        return super().__new__(cls, d, epsilon, alpha, gamma, T, fee, lam, noise_off,
+                               allow_unsafe_lambda)
+
+    @classmethod
+    def _make(cls, fields) -> MarketParams:
+        return cls(*fields)  # _replace builds through here, so it is checked too
+
+    @property
+    def lam_star(self) -> float:
+        return lambda_star(self.T, self.alpha, self.gamma, self.epsilon, self.d)
 
     @property
     def B1(self) -> float:
         return math.log(self.d)
 
 
-@dataclass(frozen=True)
-class Ledger:
+class Ledger(NamedTuple):
     """Cash decomposition of a closed session."""
 
     mm_loss: float
@@ -166,8 +168,7 @@ class Ledger:
     @classmethod
     def combine(cls, parts: list["Ledger"]) -> "Ledger":
         """Field-by-field sum of the parts."""
-        names = [f.name for f in dataclasses.fields(cls)]
-        return cls(**{name: sum(getattr(p, name) for p in parts) for name in names})
+        return cls(**{name: sum(getattr(p, name) for p in parts) for name in cls._fields})
 
 
 def check_bundle(dq, d: int, first: int = 0) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Stage doubling: schedule closed forms, inequality report, staged runs."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -107,7 +106,7 @@ def test_stage_inequality_report():
     rep = verify_stage_inequalities(stage_schedule(math.log(2), 1, 0.1, 0.1, 1.0, max_stages=2))
     assert len(rep.checks) == 2
     with pytest.raises(InvalidParameterError):
-        verify_stage_inequalities(dataclasses.replace(sch, stages=()))
+        verify_stage_inequalities(sch._replace(stages=()))
 
 
 def test_transition_worked_and_clamped():

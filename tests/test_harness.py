@@ -421,6 +421,23 @@ def test_privacy_audit_worked_example():
     assert d["participation_counts"] == list(report.participation_counts)
 
 
+@pytest.mark.parametrize("k", range(1, 11))
+def test_privacy_audit_passes_at_a_power_of_two_while_it_reports_the_excess(k):
+    # passed judges the sensitivity and the noise scale only: at T = 2^k an
+    # arrival joins k + 1 bundles of scale 2k / epsilon, so the run is
+    # epsilon (k + 1)/k-private and the audit passes; one arrival more and
+    # the depth catches up (a depth of T.bit_length() changes this test on purpose)
+    T = 2**k
+    report = privacy_audit(T, 2, 1.0, n_pairs=1)
+    assert report.participation_max == T.bit_length() == report.depth + 1 == k + 1
+    assert report.implied_epsilon == report.epsilon_multiplier == (k + 1) / k
+    assert report.passed
+    report = privacy_audit(T + 1, 2, 1.0, n_pairs=1)
+    assert report.participation_max == (T + 1).bit_length() == report.depth == k + 1
+    assert report.epsilon_multiplier == report.implied_epsilon == 1.0
+    assert report.passed
+
+
 def test_privacy_audit_sensitivity_matches_the_all_partial_sums_reference():
     # the audit normalises only each pair's slot row; the reference replays
     # all T partial sums of both sequences from the same draws

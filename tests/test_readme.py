@@ -32,7 +32,10 @@ def test_readme_names_resolve():
         cited = re.fullmatch(r"(\w+)\.(\w+)(?:\(.*\))?", span)
         head = getattr(privmarket, cited[1], None) if cited else None
         if inspect.isclass(head):
-            fields = {f.name for f in dataclasses.fields(head)} if dataclasses.is_dataclass(head) else ()
+            # a record's fields: a NamedTuple's _fields, or those of Stream,
+            # the one dataclass the package exports
+            fields = getattr(head, "_fields", None) or (
+                {f.name for f in dataclasses.fields(head)} if dataclasses.is_dataclass(head) else ())
             assert hasattr(head, cited[2]) or cited[2] in fields, span
             checked += 1
         cited = re.fullmatch(r"privmarket\.(\w+)(?:\.(\w+))?", span)

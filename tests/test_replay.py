@@ -12,7 +12,6 @@ state with MarketSession, so ledger agreement checks the cached costs, the
 held stack and the running metrics of the engine.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -119,7 +118,7 @@ def test_engine_matches_replay_oracle(roster, d, T, noise_off):
             "mean_bundle_l2": session.mean_bundle_l2,
         }
         ledger = session.close(OUTCOME)
-        engine.update(dataclasses.asdict(ledger))
+        engine.update(ledger._asdict())
         oracle = _replay(params, _trades(roster, d, T, seed + 50), seed)
         assert set(engine) == set(oracle)
         for name, want in oracle.items():
