@@ -14,13 +14,11 @@ strategies.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -113,14 +111,13 @@ class Strategy:
     """Single-owner stateful decision rule bound to one run.
 
     reads_state is False for a strategy whose decisions ignore ctx.t,
-    ctx.q_hat and ctx.p_hat.  drive_session asks it once per run of
-    consecutive blind slots for all of its slots there (decide_run), with
-    the last quote the session published (StrategyContext), so its t is
-    below the run's first arrival index when bundles since then wait (a
-    blind run after a state reader's trade is asked with the quote from
-    before that trade).  One that reads them keeps the default, True, and
-    is asked through decide with the quote MarketSession.preview publishes
-    of every earlier pending bundle.
+    ctx.q_hat and ctx.p_hat.  drive_session asks it once per chunk of slots
+    for all of its slots there (decide_run), with the quote the session
+    published last at the chunk's start (StrategyContext), so possibly
+    before earlier state readers in the chunk decide, and its bad bundle can
+    raise before they are asked.  One that reads them keeps the default,
+    True, and is asked through decide with the quote MarketSession.preview
+    publishes of every earlier pending bundle.
     """
 
     kind = "abstract"
@@ -237,8 +234,6 @@ class RandomTrader(Strategy):
     rng.choice([-1.0, 1.0]) makes it), then the coordinate.  The last chunk
     may draw past the end of a trial, which is harmless: each instance's
     generator belongs to one trial.  An instance serves markets of one d.
-    One slot, the usual run between state readers, is answered from its
-    pair as two Python ints and one entry write.
     """
 
     kind = "random"
@@ -258,11 +253,8 @@ class RandomTrader(Strategy):
             self._pairs = np.concatenate((self._pairs, fresh), axis=1)
         pairs, self._pairs = self._pairs, self._pairs[:, n:]
         dq = np.zeros((n, d))
-        if n == 1:
-            dq[0, pairs.item(1, 0)] = pairs.item(0, 0)
-        else:
-            signs, coords = pairs[:, :n]
-            dq[np.arange(n), coords] = signs
+        signs, coords = pairs[:, :n]
+        dq[np.arange(n), coords] = signs
         return dq
 
 
@@ -337,7 +329,7 @@ def make_strategy(kind: str, args: tuple, rng) -> Strategy:
 
 def step_strategy(strategy: Strategy, ctx: StrategyContext, n: int | None = None):
     """Ask a strategy for its decision, a bundle or None to abstain, or with n
-    for its n slots of a blind run (decide_run).
+    for n slots (decide_run).
 
     This is the strategy-decision boundary the benchmark tracer times.  The
     bundles are checked by market.check_bundle alone.
@@ -345,54 +337,45 @@ def step_strategy(strategy: Strategy, ctx: StrategyContext, n: int | None = None
     return strategy.decide(ctx) if n is None else strategy.decide_run(ctx, n)
 
 
-@dataclass(frozen=True)
-class Stream:
+class Stream(NamedTuple("Stream", [("instances", tuple), ("length", int), ("order", str)])):
     """The arrival stream of a trial, the same for every seed: slot i < length
     belongs to instances[(i // per) % n].  round_robin cycles through the n
     instances (per = 1); sequential gives each one turn of
-    per = max(1, ceil(length / n)) slots, in order.  An empty roster, an
+    per = max(1, ceil(length / n)) slots, in order.  An immutable NamedTuple
+    that the constructor (and so _replace) checks: an empty roster, an
     instance listed twice (its slots would not be one range), a length that
     is not an int >= 0 (a bool is none) and an unknown order are
     InvalidParameterErrors.
     """
 
-    instances: tuple[Strategy, ...]
-    length: int
-    order: str = "round_robin"
-    per: int = field(init=False)  # slots of one turn
-    # turns from instance j's turn to the next state reader's (0 for a reader);
-    # empty without readers
-    ahead: tuple[int, ...] = field(init=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.instances)
+    def __new__(cls, instances, length: int, order: str = "round_robin") -> Stream:
+        instances = tuple(instances)
+        n = len(instances)
         if not n:
             raise InvalidParameterError("a stream needs at least one instance")
-        if len({*map(id, self.instances)}) < n:
+        if len({*map(id, instances)}) < n:
             raise InvalidParameterError("a stream lists an instance twice")
-        if not (_is_num(self.length, int) and self.length >= 0) or self.order not in ARRIVAL_ORDERS:
+        if not (_is_num(length, int) and length >= 0) or order not in ARRIVAL_ORDERS:
             raise InvalidParameterError(
                 f"a stream needs an int length >= 0 and an order in {ARRIVAL_ORDERS}")
-        readers = [j for j, strat in enumerate(self.instances) if strat.reads_state]
-        readers += [n + j for j in readers[:1]]  # the first's turn in the next cycle
-        object.__setattr__(self, "instances", tuple(self.instances))
-        per = max(1, -(-self.length // n)) if self.order == "sequential" else 1
-        object.__setattr__(self, "per", per)
-        object.__setattr__(self, "ahead", tuple(
-            readers[bisect.bisect_left(readers, j)] - j for j in range(n)) if readers else ())
+        return super().__new__(cls, instances, length, order)
+
+    @classmethod
+    def _make(cls, fields) -> Stream:
+        return cls(*fields)  # _replace builds through here, so it is checked too
+
+    @property
+    def per(self) -> int:
+        """The slots of one turn."""
+        return max(1, -(-self.length // len(self.instances))) if self.order == "sequential" else 1
 
     def owner(self, slot: int) -> Strategy | None:
         """The instance slot belongs to; None past the stream's end."""
         if slot >= self.length:
             return None
         return self.instances[(slot // self.per) % len(self.instances)]
-
-    def next_reader(self, start: int, stop: int) -> int:
-        """The first slot in [start, stop) of a state reader, else stop."""
-        if not self.ahead:
-            return stop
-        turn = start // self.per
-        return min(max(start, (turn + self.ahead[turn % len(self.ahead)]) * self.per), stop)
 
     def runs(self, start: int, stop: int):
         """(instance, range of its slots) for the slots in [start, stop), in the
@@ -412,22 +395,26 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     fills or the stream ends; return the next slot (no slot past the arrival
     that fills the session is taken).
 
-    Every strategy is asked with the session's quote (MarketSession.quote,
-    a StrategyContext).  In each run of
-    consecutive blind slots (reads_state False), each strategy is asked once
-    for all of its slots (step_strategy with n), and its bundles join the
-    pending block through one slice (Stream.runs).  A state reader is asked
-    after MarketSession.preview publishes the state after every pending
-    bundle, and its bundle joins the block too.  The block is booked with
-    one MarketSession.step when it holds BLOCK_CAP arrivals or BLOCK_FLOATS
-    bundle entries, when it fills the session, and at the end; as a block
-    books the bits of its bundles booked one at a time, and the step checks
-    every preview against its own chain, neither a reader's look nor its
-    trade needs a step of its own.  A reader makes at most one kernel pass,
-    its preview's.  A bundle check_bundle rejects,
-    or a blind answer without one entry per slot, raises StrategyBugError
-    naming its strategy's kind; a slot that is not an int >= 0 (a bool is
-    none) is an InvalidParameterError.
+    The slots are taken in chunks [slot, stop) that fit the session and the
+    pending block even if every slot trades, so a chunk fills neither before
+    its end.  At a chunk's start each blind strategy (reads_state False) is
+    asked once, through step_strategy with n, for all n of its slots there
+    (Stream.runs), with the session's quote (MarketSession.quote, a
+    StrategyContext); its answers are written as a tape in place in the
+    pending rows, with state readers' slots left as holes (_ask_blind).  The
+    chunk's readers are then asked in slot order: the traded tape rows of
+    the gap before a reader move down to the pending count, and the reader
+    is asked through decide after MarketSession.preview publishes the state
+    after every pending bundle; its bundle joins the block too.  The block
+    is booked with one MarketSession.step when it holds BLOCK_CAP arrivals
+    or BLOCK_FLOATS bundle entries, when it fills the session, and at the
+    end, each only at a chunk's end; as a block books the bits of its
+    bundles booked one at a time, and the step checks every preview against
+    its own chain, neither a reader's look nor its trade needs a step of its
+    own.  A reader makes at most one kernel pass, its preview's.  A bundle
+    check_bundle rejects, or a blind answer without one entry per slot,
+    raises StrategyBugError naming its strategy's kind; a slot that is not
+    an int >= 0 (a bool is none) is an InvalidParameterError.
     """
     if not (_is_num(slot, int) and slot >= 0):
         raise InvalidParameterError(f"slot must be an int >= 0, not {slot!r}")
@@ -435,9 +422,26 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     cap = max(1, min(BLOCK_CAP, BLOCK_FLOATS // d))
     pending, k = np.empty((cap, d)), 0  # rows [0, k) wait to be booked
     slots = np.empty(cap, dtype=np.intp)  # the stream slot of each pending row
-    strat = stream.owner(slot)
-    while strat is not None and session.arrivals + k < T:
-        if strat.reads_state:
+    while slot < stream.length and session.arrivals + k < T:
+        stop = min(stream.length, slot + min(T - session.arrivals, cap) - k)
+        kept, looks = _ask_blind(stream, slot, stop, session.quote, pending[k : k + stop - slot])
+        slots[k : k + stop - slot] = np.arange(slot, stop)
+        first, tape = slot, k  # slot s's tape row is tape + s - first
+        for look, strat in (*looks, (stop, None)):
+            # the gap [slot, look) of blind slots: the rows that traded move down to row k
+            gap = slice(tape + slot - first, tape + look - first)
+            if kept is not None:
+                rows = np.flatnonzero(kept[slot - first : look - first]) + gap.start
+                n = len(rows)
+                pending[k : k + n], slots[k : k + n] = pending[rows], slots[rows]
+            else:
+                n = look - slot
+                if gap.start != k:  # a row has shifted
+                    pending[k : k + n], slots[k : k + n] = pending[gap], slots[gap]
+            k += n
+            if strat is None:
+                break
+            slot = look + 1
             _blamed(stream, slots, session.preview, pending, k)
             dq = step_strategy(strat, session.quote)
             if dq is not None:
@@ -446,15 +450,9 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
                     pending[k] = dq if one else check_bundle([dq], d)[0]
                 except TradeRejectedError as exc:
                     raise StrategyBugError(f"{strat.kind} returned a bad bundle: {exc}") from exc
-                slots[k] = slot
+                slots[k] = look
                 k += 1
-            slot += 1
-        else:
-            stop = min(stream.length, slot + min(T - session.arrivals, cap) - k)
-            reader = stream.next_reader(slot, stop)  # the blind run is [slot, reader)
-            k = _ask_run(stream, strat, slot, reader, session.quote, pending, slots, k)
-            slot = reader
-        strat = stream.owner(slot)
+        slot = stop
         if k == cap:
             _blamed(stream, slots, session.step, pending)
             k = 0
@@ -463,46 +461,38 @@ def drive_session(session, stream: Stream, slot: int = 0) -> int:
     return slot
 
 
-def _ask_run(stream: Stream, first: Strategy, start: int, stop: int, ctx: StrategyContext,
-             pending: np.ndarray, slots: np.ndarray, k: int) -> int:
-    """Ask each blind strategy of the slots [start, stop) (first owns start)
-    for them; write the bundles and their slots from pending row k on, and
-    return the new count.
-    A float64 (m, d) answer is written as it is (step checks the block); any
-    other ndarray answer, or the bundles of a list answer, go through one
-    check_bundle call, and one mask drops a list's abstentions."""
-    d, n = pending.shape[1], stop - start
-    rows = pending[k : k + n]
-    kept = None  # which slots traded, once a list answer is written
-    # a one-slot run, the usual one between state readers, skips the runs generator
-    runs = stream.runs(start, stop) if n > 1 else ((first, range(start, stop)),)
-    for strat, index in runs:
+def _ask_blind(stream: Stream, start: int, stop: int, ctx: StrategyContext, tape: np.ndarray):
+    """Ask each blind strategy of the slots [start, stop) once for its slots
+    there, writing slot s's bundle to tape row s - start; return the traded
+    mask of the tape, None unless a list answer abstains, and the state
+    readers' (slot, instance) pairs in slot order.
+    A float64 (m, d) answer is written as it is (the preview or step that
+    reaches its rows checks them); any other ndarray answer, or the bundles
+    of a list answer, go through one check_bundle call."""
+    d, kept, looks = tape.shape[1], None, []
+    for strat, index in stream.runs(start, stop):
+        if strat.reads_state:
+            looks += zip(index, itertools.repeat(strat))
+            continue
         m, at = len(index), slice(index.start - start, index.stop - start, index.step)
         decisions = step_strategy(strat, ctx, m)
         try:
             if isinstance(decisions, np.ndarray) and decisions.shape == (m, d):
-                rows[at] = decisions if decisions.dtype == np.float64 else check_bundle(decisions, d)
+                tape[at] = decisions if decisions.dtype == np.float64 else check_bundle(decisions, d)
             elif len(decisions) == m:
                 traded = np.fromiter(map(operator.is_not, decisions, itertools.repeat(None)), bool, m)
                 bundles = list(itertools.compress(decisions, traded))
                 if bundles:
-                    rows[at][traded] = check_bundle(bundles, d)
-                kept = np.ones(n, dtype=bool) if kept is None else kept
-                kept[at] = traded
+                    tape[at][traded] = check_bundle(bundles, d)
+                if len(bundles) < m:
+                    kept = np.ones(len(tape), dtype=bool) if kept is None else kept
+                    kept[at] = traded
             else:
                 raise ValueError(f"{m} decisions expected")
         except (TypeError, ValueError) as exc:
             raise StrategyBugError(f"{strat.kind} returned a bad bundle: {exc}") from exc
-    if n == 1:
-        slots[k] = start
-    else:
-        slots[k : k + n] = np.arange(start, stop)
-    if kept is None:
-        return k + n
-    traded_n = int(np.count_nonzero(kept))  # a Python int: drive_session returns slots as ints
-    rows[:traded_n] = rows[kept]
-    slots[k : k + traded_n] = slots[k : k + n][kept]
-    return k + traded_n
+    looks.sort()  # slots are distinct, so no two instances are compared
+    return kept, looks
 
 
 def _blamed(stream: Stream, slots, call, *args) -> None:

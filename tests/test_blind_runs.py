@@ -1,9 +1,9 @@
 """Blind runs decided whole: drive_session against asking one slot at a time.
 
-drive_session asks each blind strategy once per run for all of its slots
-and books the run as blocks; the oracle writes the stream out as a list of
-slots, asks every strategy through decide, one slot at a time, and books
-each bundle alone on oracles.ReferenceSession.  Every comparison is ==.
+drive_session asks each blind strategy once per chunk for all of its slots
+there and books the chunk as blocks; the oracle writes the stream out as a
+list of slots, asks every strategy through decide, one slot at a time, and
+books each bundle alone on oracles.ReferenceSession.  Every comparison is ==.
 """
 
 import math
@@ -21,12 +21,16 @@ from privmarket import (
     InvalidParameterError,
     MarketParams,
     RandomTrader,
+    RunConfig,
     Strategy,
+    StrategyBugError,
     StrategyContext,
     Stream,
     drive_session,
     open_market,
+    run_trial,
     sample_bundle,
+    traders,
 )
 from privmarket.noise import l2_norms
 
@@ -157,6 +161,80 @@ def _assert_drive_session_matches_one_slot_at_a_time(d, T, kinds, order, length,
     assert_same_session(session, reference)
     outcome = seed % d
     assert session.close(outcome) == reference.close(outcome)
+
+
+MIXED = {"market": {"d": 2, "epsilon": 1.0, "alpha": 0.3, "gamma": 0.1, "T": 64},
+         "traders": [{"kind": "herd"}, {"kind": "random"},
+                     {"kind": "arbitrage_hunter", "params": {"belief": [0.85, 0.15]}}]}
+STAGED = {"market": {"d": 8, "epsilon": 1.0, "alpha": 0.3, "gamma": 0.1, "T": 256},
+          "traders": [{"kind": "belief", "params": {"belief": [0.72] + [0.04] * 7}},
+                      {"kind": "belief", "params": {"belief": [0.13] + [0.125] * 6 + [0.12]}},
+                      {"kind": "arbitrage_hunter",
+                       "params": {"belief": [0.04, 0.72] + [0.04] * 6}},
+                      {"kind": "random"}],
+          "stream_length": 1056, "adaptive": {"stage_override": 256, "max_stages": 3}}
+
+
+@pytest.mark.parametrize("config, seeds, asks", [(MIXED, 20, 2), (STAGED, 8, 13)],
+                         ids=["mixed_T64", "staged_d8"])
+def test_blind_strategies_are_asked_once_per_chunk(monkeypatch, config, seeds, asks):
+    # per trial: the mixed roster's 64 slots are one chunk, asking herd and
+    # random once each; each of the three 256-arrival stages takes a few
+    # shrinking chunks while its readers abstain, asking random once in each
+    blind, step = [], traders.step_strategy
+
+    def counting(strategy, ctx, n=None):
+        if n is not None:
+            blind.append(strategy.kind)
+        return step(strategy, ctx, n)
+
+    monkeypatch.setattr(traders, "step_strategy", counting)
+    cfg = RunConfig.from_dict(config)
+    for seed in range(seeds):
+        blind.clear()
+        run_trial(cfg, seed)
+        assert len(blind) == asks, seed
+
+
+class Looker(Strategy):
+    """A state reader that records each look and abstains."""
+
+    kind = "looker"
+
+    def __init__(self):
+        self.looks = 0
+
+    def decide(self, ctx):
+        self.looks += 1
+        return None
+
+
+@pytest.mark.parametrize("answer", [
+    lambda n: [[2.0, 0.0]] * n,  # a list's bundle with an l1 norm of 2
+    lambda n: np.full((n, 2), 2),  # an int array, checked as it is cast
+    lambda n: [None] * (n + 1),  # one decision too many
+], ids=["list", "ints", "count"])
+def test_a_bad_blind_answer_raises_before_an_earlier_reader_is_asked(answer):
+    # the blind slots of a chunk are asked at its start, so the third slot's
+    # bad answer raises before the reader in the second is asked: nothing is
+    # previewed or booked, and the noise generator has not moved (a float64
+    # (n, d) answer is written as it is, and the preview or step that
+    # reaches a bad row of it raises)
+    class Blind(Strategy):
+        kind = "blind"
+        reads_state = False
+
+        def decide_run(self, ctx, n):
+            return answer(n)
+
+    params = MarketParams(d=2, epsilon=1.0, alpha=0.3, gamma=0.1, T=64)
+    session = open_market(params, rng=0)
+    state = session.rng.bit_generator.state
+    reader = Looker()
+    with pytest.raises(StrategyBugError, match="^blind returned a bad bundle"):
+        drive_session(session, Stream((Herd(), reader, Blind()), 30))
+    assert reader.looks == 0 and session.arrivals == 0 and session.noise.t == 0
+    assert session.quote.t == 1 and session.rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("instances, length, order, message", [

@@ -775,15 +775,15 @@ def test_stream_slots_follow_the_eager_order():
     for order, length in itertools.product(("round_robin", "sequential"), (0, 1, 4, 5, 7, 23)):
         stream, slots = Stream(instances, length, order), eager(instances, order, length)
         assert [stream.owner(i) for i in range(length)] == slots
-        runs = [(strat, i) for strat, index in stream.runs(0, length) for i in index]
-        assert sorted(runs, key=lambda run: run[1]) == list(zip(slots, range(length)))
-        readers = [i for i, strat in enumerate(slots) if strat.reads_state]
         for start, stop in itertools.combinations(range(length + 1), 2):
-            expect = next((i for i in readers if start <= i < stop), stop)
-            assert stream.next_reader(start, stop) == expect
+            runs = [(strat, i) for strat, index in stream.runs(start, stop) for i in index]
+            assert sorted(runs, key=lambda run: run[1]) == list(zip(slots, range(length)))[start:stop]
     # a stream far longer than the market can fill builds nothing up front
     stream = Stream(instances, MAX_T, "sequential")
-    assert stream.owner(MAX_T - 1) is instances[-1] and stream.next_reader(0, MAX_T) == stream.per
+    per = stream.per
+    assert stream.owner(MAX_T - 1) is instances[-1] and stream.owner(per) is instances[1]
+    assert list(stream.runs(per - 1, per + 1)) == [
+        (instances[0], range(per - 1, per)), (instances[1], range(per, per + 1))]
     for order in ("round_robin", "sequential"):
         assert run_trial(_cfg(arrival_order=order, stream_length=MAX_T), seed=0).arrivals == 8
 

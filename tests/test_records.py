@@ -1,5 +1,5 @@
-"""The package's records: immutable NamedTuples that pickle, and the few kept
-as dataclasses, counted in a fresh interpreter."""
+"""The package's records: immutable NamedTuples that pickle, none of them a
+dataclass, counted in a fresh interpreter."""
 
 import json
 import math
@@ -16,11 +16,13 @@ import privmarket
 from privmarket import (
     METRIC_FIELDS,
     AdaptiveResult,
+    Herd,
     InvalidParameterError,
     MarketParams,
     RunConfig,
     ScaledCost,
     StageSchedule,
+    Stream,
     TrialMetrics,
     loss_bounds,
     privacy_audit,
@@ -31,19 +33,22 @@ from privmarket import (
 )
 from privmarket.adaptive import StageCheck, StageInequalityReport
 
-# classes defined in privmarket.* that stay dataclasses: a stream's per and
-# ahead are derived from the fields it is given
-KEPT_DATACLASSES = ["privmarket.traders.Stream"]
+# classes defined in privmarket.* that stay dataclasses
+KEPT_DATACLASSES = []
 
+# whether importing the package loads the dataclasses module, then the
+# classes it defines that are dataclasses
 COUNT_DATACLASSES = """
-import dataclasses, inspect, json, sys
+import inspect, json, sys
 import privmarket
-print(json.dumps(sorted(
+loaded = "dataclasses" in sys.modules
+import dataclasses
+print(json.dumps([loaded, sorted(
     f"{name}.{cls.__qualname__}"
     for name, module in list(sys.modules.items())
     if name == "privmarket" or name.startswith("privmarket.")
     for _, cls in inspect.getmembers(module, inspect.isclass)
-    if cls.__module__ == name and dataclasses.is_dataclass(cls))))
+    if cls.__module__ == name and dataclasses.is_dataclass(cls))]))
 """
 
 CONFIG = {
@@ -57,7 +62,7 @@ def test_only_the_listed_classes_stay_dataclasses():
     src = pathlib.Path(privmarket.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", COUNT_DATACLASSES], capture_output=True,
                           text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-    assert json.loads(done.stdout) == KEPT_DATACLASSES
+    assert json.loads(done.stdout) == [False, KEPT_DATACLASSES]
 
 
 def _records() -> list:
@@ -110,6 +115,14 @@ def test_checked_records_check_a_replaced_field_too():
     with pytest.raises(InvalidParameterError, match="d must be >= 1"):
         cost._replace(d=0)
     assert cost._replace(lam=0.25) == ScaledCost(2, 0.25)
+    herd = Herd()
+    stream = Stream([herd], 4)
+    assert stream.instances == (herd,) and stream.per == 1
+    with pytest.raises(InvalidParameterError, match="int length >= 0"):
+        stream._replace(order="shuffled")
+    with pytest.raises(InvalidParameterError, match="lists an instance twice"):
+        stream._replace(instances=[herd, herd])
+    assert stream._replace(order="sequential", instances=[herd, Herd()]).per == 2
 
 
 def test_a_verify_report_hands_out_a_copy_of_its_detail():
